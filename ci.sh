@@ -1,7 +1,8 @@
 #!/bin/sh
 # The CI entry point: full build, test suite (sequential, with 2- and
 # 4-domain shared pools, and with the analysis sharded 2 ways), bench
-# smoke tests including the machine-readable JSON output. Equivalent to
+# smoke tests including the machine-readable JSON output, and short
+# verified runs of the perfbench workloads. Equivalent to
 # `dune build @ci`, but with per-stage output.
 set -eu
 cd "$(dirname "$0")"
@@ -124,6 +125,21 @@ dune exec bench/main.exe -- json-verify _build/ci-codec.json
 echo "== replay bench smoke (checkpointed vs stateless dpor, json-verified) =="
 dune exec bench/main.exe -- replay --json _build/ci-replay.json
 dune exec bench/main.exe -- json-verify _build/ci-replay.json
+
+echo "== perfbench smoke (check, replay, dpor; every op verified) =="
+# Short closed-loop runs of the benchmark workloads. Each op's verdict is
+# compared with perfbench/expected.txt (written by the stateless
+# oracles); the stage fails unless the final JSON line reports no
+# failed op.
+for w in check replay dpor; do
+  python3 perfbench/run.py --workload $w --seed 1 --seconds 3 \
+    > _build/ci-perfbench-$w.out
+  tail -n 1 _build/ci-perfbench-$w.out | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+print("perfbench %s: %d attempted, %d failed" % (sys.argv[1], r["attempted"], r["failed"]))
+sys.exit(0 if r["failed"] == 0 and r["attempted"] > 0 else 1)' $w
+done
 
 echo "== profile smoke (--profile-json / --chrome-trace, 2 workloads) =="
 # coopcheck check exits 1 when the workload has violations; the profile

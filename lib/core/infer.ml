@@ -28,7 +28,7 @@ type result = {
    its internal RNG/quantum/priority state), resumes a fresh checker
    from the analysis snapshot and runs only the divergent tail. *)
 type prefix = {
-  ck_state : Vm.state;  (* state at the divergence point *)
+  ck_state : Vm.state;  (* state at the divergence point; never stepped *)
   ck_last : int option;  (* last tid picked in the prefix *)
   ck_steps : int;  (* VM steps executed in the prefix *)
   ck_events : int;  (* events the prefix fed the checker *)
@@ -62,19 +62,22 @@ let compute_prefix ~yields ~max_steps prog =
   in
   let tids = ref [] in
   let flags = ref [] in
-  let rec go st last steps =
-    if steps >= max_steps then (st, last, steps)
+  let st = Vm.init prog in
+  let rec go runnable last steps =
+    if steps >= max_steps then (last, steps)
     else begin
-      match Vm.runnable st with
-      | [ tid ] ->
-          flags := Vm.last_step_yielded st :: !flags;
-          tids := tid :: !tids;
-          let st = Vm.step ~yields st tid ~sink in
-          go st (Some tid) (steps + 1)
-      | _ -> (st, last, steps)
+      let runnable = Vm.runnable_array st runnable in
+      if Array.length runnable <> 1 then (last, steps)
+      else begin
+        let tid = runnable.(0) in
+        flags := Vm.last_step_yielded st :: !flags;
+        tids := tid :: !tids;
+        Vm.step ~yields st tid ~sink;
+        go runnable (Some tid) (steps + 1)
+      end
     end
   in
-  let st, last, steps = go (Vm.init prog) None 0 in
+  let last, steps = go [||] None 0 in
   Coop_obs.count "vm/steps" steps;
   Coop_obs.count "vm/events" !events;
   let snap =
@@ -105,7 +108,7 @@ let fast_forward pre (sched : Sched.t) =
       let ctx =
         {
           Sched.state = pre.ck_state;
-          runnable = [ tid ];
+          runnable = [| tid |];
           last = (if i = 0 then None else Some pre.ck_tids.(i - 1));
           last_yielded = pre.ck_flags.(i);
         }
@@ -121,21 +124,26 @@ let fast_forward pre (sched : Sched.t) =
    the tail is this schedule's (partial) execution. *)
 let run_tail ~yields ~max_steps ~sched ~sink pre =
   let raw sink =
-    let rec loop st last steps =
+    (* [pre] is shared by every portfolio task: step a private copy. *)
+    let st = Vm.copy pre.ck_state in
+    let rec loop runnable last steps =
       if steps >= max_steps then steps
       else begin
-        match Vm.runnable st with
-        | [] -> steps
-        | runnable ->
-            let ctx =
-              { Sched.state = st; runnable; last;
-                last_yielded = Vm.last_step_yielded st }
-            in
-            let tid = sched.Sched.pick ctx in
-            loop (Vm.step ~yields st tid ~sink) (Some tid) (steps + 1)
+        let runnable = Vm.runnable_array st runnable in
+        if Array.length runnable = 0 then steps
+        else begin
+          let ctx =
+            { Sched.state = st; runnable; last;
+              last_yielded = Vm.last_step_yielded st }
+          in
+          let tid = sched.Sched.pick ctx in
+          Vm.step ~yields st tid ~sink;
+          let last = match last with Some l when l = tid -> last | _ -> Some tid in
+          loop runnable last (steps + 1)
+        end
       end
     in
-    loop pre.ck_state pre.ck_last pre.ck_steps
+    loop [||] pre.ck_last pre.ck_steps
   in
   if not (Coop_obs.enabled ()) then ignore (raw sink)
   else

@@ -47,8 +47,8 @@ let is_visible = function
       true
   | _ -> false
 
-(* Execute one transition of [tid]: the invisible prefix, then one visible
-   instruction (or a park). Returns the new state and the step summary, or
+(* Execute one transition of [tid] in place: the invisible prefix, then
+   one visible instruction (or a park). Returns the step summary, or
    [None] when the invisible-prefix budget runs out. The visible operation
    is recovered from the event the step emits. *)
 let exec_transition ~yields ~max_segment st tid =
@@ -67,51 +67,51 @@ let exec_transition ~yields ~max_segment st tid =
     | Event.Enter _ | Event.Exit _ | Event.Atomic_begin | Event.Atomic_end ->
         ()
   in
-  let rec go st fuel =
+  let rec go fuel =
     if fuel = 0 then None
     else if
       match Vm.thread_status st tid with Vm.Reacquiring _ -> true | _ -> false
     then begin
       (* Monitor reacquire: a visible lock transition of its own. *)
-      let st' = Vm.step ~yields st tid ~sink in
-      Some (st', { tid; obj = !captured; is_write = false })
+      Vm.step ~yields st tid ~sink;
+      Some { tid; obj = !captured; is_write = false }
     end
     else begin
       match Vm.peek_instr st tid with
-      | None -> Some (st, { tid; obj = Onone; is_write = false })
+      | None -> Some { tid; obj = Onone; is_write = false }
       | Some (instr, loc) ->
           let injected = Loc.Set.mem loc yields in
+          Vm.step ~yields st tid ~sink;
           if is_visible instr || injected then begin
-            let st' = Vm.step ~yields st tid ~sink in
             let obj =
-              match Vm.thread_status st' tid with
+              match Vm.thread_status st tid with
               | Vm.Blocked_on_lock h | Vm.Waiting h | Vm.Reacquiring h ->
                   Olock h  (* parked or waiting: depends on the monitor *)
               | Vm.Blocked_on_join u -> Othread u
               | _ -> !captured
             in
-            Some (st', { tid; obj; is_write = !wrote })
+            Some { tid; obj; is_write = !wrote }
           end
           else begin
-            let st' = Vm.step ~yields st tid ~sink in
-            match Vm.thread_status st' tid with
+            match Vm.thread_status st tid with
             | Vm.Finished | Vm.Faulted _ ->
-                Some (st', { tid; obj = Onone; is_write = false })
-            | _ -> go st' (fuel - 1)
+                Some { tid; obj = Onone; is_write = false }
+            | _ -> go (fuel - 1)
           end
     end
   in
-  go st max_segment
+  go max_segment
 
 (* Frames no longer pin a [Vm.state]: a frame holds only the choice
-   bookkeeping plus its execution-tree prefix [key] ("<nonce>.t.t...",
-   one segment per taken tid). The state before the choice is fetched
-   from the shared checkpoint store and, on a miss, re-derived by
-   replaying the recorded path from the deepest cached ancestor — so
-   peak memory is the cache cap, not stack-depth states, and backtracked
-   executions skip re-running their shared prefix. *)
+   bookkeeping plus the checkpoint [key] of its pre-choice state — the
+   run's nonce and a per-run frame counter, since every frame is a
+   distinct node of the execution tree. The state before the choice is
+   fetched (copied) from the shared checkpoint store and, on a miss,
+   re-derived by replaying the recorded path from the deepest cached
+   ancestor — so peak memory is the cache cap, not stack-depth states,
+   and backtracked executions skip re-running their shared prefix. *)
 type frame = {
-  key : string;  (* checkpoint key of the state before this choice *)
+  key : string;  (* checkpoint key of the pre-choice state; "" if unparked *)
   enabled : Iset.t;
   mutable backtrack : Iset.t;
   mutable tried : Iset.t;
@@ -126,11 +126,11 @@ type frame = {
 let run_nonce = Atomic.make 0
 
 (* Checkpoint spacing: only every [ckpt_spacing]-th stack depth is parked
-   in the store (the root always is). Parking every level would pay the
-   store's weight estimate — an O(state) walk — on every novel step,
-   eating most of what elision saves; with spacing, a backtracked choice
-   at an unparked depth replays at most [ckpt_spacing - 1] transitions
-   from its nearest parked ancestor. Must be a power of two. *)
+   in the store (the root always is). Parking copies the state, so parking
+   every level would pay a full copy on every novel step, eating most of
+   what elision saves; with spacing, a backtracked choice at an unparked
+   depth replays at most [ckpt_spacing - 1] transitions from its nearest
+   parked ancestor. Must be a power of two. *)
 let ckpt_spacing = 4
 
 let parked_depth i = i land (ckpt_spacing - 1) = 0
@@ -175,6 +175,25 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     !stack.(!depth) <- frame;
     incr depth
   in
+  (* Checkpoint keys: the run's nonce plus a per-run frame counter. [park]
+     stores a copy of a frame's pre-choice state and returns its key ([""]
+     without a store); [drop] removes it when the frame pops. *)
+  let key_base = "dpor" ^ string_of_int (Atomic.fetch_and_add run_nonce 1) ^ ":" in
+  let parked = ref 0 in
+  let park st =
+    match cache with
+    | Some c ->
+        incr parked;
+        let key = key_base ^ string_of_int !parked in
+        Coop_util.Ckpt_cache.add c key (Vm.copy st);
+        key
+    | None -> ""
+  in
+  let drop key =
+    match cache with
+    | Some c when key <> "" -> Coop_util.Ckpt_cache.remove c key
+    | _ -> ()
+  in
   let make_frame ?(sleep = []) ~key st =
     let enabled = Iset.of_list (Vm.runnable st) in
     let awake =
@@ -192,41 +211,42 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     in
     { key; enabled; backtrack; tried = Iset.empty; taken = None; sleep }
   in
-  (* State before the choice at depth [i]: cached checkpoint if present,
-     else re-derived by replaying the recorded step of the parent frame
-     onto the parent's state (recursively, from the deepest cached
-     ancestor). Replay is deterministic — same yields, same fuel — so a
-     transition that succeeded when first executed succeeds again. *)
+  (* State before the choice at depth [i], private to the caller: a copy
+     of the cached checkpoint if present, else re-derived by replaying the
+     recorded step of the parent frame onto the parent's state
+     (recursively, from the deepest cached ancestor). Replay is
+     deterministic — same yields, same fuel — so a transition that
+     succeeded when first executed succeeds again. Cached states are
+     never stepped: a re-derived state goes back in as a copy. *)
   let rec state_at i =
     let fr = !stack.(i) in
     let rederive () =
       if i = 0 then Vm.init prog
       else begin
-        let parent = state_at (i - 1) in
+        let st = state_at (i - 1) in
         let info =
           match !stack.(i - 1).taken with
           | Some info -> info
           | None -> assert false  (* ancestors always have a taken step *)
         in
-        match exec_transition ~yields ~max_segment parent info.tid with
-        | Some (st, _) ->
+        match exec_transition ~yields ~max_segment st info.tid with
+        | Some _ ->
             incr replayed;
             st
         | None -> assert false  (* succeeded when first executed *)
       end
     in
     match cache with
-    | None -> rederive ()
-    | Some c when parked_depth i -> (
+    | Some c when fr.key <> "" -> (
         match Coop_util.Ckpt_cache.find c fr.key with
         | Some st ->
             incr cache_hits;
-            st
+            Vm.copy st
         | None ->
             let st = rederive () in
-            Coop_util.Ckpt_cache.add c fr.key st;
+            Coop_util.Ckpt_cache.add c fr.key (Vm.copy st);
             st)
-    | Some _ -> rederive ()
+    | _ -> rederive ()
   in
   (* After taking step [info] at depth d (from frame d), add backtrack
      points at the last earlier frame whose taken step is dependent. *)
@@ -250,9 +270,9 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     find upto
   in
   (* [explore st_here] explores from the frame just pushed, whose
-     pre-choice state [st_here] the caller still holds — the first choice
-     costs no lookup; later (backtracked) choices re-fetch the frame's
-     state through [state_at]. *)
+     pre-choice state [st_here] the caller hands over — the first choice
+     steps it in place at no lookup; later (backtracked) choices re-fetch
+     the frame's state through [state_at]. *)
   let rec explore st_here =
     if !executions >= max_executions then complete := false
     else begin
@@ -278,11 +298,10 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
               fr.tried <- Iset.add p fr.tried
           | Some p -> (
               fr.tried <- Iset.add p fr.tried;
-              match
-                exec_transition ~yields ~max_segment (frame_state ()) p
-              with
+              let st = frame_state () in
+              match exec_transition ~yields ~max_segment st p with
               | None -> complete := false
-              | Some (st', info) ->
+              | Some info ->
                   incr novel;
                   fr.taken <- Some info;
                   add_backtracks info (!depth - 2);
@@ -293,15 +312,15 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
                         (fun (_, i) -> not (dependent i info))
                         fr.sleep
                   in
-                  let child_key = fr.key ^ "." ^ string_of_int p in
-                  (* The child frame lands at stack index [!depth]. *)
-                  (match cache with
-                  | Some c when parked_depth !depth ->
-                      Coop_util.Ckpt_cache.add c child_key st'
-                  | _ -> ());
-                  push (make_frame ~sleep:child_sleep ~key:child_key st');
-                  explore st';
+                  (* The child frame lands at stack index [!depth]. Its
+                     checkpoint serves only its own backtracked choices
+                     and its descendants' replays, so it is dropped when
+                     the frame pops. *)
+                  let child_key = if parked_depth !depth then park st else "" in
+                  push (make_frame ~sleep:child_sleep ~key:child_key st);
+                  explore st;
                   decr depth;
+                  drop child_key;
                   if sleep_sets then fr.sleep <- (p, info) :: fr.sleep;
                   if !executions >= max_executions then begin
                     (* Budget exhausted mid-frame: the remaining backtrack
@@ -314,13 +333,8 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
       end
     end
   in
-  let root_key =
-    "dpor" ^ string_of_int (Atomic.fetch_and_add run_nonce 1)
-  in
   let st0 = Vm.init prog in
-  (match cache with
-  | Some c -> Coop_util.Ckpt_cache.add c root_key st0
-  | None -> ());
+  let root_key = park st0 in
   let root = make_frame ~key:root_key st0 in
   (match root_only with
   | Some p ->
@@ -329,6 +343,7 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
   | None -> ());
   push root;
   explore st0;
+  drop root_key;
   {
     behaviors = !behaviors;
     executions = !executions;

@@ -23,16 +23,19 @@
     executions of depth [d] cost O(n·d) transitions even though
     consecutive executions share long prefixes. By default it now keeps
     a bounded LRU {b checkpoint store} ({!Coop_util.Ckpt_cache}) of VM
-    states keyed by execution-tree prefix: a backtracked execution
-    resumes from the deepest cached ancestor of its divergence point and
-    only the divergent suffix is executed fresh. The VM's persistent
-    state makes checkpoints O(1) to take; the cap bounds what they can
-    pin, and an evicted checkpoint merely costs a (deterministic) replay
-    of the gap from its nearest cached ancestor. Checkpoints are parked
-    only at every fourth stack depth: taking one pays a state-size walk
-    for the store's weight accounting, so parking every level would tax
-    each novel transition, while an unparked backtrack replays at most
-    three transitions from the nearest parked ancestor. [~no_cache:true]
+    states, one per execution-tree node, keyed by the run's nonce and a
+    per-run frame counter: a backtracked execution resumes from the
+    deepest cached ancestor of its divergence point and only the
+    divergent suffix is executed fresh. The VM is mutable, so a
+    checkpoint is a {!Vm.copy} taken when the frame is pushed, and every
+    fetch copies it again — a cached state is never stepped. A frame's
+    checkpoint is removed when the frame pops, since nothing can look it
+    up again; the cap bounds what the rest can pin, and an evicted
+    checkpoint merely costs a (deterministic) replay of the gap from its
+    nearest cached ancestor. Checkpoints are parked only at every fourth
+    stack depth: parking every level would pay a copy on each novel
+    transition, while an unparked backtrack replays at most three
+    transitions from the nearest parked ancestor. [~no_cache:true]
     restores the stateless behaviour and is kept as the differential
     oracle — both modes produce identical behaviour sets, executions and
     novel steps; they differ only in how prefix states are re-derived.

@@ -43,63 +43,59 @@ let next_instr st tid =
   | _ -> Vm.peek_instr st tid
 
 (* One scheduling decision in preemptive mode: execute [tid]'s invisible
-   prefix eagerly, then one visible instruction (or park). Returns [None]
-   when the segment budget is exhausted. *)
+   prefix eagerly, then one visible instruction (or park). *)
 let macro_step ~yields ~max_segment st tid =
   let sink = Trace.Sink.ignore in
-  let rec go st fuel =
-    if fuel = 0 then None
+  let rec go fuel =
+    if fuel = 0 then false
     else if
       match Vm.thread_status st tid with Vm.Reacquiring _ -> true | _ -> false
-    then
+    then begin
       (* A monitor reacquire is itself a visible transition. *)
-      Some (Vm.step ~yields st tid ~sink)
+      Vm.step ~yields st tid ~sink;
+      true
+    end
     else begin
       match next_instr st tid with
-      | None -> Some st
+      | None -> true
       | Some (instr, loc) ->
-          let injected = Loc.Set.mem loc yields in
-          if is_visible instr || injected then begin
-            (* Execute the visible instruction (or its injected yield) and
-               stop; if the thread parks instead, the state still changed. *)
-            let st' = Vm.step ~yields st tid ~sink in
-            Some st'
-          end
-          else begin
-            let st' = Vm.step ~yields st tid ~sink in
-            match Vm.thread_status st' tid with
-            | Vm.Finished | Vm.Faulted _ -> Some st'
-            | _ -> go st' (fuel - 1)
-          end
+          Vm.step ~yields st tid ~sink;
+          (* After the visible instruction (or its injected yield) stop;
+             if the thread parked instead, the state still changed. *)
+          is_visible instr || Loc.Set.mem loc yields
+          || (match Vm.thread_status st tid with
+             | Vm.Finished | Vm.Faulted _ -> true
+             | _ -> go (fuel - 1))
     end
   in
-  go st max_segment
+  go max_segment
 
 (* One scheduling decision in cooperative mode: run [tid] until it yields,
    blocks, faults or finishes. *)
 let coop_segment ~yields ~max_segment st tid =
   let sink = Trace.Sink.ignore in
-  let rec go st fuel =
-    if fuel = 0 then None
-    else begin
-      let st' = Vm.step ~yields st tid ~sink in
-      if Vm.last_step_yielded st' then Some st'
-      else begin
-        match Vm.thread_status st' tid with
-        | Vm.Finished | Vm.Faulted _ -> Some st'
-        | Vm.Blocked_on_lock _ | Vm.Blocked_on_join _ | Vm.Waiting _
-        | Vm.Reacquiring _ ->
-            Some st'
-        | Vm.Runnable -> go st' (fuel - 1)
-      end
-    end
+  let rec go fuel =
+    fuel > 0
+    && begin
+         Vm.step ~yields st tid ~sink;
+         Vm.last_step_yielded st
+         || match Vm.thread_status st tid with
+            | Vm.Runnable -> go (fuel - 1)
+            | Vm.Finished | Vm.Faulted _ | Vm.Blocked_on_lock _
+            | Vm.Blocked_on_join _ | Vm.Waiting _ | Vm.Reacquiring _ ->
+                true
+       end
   in
-  go st max_segment
+  go max_segment
 
 (* One scheduling decision at instruction granularity: a single step. *)
 let single_step ~yields st tid =
-  Some (Vm.step ~yields st tid ~sink:Trace.Sink.ignore)
+  Vm.step ~yields st tid ~sink:Trace.Sink.ignore;
+  true
 
+(* A segment runs one scheduling decision of [tid] on [st] in place and
+   returns [false] when the segment budget ran out (the state is then
+   half-stepped and must be discarded). *)
 let segment_of ~yields ~max_segment mode granularity =
   match (mode, granularity) with
   | Preemptive, Visible_only -> macro_step ~yields ~max_segment
@@ -151,14 +147,20 @@ let explore_from ~segment ~max_states st0 =
             if Vm.deadlocked st then dead := Key_set.add k !dead;
             behaviors := Behavior.Set.add (Behavior.of_state st) !behaviors
         | runnable ->
-            List.iter
-              (fun tid ->
-                match segment st tid with
-                | Some st' ->
+            (* Each successor steps its own copy; the last one may step
+               [st] itself, which nothing reads afterwards. *)
+            let rec successors = function
+              | [] -> ()
+              | tid :: rest ->
+                  let st' = match rest with [] -> st | _ -> Vm.copy st in
+                  if segment st' tid then begin
                     incr novel;
                     visit st'
-                | None -> complete := false)
-              runnable
+                  end
+                  else complete := false;
+                  successors rest
+            in
+            successors runnable
       end
     end
   in
@@ -206,16 +208,17 @@ let expand_frontier ~segment ~target st0 =
         | runnable ->
             List.iter
               (fun tid ->
-                match segment st tid with
-                | None -> complete := false
-                | Some st' ->
-                    incr novel;
-                    let k = Vm.key st' in
-                    if not (Hashtbl.mem seen k) then begin
-                      Hashtbl.add seen k ();
-                      grew := true;
-                      next := (st', tid :: path) :: !next
-                    end)
+                let st' = Vm.copy st in
+                if not (segment st' tid) then complete := false
+                else begin
+                  incr novel;
+                  let k = Vm.key st' in
+                  if not (Hashtbl.mem seen k) then begin
+                    Hashtbl.add seen k ();
+                    grew := true;
+                    next := (st', tid :: path) :: !next
+                  end
+                end)
               runnable)
       !frontier;
     frontier := List.rev !next;
@@ -318,17 +321,17 @@ let run ?pool ?(yields = Loc.Set.empty) ?(max_states = 200_000)
                     match Coop_util.Ckpt_cache.find c key with
                     | Some st ->
                         incr hits;
-                        st
+                        Vm.copy st
                     | None ->
                         (* Deterministic replay of the recorded path. *)
-                        List.fold_left
-                          (fun st tid ->
-                            match segment st tid with
-                            | Some st' ->
-                                incr replayed;
-                                st'
-                            | None -> assert false  (* succeeded in expand *))
-                          init path
+                        let st = Vm.copy init in
+                        List.iter
+                          (fun tid ->
+                            if not (segment st tid) then
+                              assert false (* succeeded in expand *);
+                            incr replayed)
+                          path;
+                        st
                   in
                   let p = explore_from ~segment ~max_states st in
                   { p with

@@ -11,26 +11,31 @@ type outcome = {
   steps : int;
 }
 
+(* Steps one private state in place. The runnable array and the [last]
+   option are reused while unchanged, so a step allocates only the
+   scheduler's context record. *)
 let run_raw ~yields ~max_steps ~sched ~sink prog =
-  let rec loop st last steps =
-    if steps >= max_steps then
-      { final = st; termination = Step_limit; steps }
+  let st = Vm.init prog in
+  let rec loop runnable last steps =
+    if steps >= max_steps then { final = st; termination = Step_limit; steps }
     else begin
-      match Vm.runnable st with
-      | [] ->
-          let termination = if Vm.all_quiescent st then Completed else Deadlock in
-          { final = st; termination; steps }
-      | runnable ->
-          let ctx =
-            { Sched.state = st; runnable; last;
-              last_yielded = Vm.last_step_yielded st }
-          in
-          let tid = sched.Sched.pick ctx in
-          let st = Vm.step ~yields st tid ~sink in
-          loop st (Some tid) (steps + 1)
+      let runnable = Vm.runnable_array st runnable in
+      if Array.length runnable = 0 then
+        let termination = if Vm.all_quiescent st then Completed else Deadlock in
+        { final = st; termination; steps }
+      else begin
+        let ctx =
+          { Sched.state = st; runnable; last;
+            last_yielded = Vm.last_step_yielded st }
+        in
+        let tid = sched.Sched.pick ctx in
+        Vm.step ~yields st tid ~sink;
+        let last = match last with Some l when l = tid -> last | _ -> Some tid in
+        loop runnable last (steps + 1)
+      end
     end
   in
-  loop (Vm.init prog) None 0
+  loop [||] None 0
 
 let run ?(yields = Loc.Set.empty) ?(max_steps = 10_000_000) ~sched ~sink prog =
   if not (Coop_obs.enabled ()) then run_raw ~yields ~max_steps ~sched ~sink prog

@@ -1,6 +1,6 @@
 type context = {
   state : Vm.state;
-  runnable : int list;
+  runnable : int array;
   last : int option;
   last_yielded : bool;
 }
@@ -10,22 +10,29 @@ type t = {
   pick : context -> int;
 }
 
-let lowest = function
-  | [] -> invalid_arg "Sched: empty runnable list"
-  | t :: _ -> t
+let lowest (runnable : int array) =
+  if Array.length runnable = 0 then invalid_arg "Sched: empty runnable set";
+  runnable.(0)
+
+let rec mem_from (tid : int) runnable i =
+  i < Array.length runnable && (runnable.(i) = tid || mem_from tid runnable (i + 1))
+
+let mem tid runnable = mem_from tid runnable 0
 
 (* First runnable tid strictly greater than [cur], wrapping. *)
-let next_after cur runnable =
-  match List.find_opt (fun t -> t > cur) runnable with
-  | Some t -> t
-  | None -> lowest runnable
+let rec next_from (cur : int) runnable i =
+  if i = Array.length runnable then lowest runnable
+  else if runnable.(i) > cur then runnable.(i)
+  else next_from cur runnable (i + 1)
+
+let next_after cur runnable = next_from cur runnable 0
 
 let round_robin ~quantum () =
   if quantum <= 0 then invalid_arg "Sched.round_robin: quantum must be positive";
   let used = ref 0 in
   let pick ctx =
     match ctx.last with
-    | Some cur when List.mem cur ctx.runnable && !used < quantum ->
+    | Some cur when mem cur ctx.runnable && !used < quantum ->
         incr used;
         cur
     | Some cur ->
@@ -39,16 +46,13 @@ let round_robin ~quantum () =
 
 let random ~seed () =
   let rng = Coop_util.Rng.create seed in
-  let pick ctx =
-    let arr = Array.of_list ctx.runnable in
-    Coop_util.Rng.pick rng arr
-  in
+  let pick ctx = Coop_util.Rng.pick rng ctx.runnable in
   { name = Printf.sprintf "random(seed=%d)" seed; pick }
 
 let cooperative () =
   let pick ctx =
     match ctx.last with
-    | Some cur when List.mem cur ctx.runnable && not ctx.last_yielded -> cur
+    | Some cur when mem cur ctx.runnable && not ctx.last_yielded -> cur
     | Some cur -> next_after cur ctx.runnable
     | None -> lowest ctx.runnable
   in
@@ -91,16 +95,17 @@ let pct ~seed ~depth ~change_span () =
         incr next_demotion
     | _ -> ());
     incr step;
-    let best =
-      List.fold_left
-        (fun acc tid ->
-          let p = priority_of tid in
-          match acc with
-          | Some (_, bp) when bp >= p -> acc
-          | _ -> Some (tid, p))
-        None ctx.runnable
-    in
-    match best with Some (tid, _) -> tid | None -> lowest ctx.runnable
+    let best = ref (lowest ctx.runnable) in
+    let best_p = ref (priority_of !best) in
+    for i = 1 to Array.length ctx.runnable - 1 do
+      let tid = ctx.runnable.(i) in
+      let p = priority_of tid in
+      if p > !best_p then begin
+        best := tid;
+        best_p := p
+      end
+    done;
+    !best
   in
   { name = Printf.sprintf "pct(seed=%d,d=%d)" seed depth; pick }
 
@@ -117,7 +122,7 @@ let pinned decisions =
   let rest = ref decisions in
   let pick ctx =
     match !rest with
-    | d :: tl when List.mem d ctx.runnable ->
+    | d :: tl when mem d ctx.runnable ->
         rest := tl;
         d
     | _ :: tl ->

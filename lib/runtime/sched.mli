@@ -8,8 +8,11 @@
     reason about. *)
 
 type context = {
-  state : Vm.state;  (** Current machine state. *)
-  runnable : int list;  (** Non-empty list of runnable tids, ascending. *)
+  state : Vm.state;  (** Current machine state. Read it, never step it. *)
+  runnable : int array;
+      (** Non-empty runnable tids, ascending. Owned by the run loop, which
+          reuses one array for as long as the set is unchanged (see
+          {!Vm.runnable_array}): read-only for the scheduler. *)
   last : int option;  (** Thread that executed the previous step. *)
   last_yielded : bool;  (** Whether the previous step emitted a yield. *)
 }

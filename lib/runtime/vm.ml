@@ -1,6 +1,5 @@
 open Coop_trace
 open Coop_lang
-module Imap = Map.Make (Int)
 
 type status =
   | Runnable
@@ -11,28 +10,32 @@ type status =
   | Finished
   | Faulted of string
 
+(* The operand stack is [stack.(0 .. sp-1)], top at [sp-1]; it doubles
+   when full. Popping only moves [sp], so the slots a faulting
+   instruction popped still hold their values and restoring [sp] undoes
+   the pops. *)
 type frame = {
   func : int;
-  pc : int;
-  locals : int Imap.t;
-  stack : int list;
+  mutable pc : int;
+  locals : int array;  (* [n_locals] slots, parameters first *)
+  mutable stack : int array;
+  mutable sp : int;
 }
 
 type thread = {
-  frames : frame list;
-  status : status;
-  entered : bool;  (* Enter event for the root frame already emitted *)
-  pending_yield : bool;  (* injected yield at current pc already emitted *)
-  wait_depth : int;  (* reentrancy depth to restore after a wait *)
+  mutable frames : frame list;  (* innermost first *)
+  mutable status : status;
+  mutable entered : bool;  (* Enter event for the root frame already emitted *)
+  mutable pending_yield : bool;  (* injected yield at current pc already emitted *)
+  mutable wait_depth : int;  (* reentrancy depth to restore after a wait *)
 }
 
 (* Event payloads the program can ever emit, precomputed once per program
    so the interpreter's hot loop allocates no [Loc.t] and no operation
    variant for the common events. Built in [init], immutable afterwards —
-   derived states share one [caches] record, which also makes it safe to
-   share across domains (exploration shards states over a pool). Fork,
-   Join and Out payloads stay dynamic: their arguments are run-time values
-   and the events are rare. *)
+   copies share one [caches] record, which also makes it safe to share
+   across domains. Fork, Join and Out payloads stay dynamic: their
+   arguments are run-time values and the events are rare. *)
 type caches = {
   locs : Loc.t array array;  (* func -> pc -> location *)
   enter_ops : Event.op array;  (* func -> Enter *)
@@ -48,16 +51,22 @@ type caches = {
 type state = {
   prog : Bytecode.program;
   caches : caches;
-  globals : int Imap.t;
-  arrays : int Imap.t Imap.t;  (* array id -> index -> value *)
-  locks : (int * int) Imap.t;  (* handle -> (owner, depth) *)
-  conditions : int list Imap.t;  (* handle -> waiting tids, FIFO *)
-  threads : thread Imap.t;
-  next_tid : int;
-  output_rev : int list;
-  failures_rev : (int * string) list;
-  steps : int;
-  last_yielded : bool;
+  scratch : Event.t;
+      (* reused for every emission: sinks receive the same record with
+         fields rewritten (the [Trace.Sink] contract — a sink that retains
+         events must [Event.copy]). Per state, so states stepped on
+         different domains never share it. *)
+  globals : int array;
+  arrays : int array array;  (* array id -> index -> value *)
+  lock_owner : int array;  (* handle -> owning tid, [-1] when free *)
+  lock_depth : int array;  (* handle -> reentrancy depth while held *)
+  conditions : int list array;  (* handle -> waiting tids, FIFO *)
+  mutable threads : thread array;  (* tid -> thread, first [n_threads] live *)
+  mutable n_threads : int;  (* also the next tid to allocate *)
+  mutable output_rev : int list;
+  mutable n_output : int;
+  mutable failures_rev : (int * string) list;
+  mutable last_yielded : bool;
 }
 
 exception Fault of string
@@ -89,123 +98,154 @@ let build_caches (prog : Bytecode.program) =
         prog.array_sizes;
   }
 
+let new_scratch () = Event.make ~tid:(-1) ~op:Event.Yield ~loc:Loc.none
+
+(* A fresh frame of [func] whose first locals are [args.(base ..
+   base+nargs-1)]. *)
+let new_frame (prog : Bytecode.program) func args base nargs =
+  let locals = Array.make (max nargs prog.funcs.(func).Bytecode.n_locals) 0 in
+  Array.blit args base locals 0 nargs;
+  { func; pc = 0; locals; stack = Array.make 8 0; sp = 0 }
+
+let new_thread frame =
+  { frames = [ frame ]; status = Runnable; entered = false;
+    pending_yield = false; wait_depth = 0 }
+
 let init prog =
-  let globals =
-    Array.to_seqi prog.Bytecode.global_init
-    |> Seq.fold_left (fun m (i, v) -> Imap.add i v m) Imap.empty
-  in
-  let main_frame =
-    { func = prog.Bytecode.main; pc = 0; locals = Imap.empty; stack = [] }
-  in
-  let t0 =
-    { frames = [ main_frame ]; status = Runnable; entered = false;
-      pending_yield = false; wait_depth = 0 }
-  in
+  let main = new_thread (new_frame prog prog.Bytecode.main [||] 0 0) in
   {
     prog;
     caches = build_caches prog;
-    globals;
-    arrays = Imap.empty;
-    locks = Imap.empty;
-    conditions = Imap.empty;
-    threads = Imap.singleton 0 t0;
-    next_tid = 1;
+    scratch = new_scratch ();
+    globals = Array.copy prog.Bytecode.global_init;
+    arrays = Array.map (fun size -> Array.make size 0) prog.array_sizes;
+    lock_owner = Array.make prog.n_locks (-1);
+    lock_depth = Array.make prog.n_locks 0;
+    conditions = Array.make prog.n_locks [];
+    threads = [| main |];
+    n_threads = 1;
     output_rev = [];
+    n_output = 0;
     failures_rev = [];
-    steps = 0;
     last_yielded = false;
+  }
+
+let copy_frame f =
+  { f with locals = Array.copy f.locals; stack = Array.copy f.stack }
+
+let copy st =
+  {
+    st with
+    scratch = new_scratch ();
+    globals = Array.copy st.globals;
+    arrays = Array.map Array.copy st.arrays;
+    lock_owner = Array.copy st.lock_owner;
+    lock_depth = Array.copy st.lock_depth;
+    conditions = Array.copy st.conditions;
+    threads =
+      Array.init st.n_threads (fun i ->
+          let t = st.threads.(i) in
+          { t with frames = List.map copy_frame t.frames });
   }
 
 let program st = st.prog
 
 let thread_status st tid =
-  match Imap.find_opt tid st.threads with
-  | Some t -> t.status
-  | None -> raise Not_found
-
-let thread_ids st = Imap.bindings st.threads |> List.map fst
-
-let lock_free_for st tid handle =
-  match Imap.find_opt handle st.locks with
-  | None -> true
-  | Some (owner, _) -> owner = tid
+  if tid < 0 || tid >= st.n_threads then raise Not_found;
+  st.threads.(tid).status
 
 let join_target_done st target =
-  match Imap.find_opt target st.threads with
-  | None -> false
-  | Some t -> ( match t.status with Finished | Faulted _ -> true | _ -> false)
+  target >= 0 && target < st.n_threads
+  && match st.threads.(target).status with Finished | Faulted _ -> true | _ -> false
 
-let can_run st tid (t : thread) =
+let can_run st tid t =
   match t.status with
   | Runnable -> true
-  | Blocked_on_lock h | Reacquiring h -> lock_free_for st tid h
+  | Blocked_on_lock h | Reacquiring h ->
+      let owner = st.lock_owner.(h) in
+      owner < 0 || owner = tid
   | Blocked_on_join u -> join_target_done st u
-  | Waiting _ -> false
-  | Finished | Faulted _ -> false
+  | Waiting _ | Finished | Faulted _ -> false
 
-let runnable st =
-  Imap.fold (fun tid t acc -> if can_run st tid t then tid :: acc else acc)
-    st.threads []
-  |> List.rev
+let runnable_array st prev =
+  let len = Array.length prev in
+  let count = ref 0 and same = ref true in
+  for tid = 0 to st.n_threads - 1 do
+    if can_run st tid st.threads.(tid) then begin
+      if !count >= len || prev.(!count) <> tid then same := false;
+      incr count
+    end
+  done;
+  if !same && !count = len then prev
+  else begin
+    let a = Array.make !count 0 in
+    let i = ref 0 in
+    for tid = 0 to st.n_threads - 1 do
+      if can_run st tid st.threads.(tid) then begin
+        a.(!i) <- tid;
+        incr i
+      end
+    done;
+    a
+  end
+
+let runnable st = Array.to_list (runnable_array st [||])
 
 let all_quiescent st =
-  Imap.for_all
-    (fun _ t ->
-      match t.status with Finished | Faulted _ -> true | _ -> false)
-    st.threads
+  let rec go tid =
+    tid >= st.n_threads
+    || (match st.threads.(tid).status with Finished | Faulted _ -> true | _ -> false)
+       && go (tid + 1)
+  in
+  go 0
 
 let deadlocked st = runnable st = [] && not (all_quiescent st)
 
-let global_value st slot =
-  match Imap.find_opt slot st.globals with Some v -> v | None -> 0
+let global_value st slot = st.globals.(slot)
 
 let output st = List.rev st.output_rev
 
 let failures st = List.rev st.failures_rev
 
-let steps_taken st = st.steps
-
 let last_step_yielded st = st.last_yielded
 
-(* Rough retained size in words, for checkpoint-cache budgeting. Map
-   nodes are priced at ~5 words per binding; structural sharing between
-   derived states is invisible here, so per-state figures over-count and
-   a byte cap computed from them is conservative. The program and the
-   event caches are shared by every state of a run and excluded. *)
+(* Exact heap words of the configuration, counted per block as header
+   plus fields, excluding the program and event caches every copy shares.
+   The scratch event is priced with a dynamic [op] and its own [Loc.t];
+   a failure message is priced once, under the faulted thread's status,
+   which holds the same string. Immutable output/failure lists shared
+   between copies are counted in full by each — summed over a cache's
+   entries this over-counts, never under-counts. *)
 let approx_words st =
-  let node = 5 in
-  let frame_words (f : frame) =
-    6 + (node * Imap.cardinal f.locals) + (3 * List.length f.stack)
+  let arr a = 1 + Array.length a in
+  let string_words s = 1 + ((String.length s + 8) / 8) in
+  let status_words = function
+    | Runnable | Finished -> 0
+    | Blocked_on_lock _ | Blocked_on_join _ | Waiting _ | Reacquiring _ -> 2
+    | Faulted msg -> 2 + string_words msg
   in
-  let thread_words (t : thread) =
-    8 + List.fold_left (fun acc f -> acc + frame_words f) 0 t.frames
-  in
-  (node * Imap.cardinal st.globals)
-  + Imap.fold
-      (fun _ m acc -> acc + node + (node * Imap.cardinal m))
-      st.arrays 0
-  + ((node + 3) * Imap.cardinal st.locks)
-  + Imap.fold
-      (fun _ ws acc -> acc + node + (3 * List.length ws))
-      st.conditions 0
-  + Imap.fold (fun _ t acc -> acc + node + thread_words t) st.threads 0
-  + (3 * List.length st.output_rev)
-  + (6 * List.length st.failures_rev)
-  + 16
+  let frame_words f = 3 + 6 + arr f.locals + arr f.stack in
+  let words = ref (15 + 10 + arr st.globals + arr st.arrays) in
+  Array.iter (fun a -> words := !words + arr a) st.arrays;
+  words := !words + arr st.lock_owner + arr st.lock_depth + arr st.conditions;
+  Array.iter (fun q -> words := !words + (3 * List.length q)) st.conditions;
+  words := !words + arr st.threads;
+  for tid = 0 to st.n_threads - 1 do
+    let t = st.threads.(tid) in
+    words := !words + 6 + status_words t.status;
+    List.iter (fun f -> words := !words + frame_words f) t.frames
+  done;
+  !words + (3 * st.n_output) + (6 * List.length st.failures_rev)
 
 let peek_instr st tid =
-  match Imap.find_opt tid st.threads with
-  | None -> None
-  | Some t -> (
-      match t.frames with
-      | [] -> None
-      | frame :: _ ->
-          let f = st.prog.Bytecode.funcs.(frame.func) in
-          if frame.pc < 0 || frame.pc >= Array.length f.code then None
-          else
-            Some
-              ( f.code.(frame.pc),
-                Bytecode.loc st.prog ~func:frame.func ~pc:frame.pc ))
+  if tid < 0 || tid >= st.n_threads then None
+  else
+    match st.threads.(tid).frames with
+    | [] -> None
+    | frame :: _ ->
+        let f = st.prog.Bytecode.funcs.(frame.func) in
+        if frame.pc < 0 || frame.pc >= Array.length f.code then None
+        else Some (f.code.(frame.pc), st.caches.locs.(frame.func).(frame.pc))
 
 (* --- Arithmetic -------------------------------------------------------- *)
 
@@ -231,15 +271,32 @@ let apply_unop op a =
 
 (* --- Stepping ---------------------------------------------------------- *)
 
-let pop = function
-  | v :: rest -> (v, rest)
-  | [] -> raise (Fault "operand stack underflow")
+let underflow () = raise (Fault "operand stack underflow")
 
-let pop2 = function
-  | b :: a :: rest -> (a, b, rest)
-  | _ -> raise (Fault "operand stack underflow")
+let pop f =
+  let sp = f.sp - 1 in
+  if sp < 0 then underflow ();
+  f.sp <- sp;
+  Array.unsafe_get f.stack sp
 
-let set_thread st tid t = { st with threads = Imap.add tid t st.threads }
+let top f = if f.sp = 0 then underflow () else Array.unsafe_get f.stack (f.sp - 1)
+
+let push f v =
+  let sp = f.sp in
+  if sp = Array.length f.stack then begin
+    let bigger = Array.make (2 * sp) 0 in
+    Array.blit f.stack 0 bigger 0 sp;
+    f.stack <- bigger
+  end;
+  Array.unsafe_set f.stack sp v;
+  f.sp <- sp + 1
+
+(* Pops [nargs] arguments; returns the index of the first (deepest) one,
+   whose slots stay intact until the next push. *)
+let pop_args f nargs =
+  if f.sp < nargs then underflow ();
+  f.sp <- f.sp - nargs;
+  f.sp
 
 let check_array st aid idx =
   let n = Array.length st.prog.Bytecode.array_sizes in
@@ -251,26 +308,19 @@ let check_array st aid idx =
          (Printf.sprintf "array index %d out of bounds for %s[%d]" idx
             st.prog.Bytecode.array_names.(aid) size))
 
-let array_get st aid idx =
-  match Imap.find_opt aid st.arrays with
-  | None -> 0
-  | Some m -> ( match Imap.find_opt idx m with Some v -> v | None -> 0)
-
-let array_set st aid idx v =
-  let m = match Imap.find_opt aid st.arrays with Some m -> m | None -> Imap.empty in
-  { st with arrays = Imap.add aid (Imap.add idx v m) st.arrays }
-
 let check_lock st handle =
   if handle < 0 || handle >= st.prog.Bytecode.n_locks then
     raise (Fault (Printf.sprintf "invalid lock handle %d" handle))
 
-(* Per-domain scratch event, reused for every emission: sinks receive the
-   same record with fields rewritten (the [Trace.Sink] contract — a sink
-   that retains events must [Event.copy]). Domain-local because
-   exploration steps disjoint states from several domains at once. *)
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      Event.make ~tid:(-1) ~op:Event.Yield ~loc:Loc.none)
+(* Faults unless [tid] holds [handle]; returns its reentrancy depth. *)
+let held_depth st tid handle what =
+  check_lock st handle;
+  if st.lock_owner.(handle) <> tid then
+    raise
+      (Fault
+         (Printf.sprintf "%s lock %s not held" what
+            st.prog.Bytecode.lock_names.(handle)));
+  st.lock_depth.(handle)
 
 let emit_to sink (scratch : Event.t) tid loc op =
   scratch.Event.tid <- tid;
@@ -279,403 +329,306 @@ let emit_to sink (scratch : Event.t) tid loc op =
   sink scratch
   [@@inline]
 
+let set_runnable t = if t.status != Runnable then t.status <- Runnable
+  [@@inline]
+
+(* Completion of a straight-line instruction at [pc]. *)
+let advance frame t pc =
+  frame.pc <- pc + 1;
+  set_runnable t
+  [@@inline]
+
+(* Execute the instruction at [frame.pc] of [t], the top frame of [tid].
+   Every [Fault] is raised before the instruction writes anything but
+   [frame.sp], so the caller can undo a faulting step by restoring
+   [sp]. *)
+let exec st t tid frame loc sink =
+  let caches = st.caches and scratch = st.scratch in
+  let pc = frame.pc in
+  match st.prog.Bytecode.funcs.(frame.func).code.(pc) with
+  | Bytecode.Const n ->
+      push frame n;
+      advance frame t pc
+  | Bytecode.Load_global g ->
+      emit_to sink scratch tid loc caches.read_global_ops.(g);
+      push frame st.globals.(g);
+      advance frame t pc
+  | Bytecode.Store_global g ->
+      let v = pop frame in
+      emit_to sink scratch tid loc caches.write_global_ops.(g);
+      st.globals.(g) <- v;
+      advance frame t pc
+  | Bytecode.Load_local l ->
+      push frame frame.locals.(l);
+      advance frame t pc
+  | Bytecode.Store_local l ->
+      frame.locals.(l) <- pop frame;
+      advance frame t pc
+  | Bytecode.Load_elem aid ->
+      let idx = pop frame in
+      check_array st aid idx;
+      emit_to sink scratch tid loc caches.read_cell_ops.(aid).(idx);
+      push frame st.arrays.(aid).(idx);
+      advance frame t pc
+  | Bytecode.Store_elem aid ->
+      let v = pop frame in
+      let idx = pop frame in
+      check_array st aid idx;
+      emit_to sink scratch tid loc caches.write_cell_ops.(aid).(idx);
+      st.arrays.(aid).(idx) <- v;
+      advance frame t pc
+  | Bytecode.Array_len aid ->
+      if aid < 0 || aid >= Array.length st.prog.Bytecode.array_sizes then
+        raise (Fault "invalid array id");
+      push frame st.prog.Bytecode.array_sizes.(aid);
+      advance frame t pc
+  | Bytecode.Binop op ->
+      let b = pop frame in
+      let a = pop frame in
+      push frame (apply_binop op a b);
+      advance frame t pc
+  | Bytecode.Unop op ->
+      push frame (apply_unop op (pop frame));
+      advance frame t pc
+  | Bytecode.Jump target ->
+      frame.pc <- target;
+      set_runnable t
+  | Bytecode.Jump_if_zero target ->
+      frame.pc <- (if pop frame = 0 then target else pc + 1);
+      set_runnable t
+  | Bytecode.Acquire ->
+      (* The handle stays on the stack until the acquire succeeds, so a
+         parked thread re-executes the same instruction. *)
+      let handle = top frame in
+      check_lock st handle;
+      let owner = st.lock_owner.(handle) in
+      if owner = tid then begin
+        (* Reentrant acquire: no event. *)
+        st.lock_depth.(handle) <- st.lock_depth.(handle) + 1;
+        frame.sp <- frame.sp - 1;
+        advance frame t pc
+      end
+      else if owner >= 0 then t.status <- Blocked_on_lock handle
+      else begin
+        emit_to sink scratch tid loc caches.acquire_ops.(handle);
+        st.lock_owner.(handle) <- tid;
+        st.lock_depth.(handle) <- 1;
+        frame.sp <- frame.sp - 1;
+        advance frame t pc
+      end
+  | Bytecode.Release ->
+      let handle = pop frame in
+      let depth = held_depth st tid handle "release of" in
+      if depth = 1 then begin
+        emit_to sink scratch tid loc caches.release_ops.(handle);
+        st.lock_owner.(handle) <- -1;
+        st.lock_depth.(handle) <- 0
+      end
+      else st.lock_depth.(handle) <- depth - 1;
+      advance frame t pc
+  | Bytecode.Wait ->
+      let handle = pop frame in
+      let depth = held_depth st tid handle "wait on" in
+      (* Release the monitor fully and park on its condition. The event
+         encoding is Release;Yield now and Acquire at resume, which makes
+         wait a scheduling point for the cooperative semantics and gives
+         the analyses the right happens-before edges with no new event
+         kinds. *)
+      emit_to sink scratch tid loc caches.release_ops.(handle);
+      emit_to sink scratch tid loc Event.Yield;
+      st.lock_owner.(handle) <- -1;
+      st.lock_depth.(handle) <- 0;
+      st.conditions.(handle) <- st.conditions.(handle) @ [ tid ];
+      frame.pc <- pc + 1;
+      t.status <- Waiting handle;
+      t.wait_depth <- depth;
+      st.last_yielded <- true
+  | Bytecode.Notify all ->
+      let handle = pop frame in
+      ignore (held_depth st tid handle "notify on");
+      let woken, remaining =
+        match st.conditions.(handle) with
+        | waiters when all -> (waiters, [])
+        | [] -> ([], [])
+        | w :: rest -> ([ w ], rest)
+      in
+      st.conditions.(handle) <- remaining;
+      List.iter (fun w -> st.threads.(w).status <- Reacquiring handle) woken;
+      advance frame t pc
+  | Bytecode.Yield_instr ->
+      emit_to sink scratch tid loc Event.Yield;
+      advance frame t pc;
+      st.last_yielded <- true
+  | Bytecode.Atomic_begin ->
+      emit_to sink scratch tid loc Event.Atomic_begin;
+      advance frame t pc
+  | Bytecode.Atomic_end ->
+      emit_to sink scratch tid loc Event.Atomic_end;
+      advance frame t pc
+  | Bytecode.Spawn (fi, nargs) ->
+      let base = pop_args frame nargs in
+      let child = st.n_threads in
+      emit_to sink scratch tid loc (Event.Fork child);
+      let thread = new_thread (new_frame st.prog fi frame.stack base nargs) in
+      if child = Array.length st.threads then begin
+        let bigger = Array.make (2 * child) thread in
+        Array.blit st.threads 0 bigger 0 child;
+        st.threads <- bigger
+      end;
+      st.threads.(child) <- thread;
+      st.n_threads <- child + 1;
+      push frame child;
+      advance frame t pc
+  | Bytecode.Join ->
+      let target = top frame in
+      if target < 0 || target >= st.n_threads then
+        raise (Fault (Printf.sprintf "join on unknown thread %d" target));
+      if join_target_done st target then begin
+        emit_to sink scratch tid loc (Event.Join target);
+        frame.sp <- frame.sp - 1;
+        advance frame t pc
+      end
+      else t.status <- Blocked_on_join target
+  | Bytecode.Call (fi, nargs) ->
+      let base = pop_args frame nargs in
+      emit_to sink scratch tid loc caches.enter_ops.(fi);
+      let callee = new_frame st.prog fi frame.stack base nargs in
+      frame.pc <- pc + 1;
+      t.frames <- callee :: t.frames;
+      set_runnable t
+  | Bytecode.Ret -> (
+      let v = pop frame in
+      emit_to sink scratch tid loc caches.exit_ops.(frame.func);
+      match t.frames with
+      | _ :: (caller :: _ as outer) ->
+          push caller v;
+          t.frames <- outer;
+          set_runnable t
+      | _ ->
+          t.frames <- [];
+          t.status <- Finished)
+  | Bytecode.Print ->
+      let v = pop frame in
+      emit_to sink scratch tid loc (Event.Out v);
+      st.output_rev <- v :: st.output_rev;
+      st.n_output <- st.n_output + 1;
+      advance frame t pc
+  | Bytecode.Assert ->
+      if pop frame = 0 then
+        raise (Fault (Printf.sprintf "assertion failed at line %d" loc.Loc.line));
+      advance frame t pc
+  | Bytecode.Pop ->
+      ignore (pop frame);
+      advance frame t pc
+  | Bytecode.Halt -> t.status <- Finished
+
 (* Execute one instruction of [tid]. Precondition: the thread can run. *)
-let step ?(yields = Loc.Set.empty) st tid ~sink =
-  let t =
-    match Imap.find_opt tid st.threads with
-    | Some t -> t
-    | None -> invalid_arg "Vm.step: unknown thread"
-  in
+let step ~yields st tid ~sink =
+  if tid < 0 || tid >= st.n_threads then invalid_arg "Vm.step: unknown thread";
+  let t = st.threads.(tid) in
   if not (can_run st tid t) then invalid_arg "Vm.step: thread cannot run";
-  let frame, outer_frames =
+  let frame =
     match t.frames with
-    | f :: rest -> (f, rest)
+    | f :: _ -> f
     | [] -> invalid_arg "Vm.step: thread has no frame"
   in
-  let code = st.prog.Bytecode.funcs.(frame.func).code in
-  let caches = st.caches in
+  let caches = st.caches and scratch = st.scratch in
   let loc =
     let table = caches.locs.(frame.func) in
     if frame.pc >= 0 && frame.pc < Array.length table then table.(frame.pc)
     else Bytecode.loc st.prog ~func:frame.func ~pc:frame.pc
   in
-  let st = { st with steps = st.steps + 1; last_yielded = false } in
-  let scratch = Domain.DLS.get scratch_key in
+  st.last_yielded <- false;
   (* Root-frame Enter event, once per thread. *)
-  let st, t =
-    if t.entered then (st, t)
-    else begin
-      emit_to sink scratch tid loc caches.enter_ops.(frame.func);
-      (st, { t with entered = true })
-    end
-  in
-  (* A woken waiter's next step reacquires its monitor at the saved
-     reentrancy depth; no instruction executes this step. *)
+  if not t.entered then begin
+    emit_to sink scratch tid loc caches.enter_ops.(frame.func);
+    t.entered <- true
+  end;
   match t.status with
   | Reacquiring handle ->
+      (* A woken waiter's next step reacquires its monitor at the saved
+         reentrancy depth; no instruction executes this step. *)
       emit_to sink scratch tid loc caches.acquire_ops.(handle);
-      let st =
-        { st with locks = Imap.add handle (tid, max 1 t.wait_depth) st.locks }
-      in
-      set_thread st tid { t with status = Runnable; wait_depth = 0 }
+      st.lock_owner.(handle) <- tid;
+      st.lock_depth.(handle) <- max 1 t.wait_depth;
+      t.status <- Runnable;
+      t.wait_depth <- 0
   | _ ->
-  (* Injected yield: its own scheduling point, before the instruction. *)
-  if Loc.Set.mem loc yields && not t.pending_yield then begin
-    emit_to sink scratch tid loc Event.Yield;
-    let t = { t with pending_yield = true; status = Runnable } in
-    { (set_thread st tid t) with last_yielded = true }
-  end
-  else begin
-    let t = { t with pending_yield = false } in
-    let advance ?(d = 1) frame = { frame with pc = frame.pc + d } in
-    let finish_with st t = set_thread st tid t in
-    try
-      match code.(frame.pc) with
-      | Bytecode.Const n ->
-          let frame = advance { frame with stack = n :: frame.stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Load_global g ->
-          emit_to sink scratch tid loc
-            (if g >= 0 && g < Array.length caches.read_global_ops then
-               caches.read_global_ops.(g)
-             else Event.Read (Event.Global g));
-          let v = global_value st g in
-          let frame = advance { frame with stack = v :: frame.stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Store_global g ->
-          let v, stack = pop frame.stack in
-          emit_to sink scratch tid loc
-            (if g >= 0 && g < Array.length caches.write_global_ops then
-               caches.write_global_ops.(g)
-             else Event.Write (Event.Global g));
-          let st = { st with globals = Imap.add g v st.globals } in
-          let frame = advance { frame with stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Load_local l ->
-          let v = match Imap.find_opt l frame.locals with Some v -> v | None -> 0 in
-          let frame = advance { frame with stack = v :: frame.stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Store_local l ->
-          let v, stack = pop frame.stack in
-          let frame = advance { frame with stack; locals = Imap.add l v frame.locals } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Load_elem aid ->
-          let idx, stack = pop frame.stack in
-          check_array st aid idx;
-          emit_to sink scratch tid loc caches.read_cell_ops.(aid).(idx);
-          let v = array_get st aid idx in
-          let frame = advance { frame with stack = v :: stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Store_elem aid ->
-          let idx, v, stack = pop2 frame.stack in
-          check_array st aid idx;
-          emit_to sink scratch tid loc caches.write_cell_ops.(aid).(idx);
-          let st = array_set st aid idx v in
-          let frame = advance { frame with stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Array_len aid ->
-          if aid < 0 || aid >= Array.length st.prog.Bytecode.array_sizes then
-            raise (Fault "invalid array id");
-          let v = st.prog.Bytecode.array_sizes.(aid) in
-          let frame = advance { frame with stack = v :: frame.stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Binop op ->
-          let a, b, stack = pop2 frame.stack in
-          let v = apply_binop op a b in
-          let frame = advance { frame with stack = v :: stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Unop op ->
-          let a, stack = pop frame.stack in
-          let v = apply_unop op a in
-          let frame = advance { frame with stack = v :: stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Jump target ->
-          let frame = { frame with pc = target } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Jump_if_zero target ->
-          let v, stack = pop frame.stack in
-          let frame =
-            if v = 0 then { frame with pc = target; stack }
-            else advance { frame with stack }
-          in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Acquire -> (
-          let handle =
-            match frame.stack with
-            | h :: _ -> h
-            | [] -> raise (Fault "operand stack underflow")
-          in
-          check_lock st handle;
-          match Imap.find_opt handle st.locks with
-          | Some (owner, depth) when owner = tid ->
-              (* Reentrant acquire: no event. *)
-              let st = { st with locks = Imap.add handle (tid, depth + 1) st.locks } in
-              let _, stack = pop frame.stack in
-              let frame = advance { frame with stack } in
-              finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-          | Some _ ->
-              (* Held by someone else: park without consuming the handle. *)
-              finish_with st { t with status = Blocked_on_lock handle }
-          | None ->
-              emit_to sink scratch tid loc caches.acquire_ops.(handle);
-              let st = { st with locks = Imap.add handle (tid, 1) st.locks } in
-              let _, stack = pop frame.stack in
-              let frame = advance { frame with stack } in
-              finish_with st { t with frames = frame :: outer_frames; status = Runnable })
-      | Bytecode.Release -> (
-          let handle, stack = pop frame.stack in
-          check_lock st handle;
-          match Imap.find_opt handle st.locks with
-          | Some (owner, depth) when owner = tid ->
-              let st =
-                if depth = 1 then begin
-                  emit_to sink scratch tid loc caches.release_ops.(handle);
-                  { st with locks = Imap.remove handle st.locks }
-                end
-                else { st with locks = Imap.add handle (tid, depth - 1) st.locks }
-              in
-              let frame = advance { frame with stack } in
-              finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-          | _ ->
-              raise
-                (Fault
-                   (Printf.sprintf "release of lock %s not held"
-                      st.prog.Bytecode.lock_names.(handle))))
-      | Bytecode.Wait -> (
-          let handle, stack = pop frame.stack in
-          check_lock st handle;
-          match Imap.find_opt handle st.locks with
-          | Some (owner, depth) when owner = tid ->
-              (* Release the monitor fully and park on its condition. The
-                 event encoding is Release;Yield now and Acquire at resume,
-                 which makes wait a scheduling point for the cooperative
-                 semantics and gives the analyses the right happens-before
-                 edges with no new event kinds. *)
-              emit_to sink scratch tid loc caches.release_ops.(handle);
-              emit_to sink scratch tid loc Event.Yield;
-              let queue =
-                match Imap.find_opt handle st.conditions with
-                | Some q -> q
-                | None -> []
-              in
-              let st =
-                { st with
-                  locks = Imap.remove handle st.locks;
-                  conditions = Imap.add handle (queue @ [ tid ]) st.conditions }
-              in
-              let frame = advance { frame with stack } in
-              let st =
-                finish_with st
-                  { t with frames = frame :: outer_frames;
-                    status = Waiting handle; wait_depth = depth }
-              in
-              { st with last_yielded = true }
-          | _ ->
-              raise
-                (Fault
-                   (Printf.sprintf "wait on lock %s not held"
-                      st.prog.Bytecode.lock_names.(handle))))
-      | Bytecode.Notify all -> (
-          let handle, stack = pop frame.stack in
-          check_lock st handle;
-          match Imap.find_opt handle st.locks with
-          | Some (owner, _) when owner = tid ->
-              let waiters =
-                match Imap.find_opt handle st.conditions with
-                | Some q -> q
-                | None -> []
-              in
-              let woken, remaining =
-                if all then (waiters, [])
-                else begin
-                  match waiters with
-                  | [] -> ([], [])
-                  | w :: rest -> ([ w ], rest)
-                end
-              in
-              let st =
-                { st with conditions = Imap.add handle remaining st.conditions }
-              in
-              let st =
-                List.fold_left
-                  (fun st w ->
-                    match Imap.find_opt w st.threads with
-                    | Some wt -> set_thread st w { wt with status = Reacquiring handle }
-                    | None -> st)
-                  st woken
-              in
-              let frame = advance { frame with stack } in
-              finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-          | _ ->
-              raise
-                (Fault
-                   (Printf.sprintf "notify on lock %s not held"
-                      st.prog.Bytecode.lock_names.(handle))))
-      | Bytecode.Yield_instr ->
-          emit_to sink scratch tid loc Event.Yield;
-          let frame = advance frame in
-          let st = finish_with st { t with frames = frame :: outer_frames; status = Runnable } in
-          { st with last_yielded = true }
-      | Bytecode.Atomic_begin ->
-          emit_to sink scratch tid loc Event.Atomic_begin;
-          let frame = advance frame in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Atomic_end ->
-          emit_to sink scratch tid loc Event.Atomic_end;
-          let frame = advance frame in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Spawn (fi, nargs) ->
-          let rec take n stack acc =
-            if n = 0 then (acc, stack)
-            else
-              match stack with
-              | v :: rest -> take (n - 1) rest (v :: acc)
-              | [] -> raise (Fault "operand stack underflow")
-          in
-          let args, stack = take nargs frame.stack [] in
-          let child = st.next_tid in
-          emit_to sink scratch tid loc (Event.Fork child);
-          let locals =
-            List.fold_left
-              (fun (i, m) v -> (i + 1, Imap.add i v m))
-              (0, Imap.empty) args
-            |> snd
-          in
-          let child_frame = { func = fi; pc = 0; locals; stack = [] } in
-          let child_thread =
-            { frames = [ child_frame ]; status = Runnable; entered = false;
-              pending_yield = false; wait_depth = 0 }
-          in
-          let st =
-            { st with
-              threads = Imap.add child child_thread st.threads;
-              next_tid = child + 1 }
-          in
-          let frame = advance { frame with stack = child :: stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Join -> (
-          let target =
-            match frame.stack with
-            | v :: _ -> v
-            | [] -> raise (Fault "operand stack underflow")
-          in
-          match Imap.find_opt target st.threads with
-          | None -> raise (Fault (Printf.sprintf "join on unknown thread %d" target))
-          | Some u -> (
-              match u.status with
-              | Finished | Faulted _ ->
-                  emit_to sink scratch tid loc (Event.Join target);
-                  let _, stack = pop frame.stack in
-                  let frame = advance { frame with stack } in
-                  finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-              | _ -> finish_with st { t with status = Blocked_on_join target }))
-      | Bytecode.Call (fi, nargs) ->
-          let rec take n stack acc =
-            if n = 0 then (acc, stack)
-            else
-              match stack with
-              | v :: rest -> take (n - 1) rest (v :: acc)
-              | [] -> raise (Fault "operand stack underflow")
-          in
-          let args, stack = take nargs frame.stack [] in
-          emit_to sink scratch tid loc caches.enter_ops.(fi);
-          let locals =
-            List.fold_left
-              (fun (i, m) v -> (i + 1, Imap.add i v m))
-              (0, Imap.empty) args
-            |> snd
-          in
-          let callee = { func = fi; pc = 0; locals; stack = [] } in
-          let caller = advance { frame with stack } in
-          finish_with st
-            { t with frames = callee :: caller :: outer_frames; status = Runnable }
-      | Bytecode.Ret -> (
-          let v, _ = pop frame.stack in
-          emit_to sink scratch tid loc caches.exit_ops.(frame.func);
-          match outer_frames with
-          | [] -> finish_with st { t with frames = []; status = Finished }
-          | caller :: rest ->
-              let caller = { caller with stack = v :: caller.stack } in
-              finish_with st { t with frames = caller :: rest; status = Runnable })
-      | Bytecode.Print ->
-          let v, stack = pop frame.stack in
-          emit_to sink scratch tid loc (Event.Out v);
-          let st = { st with output_rev = v :: st.output_rev } in
-          let frame = advance { frame with stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Assert ->
-          let v, stack = pop frame.stack in
-          if v = 0 then
-            raise (Fault (Printf.sprintf "assertion failed at line %d" loc.Loc.line))
-          else begin
-            let frame = advance { frame with stack } in
-            finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-          end
-      | Bytecode.Pop ->
-          let _, stack = pop frame.stack in
-          let frame = advance { frame with stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Halt -> finish_with st { t with status = Finished }
-    with Fault msg ->
-      let st = { st with failures_rev = (tid, msg) :: st.failures_rev } in
-      set_thread st tid { t with status = Faulted msg }
-  end
+      (* Injected yield: its own scheduling point, before the instruction. *)
+      if (not t.pending_yield) && Loc.Set.mem loc yields then begin
+        emit_to sink scratch tid loc Event.Yield;
+        t.pending_yield <- true;
+        set_runnable t;
+        st.last_yielded <- true
+      end
+      else begin
+        t.pending_yield <- false;
+        let sp = frame.sp in
+        try exec st t tid frame loc sink
+        with Fault msg ->
+          frame.sp <- sp;
+          st.failures_rev <- (tid, msg) :: st.failures_rev;
+          t.status <- Faulted msg
+      end
 
 (* --- Canonical serialization for memoization --------------------------- *)
 
+(* Array cells and locals are dense, so an unwritten slot and a slot
+   written 0 serialise alike: both read 0, so the states they belong to
+   are indistinguishable to the program. Only non-zero cells are listed. *)
 let key st =
   let buf = Buffer.create 256 in
   let add_int n =
     Buffer.add_string buf (string_of_int n);
     Buffer.add_char buf ','
   in
+  let add_nonzero a =
+    Array.iteri (fun i v -> if v <> 0 then begin add_int i; add_int v end) a
+  in
   Buffer.add_char buf 'G';
-  Imap.iter (fun k v -> add_int k; add_int v) st.globals;
+  Array.iter add_int st.globals;
   Buffer.add_char buf 'A';
-  Imap.iter
-    (fun a m ->
-      add_int a;
-      Imap.iter (fun i v -> add_int i; add_int v) m;
+  Array.iter
+    (fun a ->
+      add_nonzero a;
       Buffer.add_char buf ';')
     st.arrays;
   Buffer.add_char buf 'L';
-  Imap.iter (fun h (o, d) -> add_int h; add_int o; add_int d) st.locks;
+  Array.iteri
+    (fun h o -> if o >= 0 then begin add_int h; add_int o; add_int st.lock_depth.(h) end)
+    st.lock_owner;
   Buffer.add_char buf 'C';
-  Imap.iter
-    (fun h q ->
-      add_int h;
+  Array.iter
+    (fun q ->
       List.iter add_int q;
       Buffer.add_char buf ';')
     st.conditions;
   Buffer.add_char buf 'T';
-  Imap.iter
-    (fun tid t ->
-      add_int tid;
-      (match t.status with
-      | Runnable -> Buffer.add_char buf 'r'
-      | Blocked_on_lock h -> Buffer.add_char buf 'l'; add_int h
-      | Blocked_on_join u -> Buffer.add_char buf 'j'; add_int u
-      | Waiting h -> Buffer.add_char buf 'w'; add_int h
-      | Reacquiring h -> Buffer.add_char buf 'q'; add_int h
-      | Finished -> Buffer.add_char buf 'f'
-      | Faulted _ -> Buffer.add_char buf 'x');
-      Buffer.add_char buf (if t.entered then 'e' else '.');
-      Buffer.add_char buf (if t.pending_yield then 'y' else '.');
-      add_int t.wait_depth;
-      List.iter
-        (fun f ->
-          add_int f.func;
-          add_int f.pc;
-          Buffer.add_char buf 's';
-          List.iter add_int f.stack;
-          Buffer.add_char buf 'v';
-          Imap.iter (fun k v -> add_int k; add_int v) f.locals;
-          Buffer.add_char buf '|')
-        t.frames;
-      Buffer.add_char buf '!')
-    st.threads;
-  Buffer.add_char buf 'N';
-  add_int st.next_tid;
+  for tid = 0 to st.n_threads - 1 do
+    let t = st.threads.(tid) in
+    (match t.status with
+    | Runnable -> Buffer.add_char buf 'r'
+    | Blocked_on_lock h -> Buffer.add_char buf 'l'; add_int h
+    | Blocked_on_join u -> Buffer.add_char buf 'j'; add_int u
+    | Waiting h -> Buffer.add_char buf 'w'; add_int h
+    | Reacquiring h -> Buffer.add_char buf 'q'; add_int h
+    | Finished -> Buffer.add_char buf 'f'
+    | Faulted _ -> Buffer.add_char buf 'x');
+    Buffer.add_char buf (if t.entered then 'e' else '.');
+    Buffer.add_char buf (if t.pending_yield then 'y' else '.');
+    add_int t.wait_depth;
+    List.iter
+      (fun f ->
+        add_int f.func;
+        add_int f.pc;
+        Buffer.add_char buf 's';
+        for i = 0 to f.sp - 1 do add_int f.stack.(i) done;
+        Buffer.add_char buf 'v';
+        add_nonzero f.locals;
+        Buffer.add_char buf '|')
+      t.frames;
+    Buffer.add_char buf '!'
+  done;
   Buffer.add_char buf 'O';
   List.iter add_int st.output_rev;
   Buffer.add_char buf 'F';

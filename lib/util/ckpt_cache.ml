@@ -2,9 +2,9 @@
 
    Entries form a doubly-linked list threaded through a hash table; the
    list head is the most recently used entry and eviction pops the tail.
-   The budget is the sum of caller-estimated entry weights, so with
-   persistent values that share structure it is an upper bound on real
-   retention, never an undercount of the cap. All operations take the
+   The budget is the sum of caller-estimated entry weights. Entries never
+   change once added (callers copy mutable values on the way in and out),
+   so the sum stays what was charged. All operations take the
    internal mutex — exploration shards and portfolio tasks hit one store
    from several domains. *)
 
@@ -111,6 +111,16 @@ let add t key value =
   while t.bytes > t.cap_bytes && t.tail <> None do
     drop_tail t
   done;
+  Mutex.unlock t.mutex
+
+let remove t key =
+  Mutex.lock t.mutex;
+  (match Hashtbl.find_opt t.table key with
+  | Some n ->
+      unlink t n;
+      Hashtbl.remove t.table key;
+      t.bytes <- t.bytes - n.n_weight
+  | None -> ());
   Mutex.unlock t.mutex
 
 let stats t =

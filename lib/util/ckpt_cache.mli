@@ -2,13 +2,18 @@
 
     The replay-elision layer (DPOR, exploration, inference) keys
     checkpoints — VM states, analysis snapshots, scheduler prefixes — by
-    execution-tree prefix and fetches the deepest cached ancestor instead
-    of replaying from the root. This store is the shared substrate: a hash
-    table threaded with an LRU list, capped by the {e sum of estimated
-    entry weights} in bytes. Persistent values share structure, so the sum
-    over-approximates real retention — the cap is a guaranteed ceiling on
-    what the cache can pin, which is the property the exploration layer
-    needs (dropping an entry costs a replay, never correctness).
+    execution-tree node (DPOR: run nonce and frame counter; exploration:
+    run nonce and tid path; inference: run nonce, yields and step budget)
+    and fetches the deepest cached ancestor instead of replaying from the
+    root. This store is the shared substrate: a hash table threaded with
+    an LRU list, capped by the {e sum of estimated entry weights} in
+    bytes. Cached values are never mutated: consumers park a private copy
+    of a mutable VM state and copy it again on every fetch, so an entry
+    may be read from several domains at once. Copies share no mutable
+    structure, so with weights that count each value in full the sum
+    bounds real retention — the cap is a guaranteed ceiling on what the
+    cache can pin, which is the property the exploration layer needs
+    (dropping an entry costs a replay, never correctness).
 
     All operations are mutex-protected: one store may be hit concurrently
     by every shard of a parallel exploration. Counters ({!stats}) are
@@ -42,6 +47,11 @@ val add : 'v t -> string -> 'v -> unit
     recently used entries until the weight sum fits the cap again. A
     value heavier than the whole cap is evicted immediately — the store
     never retains more than [cap_bytes]. *)
+
+val remove : 'v t -> string -> unit
+(** [remove t key] drops the entry, if any, releasing its weight. Not
+    counted as an eviction. DPOR calls it when a frame pops, since no
+    later lookup can name that frame's key. *)
 
 val stats : _ t -> stats
 (** Cumulative counters and current occupancy. *)

@@ -1,23 +1,33 @@
 (* Splitmix64: tiny, fast, and passes BigCrush for our purposes. The state is
    a single 64-bit counter advanced by a fixed odd constant; output is a
-   finalizer over the state. *)
+   finalizer over the state. The counter lives in 8 bytes rather than an
+   [int64] field, which would box a fresh value on every draw: with the
+   draw inlined, [int] allocates nothing. *)
 
-type t = { mutable state : int64 }
+type t = Bytes.t
 
 let gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+  [@@inline]
 
 let next t =
-  t.state <- Int64.add t.state gamma;
-  mix t.state
+  let s = Int64.add (Bytes.get_int64_ne t 0) gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
+  [@@inline]
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -43,6 +53,4 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let split t =
-  let s = next t in
-  { state = mix s }
+let split t = of_state (mix (next t))

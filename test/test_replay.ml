@@ -173,6 +173,145 @@ let test_snapshot_resume_law () =
         tr)
     law_traces
 
+(* --- VM copy law --------------------------------------------------------- *)
+
+(* Steps [st] in place under [sched] for at most [max] steps, recording
+   each emitted event. *)
+let drive st sched ~max =
+  let events = ref [] in
+  let sink e = events := Format.asprintf "%a" Event.pp e :: !events in
+  let rec go n last =
+    if n < max then
+      match Vm.runnable st with
+      | [] -> ()
+      | rs ->
+          let tid =
+            sched.Sched.pick
+              { Sched.state = st; runnable = Array.of_list rs; last;
+                last_yielded = Vm.last_step_yielded st }
+          in
+          Vm.step ~yields:Loc.Set.empty st tid ~sink;
+          go (n + 1) (Some tid)
+  in
+  go 0 None;
+  List.rev !events
+
+(* Heap words reachable from [st] but not from the program and event
+   caches it shares with its copies — the first two fields of the state
+   record. The pair built to reach them adds three words of its own. *)
+let own_words st =
+  let r = Obj.repr st in
+  Obj.reachable_words r
+  - (Obj.reachable_words (Obj.repr (Obj.field r 0, Obj.field r 1)) - 3)
+
+let show_behavior st = Format.asprintf "%a" Behavior.pp (Behavior.of_state st)
+
+(* A copy taken mid-run is an independent machine: continued under one
+   pinned schedule, donor and copy emit the same events and end in the
+   same configuration; stepping the copy never disturbs the donor; and
+   [approx_words] bounds what the copy really occupies. *)
+let vm_copy_law =
+  QCheck_alcotest.to_alcotest
+    (Test.make ~name:"qcheck: Vm.copy is an independent branch within approx_words"
+       ~count:60
+       ~print:(fun (p, k, seed) ->
+         Printf.sprintf "prefix=%d seed=%d\n%s" k seed (Pretty.program p))
+       Gen.(triple gen_program (int_range 0 400) (int_range 0 1000))
+       (fun (p, k, seed) ->
+         let prog = Compile.program p in
+         let donor = Vm.init prog in
+         ignore (drive donor (Sched.random ~seed ()) ~max:k);
+         let copy = Vm.copy donor in
+         let donor_key = Vm.key donor in
+         if Vm.key copy <> donor_key then Test.fail_report "copy key differs";
+         let words = own_words copy in
+         if Vm.approx_words copy < words then
+           Test.fail_reportf "approx_words %d < %d reachable words"
+             (Vm.approx_words copy) words;
+         let picks, sched = Sched.recorded (Sched.random ~seed:(seed + 1) ()) in
+         let copy_events = drive copy sched ~max:3_000 in
+         if Vm.key donor <> donor_key then
+           Test.fail_report "stepping the copy changed the donor";
+         let donor_events = drive donor (Sched.pinned (picks ())) ~max:3_000 in
+         donor_events = copy_events
+         && Vm.key donor = Vm.key copy
+         && show_behavior donor = show_behavior copy))
+
+(* The frames part of thread [tid]'s segment of [Vm.key]: everything
+   after its status, flags and wait depth. *)
+let frames_in_key key tid =
+  let t = String.index key 'T' and o = String.index key 'O' in
+  let seg =
+    List.nth (String.split_on_char '!' (String.sub key (t + 1) (o - t - 1))) tid
+  in
+  (* Status char (plus its handle), two flag chars, wait depth. *)
+  let i =
+    match seg.[0] with 'l' | 'j' | 'w' | 'q' -> String.index seg ',' + 1 | _ -> 1
+  in
+  let j = String.index_from seg (i + 2) ',' + 1 in
+  String.sub seg j (String.length seg - j)
+
+(* A faulting instruction leaves its frame exactly as it found it — pc,
+   operand stack and locals — whatever it had popped before faulting. *)
+let test_fault_preserves_frame () =
+  List.iter
+    (fun (name, src) ->
+      let prog = Compile.source src in
+      let st = Vm.init prog in
+      let faulted = ref false in
+      let rec go n =
+        match Vm.runnable st with
+        | tid :: _ when n < 10_000 ->
+            let before = frames_in_key (Vm.key st) tid in
+            Vm.step ~yields:Loc.Set.empty st tid ~sink:Trace.Sink.ignore;
+            (match Vm.thread_status st tid with
+            | Vm.Faulted _ ->
+                faulted := true;
+                Alcotest.(check string)
+                  (name ^ ": faulted frame unchanged")
+                  before
+                  (frames_in_key (Vm.key st) tid)
+            | _ -> ());
+            go (n + 1)
+        | _ -> ()
+      in
+      go 0;
+      Alcotest.(check bool) (name ^ ": faulted") true !faulted)
+    [ ("division", "var z = 0; fn main() { var a = 3; print(1 + a / z); }");
+      ("modulo", "var z = 0; fn f(x) { return x; } fn main() { print(f(2) + 7 % z); }");
+      ("array bounds", "array a[2]; fn main() { var i = 5; a[i] = 1 + i; }");
+      ("assert", "fn main() { var x = 0; assert(x == 1); }");
+      ("release", "lock m; fn main() { release(m); }");
+      ("spawned worker", "var z = 0; fn w(x) { print(x / z); } fn main() { var t = spawn w(4); join t; }") ]
+
+(* DPOR drops a frame's checkpoint when the frame pops, so a finished run
+   leaves its store empty — at any pool size — and still matches the
+   stateless oracle. *)
+let test_dpor_drops_checkpoints () =
+  List.iter
+    (fun (name, prog) ->
+      let s = Dpor.run ~no_cache:true prog in
+      List.iter
+        (fun (jobs, pool) ->
+          let ctx = Printf.sprintf "%s (pool %d)" name jobs in
+          let ckpt = Dpor.default_cache () in
+          let c = Dpor.run ~pool ~ckpt prog in
+          let st = Ckpt_cache.stats ckpt in
+          Alcotest.(check int) (ctx ^ ": no entries left") 0 st.Ckpt_cache.entries;
+          Alcotest.(check int) (ctx ^ ": no bytes left") 0 st.Ckpt_cache.bytes;
+          if jobs = 1 then begin
+            Alcotest.(check int) (ctx ^ ": executions") s.Dpor.executions
+              c.Dpor.executions;
+            Alcotest.(check int) (ctx ^ ": novel steps") s.Dpor.novel_steps
+              c.Dpor.novel_steps;
+            Alcotest.(check bool) (ctx ^ ": complete") s.Dpor.complete
+              c.Dpor.complete
+          end;
+          Alcotest.(check bool) (ctx ^ ": behaviours") true
+            (Behavior.Set.equal s.Dpor.behaviors c.Dpor.behaviors))
+        pools)
+    micro_programs
+
 (* --- qcheck equivalence suites --------------------------------------- *)
 
 let prop name count f =
@@ -291,6 +430,11 @@ let suite =
       test_snapshot_resume_law;
     Alcotest.test_case "infer elision accounting" `Quick
       test_infer_elision_accounting;
+    Alcotest.test_case "dpor leaves its checkpoint store empty" `Quick
+      test_dpor_drops_checkpoints;
+    Alcotest.test_case "faulting step leaves its frame unchanged" `Quick
+      test_fault_preserves_frame;
+    vm_copy_law;
     dpor_cached_matches_stateless;
     dpor_cached_parallel_matches;
     explore_cached_matches;

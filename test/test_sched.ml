@@ -4,7 +4,7 @@ open Coop_lang
 let dummy_state = Vm.init (Compile.source "fn main() { }")
 
 let ctx ?(last = None) ?(last_yielded = false) runnable =
-  { Sched.state = dummy_state; runnable; last; last_yielded }
+  { Sched.state = dummy_state; runnable = Array.of_list runnable; last; last_yielded }
 
 let test_sequential () =
   Alcotest.(check int) "lowest" 1 (Sched.sequential.Sched.pick (ctx [ 1; 2; 3 ]));
