@@ -1097,13 +1097,13 @@ let vclock () =
 (* Budget for the full single-pass pipeline, in minor words per event on
    the montecarlo workload (seed 5, size 40 — long enough that per-event
    steady state dominates per-run setup). The figure covers VM execution
-   plus every checker. Recorded after the VM moved to flat mutable state
-   (measured: ~127 words/event, deterministic for this seed, down from
-   ~1,800 with the persistent VM); the bound carries ~2x headroom so GC
-   noise never trips it, while a VM that allocates per step again (the
-   persistent one cost ~130 words per step, ~10 steps per event) fails
-   it by a wide margin. *)
-let alloc_budget_minor_words_per_event = 250.
+   plus every checker. Recorded after the run loop stopped allocating per
+   step (measured: ~42.6 words/event, deterministic for this seed, down
+   from ~127 with a scheduler context record per step and ~1,800 with
+   the persistent VM); the bound carries ~2x headroom so GC noise never
+   trips it, while a run loop that allocates a context record per step
+   again (~6.6 words per step, ~13 steps per event) fails it. *)
+let alloc_budget_minor_words_per_event = 85.
 
 let alloc_smoke () =
   let e = Option.get (Registry.find "montecarlo") in

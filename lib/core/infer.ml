@@ -29,7 +29,8 @@ type result = {
    from the analysis snapshot and runs only the divergent tail. *)
 type prefix = {
   ck_state : Vm.state;  (* state at the divergence point; never stepped *)
-  ck_last : int option;  (* last tid picked in the prefix *)
+  ck_last : int;  (* last tid picked in the prefix, -1 for none *)
+  ck_yielded : bool;  (* whether the prefix's last step yielded *)
   ck_steps : int;  (* VM steps executed in the prefix *)
   ck_events : int;  (* events the prefix fed the checker *)
   ck_tids : int array;  (* the forced pick at each prefix step *)
@@ -63,21 +64,21 @@ let compute_prefix ~yields ~max_steps prog =
   let tids = ref [] in
   let flags = ref [] in
   let st = Vm.init prog in
-  let rec go runnable last steps =
-    if steps >= max_steps then (last, steps)
+  let rec go runnable last yielded steps =
+    if steps >= max_steps then (last, yielded, steps)
     else begin
       let runnable = Vm.runnable_array st runnable in
-      if Array.length runnable <> 1 then (last, steps)
+      if Array.length runnable <> 1 then (last, yielded, steps)
       else begin
         let tid = runnable.(0) in
-        flags := Vm.last_step_yielded st :: !flags;
+        flags := yielded :: !flags;
         tids := tid :: !tids;
-        Vm.step ~yields st tid ~sink;
-        go runnable (Some tid) (steps + 1)
+        let yielded = Vm.step ~yields st tid ~sink in
+        go runnable tid yielded (steps + 1)
       end
     end
   in
-  let last, steps = go [||] None 0 in
+  let last, yielded, steps = go [||] (-1) false 0 in
   Coop_obs.count "vm/steps" steps;
   Coop_obs.count "vm/events" !events;
   let snap =
@@ -88,6 +89,7 @@ let compute_prefix ~yields ~max_steps prog =
   {
     ck_state = st;
     ck_last = last;
+    ck_yielded = yielded;
     ck_steps = steps;
     ck_events = !events;
     ck_tids = Array.of_list (List.rev !tids);
@@ -98,64 +100,29 @@ let compute_prefix ~yields ~max_steps prog =
 (* Replay the recorded prefix contexts through a fresh scheduler so its
    internal state (RNG draws, quantum counters, PCT priorities) ends up
    exactly as if it had scheduled the prefix itself. Sound because the
-   prefix's runnable set was a singleton at every pick — the recorded
-   context is the context the scheduler would have seen — and because no
-   built-in scheduler reads [ctx.state] (custom portfolio schedulers
-   that do must run with [~no_cache:true]). *)
+   prefix's runnable set was a singleton at every pick, so the recorded
+   context is the context the scheduler would have seen. *)
 let fast_forward pre (sched : Sched.t) =
+  let ctx = { Sched.runnable = [||]; last = -1; last_yielded = false } in
   Array.iteri
     (fun i tid ->
-      let ctx =
-        {
-          Sched.state = pre.ck_state;
-          runnable = [| tid |];
-          last = (if i = 0 then None else Some pre.ck_tids.(i - 1));
-          last_yielded = pre.ck_flags.(i);
-        }
-      in
+      ctx.runnable <- [| tid |];
+      ctx.last <- (if i = 0 then -1 else pre.ck_tids.(i - 1));
+      ctx.last_yielded <- pre.ck_flags.(i);
       ignore (sched.Sched.pick ctx))
     pre.ck_tids
 
-(* The continuation of [Runner.run_raw] from the divergence point:
-   identical loop, started from the prefix's state, last pick and step
-   count, so prefix + tail reproduces the full run step for step. The
-   [vm/run:*] span and step/event counters mirror [Runner.run]'s, so the
-   "one VM execution per schedule" telemetry accounting still holds —
-   the tail is this schedule's (partial) execution. *)
+(* The continuation of the run from the divergence point, on a private
+   copy of the prefix's state ([pre] is shared by every portfolio task):
+   prefix + tail reproduces the full run step for step. [Runner.resume]
+   counts only the tail's steps and events in its [vm/run:*] span, so
+   the "one VM execution per schedule" telemetry accounting still holds
+   — the tail is this schedule's (partial) execution. *)
 let run_tail ~yields ~max_steps ~sched ~sink pre =
-  let raw sink =
-    (* [pre] is shared by every portfolio task: step a private copy. *)
-    let st = Vm.copy pre.ck_state in
-    let rec loop runnable last steps =
-      if steps >= max_steps then steps
-      else begin
-        let runnable = Vm.runnable_array st runnable in
-        if Array.length runnable = 0 then steps
-        else begin
-          let ctx =
-            { Sched.state = st; runnable; last;
-              last_yielded = Vm.last_step_yielded st }
-          in
-          let tid = sched.Sched.pick ctx in
-          Vm.step ~yields st tid ~sink;
-          let last = match last with Some l when l = tid -> last | _ -> Some tid in
-          loop runnable last (steps + 1)
-        end
-      end
-    in
-    loop [||] pre.ck_last pre.ck_steps
-  in
-  if not (Coop_obs.enabled ()) then ignore (raw sink)
-  else
-    Coop_obs.span ("vm/run:" ^ sched.Sched.name) (fun () ->
-        let events = ref 0 in
-        let steps =
-          raw (fun e ->
-              incr events;
-              sink e)
-        in
-        Coop_obs.count "vm/steps" (steps - pre.ck_steps);
-        Coop_obs.count "vm/events" !events)
+  ignore
+    (Runner.resume ~yields ~max_steps ~sched ~sink ~last:pre.ck_last
+       ~last_yielded:pre.ck_yielded ~steps:pre.ck_steps
+       (Vm.copy pre.ck_state))
 
 (* Each entry is a factory minting a fresh, identically seeded scheduler
    instance per call. The single-pass checker consumes one execution, but

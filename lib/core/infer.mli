@@ -112,8 +112,6 @@ val infer :
     sequential single-pass engine: [two_pass] forces it off (the oracle
     re-streams its source, which a resumed prefix cannot provide), and
     [COOP_SHARDS] is ignored for cached rounds (sharded and sequential
-    engines are result-identical, property-tested separately). Custom
-    [portfolio] schedulers must not read [Sched.context.state] to be
-    fast-forwardable; all built-ins qualify — use [~no_cache:true]
-    otherwise. Store counter deltas flush to [Coop_obs] ([ckpt/*]) when
-    telemetry is on. *)
+    engines are result-identical, property-tested separately). Store
+    counter deltas flush to [Coop_obs] ([ckpt/*]) when telemetry is
+    on. *)

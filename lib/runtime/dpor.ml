@@ -1,5 +1,4 @@
 open Coop_trace
-open Coop_lang
 module Iset = Set.Make (Int)
 
 type result = {
@@ -39,18 +38,10 @@ let dependent a b =
     | _ -> false
   end
 
-let is_visible = function
-  | Bytecode.Load_global _ | Bytecode.Store_global _ | Bytecode.Load_elem _
-  | Bytecode.Store_elem _ | Bytecode.Acquire | Bytecode.Release
-  | Bytecode.Wait | Bytecode.Notify _ | Bytecode.Yield_instr
-  | Bytecode.Spawn _ | Bytecode.Join | Bytecode.Print ->
-      true
-  | _ -> false
-
-(* Execute one transition of [tid] in place: the invisible prefix, then
-   one visible instruction (or a park). Returns the step summary, or
-   [None] when the invisible-prefix budget runs out. The visible operation
-   is recovered from the event the step emits. *)
+(* Execute one transition of [tid] in place ({!Vm.transition}: the
+   invisible prefix, then one visible instruction or a park). Returns the
+   step summary, or [None] when the prefix budget runs out. The visible
+   operation is recovered from the event the step emits. *)
 let exec_transition ~yields ~max_segment st tid =
   let captured = ref Onone in
   let wrote = ref false in
@@ -67,40 +58,16 @@ let exec_transition ~yields ~max_segment st tid =
     | Event.Enter _ | Event.Exit _ | Event.Atomic_begin | Event.Atomic_end ->
         ()
   in
-  let rec go fuel =
-    if fuel = 0 then None
-    else if
-      match Vm.thread_status st tid with Vm.Reacquiring _ -> true | _ -> false
-    then begin
-      (* Monitor reacquire: a visible lock transition of its own. *)
-      Vm.step ~yields st tid ~sink;
-      Some { tid; obj = !captured; is_write = false }
-    end
-    else begin
-      match Vm.peek_instr st tid with
-      | None -> Some { tid; obj = Onone; is_write = false }
-      | Some (instr, loc) ->
-          let injected = Loc.Set.mem loc yields in
-          Vm.step ~yields st tid ~sink;
-          if is_visible instr || injected then begin
-            let obj =
-              match Vm.thread_status st tid with
-              | Vm.Blocked_on_lock h | Vm.Waiting h | Vm.Reacquiring h ->
-                  Olock h  (* parked or waiting: depends on the monitor *)
-              | Vm.Blocked_on_join u -> Othread u
-              | _ -> !captured
-            in
-            Some { tid; obj; is_write = !wrote }
-          end
-          else begin
-            match Vm.thread_status st tid with
-            | Vm.Finished | Vm.Faulted _ ->
-                Some { tid; obj = Onone; is_write = false }
-            | _ -> go (fuel - 1)
-          end
-    end
-  in
-  go max_segment
+  if not (Vm.transition ~yields st tid ~fuel:max_segment ~sink) then None
+  else
+    let obj =
+      match Vm.thread_status st tid with
+      | Vm.Blocked_on_lock h | Vm.Waiting h | Vm.Reacquiring h ->
+          Olock h  (* parked or waiting: depends on the monitor *)
+      | Vm.Blocked_on_join u -> Othread u
+      | _ -> !captured
+    in
+    Some { tid; obj; is_write = !wrote }
 
 (* Frames no longer pin a [Vm.state]: a frame holds only the choice
    bookkeeping plus the checkpoint [key] of its pre-choice state — the
@@ -134,6 +101,9 @@ let run_nonce = Atomic.make 0
 let ckpt_spacing = 4
 
 let parked_depth i = i land (ckpt_spacing - 1) = 0
+
+(* Removed checkpoints a run keeps for reuse as copy destinations. *)
+let max_spares = 16
 
 (* One DPOR exploration. [root_only = Some p] restricts the root frame to
    the single first choice [p]: its siblings are pre-marked tried, so a
@@ -175,26 +145,56 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     !stack.(!depth) <- frame;
     incr depth
   in
-  (* Checkpoint keys: the run's nonce plus a per-run frame counter. [park]
-     stores a copy of a frame's pre-choice state and returns its key ([""]
-     without a store); [drop] removes it when the frame pops. *)
+  (* Checkpoint keys: the run's nonce plus a per-run frame counter, its
+     8 bytes appended raw (formatting it as decimal cost about as much as
+     the store insert). [park] stores a copy of a frame's pre-choice state
+     and returns its key ([""] without a store); [drop] removes it when
+     the frame pops. Only this run names its keys, and it copies a
+     fetched state at once, so a removed checkpoint is referenced by
+     nothing else: it becomes a spare that a later copy is written into
+     ({!Vm.copy_into}) instead of a fresh allocation. The end of an
+     execution pops its parked frames in a row and the next descent parks
+     about as many, so a few spares serve most copies; [max_spares]
+     bounds what the run holds outside the store's cap. *)
   let key_base = "dpor" ^ string_of_int (Atomic.fetch_and_add run_nonce 1) ^ ":" in
   let parked = ref 0 in
+  let spares = ref [] and n_spares = ref 0 in
+  let private_copy st =
+    match !spares with
+    | dst :: rest ->
+        spares := rest;
+        decr n_spares;
+        Vm.copy_into ~dst st;
+        dst
+    | [] -> Vm.copy st
+  in
   let park st =
     match cache with
     | Some c ->
         incr parked;
-        let key = key_base ^ string_of_int !parked in
-        Coop_util.Ckpt_cache.add c key (Vm.copy st);
+        let n = String.length key_base in
+        let key = Bytes.create (n + 8) in
+        Bytes.blit_string key_base 0 key 0 n;
+        Bytes.set_int64_le key n (Int64.of_int !parked);
+        let key = Bytes.unsafe_to_string key in
+        Coop_util.Ckpt_cache.add c key (private_copy st);
         key
     | None -> ""
   in
   let drop key =
     match cache with
-    | Some c when key <> "" -> Coop_util.Ckpt_cache.remove c key
+    | Some c when key <> "" -> (
+        match Coop_util.Ckpt_cache.remove c key with
+        | Some st when !n_spares < max_spares ->
+            spares := st :: !spares;
+            incr n_spares
+        | _ -> ())
     | _ -> ()
   in
-  let make_frame ?(sleep = []) ~key st =
+  (* A frame at a parked depth gets a checkpoint unless its backtrack set
+     starts empty — nothing enabled, or all of it asleep — since such a
+     frame takes no step and has no descendants to re-derive. *)
+  let make_frame ?(sleep = []) ~parked st =
     let enabled = Iset.of_list (Vm.runnable st) in
     let awake =
       Iset.filter (fun p -> not (List.mem_assoc p sleep)) enabled
@@ -209,6 +209,7 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
       | Some p -> Iset.singleton p
       | None -> Iset.empty
     in
+    let key = if parked && not (Iset.is_empty backtrack) then park st else "" in
     { key; enabled; backtrack; tried = Iset.empty; taken = None; sleep }
   in
   (* State before the choice at depth [i], private to the caller: a copy
@@ -241,10 +242,10 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
         match Coop_util.Ckpt_cache.find c fr.key with
         | Some st ->
             incr cache_hits;
-            Vm.copy st
+            private_copy st
         | None ->
             let st = rederive () in
-            Coop_util.Ckpt_cache.add c fr.key (Vm.copy st);
+            Coop_util.Ckpt_cache.add c fr.key (private_copy st);
             st)
     | _ -> rederive ()
   in
@@ -316,11 +317,13 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
                      checkpoint serves only its own backtracked choices
                      and its descendants' replays, so it is dropped when
                      the frame pops. *)
-                  let child_key = if parked_depth !depth then park st else "" in
-                  push (make_frame ~sleep:child_sleep ~key:child_key st);
+                  let child =
+                    make_frame ~sleep:child_sleep ~parked:(parked_depth !depth) st
+                  in
+                  push child;
                   explore st;
                   decr depth;
-                  drop child_key;
+                  drop child.key;
                   if sleep_sets then fr.sleep <- (p, info) :: fr.sleep;
                   if !executions >= max_executions then begin
                     (* Budget exhausted mid-frame: the remaining backtrack
@@ -334,8 +337,7 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     end
   in
   let st0 = Vm.init prog in
-  let root_key = park st0 in
-  let root = make_frame ~key:root_key st0 in
+  let root = make_frame ~parked:true st0 in
   (match root_only with
   | Some p ->
       root.backtrack <- Iset.singleton p;
@@ -343,7 +345,7 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
   | None -> ());
   push root;
   explore st0;
-  drop root_key;
+  drop root.key;
   {
     behaviors = !behaviors;
     executions = !executions;

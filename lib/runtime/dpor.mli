@@ -35,7 +35,10 @@
     nearest cached ancestor. Checkpoints are parked only at every fourth
     stack depth: parking every level would pay a copy on each novel
     transition, while an unparked backtrack replays at most three
-    transitions from the nearest parked ancestor. [~no_cache:true]
+    transitions from the nearest parked ancestor; a frame with nothing
+    to explore (nothing enabled, or all of it asleep) is not parked.
+    Removed checkpoints are recycled as destinations of later copies
+    ({!Vm.copy_into}), up to a few per run. [~no_cache:true]
     restores the stateless behaviour and is kept as the differential
     oracle — both modes produce identical behaviour sets, executions and
     novel steps; they differ only in how prefix states are re-derived.

@@ -1,5 +1,4 @@
 open Coop_trace
-open Coop_lang
 module Key_set = Set.Make (String)
 
 type mode =
@@ -23,74 +22,30 @@ type result = {
 (* Per-run base for frontier checkpoint keys shared through one store. *)
 let run_nonce = Atomic.make 0
 
-let is_visible = function
-  | Bytecode.Load_global _ | Bytecode.Store_global _ | Bytecode.Load_elem _
-  | Bytecode.Store_elem _ | Bytecode.Acquire | Bytecode.Release
-  | Bytecode.Wait | Bytecode.Notify _ | Bytecode.Yield_instr
-  | Bytecode.Spawn _ | Bytecode.Join | Bytecode.Print ->
-      true
-  | Bytecode.Const _ | Bytecode.Load_local _ | Bytecode.Store_local _
-  | Bytecode.Array_len _ | Bytecode.Binop _ | Bytecode.Unop _ | Bytecode.Jump _
-  | Bytecode.Jump_if_zero _ | Bytecode.Atomic_begin | Bytecode.Atomic_end
-  | Bytecode.Call _ | Bytecode.Ret | Bytecode.Assert | Bytecode.Pop
-  | Bytecode.Halt ->
-      false
-
-(* The next instruction of [tid], when it has a frame. *)
-let next_instr st tid =
-  match Vm.thread_status st tid with
-  | Vm.Finished | Vm.Faulted _ -> None
-  | _ -> Vm.peek_instr st tid
-
 (* One scheduling decision in preemptive mode: execute [tid]'s invisible
    prefix eagerly, then one visible instruction (or park). *)
 let macro_step ~yields ~max_segment st tid =
-  let sink = Trace.Sink.ignore in
-  let rec go fuel =
-    if fuel = 0 then false
-    else if
-      match Vm.thread_status st tid with Vm.Reacquiring _ -> true | _ -> false
-    then begin
-      (* A monitor reacquire is itself a visible transition. *)
-      Vm.step ~yields st tid ~sink;
-      true
-    end
-    else begin
-      match next_instr st tid with
-      | None -> true
-      | Some (instr, loc) ->
-          Vm.step ~yields st tid ~sink;
-          (* After the visible instruction (or its injected yield) stop;
-             if the thread parked instead, the state still changed. *)
-          is_visible instr || Loc.Set.mem loc yields
-          || (match Vm.thread_status st tid with
-             | Vm.Finished | Vm.Faulted _ -> true
-             | _ -> go (fuel - 1))
-    end
-  in
-  go max_segment
+  Vm.transition ~yields st tid ~fuel:max_segment ~sink:Trace.Sink.ignore
 
 (* One scheduling decision in cooperative mode: run [tid] until it yields,
-   blocks, faults or finishes. *)
+   blocks, faults or finishes. Its invisible instructions run in one go. *)
 let coop_segment ~yields ~max_segment st tid =
   let sink = Trace.Sink.ignore in
   let rec go fuel =
+    let fuel = fuel - Vm.run_local ~yields st tid ~limit:fuel in
     fuel > 0
-    && begin
-         Vm.step ~yields st tid ~sink;
-         Vm.last_step_yielded st
-         || match Vm.thread_status st tid with
-            | Vm.Runnable -> go (fuel - 1)
-            | Vm.Finished | Vm.Faulted _ | Vm.Blocked_on_lock _
-            | Vm.Blocked_on_join _ | Vm.Waiting _ | Vm.Reacquiring _ ->
-                true
-       end
+    && (Vm.step ~yields st tid ~sink
+       || match Vm.thread_status st tid with
+          | Vm.Runnable -> go (fuel - 1)
+          | Vm.Finished | Vm.Faulted _ | Vm.Blocked_on_lock _
+          | Vm.Blocked_on_join _ | Vm.Waiting _ | Vm.Reacquiring _ ->
+              true)
   in
   go max_segment
 
 (* One scheduling decision at instruction granularity: a single step. *)
 let single_step ~yields st tid =
-  Vm.step ~yields st tid ~sink:Trace.Sink.ignore;
+  ignore (Vm.step ~yields st tid ~sink:Trace.Sink.ignore);
   true
 
 (* A segment runs one scheduling decision of [tid] on [st] in place and

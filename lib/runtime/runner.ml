@@ -11,45 +11,92 @@ type outcome = {
   steps : int;
 }
 
-(* Steps one private state in place. The runnable array and the [last]
-   option are reused while unchanged, so a step allocates only the
-   scheduler's context record. *)
-let run_raw ~yields ~max_steps ~sched ~sink prog =
-  let st = Vm.init prog in
-  let rec loop runnable last steps =
-    if steps >= max_steps then { final = st; termination = Step_limit; steps }
+(* Draws whose instructions a thread has already executed are at most
+   this many per real step: it bounds what a step limit can make a run
+   undo, and is otherwise never reached by a thread that touches shared
+   state now and then. *)
+let run_ahead_cap = 1024
+
+(* Steps [st] in place from a point reached after [steps] draws, [last]
+   and [last_yielded] describing the previous one. Every draw asks the
+   scheduler; after each real [Vm.step] the thread runs ahead through its
+   invisible instructions and [left.(tid)] of its later draws cost only a
+   decrement. Those instructions touch nothing another thread, the
+   runnable set or the sink can see, so each draw sees the context a
+   one-instruction-per-draw loop would show it. A step limit can stop the
+   run while a thread is ahead: its frame goes back to its mark and
+   replays the draws it consumed. The context record, the runnable array
+   and the per-thread tables are reused, so a draw allocates nothing. *)
+let resume_raw ~yields ~max_steps ~sched ~sink ~last ~last_yielded ~steps st =
+  let ctx = { Sched.runnable = Vm.runnable_array st [||]; last; last_yielded } in
+  let left = ref [||] and ran = ref [||] and marks = ref [||] in
+  let grow tid =
+    let n = max 8 (2 * (tid + 1)) in
+    let extend a fill =
+      Array.init n (fun i -> if i < Array.length a then a.(i) else fill ())
+    in
+    left := extend !left (fun () -> 0);
+    ran := extend !ran (fun () -> 0);
+    marks := extend !marks Vm.new_mark
+  in
+  let rec loop steps =
+    if steps >= max_steps then begin
+      Array.iteri
+        (fun tid k ->
+          if k > 0 then begin
+            Vm.rewind !marks.(tid);
+            let consumed = !ran.(tid) - k in
+            let n = Vm.run_local ~yields st tid ~limit:consumed in
+            assert (n = consumed)
+          end)
+        !left;
+      { final = st; termination = Step_limit; steps }
+    end
+    else if Array.length ctx.runnable = 0 then
+      let termination = if Vm.all_quiescent st then Completed else Deadlock in
+      { final = st; termination; steps }
     else begin
-      let runnable = Vm.runnable_array st runnable in
-      if Array.length runnable = 0 then
-        let termination = if Vm.all_quiescent st then Completed else Deadlock in
-        { final = st; termination; steps }
-      else begin
-        let ctx =
-          { Sched.state = st; runnable; last;
-            last_yielded = Vm.last_step_yielded st }
-        in
-        let tid = sched.Sched.pick ctx in
-        Vm.step ~yields st tid ~sink;
-        let last = match last with Some l when l = tid -> last | _ -> Some tid in
-        loop runnable last (steps + 1)
+      let tid = sched.Sched.pick ctx in
+      if tid >= Array.length !left then grow tid;
+      ctx.last <- tid;
+      let k = !left.(tid) in
+      if k > 0 then begin
+        !left.(tid) <- k - 1;
+        ctx.last_yielded <- false
       end
+      else begin
+        ctx.last_yielded <- Vm.step ~yields st tid ~sink;
+        ctx.runnable <- Vm.runnable_array st ctx.runnable;
+        let limit = min run_ahead_cap (max_steps - steps - 1) in
+        let n = Vm.run_ahead ~yields st tid ~limit !marks.(tid) in
+        !left.(tid) <- n;
+        !ran.(tid) <- n
+      end;
+      loop (steps + 1)
     end
   in
-  loop [||] None 0
+  loop steps
 
-let run ?(yields = Loc.Set.empty) ?(max_steps = 10_000_000) ~sched ~sink prog =
-  if not (Coop_obs.enabled ()) then run_raw ~yields ~max_steps ~sched ~sink prog
+let resume ?(yields = Loc.Set.empty) ?(max_steps = 10_000_000) ~sched ~sink
+    ~last ~last_yielded ~steps st =
+  let raw sink =
+    resume_raw ~yields ~max_steps ~sched ~sink ~last ~last_yielded ~steps st
+  in
+  if not (Coop_obs.enabled ()) then raw sink
   else
     (* Telemetry path: one span per VM run, plus step and event-dispatch
        counters accumulated locally and flushed once — the checked-per-run
        branch above is the uninstrumented hot path's entire cost. *)
     Coop_obs.span ("vm/run:" ^ sched.Sched.name) (fun () ->
         let events = ref 0 in
-        let counting e = incr events; sink e in
-        let outcome = run_raw ~yields ~max_steps ~sched ~sink:counting prog in
-        Coop_obs.count "vm/steps" outcome.steps;
+        let outcome = raw (fun e -> incr events; sink e) in
+        Coop_obs.count "vm/steps" (outcome.steps - steps);
         Coop_obs.count "vm/events" !events;
         outcome)
+
+let run ?yields ?max_steps ~sched ~sink prog =
+  resume ?yields ?max_steps ~sched ~sink ~last:(-1) ~last_yielded:false
+    ~steps:0 (Vm.init prog)
 
 let record ?yields ?max_steps ~sched prog =
   let trace = Trace.create () in

@@ -16,7 +16,7 @@ type termination =
 type outcome = {
   final : Vm.state;  (** The last machine state. *)
   termination : termination;
-  steps : int;  (** Instructions executed. *)
+  steps : int;  (** Steps taken, one per scheduler draw. *)
 }
 
 val run :
@@ -29,6 +29,31 @@ val run :
 (** [run ?yields ?max_steps ~sched ~sink prog] executes [prog] from its
     initial state. [yields] injects extra yield points (see {!Vm.step}).
     [max_steps] defaults to 10 million. *)
+
+val resume :
+  ?yields:Loc.Set.t ->
+  ?max_steps:int ->
+  sched:Sched.t ->
+  sink:Trace.Sink.t ->
+  last:int ->
+  last_yielded:bool ->
+  steps:int ->
+  Vm.state ->
+  outcome
+(** [resume ~sched ~sink ~last ~last_yielded ~steps st] continues a run
+    from [st], stepping it in place: [steps] draws were already taken
+    (they count against [max_steps] and in [outcome.steps]), the last by
+    thread [last] ([-1] for none), and [last_yielded] tells whether that
+    step yielded. [sched] must be in the state those draws left it in.
+    {!run} is [resume] from the initial state with [steps = 0]; a run
+    split into a prefix and a [resume] takes the same steps and emits the
+    same events as the whole run.
+
+    Every draw asks [sched], but the loop executes a thread's invisible
+    instructions ({!Vm.run_ahead}) right after its real steps and
+    charges them to its later draws, so the events, steps, termination
+    and final state ({!Vm.key} included, also at the step limit) are
+    exactly those of executing one instruction per draw. *)
 
 val record :
   ?yields:Loc.Set.t ->

@@ -1,8 +1,7 @@
 type context = {
-  state : Vm.state;
-  runnable : int array;
-  last : int option;
-  last_yielded : bool;
+  mutable runnable : int array;
+  mutable last : int;
+  mutable last_yielded : bool;
 }
 
 type t = {
@@ -31,16 +30,15 @@ let round_robin ~quantum () =
   if quantum <= 0 then invalid_arg "Sched.round_robin: quantum must be positive";
   let used = ref 0 in
   let pick ctx =
-    match ctx.last with
-    | Some cur when mem cur ctx.runnable && !used < quantum ->
-        incr used;
-        cur
-    | Some cur ->
-        used := 1;
-        next_after cur ctx.runnable
-    | None ->
-        used := 1;
-        lowest ctx.runnable
+    let cur = ctx.last in
+    if cur >= 0 && mem cur ctx.runnable && !used < quantum then begin
+      incr used;
+      cur
+    end
+    else begin
+      used := 1;
+      if cur >= 0 then next_after cur ctx.runnable else lowest ctx.runnable
+    end
   in
   { name = Printf.sprintf "round-robin(q=%d)" quantum; pick }
 
@@ -51,10 +49,10 @@ let random ~seed () =
 
 let cooperative () =
   let pick ctx =
-    match ctx.last with
-    | Some cur when mem cur ctx.runnable && not ctx.last_yielded -> cur
-    | Some cur -> next_after cur ctx.runnable
-    | None -> lowest ctx.runnable
+    let cur = ctx.last in
+    if cur < 0 then lowest ctx.runnable
+    else if mem cur ctx.runnable && not ctx.last_yielded then cur
+    else next_after cur ctx.runnable
   in
   { name = "cooperative"; pick }
 
@@ -67,9 +65,9 @@ let pct ~seed ~depth ~change_span () =
   let priorities : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let next_initial = ref depth in
   let priority_of tid =
-    match Hashtbl.find_opt priorities tid with
-    | Some p -> p
-    | None ->
+    match Hashtbl.find priorities tid with
+    | p -> p
+    | exception Not_found ->
         (* Insert at a random rank among the existing initial priorities by
            drawing a fresh value; collisions resolved by tid for
            determinism. *)
@@ -88,10 +86,10 @@ let pct ~seed ~depth ~change_span () =
   let pick ctx =
     (* Demote the thread that ran the previous step when we crossed a
        change point. *)
-    (match (ctx.last, !remaining) with
-    | Some cur, cp :: rest when !step > cp ->
+    (match !remaining with
+    | cp :: rest when ctx.last >= 0 && !step > cp ->
         remaining := rest;
-        Hashtbl.replace priorities cur !next_demotion;
+        Hashtbl.replace priorities ctx.last !next_demotion;
         incr next_demotion
     | _ -> ());
     incr step;

@@ -8,14 +8,23 @@
     reason about. *)
 
 type context = {
-  state : Vm.state;  (** Current machine state. Read it, never step it. *)
-  runnable : int array;
+  mutable runnable : int array;
       (** Non-empty runnable tids, ascending. Owned by the run loop, which
           reuses one array for as long as the set is unchanged (see
           {!Vm.runnable_array}): read-only for the scheduler. *)
-  last : int option;  (** Thread that executed the previous step. *)
-  last_yielded : bool;  (** Whether the previous step emitted a yield. *)
+  mutable last : int;
+      (** Thread that executed the previous step, [-1] before the first
+          one (an [int], not an option, so a thread switch allocates
+          nothing). *)
+  mutable last_yielded : bool;  (** Whether the previous step emitted a yield. *)
 }
+(** What a scheduler sees at one draw. A run loop reuses one record for
+    the whole run and rewrites its fields between draws, so a scheduler
+    reads it during [pick] and never keeps it. It carries no machine
+    state: a run loop may execute a thread's invisible instructions
+    ahead of the draws that account for them ({!Vm.run_ahead}), so the
+    state at a draw can be ahead of the step count; the fields above are
+    exactly what a one-instruction-per-draw loop would show. *)
 
 type t = {
   name : string;  (** For reports. *)

@@ -66,7 +66,7 @@ type state = {
   mutable output_rev : int list;
   mutable n_output : int;
   mutable failures_rev : (int * string) list;
-  mutable last_yielded : bool;
+  mutable yielded : bool;  (* scratch: [step]'s result, set while it runs *)
 }
 
 exception Fault of string
@@ -107,6 +107,9 @@ let new_frame (prog : Bytecode.program) func args base nargs =
   Array.blit args base locals 0 nargs;
   { func; pc = 0; locals; stack = Array.make 8 0; sp = 0 }
 
+(* Stands for "no frame" where an option would allocate. Never mutated. *)
+let dummy_frame = { func = 0; pc = 0; locals = [||]; stack = [||]; sp = 0 }
+
 let new_thread frame =
   { frames = [ frame ]; status = Runnable; entered = false;
     pending_yield = false; wait_depth = 0 }
@@ -127,7 +130,7 @@ let init prog =
     output_rev = [];
     n_output = 0;
     failures_rev = [];
-    last_yielded = false;
+    yielded = false;
   }
 
 let copy_frame f =
@@ -147,6 +150,77 @@ let copy st =
           let t = st.threads.(i) in
           { t with frames = List.map copy_frame t.frames });
   }
+
+(* [copy], writing into [dst]'s own blocks wherever they have the right
+   sizes, which they do when [dst] is an earlier state of the same run.
+   Int arrays are typed as such so the loops store without a write
+   barrier. *)
+let blit_ints (src : int array) (dst : int array) =
+  for i = 0 to Array.length src - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
+
+let frame_fits d f =
+  d.func = f.func
+  && Array.length d.locals = Array.length f.locals
+  && Array.length d.stack = Array.length f.stack
+
+let rec frames_fit ds fs =
+  match (ds, fs) with
+  | [], [] -> true
+  | d :: ds, f :: fs -> frame_fits d f && frames_fit ds fs
+  | _ -> false
+
+(* [ds] itself, list cells included, when every frame fits. *)
+let frames_into ds fs =
+  if frames_fit ds fs then begin
+    List.iter2
+      (fun d f ->
+        d.pc <- f.pc;
+        d.sp <- f.sp;
+        blit_ints f.locals d.locals;
+        blit_ints f.stack d.stack)
+      ds fs;
+    ds
+  end
+  else List.map copy_frame fs
+
+let copy_into ~dst src =
+  if dst.prog != src.prog then invalid_arg "Vm.copy_into: different programs";
+  if dst != src then begin
+    blit_ints src.globals dst.globals;
+    for i = 0 to Array.length src.arrays - 1 do
+      blit_ints src.arrays.(i) dst.arrays.(i)
+    done;
+    blit_ints src.lock_owner dst.lock_owner;
+    blit_ints src.lock_depth dst.lock_depth;
+    Array.blit src.conditions 0 dst.conditions 0 (Array.length src.conditions);
+    (* Only [dst]'s first [n_threads] records are its own: the spare
+       slots of a stepped state alias a live one. The thread array has
+       [copy]'s length, [n_threads]. *)
+    let n = src.n_threads and old = dst.threads in
+    let own = min dst.n_threads n in
+    if Array.length old <> n then dst.threads <- Array.make n old.(0);
+    for i = 0 to n - 1 do
+      let t = src.threads.(i) in
+      if i < own then begin
+        let d = old.(i) in
+        let frames = frames_into d.frames t.frames in
+        if frames != d.frames then d.frames <- frames;
+        d.status <- t.status;
+        d.entered <- t.entered;
+        d.pending_yield <- t.pending_yield;
+        d.wait_depth <- t.wait_depth;
+        if dst.threads != old then dst.threads.(i) <- d
+      end
+      else dst.threads.(i) <- { t with frames = List.map copy_frame t.frames }
+    done;
+    dst.n_threads <- n;
+    dst.output_rev <- src.output_rev;
+    dst.n_output <- src.n_output;
+    dst.failures_rev <- src.failures_rev;
+    dst.yielded <- src.yielded
+  end
 
 let program st = st.prog
 
@@ -207,8 +281,6 @@ let output st = List.rev st.output_rev
 
 let failures st = List.rev st.failures_rev
 
-let last_step_yielded st = st.last_yielded
-
 (* Exact heap words of the configuration, counted per block as header
    plus fields, excluding the program and event caches every copy shares.
    The scratch event is priced with a dynamic [op] and its own [Loc.t];
@@ -224,16 +296,23 @@ let approx_words st =
     | Blocked_on_lock _ | Blocked_on_join _ | Waiting _ | Reacquiring _ -> 2
     | Faulted msg -> 2 + string_words msg
   in
-  let frame_words f = 3 + 6 + arr f.locals + arr f.stack in
+  let rec frames_words acc = function
+    | [] -> acc
+    | f :: fs -> frames_words (acc + 3 + 6 + arr f.locals + arr f.stack) fs
+  in
+  (* Loops rather than iterators: this runs on every checkpoint park. *)
   let words = ref (15 + 10 + arr st.globals + arr st.arrays) in
-  Array.iter (fun a -> words := !words + arr a) st.arrays;
+  for i = 0 to Array.length st.arrays - 1 do
+    words := !words + arr st.arrays.(i)
+  done;
   words := !words + arr st.lock_owner + arr st.lock_depth + arr st.conditions;
-  Array.iter (fun q -> words := !words + (3 * List.length q)) st.conditions;
+  for i = 0 to Array.length st.conditions - 1 do
+    words := !words + (3 * List.length st.conditions.(i))
+  done;
   words := !words + arr st.threads;
   for tid = 0 to st.n_threads - 1 do
     let t = st.threads.(tid) in
-    words := !words + 6 + status_words t.status;
-    List.iter (fun f -> words := !words + frame_words f) t.frames
+    words := frames_words (!words + 6 + status_words t.status) t.frames
   done;
   !words + (3 * st.n_output) + (6 * List.length st.failures_rev)
 
@@ -442,7 +521,7 @@ let exec st t tid frame loc sink =
       frame.pc <- pc + 1;
       t.status <- Waiting handle;
       t.wait_depth <- depth;
-      st.last_yielded <- true
+      st.yielded <- true
   | Bytecode.Notify all ->
       let handle = pop frame in
       ignore (held_depth st tid handle "notify on");
@@ -458,7 +537,7 @@ let exec st t tid frame loc sink =
   | Bytecode.Yield_instr ->
       emit_to sink scratch tid loc Event.Yield;
       advance frame t pc;
-      st.last_yielded <- true
+      st.yielded <- true
   | Bytecode.Atomic_begin ->
       emit_to sink scratch tid loc Event.Atomic_begin;
       advance frame t pc
@@ -538,13 +617,13 @@ let step ~yields st tid ~sink =
     if frame.pc >= 0 && frame.pc < Array.length table then table.(frame.pc)
     else Bytecode.loc st.prog ~func:frame.func ~pc:frame.pc
   in
-  st.last_yielded <- false;
+  st.yielded <- false;
   (* Root-frame Enter event, once per thread. *)
   if not t.entered then begin
     emit_to sink scratch tid loc caches.enter_ops.(frame.func);
     t.entered <- true
   end;
-  match t.status with
+  (match t.status with
   | Reacquiring handle ->
       (* A woken waiter's next step reacquires its monitor at the saved
          reentrancy depth; no instruction executes this step. *)
@@ -559,7 +638,7 @@ let step ~yields st tid ~sink =
         emit_to sink scratch tid loc Event.Yield;
         t.pending_yield <- true;
         set_runnable t;
-        st.last_yielded <- true
+        st.yielded <- true
       end
       else begin
         t.pending_yield <- false;
@@ -569,7 +648,167 @@ let step ~yields st tid ~sink =
           frame.sp <- sp;
           st.failures_rev <- (tid, msg) :: st.failures_rev;
           t.status <- Faulted msg
-      end
+      end);
+  st.yielded
+
+(* --- Running ahead ----------------------------------------------------- *)
+
+(* Whether the instruction at [frame.pc] is invisible and cannot fault:
+   it reads and writes only [frame] (pc, locals, operand stack), emits no
+   event and changes no status. An instruction at a location in [yields]
+   is never invisible, since an injected yield is a scheduling point —
+   whether or not that yield was already emitted. *)
+let local_next ~yields st frame =
+  let pc = frame.pc in
+  let code = st.prog.Bytecode.funcs.(frame.func).Bytecode.code in
+  pc >= 0
+  && pc < Array.length code
+  && (match Array.unsafe_get code pc with
+     | Bytecode.Const _ | Bytecode.Load_local _ | Bytecode.Jump _ -> true
+     | Bytecode.Store_local _ | Bytecode.Unop _ | Bytecode.Jump_if_zero _
+     | Bytecode.Pop ->
+         frame.sp >= 1
+     | Bytecode.Binop (Ast.Div | Ast.Mod) ->
+         frame.sp >= 2 && Array.unsafe_get frame.stack (frame.sp - 1) <> 0
+     | Bytecode.Binop _ -> frame.sp >= 2
+     | Bytecode.Assert ->
+         frame.sp >= 1 && Array.unsafe_get frame.stack (frame.sp - 1) <> 0
+     | Bytecode.Array_len aid ->
+         aid >= 0 && aid < Array.length st.prog.Bytecode.array_sizes
+     | _ -> false)
+  && (Loc.Set.is_empty yields
+     || not (Loc.Set.mem st.caches.locs.(frame.func).(pc) yields))
+
+(* Executes invisible instructions of [frame] until [limit] of them ran
+   or the next one is not invisible; returns how many ran. [exec] is the
+   one implementation of their semantics: for these instructions it
+   neither emits nor faults, so the location and sink go unused. *)
+let rec run_frame ~yields st t tid frame limit n =
+  if n < limit && local_next ~yields st frame then begin
+    exec st t tid frame Loc.none Trace.Sink.ignore;
+    run_frame ~yields st t tid frame limit (n + 1)
+  end
+  else n
+
+(* The top frame of [tid] when the thread may run ahead: it is live,
+   [Runnable] (not parked, woken or finished) and already entered, so
+   [step] would emit nothing before its next instruction. *)
+let ahead_frame st tid =
+  if tid < 0 || tid >= st.n_threads then invalid_arg "Vm.run_local: unknown thread";
+  let t = st.threads.(tid) in
+  match t.frames with
+  | frame :: _ when t.status == Runnable && t.entered -> frame
+  | _ -> dummy_frame
+
+let run_local ~yields st tid ~limit =
+  let frame = ahead_frame st tid in
+  if frame == dummy_frame then 0
+  else run_frame ~yields st st.threads.(tid) tid frame limit 0
+
+type mark = {
+  mutable m_frame : frame;  (* [dummy_frame] until the first save *)
+  mutable m_pc : int;
+  mutable m_sp : int;
+  mutable m_stack : int array;  (* the frame's stack array when saved *)
+  mutable m_stack_buf : int array;  (* its first [m_sp] slots *)
+  mutable m_locals_buf : int array;  (* the frame's locals *)
+}
+
+let new_mark () =
+  { m_frame = dummy_frame; m_pc = 0; m_sp = 0; m_stack = [||];
+    m_stack_buf = [||]; m_locals_buf = [||] }
+
+let save_frame m frame =
+  let sp = frame.sp and locals = frame.locals in
+  let n_locals = Array.length locals in
+  if Array.length m.m_stack_buf < sp then
+    m.m_stack_buf <- Array.make (Array.length frame.stack) 0;
+  if Array.length m.m_locals_buf < n_locals then
+    m.m_locals_buf <- Array.make n_locals 0;
+  for i = 0 to sp - 1 do
+    Array.unsafe_set m.m_stack_buf i (Array.unsafe_get frame.stack i)
+  done;
+  for i = 0 to n_locals - 1 do
+    Array.unsafe_set m.m_locals_buf i (Array.unsafe_get locals i)
+  done;
+  m.m_frame <- frame;
+  m.m_pc <- frame.pc;
+  m.m_sp <- sp;
+  m.m_stack <- frame.stack
+
+let run_ahead ~yields st tid ~limit m =
+  let frame = ahead_frame st tid in
+  if frame == dummy_frame || limit <= 0 || not (local_next ~yields st frame)
+  then 0
+  else begin
+    save_frame m frame;
+    run_frame ~yields st st.threads.(tid) tid frame limit 0
+  end
+
+(* Invisible instructions push no frame, so the saved frame is still the
+   thread's top frame; restoring its stack array undoes a doubling. *)
+let rewind m =
+  let frame = m.m_frame in
+  if frame != dummy_frame then begin
+    let sp = m.m_sp and locals = frame.locals in
+    frame.pc <- m.m_pc;
+    frame.sp <- sp;
+    frame.stack <- m.m_stack;
+    for i = 0 to sp - 1 do
+      Array.unsafe_set m.m_stack i (Array.unsafe_get m.m_stack_buf i)
+    done;
+    for i = 0 to Array.length locals - 1 do
+      Array.unsafe_set locals i (Array.unsafe_get m.m_locals_buf i)
+    done
+  end
+
+(* Instructions an explorer's transition ends on: shared memory, locks,
+   monitors, thread creation and join, output, explicit yields. The
+   others — invisible ones and the call/return/atomic-marker/halt
+   instructions, whose events concern only their own thread — belong to
+   the transition's prefix. *)
+let ends_transition = function
+  | Bytecode.Load_global _ | Bytecode.Store_global _ | Bytecode.Load_elem _
+  | Bytecode.Store_elem _ | Bytecode.Acquire | Bytecode.Release
+  | Bytecode.Wait | Bytecode.Notify _ | Bytecode.Yield_instr
+  | Bytecode.Spawn _ | Bytecode.Join | Bytecode.Print ->
+      true
+  | Bytecode.Const _ | Bytecode.Load_local _ | Bytecode.Store_local _
+  | Bytecode.Array_len _ | Bytecode.Binop _ | Bytecode.Unop _ | Bytecode.Jump _
+  | Bytecode.Jump_if_zero _ | Bytecode.Atomic_begin | Bytecode.Atomic_end
+  | Bytecode.Call _ | Bytecode.Ret | Bytecode.Assert | Bytecode.Pop
+  | Bytecode.Halt ->
+      false
+
+let transition ~yields st tid ~fuel ~sink =
+  let t = st.threads.(tid) in
+  let rec go fuel =
+    if fuel = 0 then false
+    else
+      match t.status with
+      | Reacquiring _ ->
+          (* A monitor reacquire is a visible transition of its own. *)
+          ignore (step ~yields st tid ~sink);
+          true
+      | _ -> (
+          let fuel = fuel - run_local ~yields st tid ~limit:fuel in
+          if fuel = 0 then false
+          else
+            match peek_instr st tid with
+            | None -> true
+            | Some (instr, loc) ->
+                (* The instruction the prefix stopped at: visible, a
+                   prefix instruction that emits an event, a fault, or an
+                   injected yield — which ends the transition either as
+                   the yield or as the instruction right after it. *)
+                let injected = Loc.Set.mem loc yields in
+                ignore (step ~yields st tid ~sink);
+                ends_transition instr || injected
+                || (match t.status with
+                   | Finished | Faulted _ -> true
+                   | _ -> go (fuel - 1)))
+  in
+  go fuel
 
 (* --- Canonical serialization for memoization --------------------------- *)
 

@@ -5,10 +5,13 @@
     thread and reports the events it produced. State is flat and mutable
     — int arrays for globals, program arrays, lock tables and each
     frame's locals and operand stack — and [step] updates it in place.
-    {!copy} is the one way to branch: explorers and checkpoint stores
-    copy a state before stepping it further or when parking it, and a
-    parked state is never stepped, so one may be read (and copied) from
-    several domains at once.
+    {!copy} is the one way to branch ({!copy_into} the same into a
+    recycled state): explorers and checkpoint stores copy a state before
+    stepping it further or when parking it, and a parked state is never
+    stepped, so one may be read (and copied) from several domains at
+    once. Between scheduling points a thread's
+    invisible instructions may also run in one tight loop, without a
+    scheduler ({!run_local}, {!run_ahead}, {!transition}).
 
     Blocking: [Acquire] on a lock held by another thread and [Join] on a
     live thread do not advance; the thread parks in a blocked status and the
@@ -47,6 +50,16 @@ val copy : state -> state
     stepping either state never changes the other, and both continue
     identically under the same schedule. O(state size). *)
 
+val copy_into : dst:state -> state -> unit
+(** [copy_into ~dst src] turns [dst] into what [copy src] would return:
+    afterwards [dst] has [src]'s {!key} and {!approx_words}, and stepping
+    either state never changes the other. [dst]'s arrays, thread records
+    and frames are overwritten in place wherever their sizes fit, which
+    they do when [dst] is an earlier state of the same program, so a
+    recycled state costs no allocation. Only for a [dst] nothing else
+    references — a checkpoint taken back out of a store. Raises
+    [Invalid_argument] if the states run different programs. *)
+
 val program : state -> Bytecode.program
 (** The program this state executes. *)
 
@@ -71,25 +84,80 @@ val all_quiescent : state -> bool
 val deadlocked : state -> bool
 (** [runnable] is empty but some thread is still blocked. *)
 
-val step : yields:Loc.Set.t -> state -> int -> sink:Trace.Sink.t -> unit
+val step : yields:Loc.Set.t -> state -> int -> sink:Trace.Sink.t -> bool
 (** [step ~yields st tid ~sink] executes one instruction of [tid] in
-    place, feeding the produced events to [sink]. If [tid]'s next
+    place, feeding the produced events to [sink], and returns whether it
+    emitted a [Yield] event (an explicit yield, a [wait], or an injected
+    yield — what the cooperative scheduler switches on). If [tid]'s next
     instruction sits at a location in [yields], a [Yield] event is emitted
-    before it executes (the mechanism used by inferred yields — no
-    recompilation needed; pass [Loc.Set.empty] for none). [yields] is not
-    optional because an optional argument would box on every step. An instruction that faults leaves the thread's
-    pc and operand stack exactly as they were before the step and marks
-    it [Faulted]. Raises [Invalid_argument] if [tid] cannot run. *)
+    before it executes, as a step of its own (the mechanism used by
+    inferred yields — no recompilation needed; pass [Loc.Set.empty] for
+    none). [yields] is not optional because an optional argument would
+    box on every step. An instruction that faults leaves the thread's pc
+    and operand stack exactly as they were before the step and marks it
+    [Faulted]. Raises [Invalid_argument] if [tid] cannot run. *)
+
+(** {2 Running ahead}
+
+    An {e invisible} instruction — [Const], [Load_local], [Store_local],
+    [Array_len], [Binop], [Unop], [Jump], [Jump_if_zero], [Assert], [Pop]
+    — reads and writes only its thread's top frame: it emits no event,
+    touches no shared state and changes no status. By the paper's
+    reduction argument it is a both-mover: executing it earlier, up to
+    the thread's next visible instruction, changes nothing any other
+    thread or any analysis can observe. These functions execute such
+    instructions in a tight loop, without a scheduler. They stop before
+    the first instruction that is visible, would fault (division or
+    modulo by zero, a failing assert, a short operand stack, a bad array
+    id), or sits at a location in [yields] (pending yield or not); they
+    execute nothing for a thread that is not [Runnable] or has not taken
+    its first {!step}. *)
+
+val run_local : yields:Loc.Set.t -> state -> int -> limit:int -> int
+(** [run_local ~yields st tid ~limit] executes up to [limit] invisible
+    instructions of [tid] in place and returns how many it executed.
+    Each is exactly what {!step} would have done, minus the scheduling.
+    Deterministic: from equal frames it executes the same instructions. *)
+
+type mark
+(** A reusable record of one thread's top frame (pc, operand stack,
+    locals), taken before it runs ahead. Its buffers grow to the largest
+    frame saved and are reused, so saving allocates nothing in the
+    steady state. A mark belongs to one domain. *)
+
+val new_mark : unit -> mark
+(** An empty mark: {!rewind} on it does nothing. *)
+
+val run_ahead : yields:Loc.Set.t -> state -> int -> limit:int -> mark -> int
+(** {!run_local}, but when it executes anything it first saves [tid]'s
+    top frame in the mark (otherwise the mark is untouched). A run loop
+    runs a thread ahead after each real step and charges the executed
+    instructions to that thread's later scheduler draws; a thread still
+    ahead when the loop stops is put back with {!rewind} plus a
+    {!run_local} of the draws it did consume. *)
+
+val rewind : mark -> unit
+(** Restores the frame saved by the last {!run_ahead} that used the mark
+    — pc, operand stack (contents and array) and locals — in whichever
+    state owns that frame. Sound only while that frame has run nothing
+    but invisible instructions since the save. *)
+
+val transition : yields:Loc.Set.t -> state -> int -> fuel:int -> sink:Trace.Sink.t -> bool
+(** One explorer transition of [tid] in place: its invisible prefix (run
+    with {!run_local}, plus the calls, returns, atomic markers and halts,
+    which emit events about their own thread only) and then one visible
+    instruction — a shared-memory access, a lock or monitor operation,
+    spawn, join, print or explicit yield — or a park on it. A monitor
+    reacquire, an injected yield, the instruction right after an injected
+    yield, a fault and thread completion each end a transition too.
+    Returns [false] when [fuel] instructions ran without ending it; the
+    state is then half-stepped and must be discarded. *)
 
 val peek_instr : state -> int -> (Bytecode.instr * Loc.t) option
 (** The instruction a thread would execute next and its (shared, cached)
     location, or [None] for threads without a frame (finished/faulted).
-    Used by the explorers to classify upcoming instructions without
-    stepping. *)
-
-val last_step_yielded : state -> bool
-(** Whether the most recent [step] emitted a [Yield] event (consulted by the
-    cooperative scheduler). *)
+    {!transition} classifies the instruction its prefix stopped at with
+    it. *)
 
 val global_value : state -> int -> int
 (** Current value of a global slot. *)

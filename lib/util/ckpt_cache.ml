@@ -115,13 +115,17 @@ let add t key value =
 
 let remove t key =
   Mutex.lock t.mutex;
-  (match Hashtbl.find_opt t.table key with
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.table key;
-      t.bytes <- t.bytes - n.n_weight
-  | None -> ());
-  Mutex.unlock t.mutex
+  let r =
+    match Hashtbl.find_opt t.table key with
+    | Some n ->
+        unlink t n;
+        Hashtbl.remove t.table key;
+        t.bytes <- t.bytes - n.n_weight;
+        Some n.n_value
+    | None -> None
+  in
+  Mutex.unlock t.mutex;
+  r
 
 let stats t =
   Mutex.lock t.mutex;

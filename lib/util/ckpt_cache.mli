@@ -48,10 +48,11 @@ val add : 'v t -> string -> 'v -> unit
     value heavier than the whole cap is evicted immediately — the store
     never retains more than [cap_bytes]. *)
 
-val remove : 'v t -> string -> unit
-(** [remove t key] drops the entry, if any, releasing its weight. Not
-    counted as an eviction. DPOR calls it when a frame pops, since no
-    later lookup can name that frame's key. *)
+val remove : 'v t -> string -> 'v option
+(** [remove t key] drops the entry, if any, releasing its weight, and
+    returns its value. Not counted as a hit, miss or eviction. DPOR calls
+    it when a frame pops, since no later lookup can name that frame's
+    key, and reuses the returned state's memory. *)
 
 val stats : _ t -> stats
 (** Cumulative counters and current occupancy. *)

@@ -24,6 +24,7 @@ let () =
       ("runtime.vm", Test_vm.suite);
       ("runtime.sched", Test_sched.suite);
       ("runtime.runner", Test_runner.suite);
+      ("runtime.runahead", Test_runahead.suite);
       ("runtime.explore", Test_explore.suite);
       ("runtime.monitor", Test_monitor.suite);
       ("core.mover", Test_mover.suite);

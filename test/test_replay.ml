@@ -180,20 +180,18 @@ let test_snapshot_resume_law () =
 let drive st sched ~max =
   let events = ref [] in
   let sink e = events := Format.asprintf "%a" Event.pp e :: !events in
-  let rec go n last =
+  let rec go n last last_yielded =
     if n < max then
       match Vm.runnable st with
       | [] -> ()
       | rs ->
           let tid =
             sched.Sched.pick
-              { Sched.state = st; runnable = Array.of_list rs; last;
-                last_yielded = Vm.last_step_yielded st }
+              { Sched.runnable = Array.of_list rs; last; last_yielded }
           in
-          Vm.step ~yields:Loc.Set.empty st tid ~sink;
-          go (n + 1) (Some tid)
+          go (n + 1) tid (Vm.step ~yields:Loc.Set.empty st tid ~sink)
   in
-  go 0 None;
+  go 0 (-1) false;
   List.rev !events
 
 (* Heap words reachable from [st] but not from the program and event
@@ -237,6 +235,70 @@ let vm_copy_law =
          && Vm.key donor = Vm.key copy
          && show_behavior donor = show_behavior copy))
 
+(* [Vm.copy_into] is [Vm.copy] in recycled memory: written over a state
+   from another point of the same run — stepped in place, so its spare
+   thread slots alias a live thread, or a copy of one — the destination
+   gets the donor's key and approx_words, continues exactly like the
+   donor, and shares nothing mutable with it. *)
+let vm_copy_into_law =
+  QCheck_alcotest.to_alcotest
+    (Test.make ~name:"qcheck: Vm.copy_into is Vm.copy in recycled memory"
+       ~count:60
+       ~print:(fun (p, (k, j, seed, fresh)) ->
+         Printf.sprintf "prefix=%d dst_prefix=%d seed=%d copied_dst=%b\n%s" k j seed
+           fresh (Pretty.program p))
+       Gen.(
+         pair gen_program
+           (quad (int_range 0 400) (int_range 0 400) (int_range 0 1000) bool))
+       (fun (p, (k, j, seed, copied_dst)) ->
+         let prog = Compile.program p in
+         let donor = Vm.init prog in
+         ignore (drive donor (Sched.random ~seed ()) ~max:k);
+         let dst = Vm.init prog in
+         ignore (drive dst (Sched.random ~seed:(seed + 7) ()) ~max:j);
+         let dst = if copied_dst then Vm.copy dst else dst in
+         Vm.copy_into ~dst donor;
+         let donor_key = Vm.key donor in
+         if Vm.key dst <> donor_key then Test.fail_report "copy_into key differs";
+         if Vm.approx_words dst <> Vm.approx_words (Vm.copy donor) then
+           Test.fail_reportf "approx_words %d, a copy has %d" (Vm.approx_words dst)
+             (Vm.approx_words (Vm.copy donor));
+         let picks, sched = Sched.recorded (Sched.random ~seed:(seed + 1) ()) in
+         let dst_events = drive dst sched ~max:3_000 in
+         if Vm.key donor <> donor_key then
+           Test.fail_report "stepping the destination changed the donor";
+         let donor_events = drive donor (Sched.pinned (picks ())) ~max:3_000 in
+         donor_events = dst_events
+         && Vm.key donor = Vm.key dst
+         && show_behavior donor = show_behavior dst))
+
+(* A stepped state's thread table grows by doubling, and its spare slots
+   alias the last spawned thread: main plus three spawned workers leave a
+   4-slot table whose last slot is worker 2. [copy_into] must not reuse
+   that slot as worker 3's record. *)
+let test_copy_into_aliased_slot () =
+  let prog =
+    Compile.source
+      "var g = 0; fn w(x) { g = g + x; } fn main() { var a = spawn w(1); \
+       var b = spawn w(2); var c = spawn w(3); join a; join b; join c; }"
+  in
+  let spawned st tid =
+    match Vm.thread_status st tid with _ -> true | exception Not_found -> false
+  in
+  let step_main_until st tid =
+    while not (spawned st tid) do
+      ignore (Vm.step ~yields:Loc.Set.empty st 0 ~sink:Trace.Sink.ignore)
+    done
+  in
+  let dst = Vm.init prog in
+  step_main_until dst 2;
+  let src = Vm.copy dst in
+  step_main_until src 3;
+  Vm.copy_into ~dst src;
+  Alcotest.(check string) "key" (Vm.key src) (Vm.key dst);
+  let events st = drive st (Sched.round_robin ~quantum:2 ()) ~max:1_000 in
+  Alcotest.(check (list string)) "continuation" (events (Vm.copy src)) (events dst)
+
 (* The frames part of thread [tid]'s segment of [Vm.key]: everything
    after its status, flags and wait depth. *)
 let frames_in_key key tid =
@@ -263,7 +325,7 @@ let test_fault_preserves_frame () =
         match Vm.runnable st with
         | tid :: _ when n < 10_000 ->
             let before = frames_in_key (Vm.key st) tid in
-            Vm.step ~yields:Loc.Set.empty st tid ~sink:Trace.Sink.ignore;
+            ignore (Vm.step ~yields:Loc.Set.empty st tid ~sink:Trace.Sink.ignore);
             (match Vm.thread_status st tid with
             | Vm.Faulted _ ->
                 faulted := true;
@@ -435,6 +497,9 @@ let suite =
     Alcotest.test_case "faulting step leaves its frame unchanged" `Quick
       test_fault_preserves_frame;
     vm_copy_law;
+    vm_copy_into_law;
+    Alcotest.test_case "copy_into over an aliased thread slot" `Quick
+      test_copy_into_aliased_slot;
     dpor_cached_matches_stateless;
     dpor_cached_parallel_matches;
     explore_cached_matches;

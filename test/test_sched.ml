@@ -1,10 +1,9 @@
 open Coop_runtime
 open Coop_lang
 
-let dummy_state = Vm.init (Compile.source "fn main() { }")
-
 let ctx ?(last = None) ?(last_yielded = false) runnable =
-  { Sched.state = dummy_state; runnable = Array.of_list runnable; last; last_yielded }
+  { Sched.runnable = Array.of_list runnable;
+    last = Option.value last ~default:(-1); last_yielded }
 
 let test_sequential () =
   Alcotest.(check int) "lowest" 1 (Sched.sequential.Sched.pick (ctx [ 1; 2; 3 ]));

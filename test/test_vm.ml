@@ -95,7 +95,7 @@ let test_key_distinguishes () =
   let prog = Compile.source "var x = 0; fn main() { x = 1; }" in
   let st = Vm.init prog in
   let k0 = Vm.key st in
-  Vm.step ~yields:Coop_trace.Loc.Set.empty st 0 ~sink:Coop_trace.Trace.Sink.ignore;
+  ignore (Vm.step ~yields:Coop_trace.Loc.Set.empty st 0 ~sink:Coop_trace.Trace.Sink.ignore);
   Alcotest.(check bool) "keys differ across steps" false (k0 = Vm.key st);
   Alcotest.(check string) "key deterministic" (Vm.key st) (Vm.key st)
 
