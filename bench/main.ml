@@ -1491,169 +1491,6 @@ let pool_bench () =
   Printf.printf "(wrote %s)\n" path
 
 (* ---------------------------------------------------------------------- *)
-(* analysis_scaling: ownership-sharded single-trace analysis               *)
-(* ---------------------------------------------------------------------- *)
-
-(* How far the ownership-sharded engine (Coop_core.Sharded) scales on one
-   trace: each workload's 32x trace is recorded once, then the analysis
-   stack alone is re-timed at every shard count — shards = 1 is the
-   sequential fused engine (the baseline and differential oracle), K > 1
-   routes the same stream across K sub-engines on a K-domain pool. The
-   trace is in memory, so the measured section is pure analysis: routing,
-   per-shard detection/classification, fact gossip and merge. Every
-   sharded result is also checked for equality against the sequential
-   one — a speedup that changed the answer would be worthless. *)
-
-let scaling_shards = ref [ 1; 2; 4; 8 ]
-
-let scaling () =
-  let shard_counts =
-    let ks = List.sort_uniq Int.compare !scaling_shards in
-    if List.mem 1 ks then ks else 1 :: ks
-  in
-  let coop_result_equal (a : Cooperability.result) (b : Cooperability.result)
-      =
-    a.Cooperability.violations = b.Cooperability.violations
-    && a.Cooperability.races = b.Cooperability.races
-    && Coop_trace.Event.Var_set.equal a.Cooperability.racy
-         b.Cooperability.racy
-    && a.Cooperability.events = b.Cooperability.events
-  in
-  let measure (e : Registry.entry) =
-    let prog = Registry.program_of ~size:(32 * e.Registry.default_size) e in
-    let _, trace = Runner.record ~sched:(Sched.random ~seed:5 ()) prog in
-    let source () = Coop_trace.Source.of_trace trace in
-    let reference = Cooperability.check_source ~shards:1 (source ()) in
-    let verified =
-      List.for_all
-        (fun k ->
-          coop_result_equal reference
-            (Cooperability.check_source ~shards:k (source ())))
-        shard_counts
-    in
-    let cases =
-      List.map
-        (fun k ->
-          if k = 1 then
-            let seconds =
-              time_median ~reps:3 (fun () ->
-                  Cooperability.check_source ~shards:1 (source ()))
-            in
-            (* The sequential engine routes nothing, so its replication
-               ratio is 0 by definition. *)
-            (k, (seconds, 0.0))
-          else begin
-            (* A dedicated K-domain pool, so the measurement reflects K
-               shards on K domains rather than whatever the shared pool
-               happens to be sized to. *)
-            let pool = Pool.create ~jobs:k () in
-            (* One non-timed run reads the router's traffic counters:
-               broadcasts / messages is the share of routed deliveries
-               that are clock-sync replication at this K. *)
-            let o = Sharded.run ~pool ~shards:k (source ()) in
-            let ratio =
-              if o.Sharded.messages = 0 then 0.0
-              else
-                float_of_int o.Sharded.broadcasts
-                /. float_of_int o.Sharded.messages
-            in
-            let dt =
-              time_median ~reps:3 (fun () ->
-                  Sharded.run ~pool ~shards:k (source ()))
-            in
-            Pool.shutdown pool;
-            (k, (dt, ratio))
-          end)
-        shard_counts
-    in
-    (e.Registry.name, reference.Cooperability.events, verified, cases)
-  in
-  let measured = List.map measure (selected ()) in
-  let t =
-    Table.create
-      ~headers:
-        [ ("benchmark", Table.Left); ("events", Table.Right);
-          ("shards", Table.Right); ("analysis (ms)", Table.Right);
-          ("Mev/s", Table.Right); ("speedup", Table.Right);
-          ("repl", Table.Right); ("ok", Table.Right) ]
-  in
-  List.iter
-    (fun (name, events, verified, cases) ->
-      let t1, _ = List.assoc 1 cases in
-      List.iter
-        (fun (k, (dt, ratio)) ->
-          Table.add_row t
-            [ name; string_of_int events; string_of_int k; ms dt;
-              Printf.sprintf "%.2f" (float_of_int events /. 1e6 /. dt);
-              Printf.sprintf "%.2fx" (t1 /. dt);
-              Printf.sprintf "%.2f" ratio;
-              (if verified then "=" else "DIFF") ])
-        cases)
-    measured;
-  Table.print
-    ~title:
-      "Analysis scaling: ownership-sharded engine vs sequential (32x \
-       traces, recorded once; analysis stack only)"
-    t;
-  let max_shards = List.fold_left max 1 shard_counts in
-  let speedup_at_max (_, _, _, cases) =
-    fst (List.assoc 1 cases) /. fst (List.assoc max_shards cases)
-  in
-  let best_speedup =
-    List.fold_left (fun acc w -> Float.max acc (speedup_at_max w)) 0. measured
-  in
-  let at_3x =
-    List.length (List.filter (fun w -> speedup_at_max w >= 3.) measured)
-  in
-  Printf.printf
-    "scaling: best %.2fx at %d shards; %d/%d workloads at >= 3x \
-     (machine has %d domain(s))\n"
-    best_speedup max_shards at_3x (List.length measured)
-    (Domain.recommended_domain_count ());
-  let json =
-    Json.Obj
-      [ ("experiment", Json.String "analysis_scaling");
-        ("jobs", Json.Int (Pool.jobs (Pool.shared ())));
-        ("machine_domains", Json.Int (Domain.recommended_domain_count ()));
-        ("shards", Json.List (List.map (fun k -> Json.Int k) shard_counts));
-        ("workloads",
-         Json.List
-           (List.map
-              (fun (name, events, verified, cases) ->
-                let t1, _ = List.assoc 1 cases in
-                Json.Obj
-                  [ ("name", Json.String name);
-                    ("events", Json.Int events);
-                    ("verified", Json.Bool verified);
-                    ("cases",
-                     Json.List
-                       (List.map
-                          (fun (k, (dt, ratio)) ->
-                            Json.Obj
-                              [ ("shards", Json.Int k);
-                                ("seconds", Json.Float dt);
-                                ("mev_s",
-                                 Json.Float
-                                   (float_of_int events /. 1e6 /. dt));
-                                ("speedup", Json.Float (t1 /. dt));
-                                ("broadcast_ratio", Json.Float ratio) ])
-                          cases)) ])
-              measured));
-        ("summary",
-         Json.Obj
-           [ ("max_shards", Json.Int max_shards);
-             ("best_speedup", Json.Float best_speedup);
-             ("workloads_at_3x", Json.Int at_3x) ]) ]
-  in
-  let path =
-    match !json_out with Some p -> p | None -> "BENCH_scaling.json"
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string json);
-  close_out oc;
-  Printf.printf "(wrote %s)\n" path
-
-(* ---------------------------------------------------------------------- *)
 (* replay: checkpointed prefix resumption vs the stateless oracles         *)
 (* ---------------------------------------------------------------------- *)
 
@@ -2193,90 +2030,6 @@ let json_verify path =
     Printf.printf "json-verify: %s ok (codec, %d workloads)\n" path
       (List.length workloads)
   in
-  let verify_scaling () =
-    let shard_counts =
-      match Json.member "shards" json with
-      | Some (Json.List (_ :: _ as ks)) ->
-          List.map
-            (function
-              | Json.Int k when k > 0 -> k
-              | _ -> fail "non-positive shard count")
-            ks
-      | _ -> fail "missing non-empty \"shards\" array"
-    in
-    if not (List.mem 1 shard_counts) then
-      fail "shard counts must include the sequential baseline 1";
-    let workloads =
-      match Json.member "workloads" json with
-      | Some (Json.List (_ :: _ as ws)) -> ws
-      | _ -> fail "missing non-empty \"workloads\" array"
-    in
-    List.iter
-      (fun w ->
-        let name =
-          match Json.member "name" w with
-          | Some (Json.String n) -> n
-          | _ -> fail "workload without a name"
-        in
-        (match Json.member "events" w with
-        | Some (Json.Int n) when n > 0 -> ()
-        | _ -> fail (name ^ ": missing positive \"events\""));
-        (* The speedup claim is only worth verifying if the sharded runs
-           produced the sequential answer. *)
-        (match Json.member "verified" w with
-        | Some (Json.Bool true) -> ()
-        | _ -> fail (name ^ ": sharded results not verified = sequential"));
-        let cases =
-          match Json.member "cases" w with
-          | Some (Json.List cs) -> cs
-          | _ -> fail (name ^ ": missing \"cases\" array")
-        in
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (fun c ->
-            (match Json.member "shards" c with
-            | Some (Json.Int k) when k > 0 -> Hashtbl.replace seen k ()
-            | _ -> fail (name ^ ": case without positive shards"));
-            List.iter
-              (fun field ->
-                match Option.bind (Json.member field c) Json.to_float with
-                | Some v when v > 0. && Float.is_finite v -> ()
-                | _ ->
-                    fail
-                      (Printf.sprintf "%s: case without positive %s" name
-                         field))
-              [ "seconds"; "mev_s"; "speedup" ];
-            (* Replication traffic: 0 at shards = 1, a finite share of the
-               routed messages otherwise. *)
-            match
-              Option.bind (Json.member "broadcast_ratio" c) Json.to_float
-            with
-            | Some v when v >= 0. && Float.is_finite v -> ()
-            | _ ->
-                fail
-                  (Printf.sprintf
-                     "%s: case without finite non-negative broadcast_ratio"
-                     name))
-          cases;
-        List.iter
-          (fun k ->
-            if not (Hashtbl.mem seen k) then
-              fail (Printf.sprintf "%s: no case for %d shards" name k))
-          shard_counts)
-      workloads;
-    (match Json.member "summary" json with
-    | Some summary ->
-        (match Option.bind (Json.member "best_speedup" summary) Json.to_float
-         with
-        | Some v when Float.is_finite v && v > 0. -> ()
-        | _ -> fail "summary without positive best_speedup");
-        (match Json.member "workloads_at_3x" summary with
-        | Some (Json.Int n) when n >= 0 -> ()
-        | _ -> fail "summary without workloads_at_3x count")
-    | None -> fail "missing \"summary\" object");
-    Printf.printf "json-verify: %s ok (analysis_scaling, %d workloads)\n"
-      path (List.length workloads)
-  in
   (* coop-witness/v1: the causal-evidence documents coopcheck's --witness
      json emits. Shapes per command: check/explain carry races (each with
      an embedded race or locks witness) and violations (each with a
@@ -2508,7 +2261,6 @@ let json_verify path =
       | Some (Json.String "profile"), _ -> verify_profile ()
       | Some (Json.String "vclock"), _ -> verify_vclock ()
       | Some (Json.String "pool"), _ -> verify_pool ()
-      | Some (Json.String "analysis_scaling"), _ -> verify_scaling ()
       | Some (Json.String "codec"), _ -> verify_codec ()
       | Some (Json.String "replay"), _ -> verify_replay ()
       | _, Some (Json.String "coop-replay/v1") -> verify_replay ()
@@ -2517,7 +2269,7 @@ let json_verify path =
       | _ ->
           fail
             "unrecognized document (want \
-             experiment=table3|profile|vclock|pool|analysis_scaling|codec|replay, \
+             experiment=table3|profile|vclock|pool|codec|replay, \
              schema=coop-obs/v1|coop-witness/v1|coop-replay/v1, or a \
              trace_event array)")
 
@@ -2529,13 +2281,12 @@ let all = [ ("table1", table1); ("table2", table2); ("table3", table3);
             ("profile", profile); ("fig1", fig1); ("fig2", fig2);
             ("fig3", fig3); ("ablations", ablations); ("micro", micro);
             ("vclock", vclock); ("pool", pool_bench);
-            ("scaling", scaling); ("alloc-smoke", alloc_smoke);
+            ("alloc-smoke", alloc_smoke);
             ("codec", codec_bench); ("replay", replay_bench) ]
 
 let usage () =
   Printf.eprintf
     "usage: main.exe [EXPERIMENT...] [--jobs N] [--json FILE] [--only W1,W2]\n\
-    \       [--shards K1,K2,...]\n\
     \       main.exe json-verify FILE\n\
      experiments: %s (default: all)\n"
     (String.concat ", " (List.map fst all));
@@ -2555,21 +2306,8 @@ let validate_env_jobs () =
   | Some s when Coop_util.Pool.parse_jobs s = None -> bad_jobs "COOP_JOBS" s
   | _ -> ()
 
-let bad_shards source arg =
-  Printf.eprintf "bench: invalid shards argument %S: %s wants a positive \
-                  integer\n" arg source;
-  exit 2
-
-(* COOP_SHARDS gets the same up-front rejection as COOP_JOBS, and for the
-   same reason: a typo must not silently mean "sequential". *)
-let validate_env_shards () =
-  match Sys.getenv_opt "COOP_SHARDS" with
-  | Some s when Coop_util.Pool.parse_jobs s = None -> bad_shards "COOP_SHARDS" s
-  | _ -> ()
-
 let () =
   validate_env_jobs ();
-  validate_env_shards ();
   match Array.to_list Sys.argv with
   | _ :: "json-verify" :: rest -> (
       match rest with [ path ] -> json_verify path | _ -> usage ())
@@ -2586,17 +2324,6 @@ let () =
         | "--json" :: path :: rest ->
             json_out := Some path;
             parse rest
-        | "--shards" :: ks :: rest ->
-            let ks =
-              String.split_on_char ',' ks |> List.map String.trim
-              |> List.map (fun k ->
-                     match Coop_util.Pool.parse_jobs k with
-                     | Some k -> k
-                     | None -> bad_shards "--shards" k)
-            in
-            if ks = [] then bad_shards "--shards" "";
-            scaling_shards := ks;
-            parse rest
         | "--only" :: names :: rest ->
             let names = String.split_on_char ',' names |> List.map String.trim in
             List.iter
@@ -2609,7 +2336,7 @@ let () =
               names;
             only := Some names;
             parse rest
-        | ("--jobs" | "--json" | "--only" | "--shards") :: [] -> usage ()
+        | ("--jobs" | "--json" | "--only") :: [] -> usage ()
         | arg :: _ when String.length arg > 0 && arg.[0] = '-' -> usage ()
         | exp :: rest ->
             (match List.assoc_opt exp all with

@@ -37,21 +37,32 @@ let load ~threads ~size spec =
         exit 2
   end
 
-(* Every malformed numeric argument — non-numeric, out of range — gets the
-   same error shape naming the scheduler and what it wants; a quantum below
-   1 would make round-robin spin forever and is rejected explicitly. *)
+(* Every malformed argument value — a flag's or an environment variable's,
+   non-numeric, out of range, unknown spelling — exits 2 with one error
+   shape naming the argument kind, where the value came from and what it
+   wants. Arguments are taken as raw strings and validated here, because
+   cmdliner's own conversions would exit 124 instead. *)
+let invalid ~kind ~wants source arg =
+  Printf.eprintf "coopcheck: invalid %s argument %S: %s wants %s\n" kind arg
+    source wants;
+  exit 2
+
+let validate ~kind ~wants parse source arg =
+  match parse arg with Some v -> v | None -> invalid ~kind ~wants source arg
+
+let int_at_least lo s =
+  match int_of_string_opt s with Some n when n >= lo -> Some n | _ -> None
+
+let positive = "a positive integer"
+
+(* A quantum below 1 would make round-robin spin forever and is rejected
+   like any other malformed scheduler argument. *)
 let scheduler_of = function
   | "cooperative" -> Sched.cooperative ()
   | "sequential" -> Sched.sequential
   | "random" -> Sched.random ~seed:42 ()
   | "rr" -> Sched.round_robin ~quantum:5 ()
   | s -> (
-      let bad_arg kind wants arg =
-        Printf.eprintf
-          "coopcheck: invalid scheduler argument %S: %s wants %s\n" arg kind
-          wants;
-        exit 2
-      in
       let unknown () =
         Printf.eprintf
           "coopcheck: unknown scheduler %s (have: random[:seed], \
@@ -64,15 +75,18 @@ let scheduler_of = function
           let kind = String.sub s 0 i in
           let arg = String.sub s (i + 1) (String.length s - i - 1) in
           match kind with
-          | "random" -> (
-              match int_of_string_opt arg with
-              | Some seed when seed >= 0 -> Sched.random ~seed ()
-              | _ -> bad_arg "random" "a seed >= 0" arg)
-          | "rr" -> (
-              match int_of_string_opt arg with
-              | Some quantum when quantum >= 1 ->
-                  Sched.round_robin ~quantum ()
-              | _ -> bad_arg "rr" "a quantum >= 1" arg)
+          | "random" ->
+              let seed =
+                validate ~kind:"scheduler" ~wants:"a seed >= 0"
+                  (int_at_least 0) "random" arg
+              in
+              Sched.random ~seed ()
+          | "rr" ->
+              let quantum =
+                validate ~kind:"scheduler" ~wants:"a quantum >= 1"
+                  (int_at_least 1) "rr" arg
+              in
+              Sched.round_robin ~quantum ()
           | _ -> unknown ())
       | None -> unknown ())
 
@@ -104,21 +118,12 @@ let sched_arg =
           "Scheduler: random[:seed], rr[:quantum], cooperative, sequential.")
 
 (* Exploration budgets (--max-steps, --max-states, --max-executions,
-   --max-depth, --max-segment) share the --jobs/--shards raw-string
-   funnel: 0, negatives and garbage all exit 2 with the same error shape
-   instead of cmdliner's own exit 124. *)
-let bad_budget_arg flag arg =
-  Printf.eprintf
-    "coopcheck: invalid %s argument %S: --%s wants a positive integer\n" flag
-    arg flag;
-  exit 2
-
-let parse_budget ~flag = function
-  | None -> None
-  | Some s -> (
-      match Coop_util.Pool.parse_jobs s with
-      | Some n -> Some n
-      | None -> bad_budget_arg flag s)
+   --max-depth, --max-segment) go through [validate]: 0, negatives and
+   garbage all exit 2. *)
+let parse_budget ~flag =
+  Option.map
+    (validate ~kind:flag ~wants:positive Coop_util.Pool.parse_jobs
+       ("--" ^ flag))
 
 (* A validated budget option as an [int Term.t] (or [int option Term.t]
    without a default), so call sites stay oblivious to the raw-string
@@ -148,10 +153,8 @@ let two_pass_arg =
            Same results, twice the streaming; kept as the reference \
            oracle. Requires a replayable input.")
 
-(* --jobs is taken as a raw string so every malformed spelling (0, -3,
-   "abc") funnels through the same Pool.parse_jobs validation and exits 2
-   in the scheduler-argument error style — cmdliner's own int conversion
-   would exit 124 instead. *)
+(* --jobs and COOP_JOBS share Pool.parse_jobs through [validate]: 0, -3
+   and "abc" all exit 2. *)
 let jobs_arg =
   Arg.(
     value
@@ -164,66 +167,34 @@ let jobs_arg =
            domain count. 1 forces the sequential path; results are \
            identical either way.")
 
-let bad_jobs_arg source arg =
-  Printf.eprintf
-    "coopcheck: invalid jobs argument %S: %s wants a positive integer\n" arg
-    source;
-  exit 2
+let validate_jobs =
+  validate ~kind:"jobs" ~wants:positive Coop_util.Pool.parse_jobs
 
 (* Resolve --jobs (> COOP_JOBS > recommended_domain_count) into the shared
-   pool every parallel backend draws from. *)
-let pool_of_jobs = function
-  | None -> Coop_util.Pool.shared ()
-  | Some s -> (
-      match Coop_util.Pool.parse_jobs s with
-      | Some n ->
-          Coop_util.Pool.set_default_jobs n;
-          Coop_util.Pool.shared ()
-      | None -> bad_jobs_arg "--jobs" s)
+   pool every parallel backend draws from. A count the runtime cannot
+   start (OCaml caps the number of live domains) is a bad jobs argument
+   too, reported against whichever setting asked for it. *)
+let pool_of_jobs jobs =
+  Option.iter
+    (fun s -> Coop_util.Pool.set_default_jobs (validate_jobs "--jobs" s))
+    jobs;
+  try Coop_util.Pool.shared ()
+  with Invalid_argument _ as e ->
+    let source, arg =
+      match (jobs, Sys.getenv_opt "COOP_JOBS") with
+      | Some s, _ -> ("--jobs", s)
+      | None, Some s -> ("COOP_JOBS", s)
+      | None, None -> raise e
+    in
+    invalid ~kind:"jobs" ~wants:"a domain count the runtime can start" source
+      arg
 
 (* A malformed COOP_JOBS is rejected up front rather than silently falling
    back to the machine's domain count. *)
 let validate_env_jobs () =
-  match Sys.getenv_opt "COOP_JOBS" with
-  | Some s when Coop_util.Pool.parse_jobs s = None ->
-      bad_jobs_arg "COOP_JOBS" s
-  | _ -> ()
-
-(* --shards shares --jobs' raw-string funnel: 0, negatives and garbage all
-   exit 2 through the same validation, for the flag and the COOP_SHARDS
-   override alike. *)
-let shards_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "shards" ] ~docv:"K"
-        ~doc:
-          "Shard the single-pass analysis across K ownership sub-engines \
-           scheduled on the shared pool: variables, locks and threads \
-           route to shard id-mod-K, synchronization events broadcast as \
-           clock-sync messages, and racy/shared facts gossip across \
-           shards. Defaults to \\$(b,COOP_SHARDS), then 1 — the \
-           sequential engine, which stays the differential oracle. \
-           Results are identical at every K. Ignored with --two-pass.")
-
-let bad_shards_arg source arg =
-  Printf.eprintf
-    "coopcheck: invalid shards argument %S: %s wants a positive integer\n" arg
-    source;
-  exit 2
-
-let shards_of = function
-  | None -> Coop_core.Sharded.default_shards ()
-  | Some s -> (
-      match Coop_util.Pool.parse_jobs s with
-      | Some n -> n
-      | None -> bad_shards_arg "--shards" s)
-
-let validate_env_shards () =
-  match Sys.getenv_opt "COOP_SHARDS" with
-  | Some s when Coop_util.Pool.parse_jobs s = None ->
-      bad_shards_arg "COOP_SHARDS" s
-  | _ -> ()
+  Option.iter
+    (fun s -> ignore (validate_jobs "COOP_JOBS" s))
+    (Sys.getenv_opt "COOP_JOBS")
 
 let write_file path contents =
   let oc = open_out path in
@@ -236,20 +207,11 @@ module Symtab = Coop_trace.Symtab
 module Serialize = Coop_trace.Serialize
 module Source = Coop_trace.Source
 
-(* --format / --to share the --jobs raw-string funnel: any spelling
-   format_of_string rejects exits 2 with the same error shape. *)
-let bad_format_arg flag arg =
-  Printf.eprintf
-    "coopcheck: invalid format argument %S: %s wants text or binary\n" arg
-    flag;
-  exit 2
-
-let format_of flag = function
-  | None -> None
-  | Some s -> (
-      match Serialize.format_of_string s with
-      | Some f -> Some f
-      | None -> bad_format_arg flag s)
+(* --format / --to: any spelling format_of_string rejects exits 2. *)
+let format_of flag =
+  Option.map
+    (validate ~kind:"format" ~wants:"text or binary"
+       Serialize.format_of_string flag)
 
 let format_arg =
   Arg.(
@@ -341,8 +303,7 @@ let source_of ?syms ~command ~two_pass ~threads ~size ~sched ~max_steps
 module Witness = Coop_provenance.Witness
 module Json = Coop_util.Json
 
-(* --witness shares the --jobs/--shards raw-string funnel: any spelling
-   parse_mode rejects exits 2 with the same error shape. *)
+(* --witness: any spelling parse_mode rejects exits 2. *)
 let witness_arg =
   Arg.(
     value
@@ -358,19 +319,10 @@ let witness_arg =
            the document to FILE; validate with `bench/main.exe \
            json-verify FILE`).")
 
-let bad_witness_arg source arg =
-  Printf.eprintf
-    "coopcheck: invalid witness argument %S: %s wants text, json or \
-     json:FILE\n"
-    arg source;
-  exit 2
-
-let witness_mode_of = function
-  | None -> None
-  | Some s -> (
-      match Witness.parse_mode s with
-      | Some m -> Some m
-      | None -> bad_witness_arg "--witness" s)
+let witness_mode_of =
+  Option.map
+    (validate ~kind:"witness" ~wants:"text, json or json:FILE"
+       Witness.parse_mode "--witness")
 
 (* Every coop-witness/v1 document leads with its schema and the
    subcommand that produced it, mirroring coop-obs/v1. *)
@@ -715,10 +667,9 @@ let convert_cmd =
 (* --- check ------------------------------------------------------------- *)
 
 let check_cmd =
-  let action spec threads size sched max_steps from_trace two_pass shards
+  let action spec threads size sched max_steps from_trace two_pass
       witness profile =
     profile_setup profile;
-    let shards = shards_of shards in
     let wmode = witness_mode_of witness in
     (* All inputs are streamed, never materialized. *)
     let source =
@@ -726,7 +677,7 @@ let check_cmd =
         ~from_trace spec
     in
     let r =
-      Coop_pipeline.run ~two_pass ~shards ~witness:(wmode <> None) source
+      Coop_pipeline.run ~two_pass ~witness:(wmode <> None) source
     in
     Format.printf "events: %d@." r.Coop_pipeline.events;
     Format.printf "races: %d on %d variable(s)@."
@@ -776,7 +727,7 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Race + cooperability check of one execution. Exits 1 on violations.")
     Term.(const action $ opt_prog_arg $ threads_arg $ size_arg $ sched_arg
-          $ max_steps_arg $ from_trace_arg $ two_pass_arg $ shards_arg
+          $ max_steps_arg $ from_trace_arg $ two_pass_arg
           $ witness_arg $ profile_term)
 
 (* --- explain ------------------------------------------------------------ *)
@@ -786,10 +737,9 @@ let check_cmd =
    the vector-clock oracle — a verdict whose evidence fails there is a
    detector bug, and explain says so loudly. *)
 let explain_cmd =
-  let action spec threads size sched max_steps from_trace two_pass shards
+  let action spec threads size sched max_steps from_trace two_pass
       witness profile =
     profile_setup profile;
-    let shards = shards_of shards in
     let wmode = witness_mode_of witness in
     (* The oracle replays the trace, so explain always materializes it —
        which is also what lets a piped trace through: one read suffices. *)
@@ -807,7 +757,7 @@ let explain_cmd =
                 "coopcheck: explain wants a PROGRAM or --trace FILE\n";
               exit 2)
     in
-    let r = Coop_core.Cooperability.check ~two_pass ~shards ~witness:true trace in
+    let r = Coop_core.Cooperability.check ~two_pass ~witness:true trace in
     (* One oracle replay serves every witness on this trace. *)
     let clocks = Coop_race.Witness_check.oracle trace in
     let verdicts =
@@ -890,7 +840,7 @@ let explain_cmd =
           behind each violation. Exits 1 on violations or a failed \
           self-check.")
     Term.(const action $ opt_prog_arg $ threads_arg $ size_arg $ sched_arg
-          $ max_steps_arg $ from_trace_arg $ two_pass_arg $ shards_arg
+          $ max_steps_arg $ from_trace_arg $ two_pass_arg
           $ witness_arg $ profile_term)
 
 (* --- infer ------------------------------------------------------------- *)
@@ -1135,17 +1085,16 @@ let infer_cmd =
 (* --- atomize ------------------------------------------------------------ *)
 
 let atomize_cmd =
-  let action spec threads size sched max_steps from_trace two_pass shards
+  let action spec threads size sched max_steps from_trace two_pass
       witness profile =
     profile_setup profile;
-    let shards = shards_of shards in
     let wmode = witness_mode_of witness in
     let source =
       source_of ~command:"atomize" ~two_pass ~threads ~size ~sched ~max_steps
         ~from_trace spec
     in
     let p =
-      Coop_pipeline.run ~atomize:true ~conflict:true ~two_pass ~shards
+      Coop_pipeline.run ~atomize:true ~conflict:true ~two_pass
         ~witness:(wmode <> None) source
     in
     let r = Option.get p.Coop_pipeline.atomizer in
@@ -1202,7 +1151,7 @@ let atomize_cmd =
   Cmd.v
     (Cmd.info "atomize" ~doc:"Atomicity baseline (Atomizer + conflict graph).")
     Term.(const action $ opt_prog_arg $ threads_arg $ size_arg $ sched_arg
-          $ max_steps_arg $ from_trace_arg $ two_pass_arg $ shards_arg
+          $ max_steps_arg $ from_trace_arg $ two_pass_arg
           $ witness_arg $ profile_term)
 
 (* --- explore ------------------------------------------------------------ *)
@@ -1383,7 +1332,6 @@ let dump_cmd =
 
 let () =
   validate_env_jobs ();
-  validate_env_shards ();
   let info =
     Cmd.info "coopcheck" ~version:"1.0.0"
       ~doc:"Cooperative reasoning for preemptive execution"

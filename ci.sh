@@ -1,9 +1,8 @@
 #!/bin/sh
-# The CI entry point: full build, test suite (sequential, with 2- and
-# 4-domain shared pools, and with the analysis sharded 2 ways), bench
-# smoke tests including the machine-readable JSON output, and short
-# verified runs of the perfbench workloads. Equivalent to
-# `dune build @ci`, but with per-stage output.
+# The CI entry point: full build, test suite (sequential, and with 2- and
+# 4-domain shared pools), bench smoke tests including the
+# machine-readable JSON output, and short verified runs of the perfbench
+# workloads. Equivalent to `dune build @ci`, but with per-stage output.
 set -eu
 cd "$(dirname "$0")"
 
@@ -19,14 +18,8 @@ COOP_JOBS=2 dune runtest --force
 echo "== tests (COOP_JOBS=4: deeper work-stealing interleavings) =="
 COOP_JOBS=4 dune runtest --force
 
-echo "== tests (COOP_SHARDS=2: ownership-sharded analysis repo-wide) =="
-COOP_SHARDS=2 dune runtest --force
-
 echo "== differential suite (single-pass engine vs two-pass oracle) =="
 dune exec test/test_main.exe -- test differential
-
-echo "== sharded differential suite (sharded 1/2/4/8 vs sequential) =="
-dune exec test/test_main.exe -- test sharded
 
 echo "== witness differential suite (HB self-check, cross-mode identity) =="
 dune exec test/test_main.exe -- test witness
@@ -47,7 +40,8 @@ dune exec bin/coopcheck.exe -- check --trace - \
 
 echo "== codec differential (text vs binary traces, identical verdicts) =="
 # The same recording saved in both formats must produce byte-identical
-# verdicts and witness documents through every analysis configuration.
+# verdicts and witness documents, and piping the binary file through
+# stdin must print the same verdict.
 # `check` exits 1 when it finds violations — identical in both runs by
 # construction; cmp is the gate.
 dune exec bin/coopcheck.exe -- trace tsp --save _build/ci-diff.tr
@@ -56,16 +50,14 @@ dune exec bin/coopcheck.exe -- convert --to binary \
 dune exec bin/coopcheck.exe -- convert --to text \
   _build/ci-diff.ctr _build/ci-diff-roundtrip.tr
 cmp _build/ci-diff.tr _build/ci-diff-roundtrip.tr
-for shards in 1 2 4; do
-  COOP_SHARDS=$shards dune exec bin/coopcheck.exe -- check \
-    --trace _build/ci-diff.tr --witness json:_build/ci-diff-text.json \
-    > _build/ci-diff-text.out || [ $? -eq 1 ]
-  COOP_SHARDS=$shards dune exec bin/coopcheck.exe -- check \
-    --trace _build/ci-diff.ctr --witness json:_build/ci-diff-bin.json \
-    > _build/ci-diff-bin.out || [ $? -eq 1 ]
-  cmp _build/ci-diff-text.out _build/ci-diff-bin.out
-  cmp _build/ci-diff-text.json _build/ci-diff-bin.json
-done
+dune exec bin/coopcheck.exe -- check \
+  --trace _build/ci-diff.tr --witness json:_build/ci-diff-text.json \
+  > _build/ci-diff-text.out || [ $? -eq 1 ]
+dune exec bin/coopcheck.exe -- check \
+  --trace _build/ci-diff.ctr --witness json:_build/ci-diff-bin.json \
+  > _build/ci-diff-bin.out || [ $? -eq 1 ]
+cmp _build/ci-diff-text.out _build/ci-diff-bin.out
+cmp _build/ci-diff-text.json _build/ci-diff-bin.json
 dune exec bin/coopcheck.exe -- check --trace - \
   < _build/ci-diff.ctr > _build/ci-diff-pipe.out || [ $? -eq 1 ]
 cmp _build/ci-diff-text.out _build/ci-diff-pipe.out
@@ -108,11 +100,6 @@ dune exec bench/main.exe -- json-verify _build/ci-vclock.json
 echo "== pool bench smoke (static shards vs work stealing, json-verified) =="
 dune exec bench/main.exe -- pool --json _build/ci-pool.json
 dune exec bench/main.exe -- json-verify _build/ci-pool.json
-
-echo "== scaling bench smoke (ownership-sharded analysis, json-verified) =="
-dune exec bench/main.exe -- scaling --only philo,crypt --shards 1,2 \
-  --json _build/ci-scaling.json
-dune exec bench/main.exe -- json-verify _build/ci-scaling.json
 
 echo "== allocation-budget smoke (minor words/event vs recorded budget) =="
 dune exec bench/main.exe -- alloc-smoke

@@ -232,131 +232,8 @@ let check_two_pass trace =
   let local_locks = Coop_core.Cooperability.local_locks_of trace in
   check_with_racy ~local_locks ~racy trace
 
-(* Ownership-sharded single-pass variant: each shard runs the same
-   engine-driven checker as [online_analysis] over the threads it owns
-   (a thread's whole event stream arrives at one shard, in order, so the
-   per-activation phase machines are exact), with racy/shared facts
-   gossiped across shards by [Coop_core.Sharded]. Warnings of one event
-   all come from one thread — hence one shard — so the sequential merge
-   key (seq, uid descending) stays valid across shards. *)
-module Sharded_driver = struct
-  module Sharded = Coop_core.Sharded
-
-  type t = {
-    mutable accs : (int * int * warning) list;  (* all shards, unsorted *)
-    mutable total_activations : int;
-    mutable total_violated : int;
-  }
-
-  let create () = { accs = []; total_activations = 0; total_violated = 0 }
-
-  let client d ~shard:_ ~interner =
-    let acc = ref [] in
-    let activations = ref 0 in
-    let violated = ref 0 in
-    let engine =
-      Online.create ~interner
-        ~on_retire:(fun txn ->
-          match Online.violations txn with
-          | [] -> ()
-          | v :: _ ->
-              incr violated;
-              acc :=
-                ( v.Online.vseq,
-                  Online.txn_uid txn,
-                  { tid = v.Online.vtid; txn = Online.data txn;
-                    loc = v.Online.vloc; op = v.Online.vop;
-                    mover = v.Online.vmover; cause = v.Online.vcause } )
-                :: !acc)
-        ()
-    in
-    let stacks : txn_id Online.txn list array ref = ref (Array.make 8 []) in
-    let ensure tid =
-      if tid >= Array.length !stacks then begin
-        let bigger = Array.make (max (tid + 1) (2 * Array.length !stacks)) [] in
-        Array.blit !stacks 0 bigger 0 (Array.length !stacks);
-        stacks := bigger
-      end
-    in
-    let push tid orig_tid id =
-      incr activations;
-      ensure tid;
-      !stacks.(tid) <-
-        Online.open_txn engine ~tid:orig_tid ~data:id :: !stacks.(tid)
-    in
-    let pop tid =
-      ensure tid;
-      match !stacks.(tid) with
-      | t :: rest ->
-          Online.close engine t;
-          !stacks.(tid) <- rest
-      | [] -> ()
-    in
-    let step ~seq (e : Event.t) =
-      let tid = Interner.cur_tid interner in
-      match e.op with
-      | Event.Enter f -> push tid e.tid (Func f)
-      | Event.Exit _ -> pop tid
-      | Event.Atomic_begin -> push tid e.tid (Block e.loc)
-      | Event.Atomic_end -> pop tid
-      | Event.Yield -> ()  (* not a transaction boundary for atomicity *)
-      | _ ->
-          if tid < Array.length !stacks then
-            List.iter (fun t -> Online.step engine t ~seq e) !stacks.(tid)
-    in
-    {
-      Sharded.cl_engine_step = step;
-      cl_aux_step = (fun ~seq:_ _ -> ());
-      cl_fact = Online.on_fact engine;
-      cl_finish =
-        (fun () ->
-          Array.iter (List.iter (Online.close engine)) !stacks;
-          stacks := [||];
-          Online.finalize engine;
-          d.accs <- List.rev_append !acc d.accs;
-          d.total_activations <- d.total_activations + !activations;
-          d.total_violated <- d.total_violated + !violated);
-    }
-
-  let result d =
-    let warnings =
-      List.sort
-        (fun (s1, u1, _) (s2, u2, _) ->
-          match Int.compare s1 s2 with 0 -> Int.compare u2 u1 | c -> c)
-        d.accs
-      |> List.map (fun (_, _, w) -> w)
-    in
-    let flagged =
-      List.fold_left
-        (fun acc w -> match w.txn with Func f -> f :: acc | Block _ -> acc)
-        [] warnings
-      |> List.sort_uniq Int.compare
-    in
-    {
-      warnings;
-      flagged_functions = flagged;
-      activations = d.total_activations;
-      violated_activations = d.total_violated;
-    }
-end
-
-let check_sharded ~shards trace =
-  let d = Sharded_driver.create () in
-  let (_ : Coop_core.Sharded.outcome) =
-    Coop_core.Sharded.run ~automaton:false ~shards
-      ~client:(Sharded_driver.client d)
-      (Source.of_trace trace)
-  in
-  Sharded_driver.result d
-
-let check ?(two_pass = false) ?shards trace =
-  let shards =
-    match shards with
-    | Some k -> k
-    | None -> Coop_core.Sharded.default_shards ()
-  in
+let check ?(two_pass = false) trace =
   if two_pass then check_two_pass trace
-  else if shards > 1 then check_sharded ~shards trace
   else
     let itn = Interner.create () in
     let fused =

@@ -30,8 +30,8 @@ type warning = {
   mover : Coop_core.Mover.t;
   cause : Coop_core.Online.cause option;
       (** The commit point of the activation — the causal pair's first
-          half; [loc]/[op] is the second. Identical across two-pass,
-          single-pass and sharded drivers. *)
+          half; [loc]/[op] is the second. Identical across the two-pass
+          and single-pass drivers. *)
 }
 
 type result = {
@@ -41,7 +41,7 @@ type result = {
   violated_activations : int;  (** How many of them were flagged. *)
 }
 
-val check : ?two_pass:bool -> ?shards:int -> Trace.t -> result
+val check : ?two_pass:bool -> Trace.t -> result
 (** Check a recorded trace. By default a single fused pass: the race
     detector feeds racy-variable and shared-lock facts straight into the
     nested-transaction engine ({!Coop_core.Online}), which repairs
@@ -50,35 +50,10 @@ val check : ?two_pass:bool -> ?shards:int -> Trace.t -> result
     nested-transaction automaton (streams the trace three times). Both
     agree exactly (property-tested). Thread-local locks are both-movers,
     as in the cooperability checker, so the two analyses compare like
-    for like.
-
-    [shards] (default {!Coop_core.Sharded.default_shards}) runs the
-    fused pass ownership-sharded ({!Sharded_driver}); [1] is the
-    sequential engine. Ignored in two-pass mode. *)
+    for like. *)
 
 val check_two_pass : Trace.t -> result
 (** [check ~two_pass:true], named for differential tests. *)
-
-(** The atomicity checker as a {!Coop_core.Sharded} client: each shard
-    replays the engine-driven checker over the threads it owns, and
-    [result] merges per-shard warnings back into sequential order
-    (same-event warnings always share a shard, so the (position, uid)
-    merge key carries over). Used by [check ~shards] and the pipeline's
-    sharded mode. *)
-module Sharded_driver : sig
-  type t
-
-  val create : unit -> t
-
-  val client :
-    t -> shard:int -> interner:Interner.t -> Coop_core.Sharded.client
-  (** Pass to {!Coop_core.Sharded.run}'s [~client] (compose with
-      {!Coop_core.Sharded.combine_clients} when stacking checkers). *)
-
-  val result : t -> result
-  (** Merge the per-shard contributions. Call only after
-      {!Coop_core.Sharded.run} returned. *)
-end
 
 val online_analysis :
   ?mark:float ref ->

@@ -30,8 +30,8 @@ type violation = {
   mover : Mover.t;  (** Its mover class ([Right] or [Non]). *)
   cause : Online.cause option;
       (** The commit point this violation is blamed on — the (N|L) op
-          that put the thread in Post. Identical across the two-pass,
-          online and sharded paths (the differential suite pins it). *)
+          that put the thread in Post. Identical across the two-pass
+          and online paths (the differential suite pins it). *)
 }
 
 type t

@@ -118,25 +118,12 @@ let result_of ((), ((races, events), violations)) =
 let online_analysis ?witness () =
   Analysis.map result_of (online_chain ?witness ~mark:(ref 0.) ())
 
-let check_sharded ?witness ~shards source =
-  let o = Sharded.run ?witness ~shards source in
-  {
-    violations = o.Sharded.violations;
-    races = o.Sharded.races;
-    racy = o.Sharded.racy;
-    events = o.Sharded.events;
-  }
-
-let check_source ?(two_pass = false) ?shards ?witness source =
-  let shards =
-    match shards with Some k -> k | None -> Sharded.default_shards ()
-  in
+let check_source ?(two_pass = false) ?witness source =
   if two_pass then check_two_pass ?witness source
-  else if shards > 1 then check_sharded ?witness ~shards source
   else result_of (Source.run source (online_chain ?witness ~mark:(ref 0.) ()))
 
-let check ?two_pass ?shards ?witness trace =
-  check_source ?two_pass ?shards ?witness (Source.of_trace trace)
+let check ?two_pass ?witness trace =
+  check_source ?two_pass ?witness (Source.of_trace trace)
 
 let violation_locs vs =
   List.fold_left

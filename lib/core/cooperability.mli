@@ -28,13 +28,12 @@ type result = {
   events : int;  (** Trace length. *)
 }
 
-val check : ?two_pass:bool -> ?shards:int -> ?witness:bool -> Trace.t -> result
+val check : ?two_pass:bool -> ?witness:bool -> Trace.t -> result
 (** Full check of a recorded trace. Locks only ever touched by a single
     thread in the trace are classified as both-movers (the
     thread-local-lock refinement). Thin wrapper over {!check_source}. *)
 
-val check_source :
-  ?two_pass:bool -> ?shards:int -> ?witness:bool -> Source.t -> result
+val check_source : ?two_pass:bool -> ?witness:bool -> Source.t -> result
 (** The streaming core. By default ([two_pass = false]) one fused pass:
     race detector, event counter and fact-fed transaction automaton
     chained over a single replay, so the source is consumed exactly once
@@ -48,16 +47,10 @@ val check_source :
     (property-tested); single-pass memory additionally holds the digests
     of transactions with unresolved optimistic assumptions.
 
-    [shards] (default: {!Sharded.default_shards}, i.e. [COOP_SHARDS] or
-    [1]) runs the fused single-pass engine ownership-sharded across that
-    many {!Sharded} sub-engines; [1] is exactly today's sequential
-    engine, which stays the differential oracle. Ignored in two-pass
-    mode.
-
     [witness] (default [false]) makes every race report carry a
     {!Coop_race.Report.witness} — the two conflicting accesses and the
     clock evidence proving them unordered (see {!Coop_provenance}) —
-    in all three modes, with identical witnesses across them (the
+    in both modes, with identical witnesses across them (the
     differential suite pins it). Violations always carry their commit
     {!Online.cause}; the flag only gates the race detector's per-access
     side tables. *)

@@ -109,9 +109,7 @@ val infer :
     (property-tested); only [prefix_events]/[elided_events]/[cache_hits]
     differ from zero. [~no_cache:true] forces the stateless pass — the
     differential oracle. The cached path always analyzes through the
-    sequential single-pass engine: [two_pass] forces it off (the oracle
-    re-streams its source, which a resumed prefix cannot provide), and
-    [COOP_SHARDS] is ignored for cached rounds (sharded and sequential
-    engines are result-identical, property-tested separately). Store
+    single-pass engine: [two_pass] forces it off (the oracle
+    re-streams its source, which a resumed prefix cannot provide). Store
     counter deltas flush to [Coop_obs] ([ckpt/*]) when telemetry is
     on. *)

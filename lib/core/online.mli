@@ -51,10 +51,6 @@ val pack : fact -> int
     [Racy], [id*2+1] for [Shared]) — the engine's index key, also used
     as the flow correlation id in telemetry. *)
 
-val flow_name : fact -> string
-(** The telemetry flow-event name of a fact's propagation edge
-    ([fact/racy] / [fact/shared]); see {!Coop_obs.flow_begin}. *)
-
 val facts : publish -> Coop_race.Fasttrack.facts
 (** Adapt a publisher into the race detector's callback record, for
     wiring through {!Analysis.feedback}. The detector must share the

@@ -85,8 +85,7 @@ val flow_begin : string -> id:int -> unit
     {!flow_end} fires. The provenance layer uses flows for fact
     propagation: a flow starts where a race/shared-lock fact is
     published and ends where an engine learns it. [id] correlates the
-    two ends (the fact's packed id); one begin may have several ends
-    (sharded runs broadcast facts to every owner). *)
+    two ends (the fact's packed id); one begin may have several ends. *)
 
 val flow_end : string -> id:int -> unit
 (** The receiving end of a flow; see {!flow_begin}. *)

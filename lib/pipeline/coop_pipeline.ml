@@ -155,65 +155,8 @@ let run_online ?(lockset = false) ?(atomize = false) ?(conflict = false)
   { races; racy = Coop_race.Report.racy_vars races; lockset_races; violations;
     deadlock; atomizer; conflict; events }
 
-(* Ownership-sharded single pass: [Coop_core.Sharded] runs the fused
-   engine per shard (FastTrack + cooperability automaton + optional
-   Eraser), the Atomizer rides along as a per-shard client, and the
-   globally-ordered analyses (deadlock, conflict graph) run at shard 0
-   off the broadcast/aux sub-streams — so every checker still sees
-   exactly the event sequence it would have seen sequentially. *)
-let run_sharded ?(lockset = false) ?(atomize = false) ?(conflict = false)
-    ?witness ~shards source =
-  let module Sharded = Coop_core.Sharded in
-  let atom_driver =
-    if atomize then Some (Coop_atomicity.Atomizer.Sharded_driver.create ())
-    else None
-  in
-  let conflict_res = ref None in
-  let conflict_client ~interner =
-    let a = Coop_atomicity.Conflict.analysis ~interner () in
-    {
-      Sharded.null_client with
-      cl_aux_step = (fun ~seq:_ e -> Analysis.step a e);
-      cl_finish = (fun () -> conflict_res := Some (Analysis.finalize a));
-    }
-  in
-  let client ~shard ~interner =
-    let c =
-      match atom_driver with
-      | Some d ->
-          Coop_atomicity.Atomizer.Sharded_driver.client d ~shard ~interner
-      | None -> Sharded.null_client
-    in
-    if conflict && shard = 0 then
-      Sharded.combine_clients c (conflict_client ~interner)
-    else c
-  in
-  let o =
-    Sharded.run ~automaton:true ~lockset ~deadlock:true ~aux_access:conflict
-      ?witness ~client ~shards source
-  in
-  {
-    races = o.Sharded.races;
-    racy = o.Sharded.racy;
-    lockset_races = o.Sharded.lockset_races;
-    violations = o.Sharded.violations;
-    deadlock = Option.get o.Sharded.deadlock;
-    atomizer =
-      Option.map Coop_atomicity.Atomizer.Sharded_driver.result atom_driver;
-    conflict = !conflict_res;
-    events = o.Sharded.events;
-  }
-
-let run ?lockset ?atomize ?conflict ?(two_pass = false) ?shards ?witness
-    source =
-  let shards =
-    match shards with
-    | Some k -> k
-    | None -> Coop_core.Sharded.default_shards ()
-  in
+let run ?lockset ?atomize ?conflict ?(two_pass = false) ?witness source =
   if two_pass then run_two_pass ?lockset ?atomize ?conflict ?witness source
-  else if shards > 1 then
-    run_sharded ?lockset ?atomize ?conflict ?witness ~shards source
   else run_online ?lockset ?atomize ?conflict ?witness source
 
 let cooperable r = r.violations = []

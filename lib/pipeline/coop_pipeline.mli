@@ -45,7 +45,6 @@ val run :
   ?atomize:bool ->
   ?conflict:bool ->
   ?two_pass:bool ->
-  ?shards:int ->
   ?witness:bool ->
   Source.t ->
   result
@@ -54,17 +53,9 @@ val run :
     optional flags (all default [false]) enable the Eraser-lockset,
     Atomizer and conflict-graph baselines.
 
-    [shards] (default {!Coop_core.Sharded.default_shards}) runs the
-    single pass ownership-sharded across that many sub-engines: the
-    cooperability engine, race detectors and Atomizer shard by
-    variable/thread ownership, while deadlock and conflict-graph run at
-    shard 0 on their globally-ordered sub-streams. [1] is the sequential
-    chain; results are identical at every shard count
-    (property-tested). Ignored in two-pass mode.
-
     [witness] (default [false]) makes every FastTrack race and Eraser
     warning carry a {!Coop_race.Report.witness} (see
-    {!Coop_provenance}), identical in all three modes; violations and
+    {!Coop_provenance}), identical in both modes; violations and
     Atomizer warnings always carry their commit cause. *)
 
 val cooperable : result -> bool

@@ -89,4 +89,4 @@ type mode =
 val parse_mode : string -> mode option
 (** [parse_mode s] accepts ["text"], ["json"] and ["json:FILE"] (with a
     non-empty [FILE]); anything else is [None]. CLIs reject [None] with
-    exit 2, mirroring the [--jobs]/[--shards] convention. *)
+    exit 2, mirroring the [--jobs] convention. *)

@@ -53,7 +53,6 @@ type t = {
   own_interner : bool;  (* [handle] notes events itself *)
   witness : bool;  (* capture access-pair evidence per report *)
   mutable seq : int;  (* 1-based global position of the current event *)
-  mutable ext_seq : bool;  (* seq injected via [set_seq], not counted *)
   mutable clocks : Vclock.t array;  (* dense tid -> thread clock *)
   mutable locks : Vclock.t array;  (* dense lock id -> release clock *)
   mutable vars : var_state array;  (* dense var id -> access metadata *)
@@ -77,7 +76,7 @@ let create ?(facts = no_facts) ?interner ?(witness = false) () =
   let own_interner = interner = None in
   let itn = match interner with Some itn -> itn | None -> Interner.create () in
   { itn; own_interner; witness;
-    seq = 0; ext_seq = false;
+    seq = 0;
     clocks = Array.make 8 dummy_clock;
     locks = Array.make 8 dummy_clock;
     vars = Array.make 64 dummy_var;
@@ -85,10 +84,6 @@ let create ?(facts = no_facts) ?interner ?(witness = false) () =
     reports = []; facts;
     racy_fired = Bytes.make 64 '\000';
     lock_owner = Array.make 8 no_owner }
-
-let set_seq t s =
-  t.ext_seq <- true;
-  t.seq <- s
 
 let grown_slots a n ~fill =
   let bigger = Array.make (max n (2 * Array.length a)) fill in
@@ -340,7 +335,7 @@ let on_join t tid child =
   []
 
 let handle t (e : Event.t) =
-  if not t.ext_seq then t.seq <- t.seq + 1;
+  t.seq <- t.seq + 1;
   if t.own_interner then Interner.note t.itn e;
   let tid = Interner.cur_tid t.itn in
   let x = Interner.cur_operand t.itn in
@@ -370,7 +365,6 @@ type snapshot = {
   s_itn : Interner.snapshot;
   s_witness : bool;
   s_seq : int;
-  s_ext_seq : bool;
   s_clocks : Vclock.t array;
   s_locks : Vclock.t array;
   s_vars : var_state array;
@@ -398,7 +392,6 @@ let snapshot t =
     s_itn = Interner.snapshot t.itn;
     s_witness = t.witness;
     s_seq = t.seq;
-    s_ext_seq = t.ext_seq;
     s_clocks = Array.map copy_clock t.clocks;
     s_locks = Array.map copy_clock t.locks;
     s_vars = Array.map copy_var t.vars;
@@ -413,7 +406,6 @@ let restore t s =
     invalid_arg "Fasttrack.restore: witness mode mismatch";
   Interner.restore t.itn s.s_itn;
   t.seq <- s.s_seq;
-  t.ext_seq <- s.s_ext_seq;
   (* Copy again on restore: the snapshot stays loadable into further
      instances after this one mutates. *)
   t.clocks <- Array.map copy_clock s.s_clocks;

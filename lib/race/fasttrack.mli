@@ -55,14 +55,7 @@ val handle : t -> Event.t -> Report.t list
 (** [handle t e] advances the detector by one event and returns the races
     that [e] exposes (empty for non-access events and race-free accesses).
     Each call advances the detector's global position counter (witness
-    evidence is keyed by it), unless {!set_seq} took over. *)
-
-val set_seq : t -> int -> unit
-(** Override the global position of the next {!handle} call — and every
-    later one, disabling the internal counter for good. The sharded
-    router injects the true global position here, because an owner shard
-    only sees a sub-stream: with injection, witnesses are byte-identical
-    to the sequential detector's. *)
+    evidence is keyed by it). *)
 
 type snapshot
 (** A deep copy of the detector — clocks, lock clocks, per-variable

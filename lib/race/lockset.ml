@@ -28,7 +28,6 @@ type t = {
   own_interner : bool;
   witness : bool;  (* capture divergent-lock-set evidence per warning *)
   mutable seq : int;  (* 1-based global position of the current event *)
-  mutable ext_seq : bool;  (* seq injected via [set_seq], not counted *)
   mutable held : Iset.t array;  (* dense tid -> locks currently held *)
   mutable vars : var_info array;  (* dense var id -> info *)
   mutable reports : Report.t list;  (* reversed *)
@@ -38,14 +37,10 @@ let create ?interner ?(witness = false) () =
   let own_interner = interner = None in
   let itn = match interner with Some itn -> itn | None -> Interner.create () in
   { itn; own_interner; witness;
-    seq = 0; ext_seq = false;
+    seq = 0;
     held = Array.make 8 Iset.empty;
     vars = Array.make 64 dummy_info;
     reports = [] }
-
-let set_seq t s =
-  t.ext_seq <- true;
-  t.seq <- s
 
 let grown_slots a n ~fill =
   let bigger = Array.make (max n (2 * Array.length a)) fill in
@@ -135,7 +130,7 @@ let access t tid vid v ~orig_tid ~loc ~is_write =
       else []
 
 let handle t (e : Event.t) =
-  if not t.ext_seq then t.seq <- t.seq + 1;
+  t.seq <- t.seq + 1;
   if t.own_interner then Interner.note t.itn e;
   let tid = Interner.cur_tid t.itn in
   match e.op with
@@ -180,7 +175,6 @@ let racy_vars t = Report.racy_vars t.reports
 type snapshot = {
   s_itn : Interner.snapshot;
   s_seq : int;
-  s_ext_seq : bool;
   s_held : Iset.t array;
   s_vars : var_info array;
   s_reports : Report.t list;
@@ -197,7 +191,6 @@ let snapshot t =
   {
     s_itn = Interner.snapshot t.itn;
     s_seq = t.seq;
-    s_ext_seq = t.ext_seq;
     s_held = Array.copy t.held;
     s_vars = Array.map copy_info t.vars;
     s_reports = t.reports;
@@ -206,7 +199,6 @@ let snapshot t =
 let restore t s =
   Interner.restore t.itn s.s_itn;
   t.seq <- s.s_seq;
-  t.ext_seq <- s.s_ext_seq;
   t.held <- Array.copy s.s_held;
   t.vars <- Array.map copy_info s.s_vars;
   t.reports <- s.s_reports

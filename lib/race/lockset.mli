@@ -44,14 +44,7 @@ val create : ?interner:Interner.t -> ?witness:bool -> unit -> t
 val handle : t -> Event.t -> Report.t list
 (** Advance by one event; returns the races this event exposes (at most one
     per variable — Eraser warns once per variable). Each call advances
-    the global position counter used by witness evidence, unless
-    {!set_seq} took over. *)
-
-val set_seq : t -> int -> unit
-(** Override the global position of the next {!handle} call (and disable
-    the internal counter), as in {!Fasttrack.set_seq}: the sharded
-    router injects true global positions so per-shard witnesses match
-    the sequential detector's. *)
+    the global position counter used by witness evidence. *)
 
 val state_of : t -> Event.var -> var_state
 (** Current state-machine state of a variable ([Virgin] if never seen). *)

@@ -178,35 +178,6 @@ let note t (e : Event.t) =
 let cur_tid t = t.cur_tid
 let cur_operand t = t.cur_operand
 
-let set_cur t ~tid ~operand =
-  t.cur_tid <- tid;
-  t.cur_operand <- operand
-
-(* Modular ownership: ids route to [id mod shard]. Stability under growth
-   is the point — an id assigned after a router snapshotted the interner
-   still lands on the same shard, because the map depends only on the id
-   itself, never on how many ids exist. *)
-let owner _t id ~shard =
-  if shard <= 1 then 0
-  else if id < 0 then invalid_arg "Interner.owner: negative id"
-  else id mod shard
-
-let bind_tid t name ~id =
-  if id < 0 then invalid_arg "Interner.bind_tid";
-  if id < t.n_tids && t.tid_names.(id) = name then ()
-  else begin
-    if id >= Array.length t.tid_names then
-      t.tid_names <- grown t.tid_names (id + 1) ~fill:(-1);
-    t.tid_names.(id) <- name;
-    if id >= t.n_tids then t.n_tids <- id + 1;
-    if name >= 0 && name < direct_cap then begin
-      if name >= Array.length t.tids then
-        t.tids <- grown t.tids (name + 1) ~fill:(-1);
-      t.tids.(name) <- id
-    end
-    else Hashtbl.replace t.odd_tids name id
-  end
-
 (* Snapshots copy every table, forward and reverse. Ids are assigned in
    first-touch order, so restoring the tables makes a resumed consumer
    assign exactly the ids a full-stream run would have — and truncates

@@ -63,36 +63,6 @@ val restore : t -> snapshot -> unit
     forgets ids minted after the snapshot, so id-indexed consumer state
     restored alongside it can never be read through stale ids. *)
 
-(** {2 Router-fed mode (sharded chains)}
-
-    A sharded analysis interns every event once, on the router's
-    interner, and ships the dense ids with each routed message. The
-    per-shard checkers still read {!cur_tid} / {!cur_operand}, but from a
-    per-shard {e shim} interner that never assigns ids itself: the shard
-    driver stores the router's ids into it with {!set_cur} and records
-    name bindings verbatim with {!bind_tid}, so reverse lookups
-    ({!tid_of_id}) work for every id the shard has been shown. *)
-
-val set_cur : t -> tid:int -> operand:int -> unit
-(** Overwrite the current dense ids directly, as {!note} would have.
-    The ids must come from the interner that actually assigned them
-    (the router's); the shim merely replays them. *)
-
-val owner : t -> int -> shard:int -> int
-(** [owner t id ~shard] maps a dense id to its owning shard out of
-    [shard] shards: [id mod shard] ([0] when [shard <= 1]). Purely
-    modular, so it is stable under interner growth: ids assigned after
-    any snapshot still route to the same shard mid-trace — the property
-    the sharded router depends on and the test suite pins. Raises
-    [Invalid_argument] on a negative id. *)
-
-val bind_tid : t -> int -> id:int -> unit
-(** [bind_tid t name ~id] records that dense id [id] denotes thread
-    [name], exactly as if this interner had assigned it. Idempotent and
-    O(1) when the binding is already present; afterwards {!tid_of_id}
-    [id] returns [name]. Used by shard drivers, whose messages carry
-    [(name, id)] pairs assigned by the router. *)
-
 (** {2 Direct lookups} *)
 
 val var_id : t -> Event.var -> int

@@ -301,6 +301,17 @@ let await pool p =
 (* Pool lifecycle.                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let jobs pool = pool.jobs
+
+let shutdown pool =
+  Mutex.lock pool.lock;
+  let workers = pool.workers in
+  pool.live <- false;
+  pool.workers <- [];
+  Condition.broadcast pool.wake;
+  Mutex.unlock pool.lock;
+  List.iter Domain.join workers
+
 let create ?monitor ~jobs () =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   let pool =
@@ -320,24 +331,23 @@ let create ?monitor ~jobs () =
     }
   in
   register_slot pool 0;
-  pool.workers <-
-    List.init (jobs - 1) (fun i ->
-        Domain.spawn (fun () ->
-            let slot = i + 1 in
-            register_slot pool slot;
-            worker_loop pool slot (fresh_rng ())));
+  (* The runtime caps live domains (128 in OCaml 5.1). If a spawn fails
+     partway, stop and join the workers already started — leaked, they
+     would keep counting against the cap — before reporting. *)
+  (try
+     for slot = 1 to jobs - 1 do
+       let d =
+         Domain.spawn (fun () ->
+             register_slot pool slot;
+             worker_loop pool slot (fresh_rng ()))
+       in
+       pool.workers <- d :: pool.workers
+     done
+   with Failure msg ->
+     shutdown pool;
+     invalid_arg
+       (Printf.sprintf "Pool.create: cannot start %d domains (%s)" jobs msg));
   pool
-
-let jobs pool = pool.jobs
-
-let shutdown pool =
-  Mutex.lock pool.lock;
-  let workers = pool.workers in
-  pool.live <- false;
-  pool.workers <- [];
-  Condition.broadcast pool.wake;
-  Mutex.unlock pool.lock;
-  List.iter Domain.join workers
 
 (* ------------------------------------------------------------------ *)
 (* parallel_map, reimplemented on spawn/await.                         *)

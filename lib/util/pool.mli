@@ -59,7 +59,11 @@ type monitor = {
 val create : ?monitor:monitor -> jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs >= 1]; the
     creating domain owns slot 0 and participates when it awaits).
-    [monitor] installs a per-pool monitor from the start. *)
+    [monitor] installs a per-pool monitor from the start. Raises
+    [Invalid_argument] when [jobs < 1], or when the runtime cannot start
+    [jobs - 1] more domains (OCaml caps the number of live domains); in
+    that case the workers already started are stopped and joined first,
+    so a failed [create] holds no domains. *)
 
 val jobs : t -> int
 (** Parallelism of the pool (including the creating domain). *)

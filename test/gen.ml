@@ -329,6 +329,71 @@ let gen_late_trace =
      trace)
 
 (* ------------------------------------------------------------------ *)
+(* Lock-heavy trace generator (single-pass vs two-pass agreement).     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every lock is acquired and released by every thread, over and over, so
+   nearly every event is a synchronization edge and every lock becomes
+   shared — each such fact may reclassify transactions the single-pass
+   engine already committed. Accesses under the locks keep the detectors
+   busy; occasional unprotected writes make variables racy; yields,
+   function activations and atomic blocks exercise the automaton. All
+   lock operations are well-paired per thread, so the trace stays
+   feasible. *)
+let gen_lock_heavy_trace =
+  let open Gen in
+  let* rounds = int_range 5 25 in
+  let* seed = int_bound 1_000_000 in
+  return
+    (let rng = Coop_util.Rng.create seed in
+     let trace = Trace.create () in
+     let loc () = Loc.make ~func:0 ~pc:(Coop_util.Rng.int rng 40) ~line:1 in
+     let emit tid op = Trace.add trace (Event.make ~tid ~op ~loc:(loc ())) in
+     let n_threads = 4 in
+     let locks = [| 0; 1; 2 |] in
+     let vars = [| Event.Global 0; Event.Global 1; Event.Cell (0, 0) |] in
+     for t = 1 to n_threads - 1 do
+       emit 0 (Event.Fork t)
+     done;
+     let tids = Array.init n_threads Fun.id in
+     for _ = 1 to rounds do
+       (* Each round every thread walks the whole lock array, in a
+          freshly shuffled thread order. *)
+       let order = Array.copy tids in
+       for i = n_threads - 1 downto 1 do
+         let j = Coop_util.Rng.int rng (i + 1) in
+         let tmp = order.(i) in
+         order.(i) <- order.(j);
+         order.(j) <- tmp
+       done;
+       Array.iter
+         (fun t ->
+           let entered = Coop_util.Rng.int rng 3 = 0 in
+           if entered then emit t (Event.Enter (t mod 2));
+           let atomic = Coop_util.Rng.int rng 4 = 0 in
+           if atomic then emit t Event.Atomic_begin;
+           Array.iter
+             (fun l ->
+               emit t (Event.Acquire l);
+               if Coop_util.Rng.int rng 2 = 0 then
+                 emit t (Event.Write (Coop_util.Rng.pick rng vars))
+               else emit t (Event.Read (Coop_util.Rng.pick rng vars));
+               emit t (Event.Release l))
+             locks;
+           if atomic then emit t Event.Atomic_end;
+           (* Unprotected access: races, hence late racy facts. *)
+           if Coop_util.Rng.int rng 3 = 0 then
+             emit t (Event.Write (Coop_util.Rng.pick rng vars));
+           if entered then emit t (Event.Exit (t mod 2));
+           if Coop_util.Rng.int rng 2 = 0 then emit t Event.Yield)
+         order
+     done;
+     for t = 1 to n_threads - 1 do
+       emit 0 (Event.Join t)
+     done;
+     trace)
+
+(* ------------------------------------------------------------------ *)
 (* Well-formed concurrent program generator (whole-stack properties).  *)
 (* ------------------------------------------------------------------ *)
 

@@ -255,7 +255,7 @@ let test_autodetect_sources () =
   Sys.remove bin;
   Sys.remove empty
 
-(* --- cross-format, cross-shard verdict agreement ----------------------- *)
+(* --- cross-format verdict agreement ------------------------------------ *)
 
 let violation_sig (v : Coop_core.Automaton.violation) =
   Format.asprintf "%d|%a|%a" v.Coop_core.Automaton.tid Loc.pp
@@ -269,32 +269,30 @@ let race_sig (r : Coop_race.Report.t) =
     | Some w -> Coop_util.Json.to_string (Coop_provenance.Witness.to_json w)
     | None -> "-")
 
-let pipeline_sig ~shards source =
-  let r = Coop_pipeline.run ~shards ~witness:true source in
+let pipeline_sig source =
+  let r = Coop_pipeline.run ~witness:true source in
   String.concat "\n"
     ((Printf.sprintf "events %d" r.Coop_pipeline.events
      :: List.map race_sig r.Coop_pipeline.races)
     @ List.map violation_sig r.Coop_pipeline.violations)
 
-let test_formats_and_shards_agree () =
+(* The same recording analysed in memory, from a text file and from a
+   binary file gives one verdict, witnesses included. *)
+let test_formats_agree () =
   let prog = Compile.source (Coop_workloads.Micro.racy_counter ~threads:3 ~incs:4) in
   let _, trace = Runner.record ~sched:(Sched.random ~seed:5 ()) prog in
   let txt = Filename.temp_file "coop" ".tr" in
   let bin = Filename.temp_file "coop" ".ctr" in
   Serialize.save txt trace;
   Serialize.save ~format:Serialize.Binary bin trace;
-  let reference = pipeline_sig ~shards:1 (Source.of_trace trace) in
+  let reference = pipeline_sig (Source.of_trace trace) in
   List.iter
-    (fun shards ->
-      List.iter
-        (fun path ->
-          Alcotest.(check string)
-            (Printf.sprintf "verdict %s shards=%d" (Filename.extension path)
-               shards)
-            reference
-            (pipeline_sig ~shards (Source.of_file path)))
-        [ txt; bin ])
-    [ 1; 2; 4 ];
+    (fun path ->
+      Alcotest.(check string)
+        (Printf.sprintf "verdict %s" (Filename.extension path))
+        reference
+        (pipeline_sig (Source.of_file path)))
+    [ txt; bin ];
   Sys.remove txt;
   Sys.remove bin
 
@@ -318,8 +316,7 @@ let suite =
     Alcotest.test_case "text errors carry line numbers" `Quick
       test_text_errors_carry_line;
     Alcotest.test_case "source auto-detection" `Quick test_autodetect_sources;
-    Alcotest.test_case "formats and shards agree" `Quick
-      test_formats_and_shards_agree;
+    Alcotest.test_case "formats agree" `Quick test_formats_agree;
     prop_roundtrip;
     prop_cross_format;
   ]

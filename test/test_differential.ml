@@ -8,6 +8,7 @@
    warnings, races and racy sets, in the same order — on every input. This
    suite pins that equivalence on random feasible traces, on traces built
    to deliver facts late (single-threaded prefix, racing epilogue), on
+   lock-heavy traces where every lock is shared by every thread, on
    fork/join-heavy generated programs re-executed as streams, and through
    the inference fixpoint at pool sizes 1, 2 and 4. It also pins the
    operational payoffs: one VM execution per portfolio schedule (the
@@ -19,6 +20,7 @@ let gen_trace = Gen.gen_trace
 let gen_late_trace = Gen.gen_late_trace
 let print_trace = Gen.print_trace
 let gen_late_program = Gen.gen_late_program
+let gen_lock_heavy_trace = Gen.gen_lock_heavy_trace
 
 open QCheck2
 open Coop_util
@@ -85,9 +87,29 @@ let atomizer_on_late_traces =
   prop gen_late_trace "atomizer: fused = three-stream on late-knowledge traces"
     80 atomizer_agrees
 
+let pipeline_on_traces =
+  prop gen_trace "full pipeline: single-pass = two-pass on feasible traces" 50
+    (fun trace -> pipeline_agrees (fun () -> Source.of_trace trace))
+
 let pipeline_on_late_traces =
   prop gen_late_trace
     "full pipeline: single-pass = two-pass on late-knowledge traces" 50
+    (fun trace -> pipeline_agrees (fun () -> Source.of_trace trace))
+
+(* Every lock shared by every thread: shared-lock facts arrive on nearly
+   every event, and each may reclassify an open transaction. *)
+let coop_on_lock_heavy_traces =
+  prop gen_lock_heavy_trace
+    "cooperability: single-pass = two-pass on lock-heavy traces" 40
+    coop_agrees
+
+let atomizer_on_lock_heavy_traces =
+  prop gen_lock_heavy_trace
+    "atomizer: fused = three-stream on lock-heavy traces" 30 atomizer_agrees
+
+let pipeline_on_lock_heavy_traces =
+  prop gen_lock_heavy_trace
+    "full pipeline: single-pass = two-pass on lock-heavy traces" 20
     (fun trace -> pipeline_agrees (fun () -> Source.of_trace trace))
 
 (* The online sink is the same engine again, attached to a live stream. *)
@@ -239,7 +261,11 @@ let suite =
     coop_on_late_traces;
     atomizer_on_traces;
     atomizer_on_late_traces;
+    pipeline_on_traces;
     pipeline_on_late_traces;
+    coop_on_lock_heavy_traces;
+    atomizer_on_lock_heavy_traces;
+    pipeline_on_lock_heavy_traces;
     online_sink_agrees;
     pipeline_on_late_programs;
     Alcotest.test_case "infer: identical across jobs and modes" `Slow

@@ -13,6 +13,7 @@ let () =
       ("trace", Test_trace.suite);
       ("trace.serialize", Test_serialize.suite);
       ("trace.codec", Test_codec.suite);
+      ("trace.interner", Test_interner.suite);
       ("race.vclock", Test_vclock.suite);
       ("race.detectors", Test_race.suite);
       ("race.lockset", Test_lockset.suite);
@@ -37,7 +38,6 @@ let () =
       ("atomicity", Test_atomicity.suite);
       ("pipeline", Test_pipeline.suite);
       ("differential", Test_differential.suite);
-      ("sharded", Test_sharded.suite);
       ("witness", Test_witness.suite);
       ("static", Test_static.suite);
       ("workloads", Test_workloads.suite);

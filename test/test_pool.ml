@@ -2,7 +2,8 @@
    preservation at several pool sizes, exception propagation through both
    parallel_map and spawn/await, nested submission on one pool (the
    helping invariant), skewed fork-join spawn trees, per-pool monitors,
-   jobs-argument parsing, and a queue-contention stress run. *)
+   jobs-argument parsing, a queue-contention stress run, and cleanup
+   after a pool too large for the runtime's domain cap. *)
 
 open Coop_util
 
@@ -176,6 +177,20 @@ let test_default_jobs_override () =
   Pool.set_default_jobs 1;
   Alcotest.(check int) "shrinks back" 1 (Pool.jobs (Pool.shared ()))
 
+(* OCaml caps live domains, so a pool this large cannot start. The
+   failure must be a documented [Invalid_argument], and the workers
+   spawned before it must be joined: leaked, they would hold domain
+   slots and make the next, modest pool fail too. *)
+let test_oversized_pool_releases_domains () =
+  (match Pool.create ~jobs:10_000 () with
+  | p ->
+      Pool.shutdown p;
+      Alcotest.fail "a 10_000-domain pool started"
+  | exception Invalid_argument _ -> ());
+  with_pool 4 (fun p ->
+      Alcotest.(check (list int)) "a 4-job pool starts afterwards" [ 2; 4; 6 ]
+        (Pool.parallel_map p (fun x -> 2 * x) [ 1; 2; 3 ]))
+
 let suite =
   [
     Alcotest.test_case "parallel_map preserves order" `Quick
@@ -198,4 +213,6 @@ let suite =
       test_parse_jobs;
     Alcotest.test_case "set_default_jobs resizes the shared pool" `Quick
       test_default_jobs_override;
+    Alcotest.test_case "oversized pool fails cleanly" `Quick
+      test_oversized_pool_releases_domains;
   ]

@@ -6,10 +6,10 @@
    positions hold the claimed accesses and the vector-clock oracle
    confirms them unordered ([Coop_race.Witness_check]); Eraser witnesses
    carry genuinely disjoint lock sets. (2) Identity: witnesses and
-   commit causes are byte-identical across the sharded engine at
-   K ∈ {1, 2, 4}, the single-pass engine and the two-pass oracle — the
-   structural equalities below include the witness and cause fields, so
-   a drift in any mode's seq numbering or commit tracking fails here.
+   commit causes are byte-identical between the single-pass engine and
+   the two-pass oracle — the structural equalities below include the
+   witness and cause fields, so a drift in either mode's seq numbering
+   or commit tracking fails here.
    (3) Determinism: inferred-yield witnesses do not depend on the pool
    size fanning the schedule portfolio out. Plus units for the CLI's
    --witness mode parser and the default (witness-off) hot path. *)
@@ -82,29 +82,22 @@ let coop_result_equal (a : Cooperability.result) (b : Cooperability.result) =
   && a.Cooperability.events = b.Cooperability.events
 
 (* Report.t and Automaton.violation embed the witness and cause, so the
-   structural comparisons above pin them too; the explicit [~shards:1]
-   keeps the oracle meaningful under a COOP_SHARDS override. *)
+   structural comparison above pins them too. *)
 let witnesses_identical trace =
-  let run k =
-    Cooperability.check_source ~shards:k ~witness:true
-      (Source.of_trace trace)
+  let run two_pass =
+    Cooperability.check_source ~two_pass ~witness:true (Source.of_trace trace)
   in
-  let reference = run 1 in
-  List.for_all (fun k -> coop_result_equal reference (run k)) [ 2; 4 ]
-  && coop_result_equal reference
-       (Cooperability.check_source ~two_pass:true ~witness:true
-          (Source.of_trace trace))
+  coop_result_equal (run false) (run true)
 
 let identity_on_traces =
   prop gen_trace
-    "witnesses: sharded(1/2/4) = single-pass = two-pass (random traces)" 30
+    "witnesses: single-pass = two-pass (random traces)" 30
     witnesses_identical
 
 let identity_on_late_traces =
   prop gen_late_trace
-    "witnesses: sharded(1/2/4) = single-pass = two-pass (late-knowledge \
-     traces)"
-    30 witnesses_identical
+    "witnesses: single-pass = two-pass (late-knowledge traces)" 30
+    witnesses_identical
 
 (* Post implies a commit happened, so every violation must name its
    commit cause — in every mode (the identity props above then pin the
@@ -120,11 +113,8 @@ let causes_on_late_traces =
     violations_carry_causes
 
 let atomizer_causes_identical trace =
-  let reference = Coop_atomicity.Atomizer.check ~shards:1 trace in
+  let reference = Coop_atomicity.Atomizer.check trace in
   Coop_atomicity.Atomizer.check_two_pass trace = reference
-  && List.for_all
-       (fun k -> Coop_atomicity.Atomizer.check ~shards:k trace = reference)
-       [ 2; 4 ]
   && List.for_all
        (fun (w : Coop_atomicity.Atomizer.warning) ->
          w.Coop_atomicity.Atomizer.cause <> None)
@@ -132,9 +122,8 @@ let atomizer_causes_identical trace =
 
 let atomizer_on_late_traces =
   prop gen_late_trace
-    "atomizer causes: sharded(1/2/4) = single-pass = two-pass, always \
-     present"
-    20 atomizer_causes_identical
+    "atomizer causes: single-pass = two-pass, always present" 20
+    atomizer_causes_identical
 
 (* --- A race with known evidence --------------------------------------- *)
 
