@@ -361,7 +361,8 @@ let profile_json measured =
                             [ ("checker", Json.String r.Coop_obs.checker);
                               ("s", Json.Float r.Coop_obs.seconds);
                               ("share", Json.Float r.Coop_obs.share);
-                              ("events", Json.Int r.Coop_obs.events) ])
+                              ("events", Json.Int r.Coop_obs.events);
+                              ("words", Json.Float r.Coop_obs.words) ])
                         rows)) ])
             measured)) ]
 
@@ -1095,17 +1096,40 @@ let vclock () =
 (* ---------------------------------------------------------------------- *)
 
 (* Budget for the full single-pass pipeline, in minor words per event on
-   the montecarlo workload (seed 5, size 40 — long enough that per-event
-   steady state dominates per-run setup). The figure covers VM execution
-   plus every checker. Recorded after the run loop stopped allocating per
-   step (measured: ~42.6 words/event, deterministic for this seed, down
-   from ~127 with a scheduler context record per step and ~1,800 with
-   the persistent VM); the bound carries ~2x headroom so GC noise never
-   trips it, while a run loop that allocates a context record per step
-   again (~6.6 words per step, ~13 steps per event) fails it. *)
-let alloc_budget_minor_words_per_event = 85.
+   the montecarlo workload (seed 5, size 40, atomizer on — long enough
+   that per-event steady state dominates per-run setup). The figure
+   covers VM execution plus every checker. Measured 12.6 words/event
+   (deterministic for this seed) once the online engine kept flat
+   per-thread logs and stopped allocating per nested activation, down
+   from 42.6 before that, ~127 with a scheduler context record per step
+   and ~1,800 with the persistent VM. The bound carries ~2x headroom so
+   GC noise never trips it. *)
+let alloc_budget_minor_words_per_event = 26.
+
+(* The same pipeline over an in-memory recording of crypt at 160 (random
+   scheduler, seed 1): no VM, so the figure is the analysis stack alone,
+   and crypt registers a fresh variable with the online engine on almost
+   every event — load the montecarlo run above barely puts on it.
+   Measured 10.9 words/event with flat per-thread logs and fact chains
+   (23.7 with per-transaction digest arrays and hash tables); the bound
+   is ~2x. *)
+let alloc_budget_replay_words_per_event = 22.
 
 let alloc_smoke () =
+  let check what events minor_w majors budget =
+    let per_event = minor_w /. float_of_int (max 1 events) in
+    Printf.printf
+      "alloc-smoke: %s %d events, %.1f minor words/event (budget %.1f), \
+       %d major collections\n"
+      what events per_event budget majors;
+    if per_event > budget then begin
+      Printf.eprintf
+        "alloc-smoke: FAIL — %s: %.1f minor words/event exceeds the %.1f \
+         budget\n"
+        what per_event budget;
+      exit 1
+    end
+  in
   let e = Option.get (Registry.find "montecarlo") in
   let prog = Registry.program_of ~size:40 e in
   let source =
@@ -1116,17 +1140,16 @@ let alloc_smoke () =
   let r, minor_w, majors =
     alloc_sample (fun () -> Coop_pipeline.run ~atomize:true source)
   in
-  let per_event = minor_w /. float_of_int (max 1 r.Coop_pipeline.events) in
-  Printf.printf
-    "alloc-smoke: montecarlo %d events, %.1f minor words/event (budget %.1f), \
-     %d major collections\n"
-    r.Coop_pipeline.events per_event alloc_budget_minor_words_per_event majors;
-  if per_event > alloc_budget_minor_words_per_event then begin
-    Printf.eprintf
-      "alloc-smoke: FAIL — %.1f minor words/event exceeds the %.1f budget\n"
-      per_event alloc_budget_minor_words_per_event;
-    exit 1
-  end;
+  check "montecarlo" r.Coop_pipeline.events minor_w majors
+    alloc_budget_minor_words_per_event;
+  let crypt = Registry.program_of ~size:160 (Option.get (Registry.find "crypt")) in
+  let _, tr = Runner.record ~sched:(Sched.random ~seed:1 ()) crypt in
+  ignore (Coop_pipeline.run (Coop_trace.Source.of_trace tr));
+  let r, minor_w, majors =
+    alloc_sample (fun () -> Coop_pipeline.run (Coop_trace.Source.of_trace tr))
+  in
+  check "crypt replay" r.Coop_pipeline.events minor_w majors
+    alloc_budget_replay_words_per_event;
   print_endline "alloc-smoke: ok"
 
 (* ---------------------------------------------------------------------- *)
@@ -1789,6 +1812,11 @@ let json_verify path =
               (match Json.member "checker" c with
               | Some (Json.String _) -> ()
               | _ -> fail (Printf.sprintf "%s: checker without a name" name));
+              (* Minor words allocated inside the checker's steps: a
+                 count, so finite and non-negative. *)
+              (match Option.bind (Json.member "words" c) Json.to_float with
+              | Some w when w >= 0. && Float.is_finite w -> ()
+              | _ -> fail (Printf.sprintf "%s: checker without valid words" name));
               match Option.bind (Json.member "share" c) Json.to_float with
               | Some s when s >= 0. && s <= 1.0001 -> acc +. s
               | _ ->
@@ -1812,6 +1840,16 @@ let json_verify path =
         | Some (Json.Obj _) -> ()
         | _ -> fail (Printf.sprintf "missing %S object" field))
       [ "counters"; "gauges"; "timers"; "histograms" ];
+    (* Every timer carries the minor words allocated inside it. *)
+    (match Json.member "timers" json with
+    | Some (Json.Obj timers) ->
+        List.iter
+          (fun (name, t) ->
+            match Option.bind (Json.member "words" t) Json.to_float with
+            | Some w when w >= 0. && Float.is_finite w -> ()
+            | _ -> fail (Printf.sprintf "timer %S without valid words" name))
+          timers
+    | _ -> ());
     let spans =
       match Json.member "spans" json with
       | Some (Json.List ss) -> ss

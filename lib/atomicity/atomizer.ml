@@ -147,17 +147,17 @@ let online_analysis ?mark ~interner ~subscribe () =
   let violated = ref 0 in
   let engine =
     Online.create ?mark ~interner
-      ~on_retire:(fun txn ->
-        match Online.violations txn with
+      ~on_retire:(fun ~uid txn vs ->
+        match List.rev vs with
         | [] -> ()
         | v :: _ ->
             incr violated;
             acc :=
               ( v.Online.vseq,
-                Online.txn_uid txn,
-                { tid = v.Online.vtid; txn = Online.data txn;
-                  loc = v.Online.vloc; op = v.Online.vop;
-                  mover = v.Online.vmover; cause = v.Online.vcause } )
+                uid,
+                { tid = v.Online.vtid; txn; loc = v.Online.vloc;
+                  op = v.Online.vop; mover = v.Online.vmover;
+                  cause = v.Online.vcause } )
               :: !acc)
       ()
   in
@@ -184,6 +184,12 @@ let online_analysis ?mark ~interner ~subscribe () =
         !stacks.(tid) <- rest
     | [] -> ()
   in
+  let rec feed seq e = function
+    | [] -> ()
+    | t :: rest ->
+        Online.step engine t ~seq e;
+        feed seq e rest
+  in
   let seq = ref 0 in
   let step (e : Event.t) =
     incr seq;
@@ -194,9 +200,7 @@ let online_analysis ?mark ~interner ~subscribe () =
     | Event.Atomic_begin -> push tid e.tid (Block e.loc)
     | Event.Atomic_end -> pop tid
     | Event.Yield -> ()  (* not a transaction boundary for atomicity *)
-    | _ ->
-        if tid < Array.length !stacks then
-          List.iter (fun t -> Online.step engine t ~seq:!seq e) !stacks.(tid)
+    | _ -> if tid < Array.length !stacks then feed !seq e !stacks.(tid)
   in
   let finalize () =
     Array.iter (List.iter (Online.close engine)) !stacks;

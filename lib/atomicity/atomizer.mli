@@ -56,7 +56,7 @@ val check_two_pass : Trace.t -> result
 (** [check ~two_pass:true], named for differential tests. *)
 
 val online_analysis :
-  ?mark:float ref ->
+  ?mark:Coop_trace.Analysis.mark ->
   interner:Interner.t ->
   subscribe:Coop_core.Online.subscribe ->
   unit ->

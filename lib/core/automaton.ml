@@ -97,21 +97,45 @@ let analysis ?local_locks ~racy () =
     ~step:(fun e -> ignore (step ?local_locks t ~racy e))
     ~finalize:(fun () -> violations t)
 
-(* Checkpoint of the online driver: the engine (live transactions keyed
-   by uid), the retired-violation accumulator, the open-transaction slot
-   per dense tid (as uids) and the position counter. The interner rides
-   along so the whole fused stack restores consistently even when this
-   component is resumed first. *)
+(* Checkpoint of the online driver: the engine, the retired-violation
+   accumulator, the open-transaction handle per dense tid and the
+   position counter. Handles are stable across engine snapshots, so the
+   slots are saved as they are. The interner rides along so the whole
+   fused stack restores consistently even when this component is resumed
+   first. *)
 type online_snapshot = {
   os_itn : Interner.snapshot;
   os_eng : unit Online.snapshot;
   os_acc : Online.viol list;
-  os_cur : int array;  (* dense tid -> open txn uid, -1 = none *)
+  os_cur : unit Online.txn array;
   os_seq : int;
 }
 
 let online_key : online_snapshot Analysis.Key.t =
   Analysis.Key.create "automaton-online"
+
+(* Merge sort of the indices [a.(lo .. hi-1)] by distinct int [key]s.
+   Violations arrive grouped by transaction; sorting positions with
+   inline comparisons is several times cheaper than a generic sort. *)
+let rec sort_by (key : int array) (a : int array) tmp lo hi =
+  if hi - lo > 1 then begin
+    let mid = (lo + hi) / 2 in
+    sort_by key a tmp lo mid;
+    sort_by key a tmp mid hi;
+    Array.blit a lo tmp lo (hi - lo);
+    let i = ref lo and j = ref mid in
+    for k = lo to hi - 1 do
+      let left = !j >= hi || (!i < mid && key.(tmp.(!i)) < key.(tmp.(!j))) in
+      a.(k) <- tmp.(if left then !i else !j);
+      if left then incr i else incr j
+    done
+  end
+
+(* A static filler: a large array made with a young initial value would
+   force a minor collection. *)
+let no_viol =
+  { Online.vseq = 0; vtid = 0; vloc = Loc.none; vop = Event.Yield;
+    vmover = Mover.Both; vcause = None }
 
 (* Single-pass variant: each thread's yield-to-yield segment becomes one
    engine transaction, classified optimistically and repaired when facts
@@ -121,79 +145,59 @@ let online_analysis ?mark ~interner ~subscribe () =
   let acc : Online.viol list ref = ref [] in
   let engine =
     Online.create ?mark ~interner
-      ~on_retire:(fun txn -> acc := List.rev_append (Online.violations txn) !acc)
+      ~on_retire:(fun ~uid:_ () vs -> acc := List.rev_append vs !acc)
       ()
   in
   subscribe (Online.on_fact engine);
-  (* dense tid -> open transaction; None between a yield and the next op *)
-  let current : unit Online.txn option array ref = ref (Array.make 8 None) in
-  let slot tid =
-    if tid >= Array.length !current then begin
-      let bigger = Array.make (max (tid + 1) (2 * Array.length !current)) None in
-      Array.blit !current 0 bigger 0 (Array.length !current);
-      current := bigger
-    end;
-    !current.(tid)
-  in
+  (* dense tid -> open transaction; none between a yield and the next op *)
+  let current = ref (Array.make 8 Online.none) in
   let seq = ref 0 in
   let step (e : Event.t) =
     incr seq;
     let tid = Interner.cur_tid interner in
+    if tid >= Array.length !current then
+      current := Array.append !current (Array.make (tid + 1) Online.none);
+    let txn = !current.(tid) in
     match e.op with
-    | Event.Yield -> (
-        match slot tid with
-        | Some txn ->
-            Online.close engine txn;
-            !current.(tid) <- None
-        | None -> ())
+    | Event.Yield ->
+        if not (Online.is_none txn) then begin
+          Online.close engine txn;
+          !current.(tid) <- Online.none
+        end
     | _ ->
-        let txn =
-          match slot tid with
-          | Some txn -> txn
-          | None ->
-              let txn = Online.open_txn engine ~tid:e.tid ~data:() in
-              !current.(tid) <- Some txn;
-              txn
-        in
-        Online.step engine txn ~seq:!seq e
+        if Online.is_none txn then
+          !current.(tid) <- Online.open_txn engine ~tid:e.tid ~data:();
+        Online.step engine !current.(tid) ~seq:!seq e
   in
   let finalize () =
     Array.iter
-      (function Some txn -> Online.close engine txn | None -> ())
+      (fun txn -> if not (Online.is_none txn) then Online.close engine txn)
       !current;
     current := [||];
     Online.finalize engine;
-    List.sort
-      (fun (a : Online.viol) (b : Online.viol) -> compare a.vseq b.vseq)
-      !acc
-    |> List.map (fun (v : Online.viol) ->
-           { tid = v.vtid; loc = v.vloc; op = v.vop; mover = v.vmover;
-             cause = v.vcause })
+    let n = List.length !acc in
+    let vs = Array.make n no_viol and seqs = Array.make n 0 in
+    List.iteri (fun i (v : Online.viol) -> vs.(i) <- v; seqs.(i) <- v.vseq) !acc;
+    let order = Array.init n Fun.id in
+    sort_by seqs order (Array.make n 0) 0 n;
+    Array.fold_right
+      (fun i l ->
+        let v = vs.(i) in
+        { tid = v.Online.vtid; loc = v.vloc; op = v.vop; mover = v.vmover;
+          cause = v.vcause }
+        :: l)
+      order []
   in
   let save () =
-    let roots =
-      Array.to_list !current |> List.filter_map (fun slot -> slot)
-    in
-    {
-      os_itn = Interner.snapshot interner;
-      os_eng = Online.snapshot ~roots engine;
-      os_acc = !acc;
-      os_cur =
-        Array.map
-          (function Some txn -> Online.txn_uid txn | None -> -1)
-          !current;
-      os_seq = !seq;
-    }
+    { os_itn = Interner.snapshot interner; os_eng = Online.snapshot engine;
+      os_acc = !acc; os_cur = Array.copy !current; os_seq = !seq }
   in
   let load s =
     Interner.restore interner s.os_itn;
-    let tbl = Online.restore engine s.os_eng in
+    Online.restore engine s.os_eng;
     acc := s.os_acc;
     seq := s.os_seq;
-    current :=
-      Array.map
-        (fun uid -> if uid < 0 then None else Hashtbl.find_opt tbl uid)
-        s.os_cur
+    current := Array.copy s.os_cur
   in
   Analysis.snapshottable ~key:online_key ~save ~load
     (Analysis.make ~step ~finalize)

@@ -67,7 +67,7 @@ val analysis :
     streaming phase. *)
 
 val online_analysis :
-  ?mark:float ref ->
+  ?mark:Analysis.mark ->
   interner:Interner.t ->
   subscribe:Online.subscribe ->
   unit ->

@@ -53,7 +53,7 @@ let check_with_racy ?local_locks ~racy trace =
    dynamic-analysis cost per inferred schedule and rules out
    non-replayable sources (pipes). *)
 let check_two_pass ?(witness = false) source =
-  let mark = ref 0. in
+  let mark = Analysis.mark () in
   let instr name a =
     Analysis.instrument ~mark ~name:("checker/" ^ name) a
   in
@@ -86,7 +86,8 @@ let check_two_pass ?(witness = false) source =
    transactions on late facts (see [Online]). One streaming pass total —
    the source is consumed exactly once, so pipes work and inference pays
    one execution per schedule. *)
-let online_chain ?(witness = false) ~mark () =
+let online_chain ?(witness = false) () =
+  let mark = Analysis.mark () in
   let instr name a =
     Analysis.instrument ~mark ~name:("checker/" ^ name) a
   in
@@ -116,11 +117,11 @@ let result_of ((), ((races, events), violations)) =
    analysis is too; replay elision leans on that to park a shared
    prefix once and resume it per schedule. *)
 let online_analysis ?witness () =
-  Analysis.map result_of (online_chain ?witness ~mark:(ref 0.) ())
+  Analysis.map result_of (online_chain ?witness ())
 
 let check_source ?(two_pass = false) ?witness source =
   if two_pass then check_two_pass ?witness source
-  else result_of (Source.run source (online_chain ?witness ~mark:(ref 0.) ()))
+  else result_of (Source.run source (online_chain ?witness ()))
 
 let check ?two_pass ?witness trace =
   check_source ?two_pass ?witness (Source.of_trace trace)
@@ -133,5 +134,5 @@ let violation_locs vs =
 let cooperable r = r.violations = []
 
 let online () =
-  let a = online_chain ~mark:(ref 0.) () in
+  let a = online_chain () in
   (Analysis.sink a, fun () -> result_of (Analysis.finalize a))

@@ -27,24 +27,30 @@ let edges_analysis () =
   let held : (int, int list) Hashtbl.t = Hashtbl.create 8 in
   let seen = ref Pair_map.empty in
   let edges = ref [] in
+  (* Lookups and removal that allocate nothing on the common paths: a
+     lock op is a large share of the events, and this runs on each. *)
+  let held_by tid = match Hashtbl.find held tid with hs -> hs | exception Not_found -> [] in
+  let rec without l = function
+    | [] -> []
+    | x :: rest -> if x = l then without l rest else x :: without l rest
+  in
+  let rec add_edges (e : Event.t) l = function
+    | [] -> ()
+    | h :: hs ->
+        if not (Pair_map.mem (h, l) !seen) then begin
+          seen := Pair_map.add (h, l) () !seen;
+          edges := { from_lock = h; to_lock = l; tid = e.tid; loc = e.loc } :: !edges
+        end;
+        add_edges e l hs
+  in
   Analysis.make
     ~step:(fun (e : Event.t) ->
       match e.op with
       | Event.Acquire l ->
-          let hs = match Hashtbl.find_opt held e.tid with Some h -> h | None -> [] in
-          List.iter
-            (fun h ->
-              if not (Pair_map.mem (h, l) !seen) then begin
-                seen := Pair_map.add (h, l) () !seen;
-                edges :=
-                  { from_lock = h; to_lock = l; tid = e.tid; loc = e.loc }
-                  :: !edges
-              end)
-            hs;
+          let hs = held_by e.tid in
+          add_edges e l hs;
           Hashtbl.replace held e.tid (l :: hs)
-      | Event.Release l ->
-          let hs = match Hashtbl.find_opt held e.tid with Some h -> h | None -> [] in
-          Hashtbl.replace held e.tid (List.filter (fun x -> x <> l) hs)
+      | Event.Release l -> Hashtbl.replace held e.tid (without l (held_by e.tid))
       | _ -> ())
     ~finalize:(fun () -> List.rev !edges)
 

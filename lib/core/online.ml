@@ -1,102 +1,23 @@
 open Coop_trace
 
 (* Facts name variables and locks by the dense ids of the run's shared
-   [Interner] — the same interner the publishing race detector and every
-   engine client must use, so ids agree across the feedback loop. *)
-type fact =
-  | Racy of int
-  | Shared of int
-
+   [Interner], so ids agree across the feedback loop. *)
+type fact = Racy of int | Shared of int
 type publish = fact -> unit
 type subscribe = (fact -> unit) -> unit
 
-(* Facts packed into one non-negative int for pending lists and the
-   fact-to-transaction index: id*2 for Racy, id*2+1 for Shared. *)
 let pack = function Racy id -> 2 * id | Shared id -> (2 * id) + 1
-
 let flow_name = function Racy _ -> "fact/racy" | Shared _ -> "fact/shared"
 
 let facts publish =
-  {
-    Coop_race.Fasttrack.on_racy_var =
-      (fun _v id ->
-        let f = Racy id in
-        Coop_obs.flow_begin (flow_name f) ~id:(pack f);
-        publish f);
-    on_shared_lock =
-      (fun _l id ->
-        let f = Shared id in
-        Coop_obs.flow_begin (flow_name f) ~id:(pack f);
-        publish f);
-  }
+  let emit f =
+    Coop_obs.flow_begin (flow_name f) ~id:(pack f);
+    publish f
+  in
+  { Coop_race.Fasttrack.on_racy_var = (fun _ id -> emit (Racy id));
+    on_shared_lock = (fun _ id -> emit (Shared id)) }
 
-(* What the engine currently believes. Facts are monotone — a variable
-   never stops being racy, a lock never becomes thread-local again — so
-   belief only grows and each classification can only be refined in one
-   direction (Both -> Non for accesses, Both -> Right/Left for lock ops).
-   Membership is one byte per dense id, grown on demand. *)
-module Knowledge = struct
-  type t = {
-    mutable racy : Bytes.t;  (* dense var id -> known racy *)
-    mutable shared : Bytes.t;  (* dense lock id -> known shared *)
-  }
-
-  let create () = { racy = Bytes.make 64 '\000'; shared = Bytes.make 16 '\000' }
-
-  let mem b id = id < Bytes.length b && Bytes.get b id = '\001'
-
-  let grown b n =
-    let bigger = Bytes.make (max n (2 * Bytes.length b)) '\000' in
-    Bytes.blit b 0 bigger 0 (Bytes.length b);
-    bigger
-
-  let learn k = function
-    | Racy id ->
-        if mem k.racy id then false
-        else begin
-          if id >= Bytes.length k.racy then k.racy <- grown k.racy (id + 1);
-          Bytes.set k.racy id '\001';
-          true
-        end
-    | Shared id ->
-        if mem k.shared id then false
-        else begin
-          if id >= Bytes.length k.shared then
-            k.shared <- grown k.shared (id + 1);
-          Bytes.set k.shared id '\001';
-          true
-        end
-
-  let racy k id = mem k.racy id
-  let shared k id = mem k.shared id
-
-  (* The mover of [op] (whose interned operand is [id]) under current
-     belief — [Mover.classify_pred] with the predicates inlined as byte
-     probes. [None] for ops the phase machine never looks at. *)
-  let classify k (op : Event.op) id =
-    match op with
-    | Event.Read _ | Event.Write _ ->
-        Some (if racy k id then Mover.Non else Mover.Both)
-    | Event.Acquire _ -> Some (if shared k id then Mover.Right else Mover.Both)
-    | Event.Release _ -> Some (if shared k id then Mover.Left else Mover.Both)
-    | Event.Fork _ -> Some Mover.Right
-    | Event.Join _ -> Some Mover.Left
-    | Event.Out _ -> Some Mover.Both
-    | Event.Yield | Event.Enter _ | Event.Exit _ | Event.Atomic_begin
-    | Event.Atomic_end ->
-        None
-end
-
-type phase =
-  | Pre
-  | Post
-
-type cause = {
-  cseq : int;
-  cloc : Loc.t;
-  cop : Event.op;
-  cmover : Mover.t;
-}
+type cause = { cseq : int; cloc : Loc.t; cop : Event.op; cmover : Mover.t }
 
 type viol = {
   vseq : int;
@@ -107,350 +28,493 @@ type viol = {
   vcause : cause option;
 }
 
-(* The digest keeps only what a replay needs: global position, location,
-   operation and interned operand of every phase-relevant op, as parallel
-   arrays (no per-entry tuple). [Out] is omitted — it is a both mover
-   under any knowledge, so it can never change the machine. *)
-type 'a txn = {
-  uid : int;
-  tid : int;
-  data : 'a;
-  mutable seqs : int array;
-  mutable locs : Loc.t array;
-  mutable ops : Event.op array;
-  mutable ids : int array;  (* interned operand per digest slot *)
-  mutable len : int;
-  mutable phase : phase;
-  (* The commit point of the current Post phase — the (N|L) op that moved
-     the machine out of Pre. Unpacked mutable fields (cm_seq = 0 means
-     "none") so cause tracking allocates nothing unless a violation
-     actually fires. *)
-  mutable cm_seq : int;
-  mutable cm_loc : Loc.t;
-  mutable cm_op : Event.op;
-  mutable cm_mover : Mover.t;
-  mutable viols : viol list;  (* reversed *)
-  (* Packed facts this txn's classification optimistically assumed away.
-     A transaction can touch thousands of distinct operands (matrix
-     sweeps between yields), so membership must be O(1) — a list scan
-     here turns registration quadratic in the transaction's footprint. *)
-  pending : (int, unit) Hashtbl.t;
-  mutable closed : bool;
-  mutable retired : bool;
+(* A log entry's code is [operand id lsl 3 lor kind]. Accesses are kinds
+   0-1 and lock ops 2-3, so [kind lsr 1] picks the fact an entry depends
+   on. [Out] is never logged: a both mover under any knowledge. *)
+let kind_of_op : Event.op -> int = function
+  | Event.Read _ -> 0
+  | Event.Write _ -> 1
+  | Event.Acquire _ -> 2
+  | Event.Release _ -> 3
+  | Event.Fork _ -> 4
+  | Event.Join _ -> 5
+  | Event.Yield | Event.Enter _ | Event.Exit _ | Event.Atomic_begin
+  | Event.Atomic_end | Event.Out _ -> -1
+
+(* Movers as two bits: bit 0 = not a left mover, bit 1 = not a right
+   mover. The machine commits on bit 1 (N|L) and, once committed,
+   violates on bit 0 (R|N). *)
+let m_both = 0
+let m_right = 1
+let m_left = 2
+let m_non = 3
+let to_mover = function 0 -> Mover.Both | 1 -> Mover.Right | 2 -> Mover.Left | _ -> Mover.Non
+
+(* The mover of a kind once its fact holds, and of fork/join. A commit
+   point is always settled: N and L arise only from facts or a join. *)
+let settled kind = match kind with 0 | 1 -> m_non | 2 | 4 -> m_right | _ -> m_left
+
+(* The kinds that can ever commit (N|L) and that can ever violate (R|N),
+   under any future knowledge, as bit sets. *)
+let can_commit = 0b101011
+let can_violate = 0b010111
+
+let grown a n fill =
+  let bigger = Array.make (max n (2 * Array.length a)) fill in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
+(* Uninitialised growth: pages a log or chain never reaches stay
+   untouched. *)
+let grown_bytes b used n =
+  let bigger = Bytes.create (max n (2 * Bytes.length b)) in
+  Bytes.blit b 0 bigger 0 used;
+  bigger
+
+(* Log entries are LEB128 varints, signed fields zigzagged. *)
+let zz v = (v lsl 1) lxor (v asr 62)
+let unzz z = (z lsr 1) lxor -(z land 1)
+
+let rec put_long b p v =
+  if v land lnot 0x7f = 0 then (Bytes.unsafe_set b p (Char.unsafe_chr v); p + 1)
+  else begin
+    Bytes.unsafe_set b p (Char.unsafe_chr (v land 0x7f lor 0x80));
+    put_long b (p + 1) (v lsr 7)
+  end
+
+(* The one-byte case, small enough to inline. *)
+let put b p v =
+  if v land lnot 0x7f = 0 then (Bytes.unsafe_set b p (Char.unsafe_chr v); p + 1)
+  else put_long b p v
+
+(* A location packs into 62 bits when its fields fit 20/21/21 bits, as
+   every VM location does; any other is [odd_loc] then three varints. *)
+let odd_loc = -1
+
+let pack_loc (l : Loc.t) =
+  if l.func lor l.pc lor l.line >= 0 && l.func < 1 lsl 20 && l.pc < 1 lsl 21
+     && l.line < 1 lsl 21
+  then (l.func lsl 42) lor (l.pc lsl 21) lor l.line
+  else odd_loc
+
+let max_entry = 53 (* two varints, the location, three more varints *)
+
+(* One thread's log, per phase-relevant op: the position as a varint
+   delta from the previous entry, the code as a varint, the packed
+   location in 8 bytes. *)
+type tlog = {
+  mutable buf : Bytes.t;
+  mutable len : int;  (* bytes *)
+  mutable last : int;  (* position of the last entry logged *)
+  mutable open_n : int; mutable parked_n : int;
+  mutable parked_hi : int;  (* no parked slice reaches past this byte *)
 }
+
+let st_open = 0
+let st_parked = 1
+let st_free = 2
+
+(* A transaction: its byte slice of the log and the position its first
+   delta counts from, the phase machine with its commit point (cm_seq = 0
+   = none) and the cause built for it, and the number of chain entries
+   naming it. Records are reused with their handles; a free record has
+   uid -1 and its [stop] links the free list. *)
+type rcd = {
+  mutable uid : int;
+  mutable tid : int;  (* original id, reported in violations *)
+  mutable dtid : int;  (* dense id: whose log *)
+  mutable start : int; mutable stop : int; mutable base : int;
+  mutable state : int;
+  mutable post : bool;
+  mutable cm_seq : int; mutable cm_code : int;
+  mutable cm_func : int; mutable cm_pc : int; mutable cm_line : int;
+  mutable cause_seq : int;  (* the commit [cause] was built for *)
+  mutable cause : cause option;
+  mutable shape : int;
+      (* 0: no op able to commit yet; 1: one seen; 2: an op able to
+         violate followed it. Below 2 no knowledge yields a violation. *)
+  mutable pend : int;
+  mutable rstamp : int;  (* fact walk that last replayed it *)
+  mutable viols : viol list;  (* newest first *)
+}
+
+let new_rcd () =
+  { uid = -1; tid = 0; dtid = 0; start = 0; stop = -1; base = 0;
+    state = st_free; post = false; cm_seq = 0; cm_code = 0; cm_func = 0;
+    cm_pc = 0; cm_line = 0; cause_seq = 0; cause = None; shape = 0;
+    pend = 0; rstamp = -1; viols = [] }
+
+let filler = new_rcd () (* table slots past [n_handles]; never used *)
+
+(* Everything a snapshot copies. [vfacts]/[lfacts] hold two ints per
+   variable/lock id: the stamp (uid of the last registrant, -1 none,
+   [known] once the fact holds) and the head of the fact's chain. [chain]
+   holds 16 bytes per entry: handle and next (32 bits each), then the
+   registrant's uid — a mismatch marks the entry stale. *)
+type 'a state = {
+  mutable vfacts : int array; mutable lfacts : int array;
+  mutable chain : Bytes.t;
+  mutable ch_hi : int;  (* entries [0, ch_hi) have been handed out *)
+  mutable ch_free : int;  (* free entries, linked through next *)
+  mutable stale : int;  (* entries naming retired transactions *)
+  mutable rcds : rcd array;
+  mutable datas : 'a array;  (* a free slot keeps its last payload *)
+  mutable n_handles : int; mutable free_h : int;
+  mutable logs : tlog array;  (* by dense tid *)
+  mutable next_uid : int;
+  mutable walk : int;
+  mutable rd : int;  (* replay's read cursor *)
+}
+
+let known = -2
+
+(* Native-endian fields of the chain. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let entry_txn c e = Int32.to_int (get32 c (16 * e))
+let entry_next c e = Int32.to_int (get32 c ((16 * e) + 4))
+let set_next c e n = set32 c ((16 * e) + 4) (Int32.of_int n)
+let entry_uid c e = Int64.to_int (get64 c ((16 * e) + 8))
+
+type 'a txn = int
 
 type 'a t = {
   itn : Interner.t;
-  knowledge : Knowledge.t;
-  (* packed fact -> transactions that optimistically assumed its negation *)
-  mutable index : 'a txn list array;
-  (* packed fact -> uid of the last txn that registered it: a cache in
-     front of the per-txn pending table. Uids are never reused, so a
-     stamp hit is authoritative; on a miss the table decides. Loops and
-     repeated sweeps re-touch the same operands, so the hot path is one
-     array probe instead of a hash lookup. *)
-  mutable reg_stamp : int array;
-  on_retire : 'a txn -> unit;
-  mutable parked : 'a txn list;  (* closed with unresolved pending; reversed *)
-  mutable next_uid : int;
-  mark : float ref option;
+  on_retire : uid:int -> 'a -> viol list -> unit;
+  mark : Analysis.mark option;
   timed : bool;
-  mutable repair_s : float;
-  mutable repairs : int;
+  mutable s : 'a state;
+  mutable repair_s : float; mutable repair_words : float; mutable repairs : int;
 }
 
 let create ?mark ~interner ~on_retire () =
-  {
-    itn = interner;
-    knowledge = Knowledge.create ();
-    index = Array.make 64 [];
-    reg_stamp = Array.make 64 (-1);
-    on_retire;
-    parked = [];
-    next_uid = 0;
-    mark;
-    timed = Coop_obs.enabled ();
-    repair_s = 0.;
-    repairs = 0;
-  }
+  { itn = interner; on_retire; mark; timed = Coop_obs.enabled ();
+    s =
+      { vfacts = Array.make 64 (-1); lfacts = Array.make 16 (-1);
+        chain = Bytes.empty; ch_hi = 0; ch_free = -1; stale = 0; rcds = [||];
+        datas = [||]; n_handles = 0; free_h = -1; logs = [||]; next_uid = 0;
+        walk = 0; rd = 0 };
+    repair_s = 0.; repair_words = 0.; repairs = 0 }
+
+let none : 'a txn = -1
+let is_none (h : 'a txn) = h < 0
+
+(* The fact column of a variable ([bit] 0) or lock ([bit] 1), grown to
+   cover [id]. *)
+let column s bit id =
+  let fa = if bit = 0 then s.vfacts else s.lfacts in
+  if (2 * id) + 1 < Array.length fa then fa
+  else begin
+    let fa = grown fa ((2 * id) + 2) (-1) in
+    if bit = 0 then s.vfacts <- fa else s.lfacts <- fa;
+    fa
+  end
+
+let mover s code =
+  let kind = code land 7 and id = code lsr 3 in
+  if kind > 3 || (column s (kind lsr 1) id).(2 * id) = known then settled kind
+  else m_both
+
+let op_of t code =
+  let id = code lsr 3 in
+  match code land 7 with
+  | 0 -> Event.Read (Interner.var_of_id t.itn id)
+  | 1 -> Event.Write (Interner.var_of_id t.itn id)
+  | 2 -> Event.Acquire (Interner.lock_of_id t.itn id)
+  | 3 -> Event.Release (Interner.lock_of_id t.itn id)
+  | 4 -> Event.Fork (Interner.tid_of_id t.itn id)
+  | _ -> Event.Join (Interner.tid_of_id t.itn id)
+
+(* Unlink every stale entry. *)
+let sweep s =
+  let c = s.chain in
+  let sweep_column fa =
+    for id = 0 to (Array.length fa / 2) - 1 do
+      let prev = ref (-1) and e = ref fa.((2 * id) + 1) in
+      while !e >= 0 do
+        let x = !e in
+        e := entry_next c x;
+        if s.rcds.(entry_txn c x).uid = entry_uid c x then prev := x
+        else begin
+          if !prev < 0 then fa.((2 * id) + 1) <- !e else set_next c !prev !e;
+          set_next c x s.ch_free;
+          s.ch_free <- x;
+          s.stale <- s.stale - 1
+        end
+      done
+    done
+  in
+  sweep_column s.vfacts;
+  sweep_column s.lfacts
+
+(* A free chain entry. A full chain is swept instead of grown when at
+   least half its entries are stale and it has no fewer entries than
+   there are facts, so a sweep frees as much as it walks. *)
+let rec alloc_entry s =
+  let e = s.ch_free in
+  if e >= 0 then (s.ch_free <- entry_next s.chain e; e)
+  else if 16 * (s.ch_hi + 1) <= Bytes.length s.chain then begin
+    s.ch_hi <- s.ch_hi + 1;
+    s.ch_hi - 1
+  end
+  else begin
+    if s.stale > 0 && 2 * s.stale >= s.ch_hi
+       && Array.length s.vfacts + Array.length s.lfacts <= 2 * s.ch_hi
+    then sweep s
+    else s.chain <- grown_bytes s.chain (16 * s.ch_hi) 256;
+    alloc_entry s
+  end
+
+(* Chain the transaction under the fact whose negation its optimistic
+   classification just assumed, unless the stamp shows it already did.
+   When an interleaved transaction defeated the stamp this adds a
+   duplicate — cheaper than a membership test, and bounded by the log. *)
+let register s r h fa id =
+  fa.(2 * id) <- r.uid;
+  let e = alloc_entry s in
+  set32 s.chain (16 * e) (Int32.of_int h);
+  set_next s.chain e fa.((2 * id) + 1);
+  set64 s.chain ((16 * e) + 8) (Int64.of_int r.uid);
+  fa.((2 * id) + 1) <- e;
+  r.pend <- r.pend + 1
+
+(* Replay has no event in hand: its violations rebuild op and location
+   from the log. *)
+let replaying = Event.make ~tid:(-1) ~op:Event.Yield ~loc:Loc.none
+
+(* One move of the (R|B)* (N|L) (L|B)* machine — the transition table of
+   [Automaton.step], including the reset-as-if-yielded rule. *)
+let apply t r seq code func pc line m (e : Event.t) =
+  if not r.post then begin
+    if m land 2 <> 0 then begin
+      (* The commit point, blamed for every violation until a reset. *)
+      r.post <- true; r.cm_seq <- seq; r.cm_code <- code;
+      r.cm_func <- func; r.cm_pc <- pc; r.cm_line <- line
+    end
+  end
+  else if m land 1 <> 0 then begin
+    if r.cause_seq <> r.cm_seq then begin
+      r.cause_seq <- r.cm_seq;
+      r.cause <-
+        Some
+          { cseq = r.cm_seq;
+            cloc = Loc.make ~func:r.cm_func ~pc:r.cm_pc ~line:r.cm_line;
+            cop = op_of t r.cm_code;
+            cmover = to_mover (settled (r.cm_code land 7)) }
+    end;
+    let replayed = e == replaying in
+    r.viols <-
+      { vseq = seq; vtid = r.tid;
+        vloc = (if replayed then Loc.make ~func ~pc ~line else e.loc);
+        vop = (if replayed then op_of t code else e.op);
+        vmover = to_mover m; vcause = r.cause }
+      :: r.viols;
+    (* A right mover spends the commit: reset as if yielded. *)
+    if m = m_right then (r.post <- false; r.cm_seq <- 0)
+  end
 
 let open_txn t ~tid ~data =
-  let uid = t.next_uid in
-  t.next_uid <- uid + 1;
-  {
-    uid;
-    tid;
-    data;
-    seqs = Array.make 4 0;
-    locs = Array.make 4 Loc.none;
-    ops = Array.make 4 Event.Yield;
-    ids = Array.make 4 (-1);
-    len = 0;
-    phase = Pre;
-    cm_seq = 0;
-    cm_loc = Loc.none;
-    cm_op = Event.Yield;
-    cm_mover = Mover.Both;
-    viols = [];
-    pending = Hashtbl.create 4;
-    closed = false;
-    retired = false;
-  }
-
-let data txn = txn.data
-let txn_uid txn = txn.uid
-let violations txn = List.rev txn.viols
-
-let push txn ~seq ~loc ~op ~id =
-  let n = Array.length txn.seqs in
-  if txn.len = n then begin
-    let grow a fill =
-      let bigger = Array.make (2 * n) fill in
-      Array.blit a 0 bigger 0 n;
-      bigger
-    in
-    txn.seqs <- grow txn.seqs 0;
-    txn.locs <- grow txn.locs Loc.none;
-    txn.ops <- grow txn.ops Event.Yield;
-    txn.ids <- grow txn.ids (-1)
-  end;
-  txn.seqs.(txn.len) <- seq;
-  txn.locs.(txn.len) <- loc;
-  txn.ops.(txn.len) <- op;
-  txn.ids.(txn.len) <- id;
-  txn.len <- txn.len + 1
-
-(* One move of the (R|B)* (N|L) (L|B)* machine — the exact transition
-   table of [Automaton.step], including the reset-as-if-yielded rule. *)
-let apply txn ~seq ~loc ~op m =
-  match (txn.phase, m) with
-  | Pre, (Mover.Right | Mover.Both) -> ()
-  | Pre, ((Mover.Non | Mover.Left) as m) ->
-      txn.phase <- Post;
-      (* This op is the commit point: it is the cause of every violation
-         until the machine resets. *)
-      txn.cm_seq <- seq;
-      txn.cm_loc <- loc;
-      txn.cm_op <- op;
-      txn.cm_mover <- m
-  | Post, (Mover.Left | Mover.Both) -> ()
-  | Post, ((Mover.Right | Mover.Non) as m) ->
-      let vcause =
-        if txn.cm_seq > 0 then
-          Some
-            { cseq = txn.cm_seq; cloc = txn.cm_loc; cop = txn.cm_op;
-              cmover = txn.cm_mover }
-        else None
-      in
-      txn.viols <-
-        { vseq = seq; vtid = txn.tid; vloc = loc; vop = op; vmover = m; vcause }
-        :: txn.viols;
-      (match m with
-      | Mover.Right ->
-          (* Reset-as-if-yielded: the commit the violation was blamed on
-             is spent; the next violation needs a fresh one. *)
-          txn.phase <- Pre;
-          txn.cm_seq <- 0
-      | _ -> ())
-
-let bucket_add t packed txn =
-  if packed >= Array.length t.index then begin
-    let bigger = Array.make (max (packed + 1) (2 * Array.length t.index)) [] in
-    Array.blit t.index 0 bigger 0 (Array.length t.index);
-    t.index <- bigger
-  end;
-  t.index.(packed) <- txn :: t.index.(packed)
-
-(* Optimistic classification charged an assumption ("v is race-free",
-   "l is thread-local"): remember which fact would invalidate it so a
-   late arrival replays exactly the transactions that used it. *)
-let register_pending t txn (op : Event.op) id =
-  let want =
-    match op with
-    | Event.Read _ | Event.Write _ ->
-        if Knowledge.racy t.knowledge id then -1 else pack (Racy id)
-    | Event.Acquire _ | Event.Release _ ->
-        if Knowledge.shared t.knowledge id then -1 else pack (Shared id)
-    | _ -> -1
-  in
-  if want >= 0 then
-    if want < Array.length t.reg_stamp && t.reg_stamp.(want) = txn.uid then ()
+  let s = t.s in
+  let h =
+    if s.free_h >= 0 then s.free_h
     else begin
-      if want >= Array.length t.reg_stamp then begin
-        let bigger =
-          Array.make (max (want + 1) (2 * Array.length t.reg_stamp)) (-1)
-        in
-        Array.blit t.reg_stamp 0 bigger 0 (Array.length t.reg_stamp);
-        t.reg_stamp <- bigger
+      let h = s.n_handles in
+      if h = Array.length s.rcds then begin
+        s.rcds <- grown s.rcds 4 filler;
+        (* An older payload as filler: a large array made with a young
+           one would force a minor collection. *)
+        s.datas <- grown s.datas 4 (if h > 0 then s.datas.(0) else data)
       end;
-      t.reg_stamp.(want) <- txn.uid;
-      if not (Hashtbl.mem txn.pending want) then begin
-        Hashtbl.add txn.pending want ();
-        bucket_add t want txn
-      end
+      s.rcds.(h) <- new_rcd ();
+      s.n_handles <- h + 1;
+      h
     end
+  in
+  let r = s.rcds.(h) and d = Interner.tid_id t.itn tid in
+  s.free_h <- r.stop;
+  s.datas.(h) <- data;
+  if d >= Array.length s.logs then
+    s.logs <-
+      Array.init (max (d + 1) (2 * Array.length s.logs)) (fun i ->
+          if i < Array.length s.logs then s.logs.(i)
+          else { buf = Bytes.empty; len = 0; last = 0; open_n = 0;
+                 parked_n = 0; parked_hi = 0 });
+  let lg = s.logs.(d) in
+  lg.open_n <- lg.open_n + 1;
+  r.uid <- s.next_uid;
+  s.next_uid <- s.next_uid + 1;
+  r.tid <- tid; r.dtid <- d; r.start <- lg.len; r.base <- lg.last;
+  r.state <- st_open; r.post <- false; r.cm_seq <- 0; r.cause_seq <- 0;
+  r.shape <- 0; r.pend <- 0;
+  h
 
-let step t txn ~seq (e : Event.t) =
-  let id = Interner.cur_operand t.itn in
-  match Knowledge.classify t.knowledge e.op id with
-  | None -> ()
-  | Some m -> (
-      match e.op with
-      | Event.Out _ -> ()  (* both mover forever: invisible to the machine *)
-      | op ->
-          push txn ~seq ~loc:e.loc ~op ~id;
-          register_pending t txn op id;
-          apply txn ~seq ~loc:e.loc ~op m)
+let log_entry lg seq code (l : Loc.t) =
+  if lg.len + max_entry > Bytes.length lg.buf then
+    lg.buf <- grown_bytes lg.buf lg.len (lg.len + 256);
+  let b = lg.buf in
+  let p = put b (put b lg.len (seq - lg.last)) code in
+  let packed = pack_loc l in
+  set64 b p (Int64.of_int packed);
+  lg.len <-
+    (if packed <> odd_loc then p + 8
+     else put b (put b (put b (p + 8) (zz l.func)) (zz l.pc)) (zz l.line));
+  lg.last <- seq
+
+let step t h ~seq (e : Event.t) =
+  let kind = kind_of_op e.op in
+  if kind >= 0 then begin
+    let s = t.s in
+    let r = s.rcds.(h) and id = Interner.cur_operand t.itn in
+    let code = (id lsl 3) lor kind and lg = s.logs.(r.dtid) in
+    (* An enclosing transaction of the thread may have logged it. *)
+    if lg.len = r.start || lg.last <> seq then log_entry lg seq code e.loc;
+    if r.shape < 2 then
+      if r.shape = 1 && (can_violate lsr kind) land 1 = 1 then r.shape <- 2
+      else if (can_commit lsr kind) land 1 = 1 then r.shape <- 1;
+    let m =
+      if kind > 3 then settled kind
+      else begin
+        let fa = if kind < 2 then s.vfacts else s.lfacts in
+        let fa = if (2 * id) + 1 < Array.length fa then fa else column s (kind lsr 1) id in
+        let stamp = fa.(2 * id) in
+        if stamp = known then settled kind
+        else begin
+          if stamp <> r.uid then register s r h fa id;
+          m_both
+        end
+      end
+    in
+    apply t r seq code e.loc.func e.loc.pc e.loc.line m e
+  end
+
+let rec get s b shift acc =
+  let c = Char.code (Bytes.get b s.rd) in
+  s.rd <- s.rd + 1;
+  let acc = acc lor ((c land 0x7f) lsl shift) in
+  if c < 0x80 then acc else get s b (shift + 7) acc
 
 (* Violations are NOT monotone in knowledge. In [rel l1; acq l2; wr v]
-   with l1 shared and v racy, optimism about l2 (assumed thread-local,
-   so the acquire is a both mover) flags the write — a non mover after
-   the release's commit point. When shared(l2) arrives, final knowledge
-   instead flags the acquire (a right mover post-commit), and that
-   violation RESETS the machine to Pre, so the write now commits
-   quietly. One fact moved one violation and deleted another; patching
-   the violation list in place is unsound in both directions, hence
-   repair recomputes the whole machine over the digest. *)
-let replay t txn =
-  txn.phase <- Pre;
-  txn.cm_seq <- 0;
-  txn.viols <- [];
-  for i = 0 to txn.len - 1 do
-    let op = txn.ops.(i) in
-    match Knowledge.classify t.knowledge op txn.ids.(i) with
-    | Some m -> apply txn ~seq:txn.seqs.(i) ~loc:txn.locs.(i) ~op m
-    | None -> assert false
+   with l1 shared and v racy, optimism about l2 (a both mover while
+   assumed thread-local) flags the write, a non mover after the
+   release's commit. Once shared(l2) arrives, the acquire is flagged
+   instead — a right mover post-commit — and that violation resets the
+   machine, so the write now commits quietly. Patching the violation
+   list in place is unsound both ways, hence repair recomputes the whole
+   machine over the transaction's slice. *)
+let replay t s r =
+  let lg = s.logs.(r.dtid) in
+  let stop = if r.state = st_open then lg.len else r.stop in
+  r.post <- false; r.cm_seq <- 0; r.viols <- [];
+  s.rd <- r.start;
+  let seq = ref r.base in
+  while s.rd < stop do
+    seq := !seq + get s lg.buf 0 0;
+    let code = get s lg.buf 0 0 in
+    let packed = Int64.to_int (get64 lg.buf s.rd) in
+    s.rd <- s.rd + 8;
+    let odd = packed = odd_loc in
+    let func = if odd then unzz (get s lg.buf 0 0) else packed lsr 42 in
+    let pc = if odd then unzz (get s lg.buf 0 0) else (packed lsr 21) land 0x1FFFFF in
+    let line = if odd then unzz (get s lg.buf 0 0) else packed land 0x1FFFFF in
+    apply t r !seq code func pc line (mover s code) replaying
   done
 
-let retire t txn =
-  txn.retired <- true;
-  t.on_retire txn
+(* Deliver the results and free the handle (entries still naming the
+   transaction turn stale). With no transaction of the thread open, its
+   log is cut back to the end of the last parked slice. *)
+let retire t s h r =
+  let lg = s.logs.(r.dtid) in
+  if r.state = st_parked then lg.parked_n <- lg.parked_n - 1;
+  let uid = r.uid and viols = r.viols in
+  s.stale <- s.stale + r.pend;
+  r.uid <- -1; r.state <- st_free; r.viols <- [];
+  r.stop <- s.free_h;
+  s.free_h <- h;
+  if lg.open_n = 0 then begin
+    if lg.parked_n = 0 then lg.parked_hi <- 0;
+    lg.len <- lg.parked_hi
+  end;
+  t.on_retire ~uid s.datas.(h) viols
+
+let close t h =
+  let s = t.s in
+  let r = s.rcds.(h) in
+  let lg = s.logs.(r.dtid) in
+  r.stop <- lg.len;
+  lg.open_n <- lg.open_n - 1;
+  if r.pend = 0 || r.shape < 2 then retire t s h r
+  else begin
+    r.state <- st_parked;
+    lg.parked_n <- lg.parked_n + 1; lg.parked_hi <- r.stop
+  end
 
 let on_fact t f =
   let t0 = if t.timed then Coop_obs.now_s () else 0. in
-  if Knowledge.learn t.knowledge f then begin
-    let packed = pack f in
+  let w0 = if t.timed then Gc.minor_words () else 0. in
+  let s = t.s in
+  let bit, id = match f with Racy id -> (0, id) | Shared id -> (1, id) in
+  let fa = column s bit id in
+  if fa.(2 * id) <> known then begin
     (* The receiving end of the propagation flow the publisher began. *)
-    Coop_obs.flow_end (flow_name f) ~id:packed;
-    if packed < Array.length t.index then begin
-      let bucket = t.index.(packed) in
-      (* The fact is final: nothing will ever point at this bucket
-         again, so it is dropped wholesale after the repairs. *)
-      t.index.(packed) <- [];
-      List.iter
-        (fun txn ->
-          Hashtbl.remove txn.pending packed;
-          replay t txn;
-          if txn.closed && (not txn.retired) && Hashtbl.length txn.pending = 0
-          then retire t txn)
-        bucket
-    end
+    Coop_obs.flow_end (flow_name f) ~id:(pack f);
+    (* Facts are final: the chain is freed as it is walked. *)
+    let e = ref fa.((2 * id) + 1) in
+    fa.(2 * id) <- known;
+    fa.((2 * id) + 1) <- -1;
+    s.walk <- s.walk + 1;
+    while !e >= 0 do
+      let x = !e in
+      let h = entry_txn s.chain x in
+      let r = s.rcds.(h) in
+      let live = r.uid = entry_uid s.chain x in
+      e := entry_next s.chain x;
+      set_next s.chain x s.ch_free;
+      s.ch_free <- x;
+      if not live then s.stale <- s.stale - 1
+      else begin
+        r.pend <- r.pend - 1;
+        if r.rstamp <> s.walk then (r.rstamp <- s.walk; replay t s r);
+        if r.pend = 0 && r.state = st_parked then retire t s h r
+      end
+    done
   end;
   if t.timed then begin
-    let dt = Coop_obs.now_s () -. t0 in
-    t.repair_s <- t.repair_s +. dt;
+    let dt = Coop_obs.now_s () -. t0 and dw = Gc.minor_words () -. w0 in
+    t.repair_s <- t.repair_s +. dt; t.repair_words <- t.repair_words +. dw;
     t.repairs <- t.repairs + 1;
-    (* Repair runs inside the publisher's instrumented step; advancing the
-       shared clock mark keeps its cost out of that checker's timer so the
-       attribution shares still sum to one. *)
-    match t.mark with Some m -> m := !m +. dt | None -> ()
+    (* Repair runs inside the publisher's instrumented step; advancing
+       the shared mark keeps it out of that checker's figures. *)
+    match t.mark with
+    | Some m -> m.mark_s <- m.mark_s +. dt; m.mark_words <- m.mark_words +. dw
+    | None -> ()
   end
 
-let close t txn =
-  txn.closed <- true;
-  if Hashtbl.length txn.pending = 0 then retire t txn
-  else t.parked <- txn :: t.parked
-
 let finalize t =
-  (* Unresolved assumptions at end of stream were all correct (the
-     invalidating fact never fired), so parked results are final as-is. *)
-  List.iter (fun txn -> if not txn.retired then retire t txn) (List.rev t.parked);
-  t.parked <- [];
+  (* Assumptions still unresolved at end of stream were all correct, so
+     parked results are final as they are. *)
+  let s = t.s in
+  for h = 0 to s.n_handles - 1 do
+    if s.rcds.(h).state = st_parked then retire t s h s.rcds.(h)
+  done;
   if t.timed && t.repairs > 0 then
-    Coop_obs.timer_add "checker/repair" t.repair_s t.repairs
+    Coop_obs.timer_add ~words:t.repair_words "checker/repair" t.repair_s
+      t.repairs
 
-(* Checkpointing. The live-transaction graph is shared — a transaction
-   sits in [parked] and in one index bucket per pending assumption, and
-   the caller holds its open transactions — so copying works uid-wise:
-   collect every live transaction once, deep-copy it, and rebuild every
-   containing structure through a uid-to-copy table. [roots] are the
-   caller's open transactions (the engine has no handle on an open
-   transaction with no pending assumption). Retired transactions are
-   never reachable from engine structures, so they are not copied; their
-   violations already left through [on_retire]. *)
-type 'a snapshot = {
-  s_racy : Bytes.t;
-  s_shared : Bytes.t;
-  s_txns : 'a txn list;  (* private deep copies, one per live txn *)
-  s_index : (int * int list) list;  (* packed fact -> member uids *)
-  s_reg_stamp : int array;
-  s_parked : int list;  (* uids, insertion order preserved *)
-  s_next_uid : int;
-}
+(* Handles are indices, so copying every column copies the engine and
+   saved handles stay valid. Loading copies again, so a snapshot can be
+   restored into any number of engines that then share nothing. *)
+type 'a snapshot = 'a state
 
-let copy_txn txn =
-  {
-    uid = txn.uid;
-    tid = txn.tid;
-    data = txn.data;
-    seqs = Array.copy txn.seqs;
-    locs = Array.copy txn.locs;
-    ops = Array.copy txn.ops;
-    ids = Array.copy txn.ids;
-    len = txn.len;
-    phase = txn.phase;
-    cm_seq = txn.cm_seq;
-    cm_loc = txn.cm_loc;
-    cm_op = txn.cm_op;
-    cm_mover = txn.cm_mover;
-    viols = txn.viols;
-    pending = Hashtbl.copy txn.pending;
-    closed = txn.closed;
-    retired = txn.retired;
-  }
+let copy s =
+  { s with
+    vfacts = Array.copy s.vfacts; lfacts = Array.copy s.lfacts;
+    chain = Bytes.sub s.chain 0 (16 * s.ch_hi);
+    rcds = Array.init s.n_handles (fun h -> { (s.rcds.(h)) with uid = s.rcds.(h).uid });
+    datas = Array.sub s.datas 0 s.n_handles;
+    logs = Array.map (fun lg -> { lg with buf = Bytes.sub lg.buf 0 lg.len }) s.logs }
 
-let snapshot ~roots t =
-  let live : (int, 'a txn) Hashtbl.t = Hashtbl.create 64 in
-  let see txn = if not (Hashtbl.mem live txn.uid) then Hashtbl.add live txn.uid txn in
-  List.iter see roots;
-  List.iter see t.parked;
-  Array.iter (fun bucket -> List.iter see bucket) t.index;
-  {
-    s_racy = Bytes.copy t.knowledge.Knowledge.racy;
-    s_shared = Bytes.copy t.knowledge.Knowledge.shared;
-    s_txns = Hashtbl.fold (fun _ txn acc -> copy_txn txn :: acc) live [];
-    s_index =
-      Array.to_list t.index
-      |> List.mapi (fun packed bucket ->
-             (packed, List.map (fun txn -> txn.uid) bucket))
-      |> List.filter (fun (_, uids) -> uids <> []);
-    s_reg_stamp = Array.copy t.reg_stamp;
-    s_parked = List.map (fun txn -> txn.uid) t.parked;
-    s_next_uid = t.next_uid;
-  }
-
-let restore t s =
-  (* Copy again on load: the snapshot stays loadable into further
-     engines, and engines restored from one snapshot never share
-     transactions. *)
-  let tbl : (int, 'a txn) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun txn -> Hashtbl.replace tbl txn.uid (copy_txn txn)) s.s_txns;
-  let of_uid uid =
-    match Hashtbl.find_opt tbl uid with
-    | Some txn -> txn
-    | None -> invalid_arg "Online.restore: snapshot names an unknown txn"
-  in
-  t.knowledge.Knowledge.racy <- Bytes.copy s.s_racy;
-  t.knowledge.Knowledge.shared <- Bytes.copy s.s_shared;
-  let width =
-    List.fold_left (fun acc (packed, _) -> max acc (packed + 1)) 64 s.s_index
-  in
-  let index = Array.make width [] in
-  List.iter
-    (fun (packed, uids) -> index.(packed) <- List.map of_uid uids)
-    s.s_index;
-  t.index <- index;
-  t.reg_stamp <- Array.copy s.s_reg_stamp;
-  t.parked <- List.map of_uid s.s_parked;
-  t.next_uid <- s.s_next_uid;
-  tbl
+let snapshot t = copy t.s
+let restore t snap = t.s <- copy snap

@@ -13,27 +13,52 @@
     monotone} in knowledge: learning that a variable races can create,
     move, {e and delete} violations (a late non-mover that used to be
     flagged may instead commit quietly once an earlier op becomes the
-    reset point). So each open transaction keeps a compact {e digest} —
-    (position, location, operation, operand id) of its phase-relevant
-    ops in parallel arrays — and a late fact {e replays} only the
-    transactions whose optimistic assumptions it invalidates, never the
-    trace. Closed transactions with unresolved assumptions stay parked
-    until the assumption resolves or the stream ends; those whose ops
-    were all classified with final knowledge retire immediately.
+    reset point). So a late fact {e replays} the transactions whose
+    optimistic assumptions it invalidates — never the trace.
 
-    Knowledge, the fact-to-transaction index and the digests all key on
-    the dense ids of the run's shared {!Interner} — the engine, the
-    publishing detector and the transaction driver must use the {e same}
-    interner, and every event must be noted on it (via
-    {!Interner.analysis} at the head of the chain) before it reaches
-    {!step}.
+    {b Digest layout.} Each thread (by dense id) keeps one log of its
+    phase-relevant ops in a flat byte buffer: per op, the global position
+    (a varint delta from the previous entry), an int code (operand id ×
+    op kind, a varint) and the location packed into 8 bytes (locations
+    outside 20/21/21 bits of function/pc/line take an escape followed by
+    three varints). An event is logged once however many of the thread's
+    transactions are open, so a transaction is a slice of its thread's
+    log plus a small record (phase, commit point, pending count). Replay
+    re-derives each op's mover from its code and rebuilds the
+    [Event.op] through the interner's reverse maps only for an op it
+    reports; the forward pass uses the event in hand.
 
-    Memory is O(threads·vars) for the detector plus the digests of live
-    and parked transactions. Yield-disciplined programs close and retire
-    transactions promptly; the adversarial worst case (one giant
-    transaction touching fresh race-free variables forever) degrades
-    toward O(trace) — the price of exact equivalence with the two-pass
-    oracle, which the differential suite pins down. *)
+    {b Fact chains.} Each variable and lock id has two ints: a
+    registration stamp (the uid of the last transaction that registered
+    its fact, or a mark once the fact is known) and the head of a chain
+    of transaction handles threaded through a flat buffer. A
+    registration that misses the stamp appends one chain entry and bumps
+    the transaction's pending count — no hash table, no cons cell; a
+    duplicate entry (when another transaction interleaved) is allowed
+    and bounded by the log. A fact walks its chain once, replays each
+    distinct transaction once and returns the entries to the free list.
+
+    {b Retirement and memory.} A closed transaction retires — its
+    results are final — when its pending count is zero, or when its
+    shape rules out any violation under any knowledge (no op able to
+    violate after an op able to commit); otherwise it parks until its
+    facts arrive or the stream ends. When a thread has no open
+    transaction, its log is cut back to the end of its last parked
+    slice — to 0 in the common case. Chain entries naming retired
+    transactions (each entry carries its transaction's uid, so a reused
+    handle never inherits them) are swept when they fill half the
+    chain.
+    Memory is O(threads·vars) for the detector plus the slices of live
+    transactions. The adversarial worst case (one giant transaction
+    touching fresh race-free variables forever) degrades toward O(trace)
+    — the price of exact equivalence with the two-pass oracle, which
+    the differential suite pins down.
+
+    Knowledge, the chains and the logs all key on the dense ids of the
+    run's shared {!Interner} — the engine, the publishing detector and
+    the transaction driver must use the {e same} interner, and every
+    event must be noted on it (via {!Interner.analysis} at the head of
+    the chain) before it reaches {!step}. *)
 
 open Coop_trace
 
@@ -48,8 +73,8 @@ type subscribe = (fact -> unit) -> unit
 
 val pack : fact -> int
 (** Stable injective packing of facts into non-negative ints ([id*2] for
-    [Racy], [id*2+1] for [Shared]) — the engine's index key, also used
-    as the flow correlation id in telemetry. *)
+    [Racy], [id*2+1] for [Shared]) — the flow correlation id in
+    telemetry. *)
 
 val facts : publish -> Coop_race.Fasttrack.facts
 (** Adapt a publisher into the race detector's callback record, for
@@ -96,26 +121,43 @@ type viol = {
     would have reported it under final knowledge. *)
 
 type 'a txn
-(** An open or parked transaction with caller payload ['a]. *)
+(** A handle on an open or parked transaction with caller payload ['a].
+    Handles are stable across {!snapshot}/{!restore}: a handle saved with
+    a snapshot names the same transaction in any engine the snapshot is
+    restored into. A handle may be reused once its transaction retires. *)
 
 type 'a t
-(** Engine state: current knowledge plus the fact-to-transaction index. *)
+(** Engine state: current knowledge, the fact chains, the per-thread
+    logs and the transactions. *)
+
+val none : 'a txn
+(** Names no transaction; never returned by {!open_txn}. For drivers'
+    empty slots. *)
+
+val is_none : 'a txn -> bool
+(** [is_none h] holds exactly for {!none}. *)
 
 val create :
-  ?mark:float ref -> interner:Interner.t -> on_retire:('a txn -> unit) ->
-  unit -> 'a t
-(** [on_retire] fires exactly once per transaction, when its results are
-    final — at {!close} if no optimistic assumption is outstanding,
-    otherwise when the last one resolves, at latest during {!finalize}.
-    [interner] is the run's shared interner (see the module preamble).
-    [mark] is the shared clock mark of the enclosing instrumented chain;
-    repair time advances it so it is billed to [checker/repair] and not
+  ?mark:Analysis.mark ->
+  interner:Interner.t ->
+  on_retire:(uid:int -> 'a -> viol list -> unit) ->
+  unit ->
+  'a t
+(** [on_retire ~uid data viols] fires exactly once per transaction, when
+    its results are final — at {!close} if no optimistic assumption is
+    outstanding or none could change them, otherwise when the last one
+    resolves, at latest during {!finalize}. [uid] is the creation order
+    ([a] < [b] iff [a] was opened first), [data] the payload given to
+    {!open_txn} and [viols] the violations, newest first. [interner] is
+    the run's shared interner (see the module preamble). [mark] is the
+    shared mark of the enclosing instrumented chain; repair time and
+    allocation advance it so they are billed to [checker/repair] and not
     to the checker whose step triggered the fact. *)
 
 val on_fact : 'a t -> fact -> unit
 (** Learn a fact: replay exactly the transactions that assumed its
-    negation, then drop the fact's index bucket (facts are final). Meant
-    to be passed to a [subscribe]. *)
+    negation, then free the fact's chain (facts are final). Meant to be
+    passed to a [subscribe]. *)
 
 val open_txn : 'a t -> tid:int -> data:'a -> 'a txn
 (** Start a transaction in the pre-commit phase. [tid] is the original
@@ -124,13 +166,16 @@ val open_txn : 'a t -> tid:int -> data:'a -> 'a txn
 val step : 'a t -> 'a txn -> seq:int -> Event.t -> unit
 (** Classify the event under current knowledge and advance the
     transaction's phase machine; phase-irrelevant events are ignored.
-    The event must be the latest one noted on the engine's interner.
-    [seq] is the event's global position — violation order and repair
-    both depend on it being strictly increasing along the trace. *)
+    The event must be the latest one noted on the engine's interner, and
+    every transaction of its thread that is open must be stepped with it
+    (the thread's transactions share one log). [seq] is the event's
+    global position — violation order and repair both depend on it
+    being strictly increasing along the trace. *)
 
 val close : 'a t -> 'a txn -> unit
 (** The transaction's events are over (its yield / function exit /
-    atomic end). Retires immediately when no assumption is pending. *)
+    atomic end). Retires immediately when no pending assumption could
+    change its results. The handle must not be used afterwards. *)
 
 val finalize : 'a t -> unit
 (** End of stream: retire every parked transaction (their surviving
@@ -138,32 +183,22 @@ val finalize : 'a t -> unit
     [checker/repair] timer. Callers must {!close} still-open
     transactions first. *)
 
-val violations : 'a txn -> viol list
-(** In event order. Final once the transaction has retired. *)
-
-val data : 'a txn -> 'a
-val txn_uid : 'a txn -> int
-(** Creation order: uid [a] < uid [b] iff [a] was opened first. *)
-
 (** {1 Checkpointing} *)
 
 type 'a snapshot
-(** A deep copy of the engine — knowledge bytes, every live (open or
-    parked) transaction's digest and pending set, the fact index and the
-    registration stamps. Payloads ([data]) and violation records are
-    immutable and shared. *)
+(** A copy of the engine's state: knowledge, the fact columns and
+    chains, every transaction record and the used prefix of every
+    thread's log. Payloads and violation records are immutable and
+    shared. *)
 
-val snapshot : roots:'a txn list -> 'a t -> 'a snapshot
-(** [snapshot ~roots t] captures the engine between two events. [roots]
-    must list the caller's currently open transactions: an open
-    transaction with no pending assumption is reachable only from its
-    driver, so the engine cannot find it alone. Shares no mutable
-    structure with [t]. *)
+val snapshot : 'a t -> 'a snapshot
+(** Capture the engine between two events. Shares no mutable structure
+    with it; open transactions are included, so the caller's saved
+    handles stay valid. *)
 
-val restore : 'a t -> 'a snapshot -> (int, 'a txn) Hashtbl.t
-(** Overwrite [t]'s state with the snapshot (copying again, so the
-    snapshot stays reusable and two engines restored from it never share
-    a transaction). [t] keeps its own construction-time [on_retire],
-    interner and mark. Returns the uid-to-transaction table of the
-    private copies so the driver can re-point its open-transaction
-    slots. *)
+val restore : 'a t -> 'a snapshot -> unit
+(** Overwrite the engine's state with the snapshot (copying again, so
+    the snapshot stays reusable and two engines restored from it never
+    share state). The engine keeps its own construction-time
+    [on_retire], interner and mark. Handles saved with the snapshot name
+    the restored transactions. *)

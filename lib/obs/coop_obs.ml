@@ -16,7 +16,12 @@
 (* Clock                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let now_s = Unix.gettimeofday
+(* The unboxed entry point of the primitive behind [Unix.gettimeofday]:
+   callers doing float arithmetic on the result (the per-event timers of
+   [Analysis.instrument]) then read the clock without boxing a float. *)
+external now_s : unit -> (float[@unboxed])
+  = "caml_unix_gettimeofday" "caml_unix_gettimeofday_unboxed"
+[@@noalloc]
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
@@ -83,13 +88,19 @@ type flow_record = {
   fl_phase : flow_phase;
 }
 
+type timer_acc = {
+  mutable acc_s : float;
+  mutable acc_calls : int;
+  mutable acc_words : float;
+}
+
 type domain_state = {
   dom : int;
   mutable stack : open_span list;  (* innermost first *)
   mutable done_spans : span_record list;  (* reversed *)
   d_counters : (string, int ref) Hashtbl.t;
   d_gauges : (string, (int * float) ref) Hashtbl.t;  (* (write seq, value) *)
-  d_timers : (string, float ref * int ref) Hashtbl.t;
+  d_timers : (string, timer_acc) Hashtbl.t;
   d_hists : (string, hist_state) Hashtbl.t;
   d_samples : (string, sample_record list ref) Hashtbl.t;  (* reversed *)
   mutable d_flows : flow_record list;  (* reversed *)
@@ -219,14 +230,17 @@ let observe name v =
     if v > h.hmax then h.hmax <- v
   end
 
-let timer_add name seconds calls =
+let timer_add ?(words = 0.) name seconds calls =
   if !on then begin
     let st = state () in
     match Hashtbl.find_opt st.d_timers name with
-    | Some (s, c) ->
-        s := !s +. seconds;
-        c := !c + calls
-    | None -> Hashtbl.add st.d_timers name (ref seconds, ref calls)
+    | Some a ->
+        a.acc_s <- a.acc_s +. seconds;
+        a.acc_calls <- a.acc_calls + calls;
+        a.acc_words <- a.acc_words +. words
+    | None ->
+        Hashtbl.add st.d_timers name
+          { acc_s = seconds; acc_calls = calls; acc_words = words }
   end
 
 let sample name v =
@@ -322,7 +336,12 @@ let disable () =
 (* Snapshot (merge)                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type timer = { time_s : float; calls : int; by_domain : (int * float) list }
+type timer = {
+  time_s : float;
+  calls : int;
+  words : float;
+  by_domain : (int * float) list;
+}
 
 type snapshot = {
   spans : span_record list;
@@ -366,19 +385,20 @@ let snapshot () =
           | None -> Hashtbl.add gauges name (ref (seq, v)))
         st.d_gauges;
       Hashtbl.iter
-        (fun name (s, c) ->
+        (fun name a ->
           let entry =
             match Hashtbl.find_opt timers name with
             | Some e -> e
             | None ->
-                let e = (ref 0., ref 0, ref []) in
+                let e = (ref 0., ref 0, ref 0., ref []) in
                 Hashtbl.add timers name e;
                 e
           in
-          let sum, calls, by_dom = entry in
-          sum := !sum +. !s;
-          calls := !calls + !c;
-          by_dom := (st.dom, !s) :: !by_dom)
+          let sum, calls, words, by_dom = entry in
+          sum := !sum +. a.acc_s;
+          calls := !calls + a.acc_calls;
+          words := !words +. a.acc_words;
+          by_dom := (st.dom, a.acc_s) :: !by_dom)
         st.d_timers;
       Hashtbl.iter
         (fun name h ->
@@ -448,10 +468,11 @@ let snapshot () =
     counters = counters_l;
     gauges = gauges_l;
     timers =
-      sorted_bindings timers (fun (s, c, by_dom) ->
+      sorted_bindings timers (fun (s, c, w, by_dom) ->
           {
             time_s = !s;
             calls = !c;
+            words = !w;
             by_domain =
               List.sort (fun (a, _) (b, _) -> compare a b) !by_dom;
           });
@@ -475,6 +496,7 @@ type attribution_row = {
   checker : string;
   seconds : float;
   events : int;
+  words : float;
   share : float;
 }
 
@@ -510,7 +532,7 @@ let attribution snap =
       List.map
         (fun (name, t) ->
           { checker = name; seconds = t.time_s; events = t.calls;
-            share = t.time_s /. total })
+            words = t.words; share = t.time_s /. total })
         checkers
       |> List.sort (fun a b -> compare b.seconds a.seconds)
     in
@@ -519,7 +541,7 @@ let attribution snap =
       if phase_total > 0. then
         rows
         @ [ { checker = "(dispatch/other)"; seconds = Float.max 0. residual;
-              events = 0; share = Float.max 0. residual /. total } ]
+              events = 0; words = 0.; share = Float.max 0. residual /. total } ]
       else rows
     in
     (rows, total)
@@ -540,7 +562,8 @@ let profile_table snap =
               ("time (ms)", Coop_util.Table.Right);
               ("share", Coop_util.Table.Right);
               ("events", Coop_util.Table.Right);
-              ("ns/event", Coop_util.Table.Right) ]
+              ("ns/event", Coop_util.Table.Right);
+              ("words/event", Coop_util.Table.Right) ]
       in
       List.iter
         (fun r ->
@@ -552,6 +575,9 @@ let profile_table snap =
               (if r.events > 0 then
                  Printf.sprintf "%.0f"
                    (1e9 *. r.seconds /. float_of_int r.events)
+               else "-");
+              (if r.events > 0 then
+                 Printf.sprintf "%.1f" (r.words /. float_of_int r.events)
                else "-") ])
         rows;
       Printf.sprintf
@@ -626,6 +652,7 @@ let to_json snap =
               ( n,
                 Obj
                   [ ("s", Float t.time_s); ("calls", Int t.calls);
+                    ("words", Float t.words);
                     ("by_domain",
                      Obj
                        (List.map

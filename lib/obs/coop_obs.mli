@@ -42,9 +42,12 @@ val disable : unit -> unit
 val reset : unit -> unit
 (** Drop all recorded data and every per-domain buffer. *)
 
-val now_s : unit -> float
+external now_s : unit -> (float[@unboxed])
+  = "caml_unix_gettimeofday" "caml_unix_gettimeofday_unboxed"
+[@@noalloc]
 (** The clock used for all measurements, in seconds. Monotonic-intent:
-    [Unix.gettimeofday], the only in-distribution clock. *)
+    the primitive behind [Unix.gettimeofday], the only in-distribution
+    clock, bound unboxed so per-event timers read it without allocating. *)
 
 (** {1 Recording} *)
 
@@ -66,8 +69,9 @@ val observe : string -> float -> unit
 (** [observe name v] records one sample into the named log-scale
     histogram (see {!Hist}). *)
 
-val timer_add : string -> float -> int -> unit
-(** [timer_add name seconds calls] folds an already-measured duration
+val timer_add : ?words:float -> string -> float -> int -> unit
+(** [timer_add ~words name seconds calls] folds an already-measured
+    duration, and the minor-heap words allocated during it (default 0),
     into the named timer. This is the hot-path alternative to {!span}
     for per-event instrumentation: accumulate locally, flush once (what
     [Coop_trace.Analysis.instrument] does at finalize). *)
@@ -132,6 +136,7 @@ type span_record = {
 type timer = {
   time_s : float;  (** Accumulated seconds, all domains. *)
   calls : int;
+  words : float;  (** Minor-heap words allocated inside the timed calls. *)
   by_domain : (int * float) list;  (** Seconds per recording domain —
                                        per-worker utilization. *)
 }
@@ -176,6 +181,7 @@ type attribution_row = {
                          ["(dispatch/other)"] for the residual. *)
   seconds : float;
   events : int;  (** Instrumented step calls; [0] for the residual row. *)
+  words : float;  (** Minor words allocated inside those calls. *)
   share : float;  (** Fraction of the total analysis sink time. *)
 }
 
@@ -189,8 +195,8 @@ val attribution : snapshot -> attribution_row list * float
 
 val profile_table : snapshot -> string
 (** The attribution rendered as a [Coop_util.Table] (time, share, events,
-    ns/event per checker), or a one-line notice when nothing was
-    instrumented. *)
+    ns/event and minor words/event per checker), or a one-line notice
+    when nothing was instrumented. *)
 
 val render_summary : snapshot -> string
 (** {!profile_table} followed by counters, gauges, timers (with

@@ -32,7 +32,7 @@ let run_two_pass ?(lockset = false) ?(atomize = false) ?(conflict = false)
      event dispatch — happens-before race detection, the optional Eraser
      baseline, the thread-local-lock scan, lock-order deadlock edges, and
      the event counter. *)
-  let mark = ref 0. in
+  let mark = Analysis.mark () in
   let instr name a = instr mark name a in
   (* Both phases share one interner (and so one dense-id space): each
      phase's chain is headed by a note stage that interns an event's
@@ -99,7 +99,7 @@ let run_two_pass ?(lockset = false) ?(atomize = false) ?(conflict = false)
    and consumers alike — rides one replay behind one event dispatch. *)
 let run_online ?(lockset = false) ?(atomize = false) ?(conflict = false)
     ?(witness = false) source =
-  let mark = ref 0. in
+  let mark = Analysis.mark () in
   let instr name a = instr mark name a in
   (* One interner for the whole fused chain: the head note stage interns
      each event's operands once, every checker indexes by the dense ids,

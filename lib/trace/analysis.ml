@@ -159,19 +159,30 @@ let fold f init =
   let acc = ref init in
   make ~step:(fun e -> acc := f !acc e) ~finalize:(fun () -> !acc)
 
+type mark = { mutable mark_s : float; mutable mark_words : float }
+
+let mark () = { mark_s = 0.; mark_words = 0. }
+
+(* The closure-local registers of one instrumented analysis. A record of
+   floats only is stored flat, so accumulating into it boxes nothing:
+   the instrumentation itself allocates no words per event. *)
+type acc = { mutable acc_s : float; mutable acc_words : float }
+
 let instrumented ~name ~step_of =
-  let elapsed = ref 0. in
+  let acc = { acc_s = 0.; acc_words = 0. } in
   let events = ref 0 in
   fun (a : _ t) ->
-    let step = step_of a elapsed events in
+    let step = step_of a acc events in
     let finalize () =
-      let t0 = Coop_obs.now_s () in
+      let t0 = Coop_obs.now_s () and w0 = Gc.minor_words () in
       let r = a.finalize () in
-      elapsed := !elapsed +. (Coop_obs.now_s () -. t0);
-      Coop_obs.timer_add name !elapsed !events;
+      acc.acc_s <- acc.acc_s +. (Coop_obs.now_s () -. t0);
+      acc.acc_words <- acc.acc_words +. (Gc.minor_words () -. w0);
+      Coop_obs.timer_add ~words:acc.acc_words name acc.acc_s !events;
       (* Reset so a re-used analysis (two sources through one instance)
          does not double-flush what it already reported. *)
-      elapsed := 0.;
+      acc.acc_s <- 0.;
+      acc.acc_words <- 0.;
       events := 0;
       r
     in
@@ -183,22 +194,26 @@ let instrument ?mark ~name a =
   if not (Coop_obs.enabled ()) then a
   else
     instrumented ~name
-      ~step_of:(fun a elapsed events ->
+      ~step_of:(fun a acc events ->
         match mark with
         | None ->
             fun e ->
-              let t0 = Coop_obs.now_s () in
+              let t0 = Coop_obs.now_s () and w0 = Gc.minor_words () in
               a.step e;
-              elapsed := !elapsed +. (Coop_obs.now_s () -. t0);
+              acc.acc_s <- acc.acc_s +. (Coop_obs.now_s () -. t0);
+              acc.acc_words <- acc.acc_words +. (Gc.minor_words () -. w0);
               incr events
         | Some m ->
-            (* Shared-clock mode: one read per step, delta from the mark
-               the phase driver (or the previous checker) left behind. *)
+            (* Shared-mark mode: one clock and one allocation-counter read
+               per step, deltas from the mark the phase driver (or the
+               previous checker) left behind. *)
             fun e ->
               a.step e;
-              let t = Coop_obs.now_s () in
-              elapsed := !elapsed +. (t -. !m);
-              m := t;
+              let t = Coop_obs.now_s () and w = Gc.minor_words () in
+              acc.acc_s <- acc.acc_s +. (t -. m.mark_s);
+              acc.acc_words <- acc.acc_words +. (w -. m.mark_words);
+              m.mark_s <- t;
+              m.mark_words <- w;
               incr events)
       a
 
@@ -206,12 +221,14 @@ let instrument_phase ~name ~mark a =
   if not (Coop_obs.enabled ()) then a
   else
     instrumented ~name
-      ~step_of:(fun a elapsed events ->
+      ~step_of:(fun a acc events ->
         fun e ->
-          let t0 = Coop_obs.now_s () in
-          mark := t0;
+          let t0 = Coop_obs.now_s () and w0 = Gc.minor_words () in
+          mark.mark_s <- t0;
+          mark.mark_words <- w0;
           a.step e;
-          elapsed := !elapsed +. (Coop_obs.now_s () -. t0);
+          acc.acc_s <- acc.acc_s +. (Coop_obs.now_s () -. t0);
+          acc.acc_words <- acc.acc_words +. (Gc.minor_words () -. w0);
           incr events)
       a
 

@@ -117,28 +117,40 @@ val count : unit -> int t
 val fold : ('a -> Event.t -> 'a) -> 'a -> 'a t
 (** A left fold over the stream as an analysis. *)
 
-val instrument : ?mark:float ref -> name:string -> 'r t -> 'r t
+type mark = { mutable mark_s : float; mutable mark_words : float }
+(** The shared mark of one instrumented fused chain: the clock and the
+    domain's [Gc.minor_words] counter as last read by the chain's
+    instrumentation. Float fields only, so it is stored flat and updating
+    it allocates nothing. *)
+
+val mark : unit -> mark
+(** A fresh mark (both readings zero until a phase step seeds them). *)
+
+val instrument : ?mark:mark -> name:string -> 'r t -> 'r t
 (** [instrument ~name a] attributes the time spent inside [a]'s step and
-    finalize to the [Coop_obs] timer [name], and counts its step calls.
-    With telemetry disabled this returns [a] itself — the uninstrumented
-    hot path is unchanged, not merely cheap. Enabled, the elapsed time is
-    accumulated in a closure-local register and flushed to the registry
-    once, at finalize, so the per-event cost is two clock reads.
+    finalize, and the minor-heap words allocated there, to the
+    [Coop_obs] timer [name], and counts its step calls. With telemetry
+    disabled this returns [a] itself — the uninstrumented hot path is
+    unchanged, not merely cheap. Enabled, time and words are accumulated
+    in closure-local float registers (no boxing) and flushed to the
+    registry once, at finalize, so the per-event cost is two clock reads
+    and two allocation-counter reads, and no allocation of its own.
 
-    [mark] is the shared-clock optimisation for checkers fused in a
-    chain driven by {!instrument_phase}: the step reads the clock once
-    {e after} running, attributes [now - !mark] and advances [mark] — so
-    [k] fused checkers cost [k + 2] clock reads per event instead of
-    [2k + 2]. Only valid when an enclosing {!instrument_phase} with the
-    same [mark] runs first on every event; each checker's time then also
-    absorbs the (negligible) chain dispatch just before it. *)
+    [mark] is the shared-mark optimisation for checkers fused in a chain
+    driven by {!instrument_phase}: the step reads the clock and the
+    counter once {e after} running, attributes the deltas from [mark]
+    and advances it — so [k] fused checkers cost [k + 2] reads of each
+    per event instead of [2k + 2]. Only valid when an enclosing
+    {!instrument_phase} with the same [mark] runs first on every event;
+    each checker's figures then also absorb the (negligible) chain
+    dispatch just before it. *)
 
-val instrument_phase : name:string -> mark:float ref -> 'r t -> 'r t
+val instrument_phase : name:string -> mark:mark -> 'r t -> 'r t
 (** [instrument_phase ~name ~mark a] is {!instrument} for the whole fused
     chain of one pipeline phase: before dispatching an event it stores
-    the clock in [mark] (seeding the inner [?mark] checkers), and
-    attributes the full dispatch time to [name] — the denominator of the
-    per-checker attribution table. *)
+    the clock and the allocation counter in [mark] (seeding the inner
+    [?mark] checkers), and attributes the full dispatch to [name] — the
+    denominator of the per-checker attribution table. *)
 
 val run : 'r t -> Trace.t -> 'r
 (** Offline driver: replay a recorded trace through the analysis. The thin

@@ -255,6 +255,107 @@ let test_channel_source () =
           Alcotest.(check bool) "second replay raises Invalid_argument" true
             raised))
 
+(* --- Edge cases of the flat engine ----------------------------------- *)
+
+let trace_of ?(loc = fun pc -> Loc.make ~func:0 ~pc ~line:1) events =
+  let tr = Trace.create () in
+  List.iteri (fun pc (tid, op) -> Trace.add tr (Event.make ~tid ~op ~loc:(loc pc))) events;
+  tr
+
+(* Two threads alternate over the same 1,000 variables inside one
+   transaction each (no yields), so every access defeats the other
+   thread's registration stamp and chains duplicate entries. A lock
+   orders the accesses until both threads touch v7 unprotected: the late
+   Racy(v7) fact walks a chain full of duplicates and must still repair
+   both open transactions. *)
+let test_stamp_defeating_duplicates () =
+  let v i = Event.Global i in
+  let crit tid op = [ (tid, Event.Acquire 0); (tid, op); (tid, Event.Release 0) ] in
+  let rounds =
+    List.concat_map
+      (fun _ ->
+        List.concat_map
+          (fun i -> crit 1 (Event.Write (v i)) @ crit 2 (Event.Read (v i)))
+          (List.init 1000 Fun.id))
+      [ 1; 2 ]
+  in
+  let tr =
+    trace_of
+      ([ (0, Event.Fork 1); (0, Event.Fork 2) ] @ rounds
+      @ [ (1, Event.Write (v 7)); (2, Event.Write (v 7)); (1, Event.Read (v 8)) ])
+  in
+  let online = Cooperability.check tr and oracle = Cooperability.check ~two_pass:true tr in
+  Alcotest.(check bool) "a late racy fact arrived" true
+    (Event.Var_set.mem (v 7) oracle.Cooperability.racy);
+  Alcotest.(check bool) "single-pass = two-pass" true (coop_result_equal online oracle);
+  Alcotest.(check bool) "full pipeline agrees" true
+    (pipeline_agrees (fun () -> Source.of_trace tr))
+
+(* A 3-deep nested Atomizer activation: the innermost closes with a
+   pending assumption, then the fact arrives while the two outer ones
+   are still open, and they go on stepping afterwards. Locations outside
+   the VM's ranges (negative, or beyond 2^20 functions) take the log's
+   escape path through the replay. *)
+let test_nested_activation_late_fact () =
+  let x = Event.Global 0 and y = Event.Global 1 in
+  let tr =
+    trace_of ~loc:(fun pc ->
+        if pc mod 2 = 0 then Loc.make ~func:(1 lsl 40) ~pc:(-pc) ~line:pc
+        else Loc.none)
+      [ (0, Event.Fork 1); (0, Event.Fork 2);
+        (1, Event.Enter 0); (1, Event.Read x); (1, Event.Enter 1);
+        (1, Event.Write y); (1, Event.Enter 2); (1, Event.Read x);
+        (1, Event.Write x); (1, Event.Exit 2);
+        (2, Event.Write x);  (* races with t1: Racy(x) arrives here *)
+        (1, Event.Read y); (1, Event.Write x); (1, Event.Exit 1);
+        (1, Event.Read x); (1, Event.Exit 0) ]
+  in
+  let online = Coop_atomicity.Atomizer.check tr in
+  Alcotest.(check bool) "single-pass = two-pass" true
+    (online = Coop_atomicity.Atomizer.check_two_pass tr);
+  Alcotest.(check bool) "the late fact flagged activations" true
+    (online.Coop_atomicity.Atomizer.warnings <> []);
+  Alcotest.(check bool) "full pipeline agrees" true
+    (pipeline_agrees (fun () -> Source.of_trace tr))
+
+(* A long yield-disciplined, race-free stream — each transaction one
+   critical section with one access, then a yield — must run in bounded
+   memory: every transaction retires at its yield and each thread's log
+   is cut back, though the race-free assumptions never resolve. *)
+let test_engine_memory_bounded () =
+  let a = Cooperability.online_analysis () in
+  let e = Event.make ~tid:0 ~op:Event.Yield ~loc:(Loc.make ~func:0 ~pc:0 ~line:1) in
+  let emit tid op =
+    e.Event.tid <- tid;
+    e.Event.op <- op;
+    Analysis.step a e
+  in
+  emit 0 (Event.Fork 1);
+  emit 0 (Event.Fork 2);
+  let sent = ref 2 in
+  let run_to n =
+    while !sent < n do
+      let tid = 1 + (!sent / 8 mod 2) in
+      let access = if !sent mod 16 < 8 then Event.Read (Event.Global 0) else Event.Write (Event.Global 0) in
+      emit tid (Event.Acquire 0);
+      emit tid access;
+      emit tid (Event.Release 0);
+      emit tid Event.Yield;
+      sent := !sent + 4
+    done
+  in
+  run_to 10_000;
+  let early = Obj.reachable_words (Obj.repr a) in
+  run_to 1_000_000;
+  let late = Obj.reachable_words (Obj.repr a) in
+  Alcotest.(check bool)
+    (Printf.sprintf "words at 1e6 events (%d) within 1.5x of 1e4 (%d)" late early)
+    true
+    (float_of_int late <= 1.5 *. float_of_int early);
+  let r = Analysis.finalize a in
+  Alcotest.(check int) "race-free" 0 (List.length r.Cooperability.races);
+  Alcotest.(check int) "cooperable" 0 (List.length r.Cooperability.violations)
+
 let suite =
   [
     coop_on_traces;
@@ -276,4 +377,10 @@ let suite =
       test_two_pass_executes_twice;
     Alcotest.test_case "channel source: consumable once, by one pass" `Quick
       test_channel_source;
+    Alcotest.test_case "engine: stamp-defeating duplicates, late fact" `Quick
+      test_stamp_defeating_duplicates;
+    Alcotest.test_case "engine: late fact into nested open activations" `Quick
+      test_nested_activation_late_fact;
+    Alcotest.test_case "engine: bounded memory on a long disciplined stream"
+      `Quick test_engine_memory_bounded;
   ]

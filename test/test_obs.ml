@@ -179,6 +179,62 @@ let test_disabled_is_noop () =
       Alcotest.(check int) "no timers" 0 (List.length s.Coop_obs.timers);
       Alcotest.(check int) "no histograms" 0 (List.length s.Coop_obs.hists))
 
+(* Per-checker allocation through [Analysis.instrument]: a checker that
+   allocates a 10-word block per step reports 10 words per event, an
+   instrumented counter reports none (the instrumentation itself
+   allocates nothing per event), in both the shared-mark mode of fused
+   chains and the standalone mode. Disabled, the same chain registers no
+   telemetry buffer. *)
+let test_checker_words () =
+  let open Coop_trace in
+  let ev = Event.make ~tid:0 ~op:Event.Yield ~loc:Loc.none in
+  let n = 10_000 in
+  let sink = ref [||] in
+  let chain ?mark () =
+    let alloc =
+      Analysis.make
+        ~step:(fun _ -> sink := Sys.opaque_identity (Array.make 9 0))
+        ~finalize:(fun () -> ())
+    in
+    Analysis.chain
+      (Analysis.instrument ?mark ~name:"checker/alloc" alloc)
+      (Analysis.instrument ?mark ~name:"checker/count" (Analysis.count ()))
+  in
+  let run a =
+    for _ = 1 to n do
+      Analysis.step a ev
+    done;
+    ignore (Analysis.finalize a)
+  in
+  let per_event what =
+    let s = Coop_obs.snapshot () in
+    let t = List.assoc what s.Coop_obs.timers in
+    t.Coop_obs.words /. float_of_int t.Coop_obs.calls
+  in
+  List.iter
+    (fun fused ->
+      with_obs (fun () ->
+          Coop_obs.enable ();
+          let mark = Analysis.mark () in
+          run
+            (if fused then
+               Analysis.instrument_phase ~name:"analysis/t" ~mark
+                 (chain ~mark ())
+             else chain ());
+          let mode = if fused then "shared mark" else "standalone" in
+          Alcotest.(check (float 1.))
+            (mode ^ ": 10-word checker reads 10 words/event") 10.
+            (per_event "checker/alloc");
+          Alcotest.(check bool)
+            (mode ^ ": instrumented count reads <= 0.1 words/event") true
+            (per_event "checker/count" <= 0.1)))
+    [ true; false ];
+  with_obs (fun () ->
+      run (Analysis.instrument_phase ~name:"analysis/t" ~mark:(Analysis.mark ())
+             (chain ~mark:(Analysis.mark ()) ()));
+      Alcotest.(check int) "disabled: no per-domain buffer registered" 0
+        (Coop_obs.domains_registered ()))
+
 let test_reset_drops_everything () =
   with_obs (fun () ->
       Coop_obs.enable ();
@@ -406,6 +462,7 @@ let suite =
       test_counter_merge_across_pool_sizes;
     Alcotest.test_case "disabled mode is a true no-op" `Quick
       test_disabled_is_noop;
+    Alcotest.test_case "per-checker words per event" `Quick test_checker_words;
     Alcotest.test_case "reset drops everything" `Quick
       test_reset_drops_everything;
     Alcotest.test_case "attribution shares sum to one" `Quick

@@ -14,6 +14,9 @@
 (* Bind before [open QCheck2] shadows the module name (same dance as
    test_parallel.ml). *)
 let gen_program = Gen.gen_concurrent_program
+let gen_late_trace = Gen.gen_late_trace
+let gen_lock_heavy_trace = Gen.gen_lock_heavy_trace
+let print_trace = Gen.print_trace
 
 open QCheck2
 open Coop_util
@@ -172,6 +175,40 @@ let test_snapshot_resume_law () =
         (Format.asprintf "%a" Metrics.pp)
         tr)
     law_traces
+
+(* The law on late-knowledge streams, at a random cut: facts arrive
+   late, so parked transactions with pending facts and non-empty thread
+   logs straddle the snapshot. *)
+let online_law_on_late_streams =
+  let gen =
+    Gen.pair (Gen.oneof [ gen_late_trace; gen_lock_heavy_trace ])
+      (Gen.float_bound_inclusive 1.)
+  in
+  QCheck_alcotest.to_alcotest
+    (Test.make
+       ~name:"qcheck: online chain snapshot/resume law at a random cut of \
+              late-knowledge streams"
+       ~count:150
+       ~print:(fun (tr, cut) ->
+         Printf.sprintf "cut %.3f of\n%s" cut (print_trace tr))
+       gen
+       (fun (tr, cut) ->
+         let n = Trace.length tr in
+         let k = int_of_float (cut *. float_of_int n) in
+         let make () = Cooperability.online_analysis () in
+         let finish a lo = feed a tr lo n; show_coop (Analysis.finalize a) in
+         let full = finish (make ()) 0 in
+         let donor = make () in
+         feed donor tr 0 k;
+         match Analysis.snapshot donor with
+         | None -> false
+         | Some snap ->
+             let a1 = make () and a2 = make () in
+             Analysis.resume a1 snap;
+             Analysis.resume a2 snap;
+             let r1 = finish a1 k in
+             let r2 = finish a2 k in
+             r1 = full && r2 = full && finish donor k = full))
 
 (* --- VM copy law --------------------------------------------------------- *)
 
@@ -490,6 +527,7 @@ let suite =
       test_dpor_counter_split;
     Alcotest.test_case "snapshot/resume law per analysis" `Quick
       test_snapshot_resume_law;
+    online_law_on_late_streams;
     Alcotest.test_case "infer elision accounting" `Quick
       test_infer_elision_accounting;
     Alcotest.test_case "dpor leaves its checkpoint store empty" `Quick
