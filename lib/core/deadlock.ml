@@ -12,45 +12,78 @@ type result = {
   cycles : int list list;
 }
 
-module Pair = struct
-  type t = int * int
+module Itbl = Hashtbl.Make (Int)
 
-  let compare = compare
-end
-
-module Pair_map = Map.Make (Pair)
+(* A thread's held locks, oldest first in [locks.(0 .. n-1)]. *)
+type held = { mutable locks : int array; mutable n : int }
 
 (* Collect lock-order edges: for each acquire, one edge from every lock the
-   thread already holds. Reentrant acquires do not appear in the event
-   stream, so self-edges cannot arise. State is O(threads·locks). *)
+   thread already holds, newest first. Reentrant acquires do not appear in
+   the event stream, so self-edges cannot arise. State is
+   O(threads·locks). A lock op is a large share of the events and this
+   runs on each, so the steady state allocates nothing: held locks are a
+   per-thread int stack, and the edges seen so far an int-keyed table
+   from the held lock to the set of locks acquired under it. *)
 let edges_analysis () =
-  let held : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-  let seen = ref Pair_map.empty in
+  let held : held Itbl.t = Itbl.create 8 in
+  let seen : unit Itbl.t Itbl.t = Itbl.create 8 in
   let edges = ref [] in
-  (* Lookups and removal that allocate nothing on the common paths: a
-     lock op is a large share of the events, and this runs on each. *)
-  let held_by tid = match Hashtbl.find held tid with hs -> hs | exception Not_found -> [] in
-  let rec without l = function
-    | [] -> []
-    | x :: rest -> if x = l then without l rest else x :: without l rest
+  let held_by tid =
+    match Itbl.find held tid with
+    | hs -> hs
+    | exception Not_found ->
+        let hs = { locks = Array.make 4 0; n = 0 } in
+        Itbl.replace held tid hs;
+        hs
   in
-  let rec add_edges (e : Event.t) l = function
-    | [] -> ()
-    | h :: hs ->
-        if not (Pair_map.mem (h, l) !seen) then begin
-          seen := Pair_map.add (h, l) () !seen;
-          edges := { from_lock = h; to_lock = l; tid = e.tid; loc = e.loc } :: !edges
-        end;
-        add_edges e l hs
+  let fresh h l =
+    match Itbl.find seen h with
+    | under -> not (Itbl.mem under l)
+    | exception Not_found -> true
+  in
+  let mark h l =
+    match Itbl.find seen h with
+    | under -> Itbl.replace under l ()
+    | exception Not_found ->
+        let under = Itbl.create 4 in
+        Itbl.replace under l ();
+        Itbl.replace seen h under
+  in
+  let acquire (e : Event.t) l =
+    let hs = held_by e.tid in
+    for i = hs.n - 1 downto 0 do
+      let h = hs.locks.(i) in
+      if fresh h l then begin
+        mark h l;
+        let edge = { from_lock = h; to_lock = l; tid = e.tid; loc = e.loc } in
+        edges := edge :: !edges
+      end
+    done;
+    if hs.n = Array.length hs.locks then begin
+      let a = Array.make (2 * hs.n) 0 in
+      Array.blit hs.locks 0 a 0 hs.n;
+      hs.locks <- a
+    end;
+    hs.locks.(hs.n) <- l;
+    hs.n <- hs.n + 1
+  in
+  let release tid l =
+    let hs = held_by tid in
+    let k = ref 0 in
+    for i = 0 to hs.n - 1 do
+      let h = hs.locks.(i) in
+      if h <> l then begin
+        hs.locks.(!k) <- h;
+        incr k
+      end
+    done;
+    hs.n <- !k
   in
   Analysis.make
     ~step:(fun (e : Event.t) ->
       match e.op with
-      | Event.Acquire l ->
-          let hs = held_by e.tid in
-          add_edges e l hs;
-          Hashtbl.replace held e.tid (l :: hs)
-      | Event.Release l -> Hashtbl.replace held e.tid (without l (held_by e.tid))
+      | Event.Acquire l -> acquire e l
+      | Event.Release l -> release e.tid l
       | _ -> ())
     ~finalize:(fun () -> List.rev !edges)
 

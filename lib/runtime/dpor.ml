@@ -1,5 +1,4 @@
 open Coop_trace
-module Iset = Set.Make (Int)
 
 type result = {
   behaviors : Behavior.Set.t;
@@ -11,348 +10,356 @@ type result = {
   complete : bool;
 }
 
-(* The object a transition touches, for the dependency relation. *)
-type obj =
-  | Ovar of Event.var
-  | Olock of int
-  | Othread of int  (* fork/join of, or park-on-join for, this thread *)
-  | Oout  (* print: globally ordered because output order is observable *)
-  | Onone
+(* A transition's footprint for the dependency relation, as four ints in
+   a row of a flat array: the thread, its kind with bit 0 set for a
+   write, and two operands. Kinds: 0 none; [k_var] a variable (a global's
+   slot and -1, or an array id and index); [k_lock] a lock handle;
+   [k_thread] a thread (fork/join of, or park-on-join for, it); [k_out]
+   output (prints are globally ordered because output order is
+   observable). *)
+let k_var = 2 and k_lock = 4 and k_thread = 6 and k_out = 8
 
-type step_info = {
-  tid : int;
-  obj : obj;
-  is_write : bool;
-}
+(* Whether rows [s.(i ..)] and [u.(j ..)] are dependent. Rows are in
+   bounds by construction. *)
+let dependent (s : int array) i (u : int array) j =
+  let ta = Array.unsafe_get s i and tb = Array.unsafe_get u j in
+  ta <> tb  (* program order needs no backtracking *)
+  &&
+  let ka = Array.unsafe_get s (i + 1) land -2
+  and kb = Array.unsafe_get u (j + 1) land -2 in
+  if ka = k_thread then Array.unsafe_get s (i + 2) = tb
+  else if kb = k_thread then Array.unsafe_get u (j + 2) = ta
+  else
+    ka = kb
+    && (ka = k_out
+       || ka <> 0
+          && Array.unsafe_get s (i + 2) = Array.unsafe_get u (j + 2)
+          && (ka = k_lock
+             || Array.unsafe_get s (i + 3) = Array.unsafe_get u (j + 3)
+                && (Array.unsafe_get s (i + 1) lor Array.unsafe_get u (j + 1))
+                   land 1
+                   = 1))
 
-let dependent a b =
-  if a.tid = b.tid then false  (* program order needs no backtracking *)
-  else begin
-    match (a.obj, b.obj) with
-    | Ovar v, Ovar w ->
-        Event.equal_var v w && (a.is_write || b.is_write)
-    | Olock l, Olock m -> l = m
-    | Oout, Oout -> true
-    | Othread t, _ -> t = b.tid
-    | _, Othread t -> t = a.tid
-    | _ -> false
-  end
+(* Sets kind and operands of the footprint row [fp], keeping the
+   written bit: a write stays a write whatever the step captures after. *)
+let capture (fp : int array) kind a b =
+  fp.(1) <- kind lor (fp.(1) land 1);
+  fp.(2) <- a;
+  fp.(3) <- b
+
+(* One sink per run fills [fp] from the events of the transition being
+   executed: the visible operation is recovered from the event it emits. *)
+let footprint_sink fp (e : Event.t) =
+  match e.op with
+  | Event.Read (Event.Global g) -> capture fp k_var g (-1)
+  | Event.Read (Event.Cell (x, i)) -> capture fp k_var x i
+  | Event.Write (Event.Global g) -> capture fp (k_var + 1) g (-1)
+  | Event.Write (Event.Cell (x, i)) -> capture fp (k_var + 1) x i
+  | Event.Acquire l | Event.Release l -> capture fp k_lock l 0
+  | Event.Fork t | Event.Join t -> capture fp k_thread t 0
+  | Event.Out _ -> capture fp k_out 0 0
+  | Event.Yield (* leaves a Wait's Release capture in place *)
+  | Event.Enter _ | Event.Exit _ | Event.Atomic_begin | Event.Atomic_end -> ()
 
 (* Execute one transition of [tid] in place ({!Vm.transition}: the
-   invisible prefix, then one visible instruction or a park). Returns the
-   step summary, or [None] when the prefix budget runs out. The visible
-   operation is recovered from the event the step emits. *)
-let exec_transition ~yields ~max_segment st tid =
-  let captured = ref Onone in
-  let wrote = ref false in
-  let sink (e : Event.t) =
-    match e.op with
-    | Event.Read v -> captured := Ovar v
-    | Event.Write v ->
-        captured := Ovar v;
-        wrote := true
-    | Event.Acquire l | Event.Release l -> captured := Olock l
-    | Event.Fork t | Event.Join t -> captured := Othread t
-    | Event.Out _ -> captured := Oout
-    | Event.Yield -> ()  (* leaves a Wait's Release capture in place *)
-    | Event.Enter _ | Event.Exit _ | Event.Atomic_begin | Event.Atomic_end ->
-        ()
-  in
-  if not (Vm.transition ~yields st tid ~fuel:max_segment ~sink) then None
-  else
-    let obj =
-      match Vm.thread_status st tid with
-      | Vm.Blocked_on_lock h | Vm.Waiting h | Vm.Reacquiring h ->
-          Olock h  (* parked or waiting: depends on the monitor *)
-      | Vm.Blocked_on_join u -> Othread u
-      | _ -> !captured
-    in
-    Some { tid; obj; is_write = !wrote }
+   invisible prefix, then one visible instruction or a park) and leave
+   its footprint in [fp]; [false] when the prefix budget runs out. *)
+let exec_transition ~yields ~max_segment fp sink st tid =
+  fp.(0) <- tid;
+  fp.(1) <- 0;
+  capture fp 0 0 0;
+  Vm.transition ~yields st tid ~fuel:max_segment ~sink
+  && begin
+    (match Vm.thread_status st tid with
+    | Vm.Blocked_on_lock h | Vm.Waiting h | Vm.Reacquiring h ->
+        capture fp k_lock h 0  (* parked or waiting: depends on the monitor *)
+    | Vm.Blocked_on_join u -> capture fp k_thread u 0
+    | _ -> ());
+    true
+  end
 
-(* Frames no longer pin a [Vm.state]: a frame holds only the choice
-   bookkeeping plus the checkpoint [key] of its pre-choice state — the
-   run's nonce and a per-run frame counter, since every frame is a
-   distinct node of the execution tree. The state before the choice is
-   fetched (copied) from the shared checkpoint store and, on a miss,
-   re-derived by replaying the recorded path from the deepest cached
-   ancestor — so peak memory is the cache cap, not stack-depth states,
-   and backtracked executions skip re-running their shared prefix. *)
-type frame = {
-  key : string;  (* checkpoint key of the pre-choice state; "" if unparked *)
-  enabled : Iset.t;
-  mutable backtrack : Iset.t;
-  mutable tried : Iset.t;
-  mutable taken : step_info option;  (* the step executed from this frame *)
-  mutable sleep : (int * step_info) list;
-      (* threads whose next transition was fully explored in a sibling
-         subtree; skipped here, woken by dependent steps (sleep sets) *)
+(* The DFS stack, flat and owned by one run: row [d] of each array
+   belongs to the frame at depth [d] (0 is the initial state). A frame
+   has four thread bitsets of [nw] words, 63 threads a word — enabled,
+   backtrack, tried and sleep — the footprint of the step it last took,
+   and its sleep entries: for each sleeping thread the footprint of the
+   step it would take, whose subtree a sibling covered. Sleep entries
+   live in one stack-ordered arena: a frame's start at [sleep_lo], its
+   child's after its end, so the top frame may append. A parked frame
+   holds its own pre-choice state in [slot], charged to the store's
+   budget. When it pops, the charge goes but the state stays, as the copy
+   destination of the next park at that depth: a run keeps one spare per
+   parked depth it reached, each the last state charged there. *)
+type frames = {
+  mutable nw : int;
+  mutable bits : int array;  (* (depth * 4 + set) * nw + word *)
+  mutable taken : int array;  (* depth * 4: footprint row *)
+  mutable slot : Vm.state array;
+  mutable charged : int array;  (* 0 unparked, -1 refused by the budget *)
+  mutable sleep_lo : int array;
+  mutable arena : int array;  (* footprint rows *)
+  mutable top : int;  (* end of the top frame's sleep entries *)
+  root : Vm.state;  (* the initial state, never stepped; also "no slot" *)
+  work : Vm.state;  (* the one state the run steps *)
 }
 
-(* Distinguishes checkpoint keys of concurrent/successive runs sharing
-   one store; replay only ever hits keys written by the same run. *)
-let run_nonce = Atomic.make 0
+let enabled = 0 and backtrack = 1 and tried = 2 and asleep = 3
 
-(* Checkpoint spacing: only every [ckpt_spacing]-th stack depth is parked
-   in the store (the root always is). Parking copies the state, so parking
-   every level would pay a full copy on every novel step, eating most of
-   what elision saves; with spacing, a backtracked choice at an unparked
-   depth replays at most [ckpt_spacing - 1] transitions from its nearest
-   parked ancestor. Must be a power of two. *)
+let word f d set t = (((d * 4) + set) * f.nw) + (t / 63)
+let mem f d set t = f.bits.(word f d set t) land (1 lsl (t mod 63)) <> 0
+
+let add f d set t =
+  let i = word f d set t in
+  f.bits.(i) <- f.bits.(i) lor (1 lsl (t mod 63))
+
+let rec lowest w n = if w land 1 = 1 then n else lowest (w lsr 1) (n + 1)
+
+(* The least thread in [set] and not in [minus] at depth [d] from word
+   [k] on, or -1. *)
+let rec least f d set minus k =
+  if k = f.nw then -1
+  else
+    let w = f.bits.(word f d set 0 + k) in
+    let w =
+      if minus < 0 then w else w land lnot f.bits.(word f d minus 0 + k)
+    in
+    if w = 0 then least f d set minus (k + 1) else (k * 63) + lowest w 0
+
+(* Room for a frame at depth [d] over [n] threads: depth capacity grows
+   by doubling, bitsets widen by whole words, rows keep their contents. *)
+let reserve f d n =
+  let cap = Array.length f.charged in
+  let nw = max f.nw ((n + 62) / 63) in
+  if d >= cap || nw > f.nw then begin
+    let more = if d >= cap then cap else 0 in
+    let cap' = cap + more in
+    let bits = Array.make (cap' * 4 * nw) 0 in
+    for row = 0 to (cap * 4) - 1 do
+      Array.blit f.bits (row * f.nw) bits (row * nw) f.nw
+    done;
+    f.bits <- bits;
+    f.nw <- nw;
+    f.taken <- Array.append f.taken (Array.make (4 * more) 0);
+    f.slot <- Array.append f.slot (Array.make more f.root);
+    f.charged <- Array.append f.charged (Array.make more 0);
+    f.sleep_lo <- Array.append f.sleep_lo (Array.make more 0)
+  end
+
+let push_sleep f (src : int array) i =
+  if f.top + 4 > Array.length f.arena then
+    f.arena <- Array.append f.arena (Array.make (Array.length f.arena) 0);
+  for k = 0 to 3 do
+    f.arena.(f.top + k) <- src.(i + k)
+  done;
+  f.top <- f.top + 4
+
+(* Only every [ckpt_spacing]-th depth parks (the root always does).
+   Parking copies the state, so parking every level would pay a copy on
+   every novel step, eating most of what elision saves; a backtrack at an
+   unparked depth replays at most [ckpt_spacing - 1] transitions from its
+   nearest parked ancestor. Must be a power of two. *)
 let ckpt_spacing = 4
 
-let parked_depth i = i land (ckpt_spacing - 1) = 0
-
-(* Removed checkpoints a run keeps for reuse as copy destinations. *)
-let max_spares = 16
-
 (* One DPOR exploration. [root_only = Some p] restricts the root frame to
-   the single first choice [p]: its siblings are pre-marked tried, so a
-   shard explores exactly the subtree rooted at first step [p]. Lazy
-   backtrack additions at the root — the persistent-set requests DPOR
-   discovers while exploring that subtree — are reported through
-   [root_notify] instead of being mutated into the (already restricted)
-   root frame: [run] turns each newly requested root choice into a fresh
-   pool task, so shards are spawned on demand rather than pre-sharded
-   over every enabled tid. The spawned set is a deterministic fixpoint (a
-   superset of the sequential root persistent set, hence sound); the
-   shards lose the root-level sleep sets, so they may re-explore
-   executions a sequential run would have pruned (counted in
-   [executions]/[steps]), but the behaviour set is exact either way. *)
+   the single first choice [p], its siblings pre-marked tried: a shard
+   explores the subtree of first step [p]. Backtrack requests at the root
+   go to [root_notify] instead, and [run] spawns each newly requested
+   root choice as a pool task. The spawned set is a deterministic
+   fixpoint, a superset of the sequential root persistent set, hence
+   sound; shards lose the root-level sleep sets, so they may re-explore
+   executions a sequential run prunes (counted in [executions]/[steps]),
+   but the behaviour set is exact either way. *)
 let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     ?(yields = Loc.Set.empty) ?(max_executions = 50_000)
     ?(max_depth = 10_000) ?(max_segment = 100_000) prog =
   let behaviors = ref Behavior.Set.empty in
   let executions = ref 0 in
-  let novel = ref 0 in
-  let replayed = ref 0 in
-  let cache_hits = ref 0 in
+  let novel = ref 0 and replayed = ref 0 in
+  let hits = ref 0 and misses = ref 0 in
   let complete = ref true in
-  let record st =
-    incr executions;
-    behaviors := Behavior.Set.add (Behavior.of_state st) !behaviors
+  let root = Vm.init prog in
+  let f =
+    { nw = 1; bits = Array.make 256 0; taken = Array.make 256 0;
+      slot = Array.make 64 root; charged = Array.make 64 0;
+      sleep_lo = Array.make 64 0; arena = Array.make 64 0; top = 0; root;
+      work = Vm.copy root }
   in
-  (* The execution stack; index 0 is the initial state. *)
-  let stack : frame array ref = ref [||] in
-  let depth = ref 0 in
-  let push frame =
-    if !depth >= Array.length !stack then begin
-      let bigger =
-        Array.make (max 64 (2 * Array.length !stack)) frame
-      in
-      Array.blit !stack 0 bigger 0 (Array.length !stack);
-      stack := bigger
-    end;
-    !stack.(!depth) <- frame;
-    incr depth
-  in
-  (* Checkpoint keys: the run's nonce plus a per-run frame counter, its
-     8 bytes appended raw (formatting it as decimal cost about as much as
-     the store insert). [park] stores a copy of a frame's pre-choice state
-     and returns its key ([""] without a store); [drop] removes it when
-     the frame pops. Only this run names its keys, and it copies a
-     fetched state at once, so a removed checkpoint is referenced by
-     nothing else: it becomes a spare that a later copy is written into
-     ({!Vm.copy_into}) instead of a fresh allocation. The end of an
-     execution pops its parked frames in a row and the next descent parks
-     about as many, so a few spares serve most copies; [max_spares]
-     bounds what the run holds outside the store's cap. *)
-  let key_base = "dpor" ^ string_of_int (Atomic.fetch_and_add run_nonce 1) ^ ":" in
-  let parked = ref 0 in
-  let spares = ref [] and n_spares = ref 0 in
-  let private_copy st =
-    match !spares with
-    | dst :: rest ->
-        spares := rest;
-        decr n_spares;
-        Vm.copy_into ~dst st;
-        dst
-    | [] -> Vm.copy st
-  in
-  let park st =
+  let fp = Array.make 4 0 in
+  let sink = footprint_sink fp in
+  let step st tid = exec_transition ~yields ~max_segment fp sink st tid in
+  (* Parks [st] at depth [d] if the budget has room for a copy. *)
+  let park d st =
     match cache with
+    | None -> ()
     | Some c ->
-        incr parked;
-        let n = String.length key_base in
-        let key = Bytes.create (n + 8) in
-        Bytes.blit_string key_base 0 key 0 n;
-        Bytes.set_int64_le key n (Int64.of_int !parked);
-        let key = Bytes.unsafe_to_string key in
-        Coop_util.Ckpt_cache.add c key (private_copy st);
-        key
-    | None -> ""
+        (* The copy is weighed, not [st]: a stepped state's thread
+           array may be longer than a copy's. *)
+        if f.slot.(d) == root then f.slot.(d) <- Vm.copy st
+        else Vm.copy_into ~dst:f.slot.(d) st;
+        let w = Coop_util.Ckpt_cache.charge c f.slot.(d) in
+        if w = 0 then f.slot.(d) <- root;  (* refused: keep no copy *)
+        f.charged.(d) <- (if w = 0 then -1 else w)
   in
-  let drop key =
-    match cache with
-    | Some c when key <> "" -> (
-        match Coop_util.Ckpt_cache.remove c key with
-        | Some st when !n_spares < max_spares ->
-            spares := st :: !spares;
-            incr n_spares
-        | _ -> ())
-    | _ -> ()
+  let unpark d =
+    (match cache with
+    | Some c when f.charged.(d) > 0 ->
+        Coop_util.Ckpt_cache.release c f.charged.(d)
+    | _ -> ());
+    f.charged.(d) <- 0
   in
-  (* A frame at a parked depth gets a checkpoint unless its backtrack set
-     starts empty — nothing enabled, or all of it asleep — since such a
-     frame takes no step and has no descendants to re-derive. *)
-  let make_frame ?(sleep = []) ~parked st =
-    let enabled = Iset.of_list (Vm.runnable st) in
-    let awake =
-      Iset.filter (fun p -> not (List.mem_assoc p sleep)) enabled
-    in
-    let backtrack =
-      (* Textbook sleep sets: a frame whose every enabled transition is
-         asleep is sleep-blocked — each continuation was fully covered in
-         an earlier sibling subtree, so exploring any of them here would
-         only re-derive known behaviours. Leave the backtrack set empty
-         and the frame records nothing. *)
-      match Iset.min_elt_opt awake with
-      | Some p -> Iset.singleton p
-      | None -> Iset.empty
-    in
-    let key = if parked && not (Iset.is_empty backtrack) then park st else "" in
-    { key; enabled; backtrack; tried = Iset.empty; taken = None; sleep }
+  (* The frame at depth [d] over [st]: its sleep entries are the parent's
+     minus those the parent's step [d - 1] woke. A frame whose every
+     enabled transition is asleep is sleep-blocked — each continuation
+     was covered in an earlier sibling subtree — so its backtrack set
+     stays empty and it records nothing; otherwise it starts at the least
+     awake thread. A frame at a parked depth parks unless its backtrack
+     set starts empty, since such a frame has no descendants to
+     re-derive. *)
+  let make_frame d st =
+    let n = Vm.n_threads st in
+    if d >= Array.length f.charged || n > 63 * f.nw then reserve f d n;
+    for k = 0 to f.nw - 1 do
+      f.bits.(word f d enabled 0 + k) <- Vm.runnable_bits st k;
+      f.bits.(word f d backtrack 0 + k) <- 0;
+      f.bits.(word f d tried 0 + k) <- 0;
+      f.bits.(word f d asleep 0 + k) <- 0
+    done;
+    f.sleep_lo.(d) <- f.top;
+    if sleep_sets && d > 0 then
+      for e = 0 to ((f.top - f.sleep_lo.(d - 1)) / 4) - 1 do
+        let j = f.sleep_lo.(d - 1) + (4 * e) in
+        if not (dependent f.arena j f.taken (4 * (d - 1))) then begin
+          add f d asleep f.arena.(j);
+          push_sleep f f.arena j
+        end
+      done;
+    let first = least f d enabled asleep 0 in
+    if first >= 0 then begin
+      add f d backtrack first;
+      if d land (ckpt_spacing - 1) = 0 then park d st
+    end
   in
-  (* State before the choice at depth [i], private to the caller: a copy
-     of the cached checkpoint if present, else re-derived by replaying the
-     recorded step of the parent frame onto the parent's state
-     (recursively, from the deepest cached ancestor). Replay is
-     deterministic — same yields, same fuel — so a transition that
-     succeeded when first executed succeeds again. Cached states are
-     never stepped: a re-derived state goes back in as a copy. *)
+  (* Makes [f.work] the state before the choice at depth [i]: a copy of
+     the parked state if there is one, else re-derived by replaying the
+     parent's taken step onto the parent's state (recursively, from the
+     deepest parked ancestor, or the root). Replay is deterministic —
+     same yields, same fuel — so a transition that succeeded when first
+     executed succeeds again. A frame refused by the budget tries to park
+     the re-derived state. *)
   let rec state_at i =
-    let fr = !stack.(i) in
-    let rederive () =
-      if i = 0 then Vm.init prog
-      else begin
-        let st = state_at (i - 1) in
-        let info =
-          match !stack.(i - 1).taken with
-          | Some info -> info
-          | None -> assert false  (* ancestors always have a taken step *)
-        in
-        match exec_transition ~yields ~max_segment st info.tid with
-        | Some _ ->
-            incr replayed;
-            st
-        | None -> assert false  (* succeeded when first executed *)
-      end
-    in
-    match cache with
-    | Some c when fr.key <> "" -> (
-        match Coop_util.Ckpt_cache.find c fr.key with
-        | Some st ->
-            incr cache_hits;
-            private_copy st
-        | None ->
-            let st = rederive () in
-            Coop_util.Ckpt_cache.add c fr.key (private_copy st);
-            st)
-    | _ -> rederive ()
-  in
-  (* After taking step [info] at depth d (from frame d), add backtrack
-     points at the last earlier frame whose taken step is dependent. *)
-  let add_backtracks info upto =
-    let rec find i =
-      if i < 0 then ()
-      else begin
-        match !stack.(i).taken with
-        | Some prior when dependent prior info ->
-            let fr = !stack.(i) in
-            let additions =
-              if Iset.mem info.tid fr.enabled then Iset.singleton info.tid
-              else fr.enabled
-            in
-            (match (i, root_notify) with
-            | 0, Some notify -> notify additions
-            | _ -> fr.backtrack <- Iset.union fr.backtrack additions)
-        | _ -> find (i - 1)
-      end
-    in
-    find upto
-  in
-  (* [explore st_here] explores from the frame just pushed, whose
-     pre-choice state [st_here] the caller hands over — the first choice
-     steps it in place at no lookup; later (backtracked) choices re-fetch
-     the frame's state through [state_at]. *)
-  let rec explore st_here =
-    if !executions >= max_executions then complete := false
+    let w = f.charged.(i) in
+    if w > 0 then begin
+      incr hits;
+      Vm.copy_into ~dst:f.work f.slot.(i)
+    end
     else begin
-      let fr = !stack.(!depth - 1) in
-      if Iset.is_empty fr.enabled then record st_here
-      else if !depth > max_depth then complete := false
+      if i = 0 then Vm.copy_into ~dst:f.work root
       else begin
-        let fresh = ref (Some st_here) in
-        let frame_state () =
-          match !fresh with
-          | Some st ->
-              fresh := None;
-              st
-          | None -> state_at (!depth - 1)
-        in
-        let continue_ = ref true in
-        while !continue_ do
-          match Iset.min_elt_opt (Iset.diff fr.backtrack fr.tried) with
-          | None -> continue_ := false
-          | Some p when List.mem_assoc p fr.sleep ->
-              (* Asleep: this transition's subtree was covered in a sibling
-                 and nothing dependent has happened since. *)
-              fr.tried <- Iset.add p fr.tried
-          | Some p -> (
-              fr.tried <- Iset.add p fr.tried;
-              let st = frame_state () in
-              match exec_transition ~yields ~max_segment st p with
-              | None -> complete := false
-              | Some info ->
-                  incr novel;
-                  fr.taken <- Some info;
-                  add_backtracks info (!depth - 2);
-                  let child_sleep =
-                    if not sleep_sets then []
-                    else
-                      List.filter
-                        (fun (_, i) -> not (dependent i info))
-                        fr.sleep
-                  in
-                  (* The child frame lands at stack index [!depth]. Its
-                     checkpoint serves only its own backtracked choices
-                     and its descendants' replays, so it is dropped when
-                     the frame pops. *)
-                  let child =
-                    make_frame ~sleep:child_sleep ~parked:(parked_depth !depth) st
-                  in
-                  push child;
-                  explore st;
-                  decr depth;
-                  drop child.key;
-                  if sleep_sets then fr.sleep <- (p, info) :: fr.sleep;
-                  if !executions >= max_executions then begin
-                    (* Budget exhausted mid-frame: the remaining backtrack
-                       choices stay unexplored. *)
-                    if not (Iset.is_empty (Iset.diff fr.backtrack fr.tried))
-                    then complete := false;
-                    continue_ := false
-                  end)
-        done
+        state_at (i - 1);
+        if not (step f.work f.taken.(4 * (i - 1))) then assert false;
+        incr replayed
+      end;
+      if w < 0 then begin
+        incr misses;
+        park i f.work
       end
     end
   in
-  let st0 = Vm.init prog in
-  let root = make_frame ~parked:true st0 in
+  (* After thread [tb] took the step at depth [d], add backtrack points
+     at the last earlier frame whose taken step is dependent. *)
+  let rec add_backtracks d i tb =
+    if i >= 0 then
+      if not (dependent f.taken (4 * i) f.taken (4 * d)) then
+        add_backtracks d (i - 1) tb
+      else begin
+        match (i, root_notify) with
+        | 0, Some notify ->
+            if mem f 0 enabled tb then notify tb
+            else
+              for t = 0 to (f.nw * 63) - 1 do
+                if mem f 0 enabled t then notify t
+              done
+        | _ ->
+            if mem f i enabled tb then add f i backtrack tb
+            else
+              for k = 0 to f.nw - 1 do
+                let b = word f i backtrack 0 + k in
+                f.bits.(b) <- f.bits.(b) lor f.bits.(word f i enabled 0 + k)
+              done
+      end
+  in
+  (* Explores from the frame at depth [d], whose pre-choice state is in
+     [f.work]: the first choice steps it in place, later (backtracked)
+     choices re-fetch it through [state_at]. *)
+  let rec explore d =
+    if !executions >= max_executions then complete := false
+    else if least f d enabled (-1) 0 < 0 then begin
+      incr executions;
+      behaviors := Behavior.Set.add (Behavior.of_state f.work) !behaviors
+    end
+    else if d >= max_depth then complete := false
+    else choose d true
+  and choose d fresh =
+    let p = least f d backtrack tried 0 in
+    if p >= 0 then begin
+      add f d tried p;
+      if mem f d asleep p then
+        (* Asleep: this transition's subtree was covered in a sibling and
+           nothing dependent has happened since. *)
+        choose d fresh
+      else begin
+        if not fresh then state_at d;
+        if not (step f.work p) then begin
+          complete := false;
+          choose d false
+        end
+        else begin
+          incr novel;
+          for k = 0 to 3 do
+            f.taken.((4 * d) + k) <- fp.(k)
+          done;
+          add_backtracks d (d - 1) p;
+          (* The child's checkpoint serves only its own backtracked
+             choices and its descendants' replays: it goes when the child
+             pops. *)
+          make_frame (d + 1) f.work;
+          explore (d + 1);
+          unpark (d + 1);
+          f.top <- f.sleep_lo.(d + 1);
+          if sleep_sets then begin
+            add f d asleep p;
+            push_sleep f f.taken (4 * d)
+          end;
+          if !executions < max_executions then choose d false
+          else if least f d backtrack tried 0 >= 0 then
+            (* Budget exhausted mid-frame: the remaining backtrack
+               choices stay unexplored. *)
+            complete := false
+        end
+      end
+    end
+  in
+  make_frame 0 f.work;
   (match root_only with
   | Some p ->
-      root.backtrack <- Iset.singleton p;
-      root.tried <- Iset.remove p root.enabled
+      Array.fill f.bits (word f 0 backtrack 0) f.nw 0;
+      add f 0 backtrack p;
+      Array.blit f.bits (word f 0 enabled 0) f.bits (word f 0 tried 0) f.nw;
+      let i = word f 0 tried p in
+      f.bits.(i) <- f.bits.(i) land lnot (1 lsl (p mod 63))
   | None -> ());
-  push root;
-  explore st0;
-  drop root.key;
+  explore 0;
+  unpark 0;
+  Option.iter
+    (fun c -> Coop_util.Ckpt_cache.tally c ~hits:!hits ~misses:!misses)
+    cache;
   {
     behaviors = !behaviors;
     executions = !executions;
     steps = !novel + !replayed;
     novel_steps = !novel;
     replayed_steps = !replayed;
-    cache_hits = !cache_hits;
+    cache_hits = !hits;
     complete = !complete;
   }
 
@@ -405,55 +412,43 @@ let run ?pool ?yields ?max_executions ?max_depth ?max_segment
        this. Tasks spawn from inside tasks, which is what the
        work-stealing pool is for. *)
     let mutex = Mutex.create () in
-    let spawned = ref Iset.empty in
+    let spawned = Hashtbl.create 8 in
     let promises : (int * result Coop_util.Pool.promise) list ref =
       ref []
     in
     let rec launch p =
-      if not (Iset.mem p !spawned) then begin
-        spawned := Iset.add p !spawned;
+      if not (Hashtbl.mem spawned p) then begin
+        Hashtbl.replace spawned p ();
         let promise =
           Coop_util.Pool.spawn pool (fun () ->
-              (* Shards share the one store: checkpoint keys carry a
-                 per-run nonce, and the store is mutex-protected. *)
+              (* Shards share the one store's budget, charged
+                 lock-free; each parks in its own frames. *)
               run_seq ~root_only:p ~root_notify ?cache ~sleep_sets ?yields
                 ?max_executions ?max_depth ?max_segment prog)
         in
         promises := (p, promise) :: !promises
       end
-    and root_notify tids =
-      Mutex.lock mutex;
-      Iset.iter launch tids;
-      Mutex.unlock mutex
-    in
-    root_notify (Iset.singleton (List.fold_left min (List.hd roots) roots));
+    and root_notify p = Mutex.protect mutex (fun () -> launch p) in
+    root_notify (List.fold_left min (List.hd roots) roots);
     (* Await until no shard has requested anything new: results are
        keyed by root tid and merged in tid order below, so the fold is
        deterministic whatever order the shards finished in. *)
-    let collected = ref [] in
-    let awaited = ref Iset.empty in
-    let rec drain () =
-      let todo =
-        Mutex.lock mutex;
-        let l =
-          List.filter (fun (t, _) -> not (Iset.mem t !awaited)) !promises
-        in
-        Mutex.unlock mutex;
-        l
-      in
-      if todo <> [] then begin
-        List.iter
-          (fun (t, promise) ->
-            awaited := Iset.add t !awaited;
-            collected := (t, Coop_util.Pool.await pool promise) :: !collected)
-          todo;
-        drain ()
-      end
+    let take () =
+      let l = !promises in
+      promises := [];
+      l
     in
-    drain ();
+    let rec drain acc =
+      match Mutex.protect mutex take with
+      | [] -> acc
+      | l ->
+          drain
+            (List.fold_left
+               (fun acc (t, pr) -> (t, Coop_util.Pool.await pool pr) :: acc)
+               acc l)
+    in
     let shards =
-      List.sort (fun (a, _) (b, _) -> compare a b) !collected
-      |> List.map snd
+      List.sort (fun (a, _) (b, _) -> compare a b) (drain []) |> List.map snd
     in
     finish
       (List.fold_left

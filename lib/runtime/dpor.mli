@@ -21,27 +21,34 @@
     Historically this explorer was {e stateless}: every backtracked
     execution re-ran from the initial state, so an exploration of [n]
     executions of depth [d] cost O(n·d) transitions even though
-    consecutive executions share long prefixes. By default it now keeps
-    a bounded LRU {b checkpoint store} ({!Coop_util.Ckpt_cache}) of VM
-    states, one per execution-tree node, keyed by the run's nonce and a
-    per-run frame counter: a backtracked execution resumes from the
-    deepest cached ancestor of its divergence point and only the
-    divergent suffix is executed fresh. The VM is mutable, so a
-    checkpoint is a {!Vm.copy} taken when the frame is pushed, and every
-    fetch copies it again — a cached state is never stepped. A frame's
-    checkpoint is removed when the frame pops, since nothing can look it
-    up again; the cap bounds what the rest can pin, and an evicted
-    checkpoint merely costs a (deterministic) replay of the gap from its
-    nearest cached ancestor. Checkpoints are parked only at every fourth
-    stack depth: parking every level would pay a copy on each novel
-    transition, while an unparked backtrack replays at most three
-    transitions from the nearest parked ancestor; a frame with nothing
-    to explore (nothing enabled, or all of it asleep) is not parked.
-    Removed checkpoints are recycled as destinations of later copies
-    ({!Vm.copy_into}), up to a few per run. [~no_cache:true]
-    restores the stateless behaviour and is kept as the differential
-    oracle — both modes produce identical behaviour sets, executions and
-    novel steps; they differ only in how prefix states are re-derived.
+    consecutive executions share long prefixes. By default it now parks
+    {b checkpoints} in its own DFS frames: a frame at every fourth stack
+    depth keeps a copy of its pre-choice VM state, and a backtracked
+    execution resumes from the deepest parked ancestor of its divergence
+    point, so only the divergent suffix is executed fresh. A parked
+    state is never stepped: each fetch copies it into the one state the
+    run steps ({!Vm.copy_into}). Parking is charged to the byte budget of
+    a {!Coop_util.Ckpt_cache} store with
+    {!Coop_util.Ckpt_cache.charge} (weight as the store computes it, no
+    key, no lock) and released when the frame pops, so a finished run
+    leaves the store's [bytes] at 0 and the cap bounds what the frames
+    pin. A frame the budget refuses does not park: its state is
+    re-derived by a (deterministic) replay from its nearest parked
+    ancestor when needed. An unparked backtrack replays at most three
+    transitions; a frame with nothing to explore (nothing enabled, or
+    all of it asleep) is not parked. A popped frame's state stays in the
+    run as the copy destination of the next park at its depth, so parks
+    and fetches allocate nothing in the steady state. The store's
+    {!Coop_util.Ckpt_cache.stats} keep their meaning: a hit is a fetch
+    of a parked state, a miss a fetch that had to replay because the
+    budget refused the park, and [bytes]/[peak_bytes] the charged
+    weight. The frame stack itself is flat — per-depth int arrays, with
+    the enabled, backtrack, tried and sleep sets as bitsets of 63
+    threads a word — so a novel transition allocates nothing.
+    [~no_cache:true] restores the stateless behaviour and is kept as the
+    differential oracle — both modes produce identical behaviour sets,
+    executions and novel steps; they differ only in how prefix states
+    are re-derived.
 
     Termination is unchanged: the explorer memoizes prefixes, not
     states, so programs with yield-based spin loops still have unfair
@@ -66,7 +73,7 @@ type result = {
           (from the root when stateless, from the deepest cached
           ancestor otherwise). The replay-elision win is this number
           shrinking. *)
-  cache_hits : int;  (** Checkpoint-store hits ([0] when stateless). *)
+  cache_hits : int;  (** Fetches of a parked state ([0] when stateless). *)
   complete : bool;  (** False when a budget was exhausted. *)
 }
 
@@ -95,9 +102,9 @@ val run :
 
     [no_cache] (default [false]) disables the checkpoint store: every
     backtracked execution replays from the initial state — the
-    stateless differential oracle. [ckpt] supplies the store to use
-    (shared stores are mutex-protected and keys carry a per-run nonce,
-    so concurrent runs may share one); without it a fresh store with the
+    stateless differential oracle. [ckpt] supplies the store whose
+    budget parked states are charged to (charges are lock-free, so
+    concurrent runs may share one); without it a fresh store with the
     default 64 MiB cap and a [Vm.approx_words]-based weight is created
     per call. Cumulative counter deltas are flushed to [Coop_obs]
     ([ckpt/hits], [ckpt/misses], [ckpt/evictions], [ckpt/bytes],
@@ -115,7 +122,7 @@ val run :
     spawned set is the least fixpoint of those requests — a superset of
     the lazy sequential root backtrack set, hence sound, and independent
     of pool size or scheduling, so results merge deterministically in
-    root-tid order. Shards share one checkpoint store. On complete
+    root-tid order. Shards share one store's budget. On complete
     explorations the merged [behaviors] set is identical to the
     sequential run's (property-tested); [executions]/[steps] may be
     larger because root-level sleep sets do not prune across shards, and

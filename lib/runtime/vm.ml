@@ -265,6 +265,16 @@ let runnable_array st prev =
 
 let runnable st = Array.to_list (runnable_array st [||])
 
+let n_threads st = st.n_threads
+
+let runnable_bits st k =
+  let bits = ref 0 in
+  for tid = 63 * k to min st.n_threads ((63 * k) + 63) - 1 do
+    if can_run st tid st.threads.(tid) then
+      bits := !bits lor (1 lsl (tid - (63 * k)))
+  done;
+  !bits
+
 let all_quiescent st =
   let rec go tid =
     tid >= st.n_threads
@@ -780,35 +790,44 @@ let ends_transition = function
   | Bytecode.Halt ->
       false
 
-let transition ~yields st tid ~fuel ~sink =
-  let t = st.threads.(tid) in
-  let rec go fuel =
-    if fuel = 0 then false
-    else
-      match t.status with
-      | Reacquiring _ ->
-          (* A monitor reacquire is a visible transition of its own. *)
-          ignore (step ~yields st tid ~sink);
-          true
-      | _ -> (
-          let fuel = fuel - run_local ~yields st tid ~limit:fuel in
-          if fuel = 0 then false
-          else
-            match peek_instr st tid with
-            | None -> true
-            | Some (instr, loc) ->
-                (* The instruction the prefix stopped at: visible, a
-                   prefix instruction that emits an event, a fault, or an
-                   injected yield — which ends the transition either as
-                   the yield or as the instruction right after it. *)
-                let injected = Loc.Set.mem loc yields in
+(* The loop of [transition], at top level so that a call allocates no
+   closure. The instruction the prefix stopped at is read in place — no
+   option, no tuple: it is visible, a prefix instruction that emits an
+   event, a fault, or an injected yield, which ends the transition either
+   as the yield or as the instruction right after it. *)
+let rec transition_from ~yields st t tid fuel ~sink =
+  if fuel = 0 then false
+  else
+    match t.status with
+    | Reacquiring _ ->
+        (* A monitor reacquire is a visible transition of its own. *)
+        ignore (step ~yields st tid ~sink);
+        true
+    | _ -> (
+        let fuel = fuel - run_local ~yields st tid ~limit:fuel in
+        if fuel = 0 then false
+        else
+          match t.frames with
+          | [] -> true
+          | frame :: _ ->
+              let code = st.prog.Bytecode.funcs.(frame.func).Bytecode.code in
+              let pc = frame.pc in
+              if pc < 0 || pc >= Array.length code then true
+              else begin
+                let ends = ends_transition (Array.unsafe_get code pc) in
+                let injected =
+                  (not (Loc.Set.is_empty yields))
+                  && Loc.Set.mem st.caches.locs.(frame.func).(pc) yields
+                in
                 ignore (step ~yields st tid ~sink);
-                ends_transition instr || injected
+                ends || injected
                 || (match t.status with
                    | Finished | Faulted _ -> true
-                   | _ -> go (fuel - 1)))
-  in
-  go fuel
+                   | _ -> transition_from ~yields st t tid (fuel - 1) ~sink)
+              end)
+
+let transition ~yields st tid ~fuel ~sink =
+  transition_from ~yields st st.threads.(tid) tid fuel ~sink
 
 (* --- Canonical serialization for memoization --------------------------- *)
 

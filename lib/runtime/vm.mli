@@ -71,6 +71,15 @@ val runnable : state -> int list
     threads whose lock became available / join target finished. Ascending
     order. *)
 
+val n_threads : state -> int
+(** Threads created so far, finished ones included: tids run from [0] to
+    [n_threads st - 1]. *)
+
+val runnable_bits : state -> int -> int
+(** [runnable_bits st k] is the part of {!runnable} in tids [63k] to
+    [63k + 62] as a bitset, tid [63k + i] in bit [i]: a word of a thread
+    bitset, without building the list. *)
+
 val runnable_array : state -> int array -> int array
 (** [runnable_array st prev] is {!runnable} as an array — [prev] itself
     when its contents already equal the runnable set, otherwise a fresh
@@ -151,13 +160,12 @@ val transition : yields:Loc.Set.t -> state -> int -> fuel:int -> sink:Trace.Sink
     reacquire, an injected yield, the instruction right after an injected
     yield, a fault and thread completion each end a transition too.
     Returns [false] when [fuel] instructions ran without ending it; the
-    state is then half-stepped and must be discarded. *)
+    state is then half-stepped and must be discarded. Allocates nothing
+    beyond what the executed instructions themselves allocate. *)
 
 val peek_instr : state -> int -> (Bytecode.instr * Loc.t) option
 (** The instruction a thread would execute next and its (shared, cached)
-    location, or [None] for threads without a frame (finished/faulted).
-    {!transition} classifies the instruction its prefix stopped at with
-    it. *)
+    location, or [None] for threads without a frame (finished/faulted). *)
 
 val global_value : state -> int -> int
 (** Current value of a global slot. *)

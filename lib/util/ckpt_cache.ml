@@ -4,9 +4,11 @@
    list head is the most recently used entry and eviction pops the tail.
    The budget is the sum of caller-estimated entry weights. Entries never
    change once added (callers copy mutable values on the way in and out),
-   so the sum stays what was charged. All operations take the
+   so the sum stays what was charged. Keyed operations take the
    internal mutex — exploration shards and portfolio tasks hit one store
-   from several domains. *)
+   from several domains. The byte count and its high-water mark are
+   atomics, so [charge]/[release] (values held outside the table) take
+   no lock. *)
 
 type 'v node = {
   n_key : string;
@@ -32,8 +34,8 @@ type 'v t = {
   mutex : Mutex.t;
   mutable head : 'v node option;
   mutable tail : 'v node option;
-  mutable bytes : int;
-  mutable peak_bytes : int;
+  bytes : int Atomic.t;
+  peak_bytes : int Atomic.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -48,8 +50,8 @@ let create ?(cap_bytes = 64 * 1024 * 1024) ~weight () =
     mutex = Mutex.create ();
     head = None;
     tail = None;
-    bytes = 0;
-    peak_bytes = 0;
+    bytes = Atomic.make 0;
+    peak_bytes = Atomic.make 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -75,8 +77,12 @@ let drop_tail t =
   | Some n ->
       unlink t n;
       Hashtbl.remove t.table n.n_key;
-      t.bytes <- t.bytes - n.n_weight;
+      ignore (Atomic.fetch_and_add t.bytes (-n.n_weight));
       t.evictions <- t.evictions + 1
+
+let rec raise_peak t b =
+  let p = Atomic.get t.peak_bytes in
+  if b > p && not (Atomic.compare_and_set t.peak_bytes p b) then raise_peak t b
 
 let find t key =
   Mutex.lock t.mutex;
@@ -101,31 +107,38 @@ let add t key value =
   | Some old ->
       unlink t old;
       Hashtbl.remove t.table key;
-      t.bytes <- t.bytes - old.n_weight
+      ignore (Atomic.fetch_and_add t.bytes (-old.n_weight))
   | None -> ());
   let n = { n_key = key; n_value = value; n_weight = w; prev = None; next = None } in
   Hashtbl.replace t.table key n;
   push_front t n;
-  t.bytes <- t.bytes + w;
-  if t.bytes > t.peak_bytes then t.peak_bytes <- t.bytes;
-  while t.bytes > t.cap_bytes && t.tail <> None do
+  raise_peak t (Atomic.fetch_and_add t.bytes w + w);
+  while Atomic.get t.bytes > t.cap_bytes && t.tail <> None do
     drop_tail t
   done;
   Mutex.unlock t.mutex
 
-let remove t key =
+let rec reserve t w =
+  let b = Atomic.get t.bytes in
+  b + w <= t.cap_bytes
+  &&
+  if Atomic.compare_and_set t.bytes b (b + w) then begin
+    raise_peak t (b + w);
+    true
+  end
+  else reserve t w
+
+let charge t value =
+  let w = max 1 (t.weight value) in
+  if reserve t w then w else 0
+
+let release t w = ignore (Atomic.fetch_and_add t.bytes (-w))
+
+let tally t ~hits ~misses =
   Mutex.lock t.mutex;
-  let r =
-    match Hashtbl.find_opt t.table key with
-    | Some n ->
-        unlink t n;
-        Hashtbl.remove t.table key;
-        t.bytes <- t.bytes - n.n_weight;
-        Some n.n_value
-    | None -> None
-  in
-  Mutex.unlock t.mutex;
-  r
+  t.hits <- t.hits + hits;
+  t.misses <- t.misses + misses;
+  Mutex.unlock t.mutex
 
 let stats t =
   Mutex.lock t.mutex;
@@ -134,8 +147,8 @@ let stats t =
       hits = t.hits;
       misses = t.misses;
       evictions = t.evictions;
-      bytes = t.bytes;
-      peak_bytes = t.peak_bytes;
+      bytes = Atomic.get t.bytes;
+      peak_bytes = Atomic.get t.peak_bytes;
       entries = Hashtbl.length t.table;
     }
   in

@@ -1,13 +1,14 @@
 (** A bounded, domain-safe LRU checkpoint store.
 
-    The replay-elision layer (DPOR, exploration, inference) keys
-    checkpoints — VM states, analysis snapshots, scheduler prefixes — by
-    execution-tree node (DPOR: run nonce and frame counter; exploration:
-    run nonce and tid path; inference: run nonce, yields and step budget)
-    and fetches the deepest cached ancestor instead of replaying from the
-    root. This store is the shared substrate: a hash table threaded with
-    an LRU list, capped by the {e sum of estimated entry weights} in
-    bytes. Cached values are never mutated: consumers park a private copy
+    The replay-elision layer (exploration, inference) keys checkpoints —
+    VM states, analysis snapshots, scheduler prefixes — by execution-tree
+    node (exploration: run nonce and tid path; inference: run nonce,
+    yields and step budget) and fetches the deepest cached ancestor
+    instead of replaying from the root. This store is the shared
+    substrate: a hash table threaded with an LRU list, capped by the {e
+    sum of estimated entry weights} in bytes. DPOR, whose checkpoints
+    live and die with its DFS frames, keeps them itself and uses only
+    the budget ({!charge}, {!release}). Cached values are never mutated: consumers park a private copy
     of a mutable VM state and copy it again on every fetch, so an entry
     may be read from several domains at once. Copies share no mutable
     structure, so with weights that count each value in full the sum
@@ -15,8 +16,9 @@
     cache can pin, which is the property the exploration layer needs
     (dropping an entry costs a replay, never correctness).
 
-    All operations are mutex-protected: one store may be hit concurrently
-    by every shard of a parallel exploration. Counters ({!stats}) are
+    Keyed operations are mutex-protected and {!charge}/{!release} are
+    lock-free: one store may be hit concurrently by every shard of a
+    parallel exploration. Counters ({!stats}) are
     cumulative since {!create}; consumers flush deltas into [Coop_obs]
     (this library deliberately has no telemetry dependency). *)
 
@@ -24,10 +26,10 @@ type 'v t
 (** A store holding values of type ['v]. *)
 
 type stats = {
-  hits : int;  (** [find] calls that returned an entry. *)
-  misses : int;  (** [find] calls that found nothing. *)
+  hits : int;  (** [find] calls that returned an entry, plus tallied hits. *)
+  misses : int;  (** [find] calls that found nothing, plus tallied misses. *)
   evictions : int;  (** Entries dropped to respect the cap. *)
-  bytes : int;  (** Current estimated retained bytes. *)
+  bytes : int;  (** Current estimated retained bytes, charges included. *)
   peak_bytes : int;  (** High-water mark of [bytes]. *)
   entries : int;  (** Current entry count. *)
 }
@@ -48,11 +50,26 @@ val add : 'v t -> string -> 'v -> unit
     value heavier than the whole cap is evicted immediately — the store
     never retains more than [cap_bytes]. *)
 
-val remove : 'v t -> string -> 'v option
-(** [remove t key] drops the entry, if any, releasing its weight, and
-    returns its value. Not counted as a hit, miss or eviction. DPOR calls
-    it when a frame pops, since no later lookup can name that frame's
-    key, and reuses the returned state's memory. *)
+val charge : 'v t -> 'v -> int
+(** [charge t v] is the accounting-only use of the store, for a caller
+    that keeps [v] itself instead of handing it over: it charges
+    [v]'s weight (as {!add} computes it) to the byte budget and returns
+    it, or returns [0] and charges nothing when the weight does not fit
+    under the cap beside everything already charged. It takes no key and
+    no lock — one compare-and-set on the byte count — and never evicts:
+    a caller refused a charge keeps nothing and re-derives the value when
+    it needs it. DPOR parks each frame's pre-choice state this way. The
+    charge counts in [bytes] and [peak_bytes] until {!release}d, but not
+    in [entries]. *)
+
+val release : _ t -> int -> unit
+(** [release t w] returns a weight [w] obtained from {!charge}. Lock-free. *)
+
+val tally : _ t -> hits:int -> misses:int -> unit
+(** [tally t ~hits ~misses] adds fetches of charged values made outside
+    the table to the {!stats} counters: a hit is a fetch of a value the
+    caller holds, a miss one it had to re-derive because its charge was
+    refused. *)
 
 val stats : _ t -> stats
 (** Cumulative counters and current occupancy. *)

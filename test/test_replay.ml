@@ -383,7 +383,7 @@ let test_fault_preserves_frame () =
       ("release", "lock m; fn main() { release(m); }");
       ("spawned worker", "var z = 0; fn w(x) { print(x / z); } fn main() { var t = spawn w(4); join t; }") ]
 
-(* DPOR drops a frame's checkpoint when the frame pops, so a finished run
+(* DPOR releases a frame's charge when the frame pops, so a finished run
    leaves its store empty — at any pool size — and still matches the
    stateless oracle. *)
 let test_dpor_drops_checkpoints () =
@@ -410,6 +410,31 @@ let test_dpor_drops_checkpoints () =
             (Behavior.Set.equal s.Dpor.behaviors c.Dpor.behaviors))
         pools)
     micro_programs
+
+(* A frame's thread sets are bitsets of 63 threads a word: past the
+   first word, thread 65 must not be confused with thread 2. The two
+   workers with those tids write [x] — the only conflict — so both
+   orders, and nothing else, are behaviours. *)
+let test_dpor_many_threads () =
+  let prog =
+    Compile.source
+      "var x = 0;\n\
+       fn w(id) { if (id == 1) { x = id; } if (id == 64) { x = id; } }\n\
+       fn main() { var i = 0; while (i < 70) { spawn w(i); i = i + 1; } }"
+  in
+  let finals (r : Dpor.result) =
+    List.map
+      (fun b -> b.Behavior.globals)
+      (Behavior.Set.elements r.Dpor.behaviors)
+  in
+  List.iter
+    (fun (what, no_cache) ->
+      let r = Dpor.run ~no_cache prog in
+      Alcotest.(check bool) (what ^ ": complete") true r.Dpor.complete;
+      Alcotest.(check int) (what ^ ": executions") 2 r.Dpor.executions;
+      Alcotest.(check (list (list int))) (what ^ ": final x") [ [ 1 ]; [ 64 ] ]
+        (finals r))
+    [ ("cached", false); ("stateless", true) ]
 
 (* --- qcheck equivalence suites --------------------------------------- *)
 
@@ -468,6 +493,46 @@ let dpor_cached_parallel_matches =
              && Behavior.Set.equal seq.Dpor.behaviors r.Dpor.behaviors
              && r.Dpor.steps = r.Dpor.novel_steps + r.Dpor.replayed_steps)
            pools)
+
+(* DPOR parks a frame's state only when the store's budget has room for
+   it, and a refused frame re-derives its state by replay. A store too
+   small to park anything, the default store and the stateless run must
+   explore the same tree at every pool size, every charge must be
+   released by the time the run returns, and the high-water mark must
+   stay under the cap. *)
+let dpor_budget_law =
+  prop "qcheck: dpor identical with a roomy, a full and no store (pools 1/2/4)"
+    4
+    (fun p ->
+      let prog = Compile.program p in
+      let weight st = 8 * Vm.approx_words st in
+      List.for_all
+        (fun (_, pool) ->
+          let roomy = Ckpt_cache.create ~weight () in
+          let full = Ckpt_cache.create ~cap_bytes:8 ~weight () in
+          let run ?ckpt no_cache =
+            Dpor.run ~pool ?ckpt ~no_cache ~max_executions:dpor_budget prog
+          in
+          let a = run ~ckpt:roomy false in
+          let b = run ~ckpt:full false in
+          let c = run true in
+          let same (r : Dpor.result) =
+            Behavior.Set.equal a.Dpor.behaviors r.Dpor.behaviors
+            && a.Dpor.executions = r.Dpor.executions
+            && a.Dpor.novel_steps = r.Dpor.novel_steps
+            && a.Dpor.complete = r.Dpor.complete
+          in
+          let settled c =
+            let s = Ckpt_cache.stats c in
+            s.Ckpt_cache.bytes = 0
+            && s.Ckpt_cache.peak_bytes <= Ckpt_cache.cap_bytes c
+          in
+          same b && same c && settled roomy && settled full
+          (* the root always parks in a roomy store, never in a full one *)
+          && (Ckpt_cache.stats roomy).Ckpt_cache.peak_bytes > 0
+          && a.Dpor.cache_hits = (Ckpt_cache.stats roomy).Ckpt_cache.hits
+          && b.Dpor.cache_hits = 0)
+        pools)
 
 let explore_cached_matches =
   prop "qcheck: cached explore frontier = capture-by-closure" 4 (fun p ->
@@ -532,6 +597,7 @@ let suite =
       test_infer_elision_accounting;
     Alcotest.test_case "dpor leaves its checkpoint store empty" `Quick
       test_dpor_drops_checkpoints;
+    Alcotest.test_case "dpor past 63 threads" `Quick test_dpor_many_threads;
     Alcotest.test_case "faulting step leaves its frame unchanged" `Quick
       test_fault_preserves_frame;
     vm_copy_law;
@@ -540,6 +606,7 @@ let suite =
       test_copy_into_aliased_slot;
     dpor_cached_matches_stateless;
     dpor_cached_parallel_matches;
+    dpor_budget_law;
     explore_cached_matches;
     infer_cache_oblivious;
   ]
