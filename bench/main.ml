@@ -1110,10 +1110,21 @@ let alloc_budget_minor_words_per_event = 26.
    scheduler, seed 1): no VM, so the figure is the analysis stack alone,
    and crypt registers a fresh variable with the online engine on almost
    every event — load the montecarlo run above barely puts on it.
-   Measured 10.9 words/event with flat per-thread logs and fact chains
-   (23.7 with per-transaction digest arrays and hash tables); the bound
-   is ~2x. *)
-let alloc_budget_replay_words_per_event = 22.
+   Measured 0.9 words/event with FastTrack's variable state in flat
+   columns (10.9 with a boxed read epoch per read and a closure per
+   access, 23.7 with per-transaction digest arrays and hash tables); the
+   bound is ~2x. *)
+let alloc_budget_replay_words_per_event = 2.
+
+(* A violation-heavy verdict: the pipeline over an in-memory recording of
+   queue at 48 (random scheduler, seed 1; 3,074 violations in 27,825
+   events), plus rendering every violation's location as the perfbench
+   oracle and the CLI's JSON do. Measured 4.0 words/event with one
+   engine-built record per violation and the digit-writing
+   [Loc.to_string]; the [Format] renderer alone brings it to 47.0, and
+   with a record rebuilt per violation and a boxed read epoch as well it
+   read 51.5. The bound is ~2x. *)
+let alloc_budget_verdict_words_per_event = 8.
 
 (* Exhaustive DPOR (default store) on philo at 3 threads, size 1, and on
    bank at 2 threads, size 2 — two of the perfbench dpor inputs — in
@@ -1160,6 +1171,20 @@ let alloc_smoke () =
   in
   check "crypt replay" r.Coop_pipeline.events minor_w majors
     alloc_budget_replay_words_per_event;
+  let queue = Registry.program_of ~size:48 (Option.get (Registry.find "queue")) in
+  let _, tr = Runner.record ~sched:(Sched.random ~seed:1 ()) queue in
+  let verdict () =
+    let r = Coop_pipeline.run (Coop_trace.Source.of_trace tr) in
+    List.iter
+      (fun (v : Coop_core.Automaton.violation) ->
+        ignore (Sys.opaque_identity (Coop_trace.Loc.to_string v.loc)))
+      r.Coop_pipeline.violations;
+    r
+  in
+  ignore (verdict ());
+  let r, minor_w, majors = alloc_sample verdict in
+  check "queue replay + rendering" r.Coop_pipeline.events minor_w majors
+    alloc_budget_verdict_words_per_event;
   List.iter
     (fun (name, threads, size) ->
       let prog =

@@ -148,16 +148,20 @@ let online_analysis ?mark ~interner ~subscribe () =
   let engine =
     Online.create ?mark ~interner
       ~on_retire:(fun ~uid txn vs ->
-        match List.rev vs with
-        | [] -> ()
-        | v :: _ ->
+        let rec oldest seq v = function
+          | Online.Nil -> (seq, v)
+          | Online.Viol c -> oldest c.seq c.v c.older
+        in
+        match vs with
+        | Online.Nil -> ()
+        | Online.Viol c ->
             incr violated;
+            let seq, (v : Online.viol) = oldest c.seq c.v c.older in
             acc :=
-              ( v.Online.vseq,
+              ( seq,
                 uid,
-                { tid = v.Online.vtid; txn; loc = v.Online.vloc;
-                  op = v.Online.vop; mover = v.Online.vmover;
-                  cause = v.Online.vcause } )
+                { tid = v.tid; txn; loc = v.loc; op = v.op; mover = v.mover;
+                  cause = v.cause } )
               :: !acc)
       ()
   in

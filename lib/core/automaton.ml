@@ -4,7 +4,7 @@ type phase =
   | Pre
   | Post
 
-type violation = {
+type violation = Online.viol = {
   tid : int;
   loc : Loc.t;
   op : Event.op;
@@ -106,7 +106,7 @@ let analysis ?local_locks ~racy () =
 type online_snapshot = {
   os_itn : Interner.snapshot;
   os_eng : unit Online.snapshot;
-  os_acc : Online.viol list;
+  os_acc : Online.viols list;
   os_cur : unit Online.txn array;
   os_seq : int;
 }
@@ -134,18 +134,23 @@ let rec sort_by (key : int array) (a : int array) tmp lo hi =
 (* A static filler: a large array made with a young initial value would
    force a minor collection. *)
 let no_viol =
-  { Online.vseq = 0; vtid = 0; vloc = Loc.none; vop = Event.Yield;
-    vmover = Mover.Both; vcause = None }
+  { tid = 0; loc = Loc.none; op = Event.Yield; mover = Mover.Both;
+    cause = None }
+
+let rec count n = function Online.Nil -> n | Online.Viol c -> count (n + 1) c.older
 
 (* Single-pass variant: each thread's yield-to-yield segment becomes one
    engine transaction, classified optimistically and repaired when facts
    arrive. Per-transaction machines starting in Pre are equivalent to the
    one whole-thread machine above because Yield resets it to Pre. *)
 let online_analysis ?mark ~interner ~subscribe () =
-  let acc : Online.viol list ref = ref [] in
+  (* The violation chains of retired transactions, as the engine built
+     them. *)
+  let acc : Online.viols list ref = ref [] in
   let engine =
     Online.create ?mark ~interner
-      ~on_retire:(fun ~uid:_ () vs -> acc := List.rev_append vs !acc)
+      ~on_retire:(fun ~uid:_ () vs ->
+        match vs with Online.Nil -> () | Online.Viol _ -> acc := vs :: !acc)
       ()
   in
   subscribe (Online.on_fact engine);
@@ -175,18 +180,21 @@ let online_analysis ?mark ~interner ~subscribe () =
       !current;
     current := [||];
     Online.finalize engine;
-    let n = List.length !acc in
+    let n = List.fold_left count 0 !acc in
     let vs = Array.make n no_viol and seqs = Array.make n 0 in
-    List.iteri (fun i (v : Online.viol) -> vs.(i) <- v; seqs.(i) <- v.vseq) !acc;
+    let i = ref 0 in
+    let rec fill = function
+      | Online.Nil -> ()
+      | Online.Viol c ->
+          vs.(!i) <- c.v;
+          seqs.(!i) <- c.seq;
+          incr i;
+          fill c.older
+    in
+    List.iter fill !acc;
     let order = Array.init n Fun.id in
     sort_by seqs order (Array.make n 0) 0 n;
-    Array.fold_right
-      (fun i l ->
-        let v = vs.(i) in
-        { tid = v.Online.vtid; loc = v.vloc; op = v.vop; mover = v.vmover;
-          cause = v.vcause }
-        :: l)
-      order []
+    Array.fold_right (fun i l -> vs.(i) :: l) order []
   in
   let save () =
     { os_itn = Interner.snapshot interner; os_eng = Online.snapshot engine;

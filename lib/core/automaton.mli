@@ -23,7 +23,7 @@ type phase =
   | Pre  (** Accumulating right movers. *)
   | Post  (** After the commit point. *)
 
-type violation = {
+type violation = Online.viol = {
   tid : int;  (** Offending thread. *)
   loc : Loc.t;  (** Location needing a yield before it. *)
   op : Event.op;  (** The offending operation. *)

@@ -51,7 +51,7 @@ let infer_nonce = Atomic.make 0
 
 let yields_key yields =
   Loc.Set.elements yields
-  |> List.map (fun l -> Format.asprintf "%a" Loc.pp l)
+  |> List.map Loc.to_string
   |> String.concat ","
 
 let compute_prefix ~yields ~max_steps prog =

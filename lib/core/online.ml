@@ -20,13 +20,14 @@ let facts publish =
 type cause = { cseq : int; cloc : Loc.t; cop : Event.op; cmover : Mover.t }
 
 type viol = {
-  vseq : int;
-  vtid : int;
-  vloc : Loc.t;
-  vop : Event.op;
-  vmover : Mover.t;
-  vcause : cause option;
+  tid : int;
+  loc : Loc.t;
+  op : Event.op;
+  mover : Mover.t;
+  cause : cause option;
 }
+
+type viols = Nil | Viol of { seq : int; v : viol; older : viols }
 
 (* A log entry's code is [operand id lsl 3 lor kind]. Accesses are kinds
    0-1 and lock ops 2-3, so [kind lsr 1] picks the fact an entry depends
@@ -127,7 +128,7 @@ type rcd = {
   mutable state : int;
   mutable post : bool;
   mutable cm_seq : int; mutable cm_code : int;
-  mutable cm_func : int; mutable cm_pc : int; mutable cm_line : int;
+  mutable cm_loc : Loc.t; mutable cm_op : Event.op;
   mutable cause_seq : int;  (* the commit [cause] was built for *)
   mutable cause : cause option;
   mutable shape : int;
@@ -135,14 +136,14 @@ type rcd = {
          violate followed it. Below 2 no knowledge yields a violation. *)
   mutable pend : int;
   mutable rstamp : int;  (* fact walk that last replayed it *)
-  mutable viols : viol list;  (* newest first *)
+  mutable viols : viols;  (* newest first *)
 }
 
 let new_rcd () =
   { uid = -1; tid = 0; dtid = 0; start = 0; stop = -1; base = 0;
-    state = st_free; post = false; cm_seq = 0; cm_code = 0; cm_func = 0;
-    cm_pc = 0; cm_line = 0; cause_seq = 0; cause = None; shape = 0;
-    pend = 0; rstamp = -1; viols = [] }
+    state = st_free; post = false; cm_seq = 0; cm_code = 0;
+    cm_loc = Loc.none; cm_op = Event.Yield; cause_seq = 0; cause = None;
+    shape = 0; pend = 0; rstamp = -1; viols = Nil }
 
 let filler = new_rcd () (* table slots past [n_handles]; never used *)
 
@@ -183,7 +184,7 @@ type 'a txn = int
 
 type 'a t = {
   itn : Interner.t;
-  on_retire : uid:int -> 'a -> viol list -> unit;
+  on_retire : uid:int -> 'a -> viols -> unit;
   mark : Analysis.mark option;
   timed : bool;
   mutable s : 'a state;
@@ -288,11 +289,13 @@ let replaying = Event.make ~tid:(-1) ~op:Event.Yield ~loc:Loc.none
 (* One move of the (R|B)* (N|L) (L|B)* machine — the transition table of
    [Automaton.step], including the reset-as-if-yielded rule. *)
 let apply t r seq code func pc line m (e : Event.t) =
+  let replayed = e == replaying in
   if not r.post then begin
     if m land 2 <> 0 then begin
       (* The commit point, blamed for every violation until a reset. *)
       r.post <- true; r.cm_seq <- seq; r.cm_code <- code;
-      r.cm_func <- func; r.cm_pc <- pc; r.cm_line <- line
+      r.cm_loc <- (if replayed then Loc.make ~func ~pc ~line else e.loc);
+      r.cm_op <- (if replayed then op_of t code else e.op)
     end
   end
   else if m land 1 <> 0 then begin
@@ -300,18 +303,16 @@ let apply t r seq code func pc line m (e : Event.t) =
       r.cause_seq <- r.cm_seq;
       r.cause <-
         Some
-          { cseq = r.cm_seq;
-            cloc = Loc.make ~func:r.cm_func ~pc:r.cm_pc ~line:r.cm_line;
-            cop = op_of t r.cm_code;
+          { cseq = r.cm_seq; cloc = r.cm_loc; cop = r.cm_op;
             cmover = to_mover (settled (r.cm_code land 7)) }
     end;
-    let replayed = e == replaying in
-    r.viols <-
-      { vseq = seq; vtid = r.tid;
-        vloc = (if replayed then Loc.make ~func ~pc ~line else e.loc);
-        vop = (if replayed then op_of t code else e.op);
-        vmover = to_mover m; vcause = r.cause }
-      :: r.viols;
+    let v =
+      { tid = r.tid;
+        loc = (if replayed then Loc.make ~func ~pc ~line else e.loc);
+        op = (if replayed then op_of t code else e.op);
+        mover = to_mover m; cause = r.cause }
+    in
+    r.viols <- Viol { seq; v; older = r.viols };
     (* A right mover spends the commit: reset as if yielded. *)
     if m = m_right then (r.post <- false; r.cm_seq <- 0)
   end
@@ -407,7 +408,7 @@ let rec get s b shift acc =
 let replay t s r =
   let lg = s.logs.(r.dtid) in
   let stop = if r.state = st_open then lg.len else r.stop in
-  r.post <- false; r.cm_seq <- 0; r.viols <- [];
+  r.post <- false; r.cm_seq <- 0; r.viols <- Nil;
   s.rd <- r.start;
   let seq = ref r.base in
   while s.rd < stop do
@@ -430,7 +431,7 @@ let retire t s h r =
   if r.state = st_parked then lg.parked_n <- lg.parked_n - 1;
   let uid = r.uid and viols = r.viols in
   s.stale <- s.stale + r.pend;
-  r.uid <- -1; r.state <- st_free; r.viols <- [];
+  r.uid <- -1; r.state <- st_free; r.viols <- Nil;
   r.stop <- s.free_h;
   s.free_h <- h;
   if lg.open_n = 0 then begin

@@ -107,18 +107,24 @@ type cause = {
     cause names the op the final machine actually committed on. *)
 
 type viol = {
-  vseq : int;  (** Global position of the offending event. *)
-  vtid : int;
-  vloc : Loc.t;
-  vop : Event.op;
-  vmover : Mover.t;
-  vcause : cause option;
+  tid : int;  (** Offending thread (original id). *)
+  loc : Loc.t;  (** Location needing a yield before it. *)
+  op : Event.op;  (** The offending operation. *)
+  mover : Mover.t;  (** Its mover class ([Right] or [Non]). *)
+  cause : cause option;
       (** The commit point in force when the violation fired. Always
           [Some] for violations the machine produces (Post implies a
           commit happened); an option for defensive construction. *)
 }
 (** A violation of the (R|B)* (N|L) (L|B)* shape, as [Automaton.step]
-    would have reported it under final knowledge. *)
+    would have reported it under final knowledge. [Automaton.violation]
+    is this type, so a violation is built once, by the engine. *)
+
+type viols =
+  | Nil
+  | Viol of { seq : int; v : viol; older : viols }
+      (** [seq] is the global position of the offending event. *)
+(** A transaction's violations, newest first. *)
 
 type 'a txn
 (** A handle on an open or parked transaction with caller payload ['a].
@@ -140,7 +146,7 @@ val is_none : 'a txn -> bool
 val create :
   ?mark:Analysis.mark ->
   interner:Interner.t ->
-  on_retire:(uid:int -> 'a -> viol list -> unit) ->
+  on_retire:(uid:int -> 'a -> viols -> unit) ->
   unit ->
   'a t
 (** [on_retire ~uid data viols] fires exactly once per transaction, when

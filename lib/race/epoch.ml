@@ -10,6 +10,8 @@ let max_clock = max_int lsr tid_bits
 
 let bottom = 0
 
+let read_shared = -1
+
 let make ~tid ~clock =
   if tid < 0 || tid > tid_mask - 1 then invalid_arg "Epoch.make: tid out of range";
   (* [clock lsl tid_bits] silently wraps into the sign bit once [clock]

@@ -5,11 +5,18 @@
     last read) of a variable is totally ordered with respect to everything
     that matters, so a full vector clock can be replaced by one epoch. *)
 
-type t
-(** An epoch, or the distinguished bottom element. *)
+type t [@@immediate]
+(** An epoch, or the distinguished bottom element. Immediate, so arrays
+    of epochs are flat int arrays. *)
 
 val bottom : t
 (** The minimal epoch; [leq bottom c] holds for every clock [c]. *)
+
+val read_shared : t
+(** FastTrack's READ_SHARED marker: not the epoch of any access, so it
+    is {!equal} to no epoch built by {!make} nor to {!bottom}. It marks a
+    read state promoted to a vector clock kept elsewhere; only {!equal}
+    may be applied to it. *)
 
 val make : tid:int -> clock:int -> t
 (** [make ~tid ~clock] is the epoch [clock@tid]. Raises [Invalid_argument]

@@ -1,22 +1,14 @@
 open Coop_trace
 
-(* Per-variable access metadata. Reads start as an epoch and are promoted to
-   a full vector clock when concurrent reads are observed, exactly as in the
-   FastTrack paper.
+(* Per-variable access metadata, FastTrack-style: the epoch of the last
+   write, and the read state — the epoch of the last read, or
+   [Epoch.read_shared] once concurrent reads promote it to a vector clock.
 
    All internal state is keyed by the dense ids of a per-run [Interner]:
-   thread clocks, lock clocks and variable slots live in flat arrays grown
-   on demand, vector-clock components are indexed by dense thread id, and
-   epochs pack dense tids. Original names resurface only on the cold
-   paths — reports and fact callbacks. *)
-type read_state =
-  | Repoch of Epoch.t
-  | Rvc of Vclock.t
-
-type var_state = {
-  mutable w : Epoch.t;
-  mutable r : read_state;
-}
+   thread clocks, lock clocks and variable columns live in flat arrays
+   grown on demand, vector-clock components are indexed by dense thread
+   id, and epochs pack dense tids. Original names resurface only on the
+   cold paths — reports and fact callbacks. *)
 
 type facts = {
   on_racy_var : Event.var -> int -> unit;
@@ -28,11 +20,11 @@ let no_facts = { on_racy_var = (fun _ _ -> ()); on_shared_lock = (fun _ _ -> ())
 (* Witness side tables, maintained only with [~witness:true]: where (and
    at which global position) the last write and the live reads of a
    variable happened, so a firing race can name its {e first} access.
-   [readers] is only consulted in the promoted [Rvc] state. *)
+   [readers] is only consulted in the [read_shared] state. *)
 type wside = {
   mutable lw_seq : int;  (* last write: global position, 0 = none *)
   mutable lw_loc : Loc.t;
-  mutable lr_seq : int;  (* single live reader (Repoch state) *)
+  mutable lr_seq : int;  (* single live reader (read epoch state) *)
   mutable lr_loc : Loc.t;
   readers : (int, int * Loc.t) Hashtbl.t;  (* dense tid -> seq, loc *)
 }
@@ -41,8 +33,6 @@ type wside = {
    zero capacity, so reading it as the all-zeros clock is sound as long as
    nothing writes through it. *)
 let dummy_clock = Vclock.create ()
-
-let dummy_var = { w = Epoch.bottom; r = Repoch Epoch.bottom }
 
 let dummy_wside =
   { lw_seq = 0; lw_loc = Loc.none; lr_seq = 0; lr_loc = Loc.none;
@@ -55,7 +45,12 @@ type t = {
   mutable seq : int;  (* 1-based global position of the current event *)
   mutable clocks : Vclock.t array;  (* dense tid -> thread clock *)
   mutable locks : Vclock.t array;  (* dense lock id -> release clock *)
-  mutable vars : var_state array;  (* dense var id -> access metadata *)
+  (* Variable columns, by dense var id. [rvcs] holds the read clock of
+     a [read_shared] variable; a write clears it in place and leaves it
+     for the next promotion, so a variable allocates its clock once. *)
+  mutable w : Epoch.t array;
+  mutable r : Epoch.t array;
+  mutable rvcs : Vclock.t array;
   mutable wsides : wside array;  (* dense var id -> witness side table *)
   mutable reports : Report.t list;  (* reversed *)
   facts : facts;
@@ -79,7 +74,8 @@ let create ?(facts = no_facts) ?interner ?(witness = false) () =
     seq = 0;
     clocks = Array.make 8 dummy_clock;
     locks = Array.make 8 dummy_clock;
-    vars = Array.make 64 dummy_var;
+    w = Array.make 64 Epoch.bottom; r = Array.make 64 Epoch.bottom;
+    rvcs = Array.make 64 dummy_clock;
     wsides = (if witness then Array.make 64 dummy_wside else [||]);
     reports = []; facts;
     racy_fired = Bytes.make 64 '\000';
@@ -103,18 +99,25 @@ let clock_of t tid =
     c
   end
 
-let var_state t vid =
-  if vid >= Array.length t.vars then
-    t.vars <- grown_slots t.vars (vid + 1) ~fill:dummy_var;
-  let s = t.vars.(vid) in
-  if s != dummy_var then s
-  else begin
-    let s = { w = Epoch.bottom; r = Repoch Epoch.bottom } in
-    t.vars.(vid) <- s;
-    s
+let ensure_var t vid =
+  if vid >= Array.length t.w then begin
+    t.w <- grown_slots t.w (vid + 1) ~fill:Epoch.bottom;
+    t.r <- grown_slots t.r (vid + 1) ~fill:Epoch.bottom;
+    t.rvcs <- grown_slots t.rvcs (vid + 1) ~fill:dummy_clock
   end
 
-let report t vid r =
+(* The (all-zeros) clock a promotion fills: the one a write cleared, or
+   a fresh one. *)
+let read_clock t vid ~capacity =
+  let rc = t.rvcs.(vid) in
+  if rc != dummy_clock then rc
+  else begin
+    let rc = Vclock.create ~capacity () in
+    t.rvcs.(vid) <- rc;
+    rc
+  end
+
+let record t vid r =
   t.reports <- r :: t.reports;
   (* Incremental fact channel: announce a variable the first time any
      race is reported on it. The racy set only ever grows, so one firing
@@ -128,6 +131,12 @@ let report t vid r =
     Bytes.set t.racy_fired vid '\001';
     t.facts.on_racy_var r.Report.var vid
   end
+
+let rec report t vid = function
+  | [] -> ()
+  | r :: rest ->
+      record t vid r;
+      report t vid rest
 
 let touch_lock t tid lid l =
   if lid >= Array.length t.lock_owner then
@@ -177,9 +186,9 @@ let write_witness t vid c e =
   if not t.witness then None
   else
     let ws = wside_of t vid in
-    let s = t.vars.(vid) in
-    race_witness t c e ~ftid:(Epoch.tid s.w) ~first_seq:ws.lw_seq
-      ~first_loc:ws.lw_loc ~first_clock:(Epoch.clock s.w)
+    let w = t.w.(vid) in
+    race_witness t c e ~ftid:(Epoch.tid w) ~first_seq:ws.lw_seq
+      ~first_loc:ws.lw_loc ~first_clock:(Epoch.clock w)
 
 let read_epoch_witness t vid c e e0 =
   if not t.witness then None
@@ -202,75 +211,71 @@ let read_vc_witness t vid c e offender =
 
 let on_read t tid vid v (e : Event.t) =
   let c = clock_of t tid in
-  let s = var_state t vid in
+  ensure_var t vid;
   let mine = Epoch.of_thread tid c in
-  let same_epoch =
-    match s.r with Repoch e -> Epoch.equal e mine | Rvc _ -> false
-  in
-  if same_epoch then []
+  let r = t.r.(vid) in
+  if Epoch.equal r mine then []
   else begin
+    let w = t.w.(vid) in
     let races =
-      if Epoch.leq s.w c then []
+      if Epoch.leq w c then []
       else
         [ { Report.var = v; kind = Report.Write_read;
-            first_tid = orig_tid t (Epoch.tid s.w); second_tid = e.tid;
+            first_tid = orig_tid t (Epoch.tid w); second_tid = e.tid;
             second_loc = e.loc; witness = write_witness t vid c e } ]
     in
-    (match s.r with
-    | Repoch e0 ->
-        if Epoch.leq e0 c then begin
-          s.r <- Repoch mine;
-          if t.witness then begin
-            let ws = wside_of t vid in
-            ws.lr_seq <- t.seq;
-            ws.lr_loc <- e.loc
-          end
-        end
-        else begin
-          (* Concurrent reads: promote to a read vector. *)
-          let rc = Vclock.create ~capacity:(max tid (Epoch.tid e0) + 1) () in
-          Vclock.set rc (Epoch.tid e0) (Epoch.clock e0);
-          Vclock.set rc tid (Vclock.get c tid);
-          s.r <- Rvc rc;
-          if t.witness then begin
-            (* The displaced single reader moves into the per-reader
-               table alongside the new one. *)
-            let ws = wside_of t vid in
-            Hashtbl.replace ws.readers (Epoch.tid e0) (ws.lr_seq, ws.lr_loc);
-            Hashtbl.replace ws.readers tid (t.seq, e.loc)
-          end
-        end
-    | Rvc rc ->
-        Vclock.set rc tid (Vclock.get c tid);
-        if t.witness then
-          Hashtbl.replace (wside_of t vid).readers tid (t.seq, e.loc));
-    List.iter (report t vid) races;
+    if Epoch.equal r Epoch.read_shared then begin
+      Vclock.set t.rvcs.(vid) tid (Vclock.get c tid);
+      if t.witness then
+        Hashtbl.replace (wside_of t vid).readers tid (t.seq, e.loc)
+    end
+    else if Epoch.leq r c then begin
+      t.r.(vid) <- mine;
+      if t.witness then begin
+        let ws = wside_of t vid in
+        ws.lr_seq <- t.seq;
+        ws.lr_loc <- e.loc
+      end
+    end
+    else begin
+      (* Concurrent reads: promote to a read vector. *)
+      let rc = read_clock t vid ~capacity:(max tid (Epoch.tid r) + 1) in
+      Vclock.set rc (Epoch.tid r) (Epoch.clock r);
+      Vclock.set rc tid (Vclock.get c tid);
+      t.r.(vid) <- Epoch.read_shared;
+      if t.witness then begin
+        (* The displaced single reader moves into the per-reader
+           table alongside the new one. *)
+        let ws = wside_of t vid in
+        Hashtbl.replace ws.readers (Epoch.tid r) (ws.lr_seq, ws.lr_loc);
+        Hashtbl.replace ws.readers tid (t.seq, e.loc)
+      end
+    end;
+    report t vid races;
     races
   end
 
 let on_write t tid vid v (e : Event.t) =
   let c = clock_of t tid in
-  let s = var_state t vid in
+  ensure_var t vid;
   let mine = Epoch.of_thread tid c in
-  if Epoch.equal s.w mine then []
+  let w = t.w.(vid) in
+  if Epoch.equal w mine then []
   else begin
-    let races = ref [] in
-    if not (Epoch.leq s.w c) then
-      races :=
-        { Report.var = v; kind = Report.Write_write;
-          first_tid = orig_tid t (Epoch.tid s.w); second_tid = e.tid;
-          second_loc = e.loc; witness = write_witness t vid c e }
-        :: !races;
-    (match s.r with
-    | Repoch e0 ->
-        if not (Epoch.leq e0 c) then
-          races :=
-            { Report.var = v; kind = Report.Read_write;
-              first_tid = orig_tid t (Epoch.tid e0); second_tid = e.tid;
-              second_loc = e.loc; witness = read_epoch_witness t vid c e e0 }
-            :: !races
-    | Rvc rc ->
-        if not (Vclock.leq rc c) then begin
+    let ww =
+      if Epoch.leq w c then []
+      else
+        [ { Report.var = v; kind = Report.Write_write;
+            first_tid = orig_tid t (Epoch.tid w); second_tid = e.tid;
+            second_loc = e.loc; witness = write_witness t vid c e } ]
+    in
+    let r = t.r.(vid) in
+    let shared = Epoch.equal r Epoch.read_shared in
+    let rw =
+      if shared then begin
+        let rc = t.rvcs.(vid) in
+        if Vclock.leq rc c then []
+        else begin
           (* Find one concurrent reader for the report. *)
           let offender =
             List.find_opt (fun (u, n) -> n > Vclock.get c u) (Vclock.to_list rc)
@@ -278,14 +283,20 @@ let on_write t tid vid v (e : Event.t) =
           let first_tid =
             match offender with Some (u, _) -> orig_tid t u | None -> -1
           in
-          races :=
-            { Report.var = v; kind = Report.Read_write; first_tid;
+          [ { Report.var = v; kind = Report.Read_write; first_tid;
               second_tid = e.tid; second_loc = e.loc;
-              witness = read_vc_witness t vid c e offender }
-            :: !races
-        end);
-    s.w <- mine;
-    s.r <- Repoch Epoch.bottom;
+              witness = read_vc_witness t vid c e offender } ]
+        end
+      end
+      else if Epoch.leq r c then []
+      else
+        [ { Report.var = v; kind = Report.Read_write;
+            first_tid = orig_tid t (Epoch.tid r); second_tid = e.tid;
+            second_loc = e.loc; witness = read_epoch_witness t vid c e r } ]
+    in
+    t.w.(vid) <- mine;
+    if shared then Vclock.clear t.rvcs.(vid);
+    t.r.(vid) <- Epoch.bottom;
     if t.witness then begin
       let ws = wside_of t vid in
       ws.lw_seq <- t.seq;
@@ -294,8 +305,8 @@ let on_write t tid vid v (e : Event.t) =
       ws.lr_loc <- Loc.none;
       Hashtbl.reset ws.readers
     end;
-    let races = List.rev !races in
-    List.iter (report t vid) races;
+    let races = ww @ rw in
+    report t vid races;
     races
   end
 
@@ -357,7 +368,7 @@ let racy_vars t = Report.racy_vars t.reports
 let sink t : Trace.Sink.t = fun e -> ignore (handle t e)
 
 (* Checkpointing. A snapshot deep-copies every mutable table — flat
-   Vclock arrays, per-variable epoch records, witness side tables — and
+   Vclock arrays, the variable columns, witness side tables — and
    includes the interner so a standalone (own-interner) detector restores
    its id assignments too. The unoccupied-slot sentinels are module
    values, so physical-equality probes keep working across copies. *)
@@ -367,7 +378,9 @@ type snapshot = {
   s_seq : int;
   s_clocks : Vclock.t array;
   s_locks : Vclock.t array;
-  s_vars : var_state array;
+  s_w : Epoch.t array;
+  s_r : Epoch.t array;
+  s_rvcs : Vclock.t array;
   s_wsides : wside array;
   s_reports : Report.t list;
   s_racy_fired : Bytes.t;
@@ -375,11 +388,6 @@ type snapshot = {
 }
 
 let copy_clock c = if c == dummy_clock then c else Vclock.copy c
-
-let copy_var s =
-  if s == dummy_var then s
-  else
-    { w = s.w; r = (match s.r with Repoch e -> Repoch e | Rvc vc -> Rvc (Vclock.copy vc)) }
 
 let copy_wside ws =
   if ws == dummy_wside then ws
@@ -394,7 +402,9 @@ let snapshot t =
     s_seq = t.seq;
     s_clocks = Array.map copy_clock t.clocks;
     s_locks = Array.map copy_clock t.locks;
-    s_vars = Array.map copy_var t.vars;
+    s_w = Array.copy t.w;
+    s_r = Array.copy t.r;
+    s_rvcs = Array.map copy_clock t.rvcs;
     s_wsides = Array.map copy_wside t.wsides;
     s_reports = t.reports;
     s_racy_fired = Bytes.copy t.racy_fired;
@@ -410,7 +420,9 @@ let restore t s =
      instances after this one mutates. *)
   t.clocks <- Array.map copy_clock s.s_clocks;
   t.locks <- Array.map copy_clock s.s_locks;
-  t.vars <- Array.map copy_var s.s_vars;
+  t.w <- Array.copy s.s_w;
+  t.r <- Array.copy s.s_r;
+  t.rvcs <- Array.map copy_clock s.s_rvcs;
   t.wsides <- Array.map copy_wside s.s_wsides;
   t.reports <- s.s_reports;
   t.racy_fired <- Bytes.copy s.s_racy_fired;

@@ -25,11 +25,13 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 (** Structural equality. *)
 
-val pp : Format.formatter -> t -> unit
-(** Renders as ["f3:pc17(line 42)"]. *)
-
 val to_string : t -> string
-(** [to_string t] is [Format.asprintf "%a" pp t]. *)
+(** Renders as ["f3:pc17(line 42)"] — [Printf.sprintf "f%d:pc%d(line %d)"]
+    of the three fields — or ["<none>"] when [func] is negative. One
+    exact-length string is the only allocation. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
 
 module Set : Set.S with type elt = t
 (** Sets of locations (used for yield sets). *)

@@ -138,6 +138,118 @@ let prop_agreement =
          let naive = Naive_hb.racy_vars trace in
          Event.Var_set.equal ft naive))
 
+(* --- read-share churn ----------------------------------------------------
+
+   Streams that promote a variable's reads to a vector clock, reset it
+   with a write and promote it again, over a few threads that order
+   themselves through two shared locks. Every access sits between an
+   acquire and a release of its thread's private lock, so each access
+   has its own epoch and FastTrack's same-epoch shortcuts never apply:
+   the reports are then exactly what the FastTrack rules give over the
+   happens-before order of [Naive_hb] — a read races with the last write
+   before it, a write with the last write and with any read since it. *)
+
+let gen_churn =
+  let module G = QCheck2.Gen in
+  let open G in
+  let* threads = int_range 3 5 in
+  let* vars = int_range 1 2 in
+  let action =
+    let* tid = int_bound (threads - 1) in
+    let* x = int_bound (vars - 1) in
+    let* l = int_bound 1 in
+    frequency
+      [ (6, return (tid, `Read x)); (2, return (tid, `Write x));
+        (3, return (tid, `Sync l)) ]
+  in
+  let+ acts = list_size (int_range 10 60) action in
+  let pc = ref 0 in
+  let ev tid op = incr pc; Event.make ~tid ~op ~loc:(loc !pc) in
+  let access tid op =
+    [ ev tid (Event.Acquire (100 + tid)); ev tid op;
+      ev tid (Event.Release (100 + tid)) ]
+  in
+  Trace.of_list
+    (List.concat_map
+       (fun (tid, a) ->
+         match a with
+         | `Read x -> access tid (Event.Read (Event.Global x))
+         | `Write x -> access tid (Event.Write (Event.Global x))
+         | `Sync l -> [ ev tid (Event.Acquire l); ev tid (Event.Release l) ])
+       acts)
+
+(* The FastTrack rules over [Naive_hb]'s clocks: per exposing access (by
+   index), its kind and the threads whose access it races with. *)
+let churn_oracle trace =
+  let clocks = Naive_hb.event_clocks trace in
+  let tid i = (Trace.get trace i).Event.tid in
+  let hb i j =
+    Vclock.Persistent.(get clocks.(i) (tid i) <= get clocks.(j) (tid i))
+  in
+  let last_write = Hashtbl.create 4 and reads = Hashtbl.create 4 in
+  let out = ref [] in
+  Trace.iteri
+    (fun j (e : Event.t) ->
+      let write_race x kind =
+        match Hashtbl.find_opt last_write x with
+        | Some w when not (hb w j) -> out := (j, kind, [ tid w ]) :: !out
+        | _ -> ()
+      in
+      match e.op with
+      | Event.Read x ->
+          write_race x Report.Write_read;
+          Hashtbl.replace reads x
+            (j :: Option.value ~default:[] (Hashtbl.find_opt reads x))
+      | Event.Write x ->
+          write_race x Report.Write_write;
+          let since = Option.value ~default:[] (Hashtbl.find_opt reads x) in
+          (match List.filter (fun i -> not (hb i j)) since with
+          | [] -> ()
+          | rs -> out := (j, Report.Read_write, List.map tid rs) :: !out);
+          Hashtbl.replace last_write x j;
+          Hashtbl.replace reads x []
+      | _ -> ())
+    trace;
+  List.rev !out
+
+let prop_churn_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"read-share churn: reports = FastTrack rules over naive HB"
+       ~count:500 ~print:Gen.print_trace gen_churn (fun trace ->
+         let races = Fasttrack.run trace in
+         let expected = churn_oracle trace in
+         (* An access's index is its pc minus one. *)
+         List.length races = List.length expected
+         && List.for_all2
+              (fun (r : Report.t) (j, kind, firsts) ->
+                r.Report.second_loc.Loc.pc - 1 = j
+                && r.Report.kind = kind
+                && List.mem r.Report.first_tid firsts)
+              races expected
+         && Event.Var_set.equal (Report.racy_vars races)
+              (Naive_hb.racy_vars trace)))
+
+(* Streaming a prefix, snapshotting, and resuming a fresh detector on
+   the rest gives the uncut run's reports, witnesses included. *)
+let prop_churn_snapshot =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"read-share churn: snapshot/restore at a random cut" ~count:300
+       ~print:(fun (t, k) -> Printf.sprintf "cut %d\n%s" k (Gen.print_trace t))
+       QCheck2.Gen.(pair gen_churn (int_bound 1000))
+       (fun (trace, k) ->
+         let events = Trace.to_list trace in
+         let cut = k mod (List.length events + 1) in
+         let uncut = Analysis.run (Fasttrack.analysis ~witness:true ()) trace in
+         let donor = Fasttrack.analysis ~witness:true () in
+         List.iteri (fun i e -> if i < cut then Analysis.step donor e) events;
+         let snap = Option.get (Analysis.snapshot donor) in
+         let a = Fasttrack.analysis ~witness:true () in
+         Analysis.resume a snap;
+         List.iteri (fun i e -> if i >= cut then Analysis.step a e) events;
+         Analysis.finalize a = uncut))
+
 let suite =
   [
     Alcotest.test_case "write-write race" `Quick test_ww_race;
@@ -156,4 +268,6 @@ let suite =
     Alcotest.test_case "naive happens-before" `Quick test_naive_happens_before;
     Alcotest.test_case "naive race pairs" `Quick test_naive_race_pairs;
     prop_agreement;
+    prop_churn_oracle;
+    prop_churn_snapshot;
   ]

@@ -12,6 +12,29 @@ let test_loc_order () =
   Alcotest.(check string) "pp" "f0:pc1(line 1)" (Loc.to_string a);
   Alcotest.(check string) "pp none" "<none>" (Loc.to_string Loc.none)
 
+(* The renderer writes digits by hand; it must agree with the formatted
+   spelling on every int, the extremes included. *)
+let prop_loc_to_string =
+  let module G = QCheck2.Gen in
+  let field =
+    G.oneof
+      [ G.oneofl [ 0; 1; -1; 9; 10; -10; 99; 100; min_int; max_int;
+                   min_int + 1; max_int - 1 ];
+        G.small_signed_int; G.int ]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"loc to_string = sprintf = pp" ~count:2000
+       ~print:(fun (f, p, l) -> Printf.sprintf "func=%d pc=%d line=%d" f p l)
+       (G.triple field field field)
+       (fun (func, pc, line) ->
+         let l = Loc.make ~func ~pc ~line in
+         let want =
+           if func < 0 then "<none>"
+           else Printf.sprintf "f%d:pc%d(line %d)" func pc line
+         in
+         String.equal (Loc.to_string l) want
+         && String.equal (Format.asprintf "%a" Loc.pp l) want))
+
 let test_loc_set () =
   let a = Loc.make ~func:0 ~pc:1 ~line:1 in
   let s = Loc.Set.add a (Loc.Set.add a Loc.Set.empty) in
@@ -134,6 +157,7 @@ let suite =
     Alcotest.test_case "timeline filter" `Quick test_timeline_filter;
     Alcotest.test_case "loc ordering and pp" `Quick test_loc_order;
     Alcotest.test_case "loc sets dedupe" `Quick test_loc_set;
+    prop_loc_to_string;
     Alcotest.test_case "var compare" `Quick test_var_compare;
     Alcotest.test_case "event accessors" `Quick test_event_accessors;
     Alcotest.test_case "trace growth" `Quick test_trace_growth;
