@@ -905,16 +905,17 @@ let infer_from_trace ~wmode file =
            [ ("rounds", Json.Int 0); ("yields", Json.List yields_json) ])
   | _ -> ()
 
-(* --no-cache / --stats are shared by explore and infer: both drive the
-   same replay-elision checkpoint machinery. *)
+(* --no-cache / --stats are shared by explore and infer. *)
 let no_cache_arg =
   Arg.(
     value & flag
     & info [ "no-cache" ]
         ~doc:
-          "Disable the replay-elision checkpoint store and re-derive every \
-           prefix from the initial state (the stateless differential \
-           oracle). Identical results, more re-executed work.")
+          "With $(b,--dpor) and for $(b,infer): keep no replay-elision \
+           checkpoints and re-derive every prefix from the initial state \
+           (the stateless differential oracle). Identical results, more \
+           re-executed work. The stateful explorer keeps no checkpoints, \
+           so it ignores the flag.")
 
 let stats_arg =
   Arg.(
@@ -923,36 +924,31 @@ let stats_arg =
         ~doc:
           "After the report, print a replay-elision table: executions, \
            novel vs replayed steps, cache hit rate and peak checkpoint \
-           bytes.")
+           bytes (states and novel steps for the stateful explorer).")
 
-(* The replay-elision statistics table. [rows] carries the command's own
-   counters; hit rate and peak bytes come from the checkpoint store
-   (when caching was on). *)
-let print_replay_stats ~title rows ckpt =
+(* A replay-elision statistics table of (metric, value) rows. *)
+let print_replay_stats ~title rows =
   let t =
     Coop_util.Table.create
       ~headers:
         [ ("metric", Coop_util.Table.Left); ("value", Coop_util.Table.Right) ]
   in
   List.iter (fun (k, v) -> Coop_util.Table.add_row t [ k; v ]) rows;
-  (match ckpt with
-  | None ->
-      Coop_util.Table.add_row t [ "cache hit rate"; "off" ];
-      Coop_util.Table.add_row t [ "peak checkpoint bytes"; "0" ]
-  | Some s ->
-      let total = s.Coop_util.Ckpt_cache.hits + s.Coop_util.Ckpt_cache.misses in
-      let rate =
-        if total = 0 then "n/a"
-        else
-          Printf.sprintf "%.1f%%"
-            (100. *. float_of_int s.Coop_util.Ckpt_cache.hits
-            /. float_of_int total)
-      in
-      Coop_util.Table.add_row t [ "cache hit rate"; rate ];
-      Coop_util.Table.add_row t
-        [ "peak checkpoint bytes";
-          string_of_int s.Coop_util.Ckpt_cache.peak_bytes ]);
   Coop_util.Table.print ~title t
+
+(* The hit rate and peak bytes of a checkpoint budget ([None] when
+   caching was off). *)
+let ckpt_rows = function
+  | None -> [ ("cache hit rate", "off"); ("peak checkpoint bytes", "0") ]
+  | Some s ->
+      let open Coop_util.Ckpt_cache in
+      let total = s.hits + s.misses in
+      [ ( "cache hit rate",
+          if total = 0 then "n/a"
+          else
+            Printf.sprintf "%.1f%%"
+              (100. *. float_of_int s.hits /. float_of_int total) );
+        ("peak checkpoint bytes", string_of_int s.peak_bytes) ]
 
 let infer_cmd =
   let action spec threads size max_steps max_executions max_depth max_segment
@@ -1049,13 +1045,13 @@ let infer_cmd =
         * List.length Coop_core.Infer.default_portfolio
       in
       print_replay_stats ~title:"replay elision (infer)"
-        [ ("rounds", string_of_int inf.Coop_core.Infer.rounds);
+        ([ ("rounds", string_of_int inf.Coop_core.Infer.rounds);
           ("schedule executions", string_of_int executions);
           ("events analyzed", string_of_int inf.Coop_core.Infer.events_analyzed);
           ("prefix events", string_of_int inf.Coop_core.Infer.prefix_events);
           ("elided events", string_of_int inf.Coop_core.Infer.elided_events);
           ("cache hits", string_of_int inf.Coop_core.Infer.cache_hits) ]
-        (Option.map Coop_util.Ckpt_cache.stats ckpt)
+        @ ckpt_rows (Option.map Coop_util.Ckpt_cache.stats ckpt))
     end;
     profile_emit profile
   in
@@ -1167,10 +1163,11 @@ let explore_cmd =
         (Coop_core.Infer.infer ~pool prog).Coop_core.Infer.yields
       else Coop_trace.Loc.Set.empty
     in
-    (* One explicit store per invocation so --stats can read its counters
-       afterwards; omitted entirely when the oracle path is requested. *)
-    let ckpt = if no_cache then None else Some (Dpor.default_cache ()) in
     if use_dpor then begin
+      (* One explicit budget per invocation so --stats can read its
+         counters afterwards; omitted entirely when the oracle path is
+         requested. *)
+      let ckpt = if no_cache then None else Some (Dpor.default_cache ()) in
       (* DPOR counts executions, not states: --max-executions defaults to
          the --max-states budget, as before the flags were split. *)
       let max_executions = Option.value max_executions ~default:max_states in
@@ -1185,19 +1182,20 @@ let explore_cmd =
         r.Dpor.behaviors;
       if stats then
         print_replay_stats ~title:"replay elision (dpor)"
-          [ ("executions", string_of_int r.Dpor.executions);
-            ("novel steps", string_of_int r.Dpor.novel_steps);
-            ("replayed steps", string_of_int r.Dpor.replayed_steps);
-            ("total steps", string_of_int r.Dpor.steps);
-            ("cache hits", string_of_int r.Dpor.cache_hits) ]
-          (Option.map Coop_util.Ckpt_cache.stats ckpt)
+          ([ ("executions", string_of_int r.Dpor.executions);
+             ("novel steps", string_of_int r.Dpor.novel_steps);
+             ("replayed steps", string_of_int r.Dpor.replayed_steps);
+             ("total steps", string_of_int r.Dpor.steps);
+             ("cache hits", string_of_int r.Dpor.cache_hits) ]
+          @ ckpt_rows (Option.map Coop_util.Ckpt_cache.stats ckpt))
     end
     else begin
       ignore (max_executions : int option);
       ignore (max_depth : int option);
+      ignore (no_cache : bool);
       let v =
         Coop_core.Equivalence.compare ~pool ~yields ~max_states ?max_segment
-          ~no_cache ?ckpt prog
+          prog
       in
       Format.printf "%a@." Coop_core.Equivalence.pp v;
       Behavior.Set.iter
@@ -1214,14 +1212,7 @@ let explore_cmd =
             ("states (cooperative)", string_of_int coop.Explore.states);
             ( "novel steps",
               string_of_int
-                (pre.Explore.novel_steps + coop.Explore.novel_steps) );
-            ( "replayed steps",
-              string_of_int
-                (pre.Explore.replayed_steps + coop.Explore.replayed_steps) );
-            ( "cache hits",
-              string_of_int (pre.Explore.cache_hits + coop.Explore.cache_hits)
-            ) ]
-          (Option.map Coop_util.Ckpt_cache.stats ckpt)
+                (pre.Explore.novel_steps + coop.Explore.novel_steps) ) ]
       end
     end;
     profile_emit profile

@@ -85,6 +85,18 @@ dune exec bin/coopcheck.exe -- infer philo -t 2 -s 2 --no-cache \
 cmp _build/ci-replay-infer-cached.out _build/ci-replay-infer-stateless.out
 cmp _build/ci-replay-infer-cached.json _build/ci-replay-infer-stateless.json
 
+echo "== parallel frontier (stateful explorer, -j 1 vs -j 4 behaviours) =="
+# Sharding the frontier across four domains must find the same
+# behaviours as the sequential search. State counts may differ (shards
+# lose memoization), so only the behaviour lines are compared.
+dune exec bin/coopcheck.exe -- explore philo -t 3 -s 1 -j 1 \
+  > _build/ci-frontier-j1.out
+dune exec bin/coopcheck.exe -- explore philo -t 3 -s 1 -j 4 \
+  > _build/ci-frontier-j4.out
+grep '^  ' _build/ci-frontier-j1.out > _build/ci-frontier-j1.cmp
+grep '^  ' _build/ci-frontier-j4.out > _build/ci-frontier-j4.cmp
+cmp _build/ci-frontier-j1.cmp _build/ci-frontier-j4.cmp
+
 echo "== bench smoke (table1) =="
 dune exec bench/main.exe -- table1
 

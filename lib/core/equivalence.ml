@@ -7,7 +7,7 @@ type verdict = {
   preemptive_subset : bool;
 }
 
-let compare ?pool ?yields ?max_states ?max_segment ?no_cache ?ckpt prog =
+let compare ?pool ?yields ?max_states ?max_segment prog =
   (* The two explorations are themselves independent; with a pool each
      mode is spawned as its own task (which then spawns per-frontier
      subtasks inside it — nested spawning on one pool), and awaited in a
@@ -19,16 +19,15 @@ let compare ?pool ?yields ?max_states ?max_segment ?no_cache ?ckpt prog =
           List.map
             (fun mode ->
               Coop_util.Pool.spawn p (fun () ->
-                  Explore.run ~pool:p ?yields ?max_states ?max_segment
-                    ?no_cache ?ckpt mode prog))
+                  Explore.run ~pool:p ?yields ?max_states ?max_segment mode
+                    prog))
             [ Explore.Preemptive; Explore.Cooperative ]
         in
         List.map (Coop_util.Pool.await p) promises
     | _ ->
         List.map
           (fun mode ->
-            Explore.run ?yields ?max_states ?max_segment ?no_cache ?ckpt mode
-              prog)
+            Explore.run ?yields ?max_states ?max_segment mode prog)
           [ Explore.Preemptive; Explore.Cooperative ]
   in
   match both with

@@ -22,16 +22,13 @@ val compare :
   ?yields:Loc.Set.t ->
   ?max_states:int ->
   ?max_segment:int ->
-  ?no_cache:bool ->
-  ?ckpt:Coop_runtime.Vm.state Coop_util.Ckpt_cache.t ->
   Coop_lang.Bytecode.program ->
   verdict
 (** [compare ?yields prog] explores both semantics with the same injected
     yield set. With a [pool] the two explorations run concurrently and
     each shards its frontier across the pool (see {!Explore.run}); the
-    verdict is unchanged. [max_segment], [no_cache] and [ckpt] are passed
-    through to both {!Explore.run} calls — a shared [ckpt] store lets the
-    caller read frontier-checkpoint statistics afterwards. *)
+    verdict is unchanged. [max_segment] is passed through to both
+    {!Explore.run} calls. *)
 
 val pp : Format.formatter -> verdict -> unit
 (** One-line summary with behaviour counts and state counts. *)

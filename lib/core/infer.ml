@@ -38,21 +38,16 @@ type prefix = {
   ck_snap : Analysis.snapshot;  (* checker state at the divergence point *)
 }
 
+(* The VM state's own words plus the prefix's other blocks, measured:
+   the analysis snapshot holds the checker's whole state and has no size
+   estimate of its own, and a prefix is weighed once per round. *)
 let prefix_weight p =
-  (* The VM state plus the recorded picks; the analysis snapshot's
-     footprint scales with the same state, folded into the factor. *)
-  8 * ((2 * Vm.approx_words p.ck_state) + (2 * Array.length p.ck_tids) + 256)
+  let arr a = 1 + Array.length a in
+  8
+  * (9 + Vm.approx_words p.ck_state + arr p.ck_tids + arr p.ck_flags
+    + Obj.reachable_words (Obj.repr p.ck_snap))
 
 let prefix_cache () = Coop_util.Ckpt_cache.create ~weight:prefix_weight ()
-
-(* Distinguishes keys of infer calls sharing one store (the key proper
-   only encodes yields and the step budget, not the program). *)
-let infer_nonce = Atomic.make 0
-
-let yields_key yields =
-  Loc.Set.elements yields
-  |> List.map Loc.to_string
-  |> String.concat ","
 
 let compute_prefix ~yields ~max_steps prog =
   let proto = Cooperability.online_analysis () in
@@ -148,16 +143,28 @@ let default_portfolio =
    exactly once per schedule (the two-pass oracle, kept for differential
    testing, re-executes it for its automaton phase). The runs are
    independent (fresh VM + fresh scheduler each), so they fan out across
-   the pool; the merge below preserves run order, making the result
-   bit-identical to the sequential pass. *)
-let portfolio_pass ?two_pass ?cache ?(ckpt_base = "infer:") ~pool ~portfolio
-    ~max_steps ~yields prog =
+   the pool, each schedule as its own task (not a pre-sharded batch) so
+   a slow schedule re-balances across domains; awaiting in index order
+   keeps the merge deterministic, making the result bit-identical to the
+   sequential pass. Returns the runs, the prefix events analyzed once,
+   the re-analysis that spared the other schedules, and the number of
+   schedules resumed from the prefix. *)
+let portfolio_pass ?two_pass ?cache ~pool ~portfolio ~max_steps ~yields prog =
   let factories = Array.of_list portfolio in
+  let n = Array.length factories in
+  let fan_out one =
+    let promises =
+      List.init n (fun i -> Coop_util.Pool.spawn pool (fun () -> one i))
+    in
+    List.map (Coop_util.Pool.await pool) promises
+  in
+  (* Stateless: every schedule executes and analyzes the whole run,
+     including the shared prefix — the differential oracle. A span per
+     schedule, recorded on whichever pool domain ran it, shows the
+     portfolio's actual parallel shape; the schedule name also labels
+     the run's violations, so an inferred yield's witness names the
+     schedule that forced it. *)
   let one i =
-    (* A span per schedule, recorded on whichever pool domain ran it — the
-       Chrome trace shows the portfolio's actual parallel shape. The
-       schedule name also labels the run's violations, so an inferred
-       yield's witness names the schedule that forced it. *)
     let name = (factories.(i) ()).Sched.name in
     Coop_obs.span ("infer/schedule:" ^ name)
       (fun () ->
@@ -167,63 +174,43 @@ let portfolio_pass ?two_pass ?cache ?(ckpt_base = "infer:") ~pool ~portfolio
         let r = Cooperability.check_source ?two_pass source in
         (name, r.Cooperability.violations, r.Cooperability.events))
   in
+  let stateless () = (fan_out one, 0, 0, 0) in
   match cache with
-  | None ->
-      (* Stateless path: every schedule executes and analyzes the whole
-         run, including the shared prefix — the differential oracle.
-         Each schedule is submitted as its own task (not a pre-sharded
-         batch), so a slow schedule re-balances across domains; awaiting
-         in index order keeps the merge deterministic. *)
-      let promises =
-        List.init (Array.length factories) (fun i ->
-            Coop_util.Pool.spawn pool (fun () -> one i))
-      in
-      (List.map (Coop_util.Pool.await pool) promises, 0, 0)
+  | None -> stateless ()
   | Some c ->
       let steps_cap = Option.value max_steps ~default:10_000_000 in
-      let key =
-        ckpt_base ^ yields_key yields ^ ":steps=" ^ string_of_int steps_cap
-      in
       let pre =
-        match Coop_util.Ckpt_cache.find c key with
-        | Some p -> p
-        | None ->
-            let p =
-              Coop_obs.span "infer/prefix" (fun () ->
-                  compute_prefix ~yields ~max_steps:steps_cap prog)
-            in
-            Coop_util.Ckpt_cache.add c key p;
-            p
+        Coop_obs.span "infer/prefix" (fun () ->
+            compute_prefix ~yields ~max_steps:steps_cap prog)
       in
-      let one_cached i =
-        (* Each task re-fetches the prefix from the store (counting the
-           hit that stands for an elided prefix re-execution), falling
-           back to the value the round computed if it was evicted. *)
-        let pre =
-          match Coop_util.Ckpt_cache.find c key with
-          | Some p -> p
-          | None -> pre
+      let w = Coop_util.Ckpt_cache.charge c pre in
+      if w = 0 then begin
+        (* The budget has no room for the prefix: drop it and run the
+           round stateless. *)
+        Coop_util.Ckpt_cache.tally c ~hits:0 ~misses:n;
+        stateless ()
+      end
+      else begin
+        let one_cached i =
+          let sched = factories.(i) () in
+          let name = sched.Sched.name in
+          Coop_obs.span ("infer/schedule:" ^ name)
+            (fun () ->
+              fast_forward pre sched;
+              let a = Cooperability.online_analysis () in
+              Analysis.resume a pre.ck_snap;
+              run_tail ~yields ~max_steps:steps_cap ~sched
+                ~sink:(Analysis.sink a) pre;
+              let r = Analysis.finalize a in
+              (name, r.Cooperability.violations, r.Cooperability.events))
         in
-        let sched = factories.(i) () in
-        let name = sched.Sched.name in
-        Coop_obs.span ("infer/schedule:" ^ name)
-          (fun () ->
-            fast_forward pre sched;
-            let a = Cooperability.online_analysis () in
-            Analysis.resume a pre.ck_snap;
-            run_tail ~yields ~max_steps:steps_cap ~sched
-              ~sink:(Analysis.sink a) pre;
-            let r = Analysis.finalize a in
-            (name, r.Cooperability.violations, r.Cooperability.events))
-      in
-      let promises =
-        List.init (Array.length factories) (fun i ->
-            Coop_util.Pool.spawn pool (fun () -> one_cached i))
-      in
-      let runs = List.map (Coop_util.Pool.await pool) promises in
-      (* The prefix's events were analyzed once instead of once per
-         schedule: every schedule after the first got them for free. *)
-      (runs, pre.ck_events, (Array.length factories - 1) * pre.ck_events)
+        let runs = fan_out one_cached in
+        Coop_util.Ckpt_cache.release c w;
+        Coop_util.Ckpt_cache.tally c ~hits:n ~misses:0;
+        (* The prefix's events were analyzed once instead of once per
+           schedule: every schedule after the first got them for free. *)
+        (runs, pre.ck_events, (n - 1) * pre.ck_events, n)
+      end
 
 let infer ?pool ?(max_rounds = 20) ?(portfolio = default_portfolio) ?max_steps
     ?(base_yields = Loc.Set.empty) ?two_pass ?(no_cache = false) ?ckpt prog =
@@ -237,22 +224,21 @@ let infer ?pool ?(max_rounds = 20) ?(portfolio = default_portfolio) ?max_steps
     else Some (match ckpt with Some c -> c | None -> prefix_cache ())
   in
   let before = Option.map Coop_util.Ckpt_cache.stats cache in
-  let ckpt_base =
-    "infer" ^ string_of_int (Atomic.fetch_and_add infer_nonce 1) ^ ":"
-  in
   let events_total = ref 0 in
   let prefix_total = ref 0 in
   let elided_total = ref 0 in
+  let hits_total = ref 0 in
   let rec loop yields round initial witnesses =
-    let runs, prefix_events, elided_events =
+    let runs, prefix_events, elided_events, hits =
       Coop_obs.span
         (Printf.sprintf "infer/round%d" round)
         (fun () ->
-          portfolio_pass ?two_pass ?cache ~ckpt_base ~pool ~portfolio
-            ~max_steps ~yields prog)
+          portfolio_pass ?two_pass ?cache ~pool ~portfolio ~max_steps
+            ~yields prog)
     in
     prefix_total := !prefix_total + prefix_events;
     elided_total := !elided_total + elided_events;
+    hits_total := !hits_total + hits;
     Coop_obs.count "infer/rounds" 1;
     let violations = List.concat_map (fun (_, vs, _) -> vs) runs in
     let events = List.fold_left (fun acc (_, _, e) -> acc + e) 0 runs in
@@ -293,21 +279,16 @@ let infer ?pool ?(max_rounds = 20) ?(portfolio = default_portfolio) ?max_steps
       let final_check_violations = List.length violations in
       Coop_obs.gauge "infer/yields"
         (float_of_int (Loc.Set.cardinal (Loc.Set.diff yields base_yields)));
-      let cache_hits =
-        match (cache, before) with
-        | Some c, Some b ->
-            let open Coop_util.Ckpt_cache in
-            let s = stats c in
-            if Coop_obs.enabled () then begin
-              Coop_obs.count "ckpt/hits" (s.hits - b.hits);
-              Coop_obs.count "ckpt/misses" (s.misses - b.misses);
-              Coop_obs.count "ckpt/evictions" (s.evictions - b.evictions);
-              Coop_obs.gauge "ckpt/bytes" (float_of_int s.bytes);
-              Coop_obs.gauge "ckpt/peak_bytes" (float_of_int s.peak_bytes)
-            end;
-            s.hits - b.hits
-        | _ -> 0
-      in
+      (match (cache, before) with
+      | Some c, Some b when Coop_obs.enabled () ->
+          let open Coop_util.Ckpt_cache in
+          let s = stats c in
+          Coop_obs.count "ckpt/hits" (s.hits - b.hits);
+          Coop_obs.count "ckpt/misses" (s.misses - b.misses);
+          Coop_obs.count "ckpt/evictions" (s.evictions - b.evictions);
+          Coop_obs.gauge "ckpt/bytes" (float_of_int s.bytes);
+          Coop_obs.gauge "ckpt/peak_bytes" (float_of_int s.peak_bytes)
+      | _ -> ());
       {
         yields = Loc.Set.diff yields base_yields;
         rounds = round;
@@ -316,7 +297,7 @@ let infer ?pool ?(max_rounds = 20) ?(portfolio = default_portfolio) ?max_steps
         events_analyzed = !events_total;
         prefix_events = !prefix_total;
         elided_events = !elided_total;
-        cache_hits;
+        cache_hits = !hits_total;
         witnesses;
       }
     end

@@ -56,22 +56,29 @@ type result = {
           [(portfolio size - 1) * prefix_events] summed over rounds
           ([0] when replay elision is off). *)
   cache_hits : int;
-      (** Checkpoint-store hits — prefix re-executions elided ([0] when
-          replay elision is off). *)
+      (** Schedules resumed from a held round prefix — prefix
+          re-executions elided ([0] when replay elision is off, and for
+          rounds whose prefix the budget refused). *)
   witnesses : yield_witness list;
       (** One per inferred yield, in inference order (round, then first
           occurrence). *)
 }
 
 type prefix
-(** A cached pre-divergence round prefix: the VM state, the recorded
+(** A round's pre-divergence prefix: the VM state, the recorded
     forced scheduler picks and the checker's analysis snapshot at the
     point where more than one thread first becomes runnable. *)
 
+val prefix_weight : prefix -> int
+(** The bytes a prefix retains beyond the program: its VM state's
+    {!Vm.approx_words}, plus the measured words of its analysis snapshot
+    and recorded picks. Never below the prefix's own heap words
+    (property-tested). *)
+
 val prefix_cache : unit -> prefix Coop_util.Ckpt_cache.t
-(** A fresh bounded store for round prefixes (64 MiB default cap),
-    suitable for passing to {!infer} as [?ckpt] — e.g. to read
-    {!Coop_util.Ckpt_cache.stats} afterwards. *)
+(** A fresh checkpoint budget for round prefixes (64 MiB default cap,
+    {!prefix_weight}), suitable for passing to {!infer} as [?ckpt] — e.g.
+    to read {!Coop_util.Ckpt_cache.stats} afterwards. *)
 
 val default_portfolio : (unit -> Sched.t) list
 (** Five random seeds, round-robin with quanta 1, 3 and 17, and two PCT
@@ -100,16 +107,19 @@ val infer :
 
     {b Replay elision} (default on): within a round, every schedule
     executes the same steps until a second thread becomes runnable — so
-    the shared prefix is executed and analyzed once, checkpointed
-    ([ckpt]; a fresh {!prefix_cache} per call by default), and each
-    schedule fast-forwards a fresh scheduler over the recorded picks,
-    resumes a fresh checker from the prefix's analysis snapshot and runs
-    only the divergent tail. Yields, violations, witnesses and
-    [events_analyzed] are identical to the stateless pass
-    (property-tested); only [prefix_events]/[elided_events]/[cache_hits]
-    differ from zero. [~no_cache:true] forces the stateless pass — the
+    the shared prefix is executed and analyzed once, and each schedule
+    fast-forwards a fresh scheduler over the recorded picks, resumes a
+    fresh checker from the prefix's analysis snapshot and runs only the
+    divergent tail. The round holds its prefix and charges
+    {!prefix_weight} to the [ckpt] budget (a fresh {!prefix_cache} per
+    call by default) until the round ends, tallying one hit per schedule
+    resumed from it; a round whose charge is refused drops the prefix
+    and runs stateless, tallying one miss per schedule. Yields,
+    violations, witnesses and [events_analyzed] are identical to the
+    stateless pass (property-tested, with a roomy and with a full
+    budget); only [prefix_events]/[elided_events]/[cache_hits] differ
+    from zero. [~no_cache:true] forces the stateless pass — the
     differential oracle. The cached path always analyzes through the
-    single-pass engine: [two_pass] forces it off (the oracle
-    re-streams its source, which a resumed prefix cannot provide). Store
-    counter deltas flush to [Coop_obs] ([ckpt/*]) when telemetry is
-    on. *)
+    single-pass engine: [two_pass] forces it off (the oracle re-streams
+    its source, which a resumed prefix cannot provide). Budget counter
+    deltas flush to [Coop_obs] ([ckpt/*]) when telemetry is on. *)

@@ -34,12 +34,6 @@ val classify :
     are classified [Both] — the standard thread-local-lock refinement of
     dynamic reduction checkers. *)
 
-val classify_pred :
-  ?local_locks:(int -> bool) -> racy:(Event.var -> bool) -> Event.op -> t option
-(** {!classify} with the racy set abstracted to a predicate, so callers
-    whose knowledge is still growing (the single-pass engine) can classify
-    against their current belief without materializing a set. *)
-
 val pp : Format.formatter -> t -> unit
 (** "right-mover", "left-mover", "both-mover" or "non-mover". *)
 

@@ -62,9 +62,6 @@ type program = {
 val loc : program -> func:int -> pc:int -> Coop_trace.Loc.t
 (** The source location of an instruction. *)
 
-val pp_instr : Format.formatter -> instr -> unit
-(** Mnemonic rendering of one instruction. *)
-
 val disassemble : program -> string
 (** Full program listing, one instruction per line, for debugging. *)
 

@@ -193,15 +193,12 @@ val attribution : snapshot -> attribution_row list * float
     100% of the measured analysis time. Returns [([], 0.)] when nothing
     was instrumented. *)
 
-val profile_table : snapshot -> string
-(** The attribution rendered as a [Coop_util.Table] (time, share, events,
-    ns/event and minor words/event per checker), or a one-line notice
-    when nothing was instrumented. *)
-
 val render_summary : snapshot -> string
-(** {!profile_table} followed by counters, gauges, timers (with
-    per-domain busy breakdown) and histogram digests — the [--profile]
-    output. *)
+(** The attribution rendered as a [Coop_util.Table] (time, share, events,
+    ns/event and minor words/event per checker, or a one-line notice
+    when nothing was instrumented), followed by counters, gauges, timers
+    (with per-domain busy breakdown) and histogram digests — the
+    [--profile] output. *)
 
 val to_json : snapshot -> Coop_util.Json.t
 (** The stable machine-readable schema ([{"schema": "coop-obs/v1", ...}])

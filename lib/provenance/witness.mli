@@ -59,9 +59,6 @@ type t =
   | Race of race
   | Locks of lockset
 
-val pp_access : Format.formatter -> access -> unit
-(** ["t1#20 @f0:pc3(line 7)"]. *)
-
 val pp : Format.formatter -> t -> unit
 (** One-line human-readable evidence, e.g.
     ["t0#12 @.. clock 3, t1#20 @.. sees 2: unordered"]. *)
@@ -69,10 +66,6 @@ val pp : Format.formatter -> t -> unit
 val schema : string
 (** ["coop-witness/v1"] — the value of the ["schema"] field of every
     witness JSON document. *)
-
-val access_json : access -> Coop_util.Json.t
-val race_json : race -> Coop_util.Json.t
-val lockset_json : lockset -> Coop_util.Json.t
 
 val to_json : t -> Coop_util.Json.t
 (** The witness under its variant tag, as embedded in [coop-witness/v1]

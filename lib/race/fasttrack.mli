@@ -37,12 +37,9 @@ type facts = {
     "this lock is shared" — are monotone: once published they never
     retract, and each fires at most once per variable/lock. *)
 
-val no_facts : facts
-(** Callbacks that ignore every fact (the default). *)
-
 val create : ?facts:facts -> ?interner:Interner.t -> ?witness:bool -> unit -> t
 (** Fresh state: every thread clock starts at [<t:1>]. [facts] callbacks
-    fire as knowledge is discovered; default {!no_facts}. With
+    fire as knowledge is discovered; by default every fact is ignored. With
     [~interner], {!handle} assumes each event has already been noted on
     that interner (chain use); without it the detector owns a private
     interner and notes events itself. With [~witness:true] (default

@@ -27,21 +27,20 @@
     execution resumes from the deepest parked ancestor of its divergence
     point, so only the divergent suffix is executed fresh. A parked
     state is never stepped: each fetch copies it into the one state the
-    run steps ({!Vm.copy_into}). Parking is charged to the byte budget of
-    a {!Coop_util.Ckpt_cache} store with
-    {!Coop_util.Ckpt_cache.charge} (weight as the store computes it, no
-    key, no lock) and released when the frame pops, so a finished run
-    leaves the store's [bytes] at 0 and the cap bounds what the frames
-    pin. A frame the budget refuses does not park: its state is
+    run steps ({!Vm.copy_into}). Parking is charged to a
+    {!Coop_util.Ckpt_cache} byte budget with
+    {!Coop_util.Ckpt_cache.charge} (weight as the budget computes it, no
+    lock) and released when the frame pops, so a finished run leaves the
+    budget's [bytes] at 0 and the cap bounds what the frames pin. A frame the budget refuses does not park: its state is
     re-derived by a (deterministic) replay from its nearest parked
     ancestor when needed. An unparked backtrack replays at most three
     transitions; a frame with nothing to explore (nothing enabled, or
     all of it asleep) is not parked. A popped frame's state stays in the
     run as the copy destination of the next park at its depth, so parks
-    and fetches allocate nothing in the steady state. The store's
-    {!Coop_util.Ckpt_cache.stats} keep their meaning: a hit is a fetch
-    of a parked state, a miss a fetch that had to replay because the
-    budget refused the park, and [bytes]/[peak_bytes] the charged
+    and fetches allocate nothing in the steady state. In the budget's
+    {!Coop_util.Ckpt_cache.stats} a hit is a fetch of a parked state, a
+    miss a fetch that had to replay because the budget refused the park,
+    an eviction a refused park, and [bytes]/[peak_bytes] the charged
     weight. The frame stack itself is flat — per-depth int arrays, with
     the enabled, backtrack, tried and sleep sets as bitsets of 63
     threads a word — so a novel transition allocates nothing.
@@ -78,7 +77,7 @@ type result = {
 }
 
 val default_cache : unit -> Vm.state Coop_util.Ckpt_cache.t
-(** A fresh checkpoint store with the default 64 MiB cap and a
+(** A fresh checkpoint budget with the default 64 MiB cap and a
     [Vm.approx_words]-based weight — what {!run} creates when no [ckpt]
     is passed. Create one explicitly to share it across runs or to read
     {!Coop_util.Ckpt_cache.stats} afterwards. *)
@@ -100,11 +99,11 @@ val run :
     [max_segment] (default 100_000) bounds each transition's invisible
     prefix.
 
-    [no_cache] (default [false]) disables the checkpoint store: every
+    [no_cache] (default [false]) disables checkpoints: every
     backtracked execution replays from the initial state — the
-    stateless differential oracle. [ckpt] supplies the store whose
-    budget parked states are charged to (charges are lock-free, so
-    concurrent runs may share one); without it a fresh store with the
+    stateless differential oracle. [ckpt] supplies the budget parked
+    states are charged to (charges are lock-free, so concurrent runs
+    may share one); without it a fresh budget with the
     default 64 MiB cap and a [Vm.approx_words]-based weight is created
     per call. Cumulative counter deltas are flushed to [Coop_obs]
     ([ckpt/hits], [ckpt/misses], [ckpt/evictions], [ckpt/bytes],

@@ -15,12 +15,7 @@ type result = {
   states : int;
   deadlocks : int;
   novel_steps : int;
-  replayed_steps : int;
-  cache_hits : int;
 }
-
-(* Per-run base for frontier checkpoint keys shared through one store. *)
-let run_nonce = Atomic.make 0
 
 (* One scheduling decision in preemptive mode: execute [tid]'s invisible
    prefix eagerly, then one visible instruction (or park). *)
@@ -67,8 +62,6 @@ type partial = {
   p_states : int;
   p_complete : bool;
   p_novel : int;  (* segments executed on the exploration frontier *)
-  p_replayed : int;  (* segments re-executed to re-derive a start state *)
-  p_hits : int;  (* checkpoint-store hits *)
 }
 
 let merge_partial a b =
@@ -78,8 +71,6 @@ let merge_partial a b =
     p_states = a.p_states + b.p_states;
     p_complete = a.p_complete && b.p_complete;
     p_novel = a.p_novel + b.p_novel;
-    p_replayed = a.p_replayed + b.p_replayed;
-    p_hits = a.p_hits + b.p_hits;
   }
 
 (* The memoized DFS, from an arbitrary start state. *)
@@ -126,17 +117,12 @@ let explore_from ~segment ~max_states st0 =
     p_states = !states;
     p_complete = !complete;
     p_novel = !novel;
-    p_replayed = 0;
-    p_hits = 0;
   }
 
 (* Breadth-first expansion of the top-level branch frontier until it is
    wide enough to keep every worker busy. Terminal states met on the way
-   are recorded; interior states are deduplicated by {!Vm.key}. Each
-   frontier node carries the tid path that derived it from the initial
-   state (first decision first) — its checkpoint key, and the recipe for
-   re-deriving the state if the checkpoint gets evicted. Returns the
-   frontier plus the partial result of the expansion itself. *)
+   are recorded; interior states are deduplicated by {!Vm.key}. Returns
+   the frontier plus the partial result of the expansion itself. *)
 let expand_frontier ~segment ~target st0 =
   let seen = Hashtbl.create 256 in
   let behaviors = ref Behavior.Set.empty in
@@ -145,7 +131,7 @@ let expand_frontier ~segment ~target st0 =
   let novel = ref 0 in
   let complete = ref true in
   Hashtbl.add seen (Vm.key st0) ();
-  let frontier = ref [ (st0, []) ] in
+  let frontier = ref [ st0 ] in
   let levels = ref 0 in
   let continue_ = ref true in
   while !continue_ && List.length !frontier < target && !levels < 8 do
@@ -153,7 +139,7 @@ let expand_frontier ~segment ~target st0 =
     let next = ref [] in
     let grew = ref false in
     List.iter
-      (fun (st, path) ->
+      (fun st ->
         incr states;
         match Vm.runnable st with
         | [] ->
@@ -171,7 +157,7 @@ let expand_frontier ~segment ~target st0 =
                   if not (Hashtbl.mem seen k) then begin
                     Hashtbl.add seen k ();
                     grew := true;
-                    next := (st', tid :: path) :: !next
+                    next := st' :: !next
                   end
                 end)
               runnable)
@@ -179,15 +165,13 @@ let expand_frontier ~segment ~target st0 =
     frontier := List.rev !next;
     if not !grew then continue_ := false
   done;
-  ( List.map (fun (st, path) -> (st, List.rev path)) !frontier,
+  ( !frontier,
     {
       p_behaviors = !behaviors;
       p_dead = !dead;
       p_states = !states;
       p_complete = !complete;
       p_novel = !novel;
-      p_replayed = 0;
-      p_hits = 0;
     } )
 
 let result_of_partial p =
@@ -197,24 +181,10 @@ let result_of_partial p =
     states = p.p_states;
     deadlocks = Key_set.cardinal p.p_dead;
     novel_steps = p.p_novel;
-    replayed_steps = p.p_replayed;
-    cache_hits = p.p_hits;
   }
 
-let flush_obs c (before : Coop_util.Ckpt_cache.stats) =
-  if Coop_obs.enabled () then begin
-    let open Coop_util.Ckpt_cache in
-    let s = stats c in
-    Coop_obs.count "ckpt/hits" (s.hits - before.hits);
-    Coop_obs.count "ckpt/misses" (s.misses - before.misses);
-    Coop_obs.count "ckpt/evictions" (s.evictions - before.evictions);
-    Coop_obs.gauge "ckpt/bytes" (float_of_int s.bytes);
-    Coop_obs.gauge "ckpt/peak_bytes" (float_of_int s.peak_bytes)
-  end
-
 let run ?pool ?(yields = Loc.Set.empty) ?(max_states = 200_000)
-    ?(max_segment = 100_000) ?(granularity = Visible_only)
-    ?(no_cache = false) ?ckpt mode prog =
+    ?(max_segment = 100_000) ?(granularity = Visible_only) mode prog =
   let segment = segment_of ~yields ~max_segment mode granularity in
   let jobs = match pool with Some p -> Coop_util.Pool.jobs p | None -> 1 in
   let init = Vm.init prog in
@@ -224,80 +194,21 @@ let run ?pool ?(yields = Loc.Set.empty) ?(max_states = 200_000)
     let frontier, expansion =
       expand_frontier ~segment ~target:(4 * jobs) init
     in
-    (* Every frontier node becomes its own pool task, so a node owning a
-       disproportionate subtree re-balances onto idle domains via work
-       stealing instead of serializing its static shard. Each task
-       explores with its own memo table and the full state budget;
-       cross-shard duplicates cost extra visits but never change the
-       behaviour set. Awaiting in frontier order keeps the merge
-       deterministic.
-
-       Frontier states are parked in the checkpoint store rather than
-       captured by the task closures: a task re-fetches its start state
-       when it actually runs, and on a miss (evicted under the byte cap)
-       re-derives it by replaying the node's recorded tid path from the
-       initial state — so a wide frontier pins at most [cap_bytes], not
-       [frontier] states. [~no_cache:true] restores capture-by-closure,
-       the differential oracle. *)
-    let cache =
-      if no_cache then None
-      else
-        Some
-          (match ckpt with
-          | Some c -> c
-          | None ->
-              Coop_util.Ckpt_cache.create
-                ~weight:(fun st -> 8 * Vm.approx_words st)
-                ())
-    in
-    let before = Option.map Coop_util.Ckpt_cache.stats cache in
+    (* Every frontier node becomes its own pool task, capturing its start
+       state, so a node owning a disproportionate subtree re-balances
+       onto idle domains via work stealing instead of serializing its
+       static shard. Each task explores with its own memo table and the
+       full state budget; cross-shard duplicates cost extra visits but
+       never change the behaviour set. Awaiting in frontier order keeps
+       the merge deterministic. *)
     let promises =
-      match cache with
-      | None ->
-          List.map
-            (fun (st, _) ->
-              Coop_util.Pool.spawn pool (fun () ->
-                  explore_from ~segment ~max_states st))
-            frontier
-      | Some c ->
-          let base =
-            "explore" ^ string_of_int (Atomic.fetch_and_add run_nonce 1) ^ ":"
-          in
-          List.map
-            (fun (st, path) ->
-              let key =
-                base ^ String.concat "." (List.map string_of_int path)
-              in
-              Coop_util.Ckpt_cache.add c key st;
-              Coop_util.Pool.spawn pool (fun () ->
-                  let hits = ref 0 in
-                  let replayed = ref 0 in
-                  let st =
-                    match Coop_util.Ckpt_cache.find c key with
-                    | Some st ->
-                        incr hits;
-                        Vm.copy st
-                    | None ->
-                        (* Deterministic replay of the recorded path. *)
-                        let st = Vm.copy init in
-                        List.iter
-                          (fun tid ->
-                            if not (segment st tid) then
-                              assert false (* succeeded in expand *);
-                            incr replayed)
-                          path;
-                        st
-                  in
-                  let p = explore_from ~segment ~max_states st in
-                  { p with
-                    p_replayed = p.p_replayed + !replayed;
-                    p_hits = p.p_hits + !hits }))
-            frontier
+      List.map
+        (fun st ->
+          Coop_util.Pool.spawn pool (fun () ->
+              explore_from ~segment ~max_states st))
+        frontier
     in
     let shards = List.map (Coop_util.Pool.await pool) promises in
-    (match (cache, before) with
-    | Some c, Some b -> flush_obs c b
-    | _ -> ());
     result_of_partial (List.fold_left merge_partial expansion shards)
   end
 

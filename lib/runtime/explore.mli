@@ -35,12 +35,7 @@ type result = {
           behaviour set is exact. *)
   states : int;  (** Distinct states visited. *)
   deadlocks : int;  (** Terminal states that were deadlocks. *)
-  novel_steps : int;
-      (** Segments executed on the exploration frontier proper. *)
-  replayed_steps : int;
-      (** Segments re-executed only to re-derive an evicted frontier
-          checkpoint (parallel runs; [0] sequentially). *)
-  cache_hits : int;  (** Checkpoint-store hits ([0] sequentially). *)
+  novel_steps : int;  (** Segments executed during the search. *)
 }
 
 val run :
@@ -49,8 +44,6 @@ val run :
   ?max_states:int ->
   ?max_segment:int ->
   ?granularity:granularity ->
-  ?no_cache:bool ->
-  ?ckpt:Vm.state Coop_util.Ckpt_cache.t ->
   mode ->
   Coop_lang.Bytecode.program ->
   result
@@ -63,16 +56,8 @@ val run :
     With a [pool] of more than one domain, the top-level branch frontier is
     expanded breadth-first until it is wide enough and the subtrees are
     explored in parallel, each with its own memo table and the full
-    [max_states] budget. Frontier start states are parked in a
-    checkpoint store ({!Coop_util.Ckpt_cache}) keyed by the node's tid
-    path instead of being captured by the task closures, so a wide
-    frontier pins at most the store's byte cap: a task whose checkpoint
-    was evicted re-derives its start state by deterministically
-    replaying that path (counted in [replayed_steps]). [ckpt] supplies
-    the store (default: a fresh one, 64 MiB cap); [no_cache] (default
-    [false]) restores capture-by-closure — the differential oracle with
-    byte-identical results. Counter deltas flush to [Coop_obs]
-    ([ckpt/*]) when telemetry is on.
+    [max_states] budget; each task captures its start state. The whole
+    frontier is built in memory before any task starts.
 
     On complete explorations [behaviors], [complete]
     and [deadlocks] are identical to the sequential run (deadlocked

@@ -19,9 +19,6 @@ type region =
   | Rglobal of int
   | Rarray of int
 
-val region_compare : region -> region -> int
-(** Total order. *)
-
 val pp_region :
   Coop_lang.Bytecode.program -> Format.formatter -> region -> unit
 (** Named rendering, e.g. ["counter"] or ["grid[]"]. *)

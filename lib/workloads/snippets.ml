@@ -26,9 +26,3 @@ let barrier_fn =
   }
 }
 |}
-
-let lcg_fn =
-  {|fn lcg(s) {
-  return (s * 1103 + 12345) % 65536;
-}
-|}

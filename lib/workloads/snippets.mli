@@ -8,8 +8,3 @@ val barrier_fn : string
     spin loop carries an explicit [yield] — under cooperative semantics a
     spin-wait must be a scheduling point, which is precisely the kind of
     yield the paper says programmers must write by hand. *)
-
-val lcg_fn : string
-(** [lcg(s)]: one step of a linear congruential generator, used by the
-    randomized workloads for thread-local pseudo-randomness. Keeps values
-    in a small positive range to avoid overflow. *)

@@ -9,7 +9,8 @@
      one that streamed the full trace (including witnesses), and one
      snapshot serves many independent resumes (the deep-copy contract);
    - inference is cache-oblivious: yield sets, rounds, violation counts
-     and witness chains are identical with replay elision on and off. *)
+     and witness chains are identical with replay elision on, refused by
+     a full budget and off. *)
 
 (* Bind before [open QCheck2] shadows the module name (same dance as
    test_parallel.ml). *)
@@ -395,9 +396,8 @@ let test_dpor_drops_checkpoints () =
           let ctx = Printf.sprintf "%s (pool %d)" name jobs in
           let ckpt = Dpor.default_cache () in
           let c = Dpor.run ~pool ~ckpt prog in
-          let st = Ckpt_cache.stats ckpt in
-          Alcotest.(check int) (ctx ^ ": no entries left") 0 st.Ckpt_cache.entries;
-          Alcotest.(check int) (ctx ^ ": no bytes left") 0 st.Ckpt_cache.bytes;
+          Alcotest.(check int) (ctx ^ ": no bytes left") 0
+            (Ckpt_cache.stats ckpt).Ckpt_cache.bytes;
           if jobs = 1 then begin
             Alcotest.(check int) (ctx ^ ": executions") s.Dpor.executions
               c.Dpor.executions;
@@ -506,10 +506,11 @@ let dpor_budget_law =
     (fun p ->
       let prog = Compile.program p in
       let weight st = 8 * Vm.approx_words st in
+      let roomy_cap = 64 * 1024 * 1024 and full_cap = 8 in
       List.for_all
         (fun (_, pool) ->
-          let roomy = Ckpt_cache.create ~weight () in
-          let full = Ckpt_cache.create ~cap_bytes:8 ~weight () in
+          let roomy = Ckpt_cache.create ~cap_bytes:roomy_cap ~weight () in
+          let full = Ckpt_cache.create ~cap_bytes:full_cap ~weight () in
           let run ?ckpt no_cache =
             Dpor.run ~pool ?ckpt ~no_cache ~max_executions:dpor_budget prog
           in
@@ -522,57 +523,90 @@ let dpor_budget_law =
             && a.Dpor.novel_steps = r.Dpor.novel_steps
             && a.Dpor.complete = r.Dpor.complete
           in
-          let settled c =
+          let settled c cap =
             let s = Ckpt_cache.stats c in
-            s.Ckpt_cache.bytes = 0
-            && s.Ckpt_cache.peak_bytes <= Ckpt_cache.cap_bytes c
+            s.Ckpt_cache.bytes = 0 && s.Ckpt_cache.peak_bytes <= cap
           in
-          same b && same c && settled roomy && settled full
+          same b && same c && settled roomy roomy_cap && settled full full_cap
           (* the root always parks in a roomy store, never in a full one *)
           && (Ckpt_cache.stats roomy).Ckpt_cache.peak_bytes > 0
           && a.Dpor.cache_hits = (Ckpt_cache.stats roomy).Ckpt_cache.hits
           && b.Dpor.cache_hits = 0)
         pools)
 
-let explore_cached_matches =
-  prop "qcheck: cached explore frontier = capture-by-closure" 4 (fun p ->
-      let prog = Compile.program p in
-      List.for_all
-        (fun pool ->
-          let c = Explore.run ~pool ~max_states:20_000 Explore.Preemptive prog in
-          let s =
-            Explore.run ~pool ~no_cache:true ~max_states:20_000
-              Explore.Preemptive prog
-          in
-          c.Explore.complete = s.Explore.complete
-          && Behavior.Set.equal c.Explore.behaviors s.Explore.behaviors
-          && c.Explore.states = s.Explore.states
-          && c.Explore.deadlocks = s.Explore.deadlocks)
-        [ pool2; pool4 ])
-
 let witness_key (w : Infer.yield_witness) =
   ( Format.asprintf "%a" Loc.pp w.Infer.yw_loc,
     w.Infer.yw_round,
     w.Infer.yw_sched )
 
+(* A roomy store, one that refuses every charge (each round then runs
+   stateless) and no store at all infer the same yields, rounds,
+   witnesses and analyzed events, and every charge is released by the
+   time [infer] returns. *)
 let infer_cache_oblivious =
   prop "qcheck: infer identical with cache on/off" 6 (fun p ->
       let prog = Compile.program p in
       List.for_all
         (fun (_, pool) ->
-          let c = Infer.infer ~pool ~max_steps:300_000 prog in
-          let s =
-            Infer.infer ~pool ~no_cache:true ~max_steps:300_000 prog
+          let roomy = Infer.prefix_cache () in
+          let full = Ckpt_cache.create ~cap_bytes:8 ~weight:Infer.prefix_weight () in
+          let run ?ckpt no_cache =
+            Infer.infer ~pool ?ckpt ~no_cache ~max_steps:300_000 prog
           in
-          Loc.Set.equal c.Infer.yields s.Infer.yields
-          && c.Infer.rounds = s.Infer.rounds
-          && c.Infer.initial_violations = s.Infer.initial_violations
-          && c.Infer.events_analyzed = s.Infer.events_analyzed
-          && List.map witness_key c.Infer.witnesses
-             = List.map witness_key s.Infer.witnesses
+          let c = run ~ckpt:roomy false in
+          let f = run ~ckpt:full false in
+          let s = run true in
+          let same (r : Infer.result) =
+            Loc.Set.equal r.Infer.yields s.Infer.yields
+            && r.Infer.rounds = s.Infer.rounds
+            && r.Infer.initial_violations = s.Infer.initial_violations
+            && r.Infer.events_analyzed = s.Infer.events_analyzed
+            && List.map witness_key r.Infer.witnesses
+               = List.map witness_key s.Infer.witnesses
+          in
+          let settled c = (Ckpt_cache.stats c).Ckpt_cache.bytes = 0 in
+          same c && same f
           && s.Infer.prefix_events = 0
-          && s.Infer.cache_hits = 0)
+          && s.Infer.cache_hits = 0
+          && f.Infer.prefix_events = 0
+          && f.Infer.cache_hits = 0
+          && settled roomy && settled full)
         pools)
+
+(* Heap words reachable from an inference prefix but not from the program
+   and event caches its VM state shares with every copy. The state is
+   the prefix record's first field. *)
+let prefix_own_words p =
+  let r = Obj.repr p in
+  let st = Obj.field r 0 in
+  Obj.reachable_words r
+  - (Obj.reachable_words (Obj.repr (Obj.field st 0, Obj.field st 1)) - 3)
+
+(* [Infer.prefix_weight] bounds what a prefix retains, so the cap bounds
+   what inference pins: every prefix a run charges weighs at least its
+   own words, in bytes. *)
+let prefix_weight_bounds prog =
+  let pairs = ref [] in
+  let weight p =
+    let w = Infer.prefix_weight p in
+    pairs := (w, 8 * prefix_own_words p) :: !pairs;
+    w
+  in
+  ignore
+    (Infer.infer ~pool:pool2 ~ckpt:(Ckpt_cache.create ~weight ())
+       ~max_steps:300_000 prog);
+  !pairs <> [] && List.for_all (fun (w, own) -> w >= own) !pairs
+
+let test_prefix_weight_micro () =
+  List.iter
+    (fun (name, prog) ->
+      Alcotest.(check bool) (name ^ ": weight >= own words") true
+        (prefix_weight_bounds prog))
+    micro_programs
+
+let prefix_weight_law =
+  prop "qcheck: Infer.prefix_weight >= a prefix's own words" 20 (fun p ->
+      prefix_weight_bounds (Compile.program p))
 
 (* Elision accounting: with the default 10-schedule portfolio, every
    prefix event analyzed once spares the other nine re-executions. *)
@@ -607,6 +641,8 @@ let suite =
     dpor_cached_matches_stateless;
     dpor_cached_parallel_matches;
     dpor_budget_law;
-    explore_cached_matches;
     infer_cache_oblivious;
+    Alcotest.test_case "prefix weight bounds its own words" `Quick
+      test_prefix_weight_micro;
+    prefix_weight_law;
   ]
