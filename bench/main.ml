@@ -1098,13 +1098,14 @@ let vclock () =
 (* Budget for the full single-pass pipeline, in minor words per event on
    the montecarlo workload (seed 5, size 40, atomizer on — long enough
    that per-event steady state dominates per-run setup). The figure
-   covers VM execution plus every checker. Measured 12.6 words/event
-   (deterministic for this seed) once the online engine kept flat
-   per-thread logs and stopped allocating per nested activation, down
-   from 42.6 before that, ~127 with a scheduler context record per step
-   and ~1,800 with the persistent VM. The bound carries ~2x headroom so
-   GC noise never trips it. *)
-let alloc_budget_minor_words_per_event = 26.
+   covers VM execution plus every checker. Measured 2.6 words/event
+   (deterministic for this seed) once the VM took its event payloads
+   from per-program tables and reused call frames, down from 12.6 with
+   per-run tables and a fresh frame per call, 42.6 before the online
+   engine kept flat per-thread logs, ~127 with a scheduler context
+   record per step and ~1,800 with the persistent VM. The bound carries
+   ~2x headroom so GC noise never trips it. *)
+let alloc_budget_minor_words_per_event = 5.
 
 (* The same pipeline over an in-memory recording of crypt at 160 (random
    scheduler, seed 1): no VM, so the figure is the analysis stack alone,
@@ -1136,16 +1137,28 @@ let alloc_budget_verdict_words_per_event = 8.
    keyed checkpoints and boxed frames; the bound is ~2x the larger. *)
 let alloc_budget_dpor_words_per_step = 15.
 
+(* The VM alone — [Runner.run] into an ignoring sink, seed 5 — in minor
+   words per step, on montecarlo at 40 (a call per random draw) and bank
+   at 40 (two functions called in turn at one depth, lock blocking, and
+   a runnable set that changes on every acquire and release). With the
+   payload and location tables built once per program, frames reused by
+   calls at the same depth and shared parked statuses, what remains is
+   per run — the state, the spawned threads and their first frames:
+   measured 0.002 (montecarlo) and 0.049 (bank), against 0.44 on bank
+   when only a call of the same function reused a frame. The bound is
+   ~2x the larger. *)
+let alloc_budget_vm_words_per_step = 0.1
+
 let alloc_smoke () =
   let check ?(per = "event") what events minor_w majors budget =
     let per_event = minor_w /. float_of_int (max 1 events) in
     Printf.printf
-      "alloc-smoke: %s %d %ss, %.1f minor words/%s (budget %.1f), \
+      "alloc-smoke: %s %d %ss, %.3f minor words/%s (budget %.2f), \
        %d major collections\n"
       what events per per_event per budget majors;
     if per_event > budget then begin
       Printf.eprintf
-        "alloc-smoke: FAIL — %s: %.1f minor words/%s exceeds the %.1f \
+        "alloc-smoke: FAIL — %s: %.3f minor words/%s exceeds the %.2f \
          budget\n"
         what per_event per budget;
       exit 1
@@ -1156,13 +1169,24 @@ let alloc_smoke () =
   let source =
     Runner.source ~sched:(fun () -> Sched.random ~seed:5 ()) prog
   in
-  (* Warm one run so program caches and checker tables exist, then sample. *)
+  (* Warm one run so checker tables exist, then sample. *)
   ignore (Coop_pipeline.run ~atomize:true source);
   let r, minor_w, majors =
     alloc_sample (fun () -> Coop_pipeline.run ~atomize:true source)
   in
   check "montecarlo" r.Coop_pipeline.events minor_w majors
     alloc_budget_minor_words_per_event;
+  List.iter
+    (fun name ->
+      let prog = Registry.program_of ~size:40 (Option.get (Registry.find name)) in
+      let run () =
+        Runner.run ~sched:(Sched.random ~seed:5 ()) ~sink:Coop_trace.Trace.Sink.ignore prog
+      in
+      ignore (run ());
+      let o, minor_w, majors = alloc_sample run in
+      check ~per:"step" ("vm " ^ name) o.Runner.steps minor_w majors
+        alloc_budget_vm_words_per_step)
+    [ "montecarlo"; "bank" ];
   let crypt = Registry.program_of ~size:160 (Option.get (Registry.find "crypt")) in
   let _, tr = Runner.record ~sched:(Sched.random ~seed:1 ()) crypt in
   ignore (Coop_pipeline.run (Coop_trace.Source.of_trace tr));

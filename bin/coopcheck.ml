@@ -1005,7 +1005,7 @@ let infer_cmd =
     in
     Coop_trace.Loc.Set.iter
       (fun l ->
-        let f = (Vm.program (Vm.init prog)).Coop_lang.Bytecode.funcs.(l.Coop_trace.Loc.func) in
+        let f = prog.Coop_lang.Bytecode.funcs.(l.Coop_trace.Loc.func) in
         Format.printf "  yield before %s line %d (%a)@."
           f.Coop_lang.Bytecode.name l.Coop_trace.Loc.line Coop_trace.Loc.pp l;
         match (wmode, witness_of_loc l) with

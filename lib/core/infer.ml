@@ -59,21 +59,23 @@ let compute_prefix ~yields ~max_steps prog =
   let tids = ref [] in
   let flags = ref [] in
   let st = Vm.init prog in
-  let rec go runnable last yielded steps =
+  let runnable = ref [||] in
+  let rec go last yielded steps =
     if steps >= max_steps then (last, yielded, steps)
     else begin
-      let runnable = Vm.runnable_array st runnable in
-      if Array.length runnable <> 1 then (last, yielded, steps)
+      let n = Vm.n_threads st in
+      if n > Array.length !runnable then runnable := Array.make (2 * n) 0;
+      if Vm.runnable_into st !runnable <> 1 then (last, yielded, steps)
       else begin
-        let tid = runnable.(0) in
+        let tid = !runnable.(0) in
         flags := yielded :: !flags;
         tids := tid :: !tids;
         let yielded = Vm.step ~yields st tid ~sink in
-        go runnable tid yielded (steps + 1)
+        go tid yielded (steps + 1)
       end
     end
   in
-  let last, yielded, steps = go [||] (-1) false 0 in
+  let last, yielded, steps = go (-1) false 0 in
   Coop_obs.count "vm/steps" steps;
   Coop_obs.count "vm/events" !events;
   let snap =
@@ -98,10 +100,12 @@ let compute_prefix ~yields ~max_steps prog =
    prefix's runnable set was a singleton at every pick, so the recorded
    context is the context the scheduler would have seen. *)
 let fast_forward pre (sched : Sched.t) =
-  let ctx = { Sched.runnable = [||]; last = -1; last_yielded = false } in
+  let ctx =
+    { Sched.runnable = [| 0 |]; n_runnable = 1; last = -1; last_yielded = false }
+  in
   Array.iteri
     (fun i tid ->
-      ctx.runnable <- [| tid |];
+      ctx.runnable.(0) <- tid;
       ctx.last <- (if i = 0 then -1 else pre.ck_tids.(i - 1));
       ctx.last_yielded <- pre.ck_flags.(i);
       ignore (sched.Sched.pick ctx))

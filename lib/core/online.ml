@@ -497,9 +497,18 @@ let finalize t =
   (* Assumptions still unresolved at end of stream were all correct, so
      parked results are final as they are. *)
   let s = t.s in
+  let parked = ref 0 in
   for h = 0 to s.n_handles - 1 do
-    if s.rcds.(h).state = st_parked then retire t s h s.rcds.(h)
+    if s.rcds.(h).state = st_parked then begin
+      incr parked;
+      retire t s h s.rcds.(h)
+    end
   done;
+  if Coop_obs.enabled () then begin
+    Coop_obs.count "online/txns" s.next_uid;
+    Coop_obs.count "online/parked_at_end" !parked;
+    Coop_obs.count "online/peak_handles" s.n_handles
+  end;
   if t.timed && t.repairs > 0 then
     Coop_obs.timer_add ~words:t.repair_words "checker/repair" t.repair_s
       t.repairs

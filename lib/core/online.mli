@@ -186,7 +186,10 @@ val close : 'a t -> 'a txn -> unit
 val finalize : 'a t -> unit
 (** End of stream: retire every parked transaction (their surviving
     optimistic assumptions are now known correct) and flush the
-    [checker/repair] timer. Callers must {!close} still-open
+    [checker/repair] timer. With telemetry on, also counts the
+    transactions the stream opened ([online/txns]), those still parked
+    here ([online/parked_at_end]) and the most handles live at once
+    ([online/peak_handles]). Callers must {!close} still-open
     transactions first. *)
 
 (** {1 Checkpointing} *)

@@ -47,6 +47,29 @@ type func = {
   lines : int array;  (** Source line of each instruction (same length). *)
 }
 
+(** The event payloads and locations a program can emit, tabulated by
+    {!Compile} so that a VM emitting an event allocates neither a [Loc.t]
+    nor an operation. The locations are the program's own; a payload
+    depends only on the function, lock, global or array id and index it
+    names, so the programs alive at one time share one table of each
+    kind, and a program's arrays may run past its own ids. Immutable:
+    every state, copy and domain running the program shares them. Fork,
+    join and output payloads carry run-time values and are not
+    tabulated. *)
+type tables = {
+  locs : Coop_trace.Loc.t array array;  (** func -> pc -> location *)
+  enter_ops : Coop_trace.Event.op array;  (** func -> [Enter] *)
+  exit_ops : Coop_trace.Event.op array;  (** func -> [Exit] *)
+  acquire_ops : Coop_trace.Event.op array;  (** handle -> [Acquire] *)
+  release_ops : Coop_trace.Event.op array;  (** handle -> [Release] *)
+  read_global_ops : Coop_trace.Event.op array;  (** slot -> [Read (Global _)] *)
+  write_global_ops : Coop_trace.Event.op array;  (** slot -> [Write (Global _)] *)
+  read_cell_ops : Coop_trace.Event.op array array;
+      (** array id -> index -> [Read (Cell _)] *)
+  write_cell_ops : Coop_trace.Event.op array array;
+      (** array id -> index -> [Write (Cell _)] *)
+}
+
 type program = {
   funcs : func array;
   main : int;  (** Entry function index. *)
@@ -57,10 +80,19 @@ type program = {
   array_names : string array;
   n_locks : int;
   lock_names : string array;  (** Lock handle -> display name. *)
+  tables : tables;  (** Built by {!tables} from the fields above. *)
 }
 
+val tables :
+  func array -> n_globals:int -> array_sizes:int array -> n_locks:int -> tables
+(** The tables of a program with these functions, globals, arrays and
+    locks. Its locations cost five words per instruction; the shared
+    payloads ten words per array cell, paid once for the largest array
+    any live program declared under an array id. *)
+
 val loc : program -> func:int -> pc:int -> Coop_trace.Loc.t
-(** The source location of an instruction. *)
+(** The source location of an instruction: the tabulated (shared) value
+    for a [pc] inside the function's code. *)
 
 val disassemble : program -> string
 (** Full program listing, one instruction per line, for debugging. *)

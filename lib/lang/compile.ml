@@ -246,16 +246,18 @@ let program (p : Ast.program) =
           (if count = 1 then name else Printf.sprintf "%s[%d]" name k)
       done)
     env.Resolve.lock_names;
+  let n_globals = env.Resolve.n_globals and array_sizes = env.Resolve.array_sizes in
   {
     Bytecode.funcs;
     main = env.Resolve.main;
-    n_globals = env.Resolve.n_globals;
+    n_globals;
     global_init = env.Resolve.global_init;
     global_names = env.Resolve.global_names;
-    array_sizes = env.Resolve.array_sizes;
+    array_sizes;
     array_names = env.Resolve.array_names;
     n_locks = env.Resolve.n_locks;
     lock_names;
+    tables = Bytecode.tables funcs ~n_globals ~array_sizes ~n_locks:env.Resolve.n_locks;
   }
 
 let source src = program (Parser.program src)

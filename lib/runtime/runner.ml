@@ -25,10 +25,20 @@ let run_ahead_cap = 1024
    runnable set or the sink can see, so each draw sees the context a
    one-instruction-per-draw loop would show it. A step limit can stop the
    run while a thread is ahead: its frame goes back to its mark and
-   replays the draws it consumed. The context record, the runnable array
-   and the per-thread tables are reused, so a draw allocates nothing. *)
+   replays the draws it consumed. The context record, its runnable
+   buffer and the per-thread tables are reused, so a draw allocates
+   nothing. *)
 let resume_raw ~yields ~max_steps ~sched ~sink ~last ~last_yielded ~steps st =
-  let ctx = { Sched.runnable = Vm.runnable_array st [||]; last; last_yielded } in
+  let ctx =
+    { Sched.runnable = Array.make (max 8 (Vm.n_threads st)) 0; n_runnable = 0;
+      last; last_yielded }
+  in
+  let refresh () =
+    let n = Vm.n_threads st in
+    if n > Array.length ctx.runnable then ctx.runnable <- Array.make (2 * n) 0;
+    ctx.n_runnable <- Vm.runnable_into st ctx.runnable
+  in
+  refresh ();
   let left = ref [||] and ran = ref [||] and marks = ref [||] in
   let grow tid =
     let n = max 8 (2 * (tid + 1)) in
@@ -52,7 +62,7 @@ let resume_raw ~yields ~max_steps ~sched ~sink ~last ~last_yielded ~steps st =
         !left;
       { final = st; termination = Step_limit; steps }
     end
-    else if Array.length ctx.runnable = 0 then
+    else if ctx.n_runnable = 0 then
       let termination = if Vm.all_quiescent st then Completed else Deadlock in
       { final = st; termination; steps }
     else begin
@@ -66,7 +76,7 @@ let resume_raw ~yields ~max_steps ~sched ~sink ~last ~last_yielded ~steps st =
       end
       else begin
         ctx.last_yielded <- Vm.step ~yields st tid ~sink;
-        ctx.runnable <- Vm.runnable_array st ctx.runnable;
+        refresh ();
         let limit = min run_ahead_cap (max_steps - steps - 1) in
         let n = Vm.run_ahead ~yields st tid ~limit !marks.(tid) in
         !left.(tid) <- n;

@@ -1,5 +1,6 @@
 type context = {
   mutable runnable : int array;
+  mutable n_runnable : int;
   mutable last : int;
   mutable last_yielded : bool;
 }
@@ -9,54 +10,57 @@ type t = {
   pick : context -> int;
 }
 
-let lowest (runnable : int array) =
-  if Array.length runnable = 0 then invalid_arg "Sched: empty runnable set";
-  runnable.(0)
+let lowest ctx =
+  if ctx.n_runnable = 0 then invalid_arg "Sched: empty runnable set";
+  ctx.runnable.(0)
 
-let rec mem_from (tid : int) runnable i =
-  i < Array.length runnable && (runnable.(i) = tid || mem_from tid runnable (i + 1))
+let rec mem_from (tid : int) ctx i =
+  i < ctx.n_runnable && (ctx.runnable.(i) = tid || mem_from tid ctx (i + 1))
 
-let mem tid runnable = mem_from tid runnable 0
+let mem tid ctx = mem_from tid ctx 0
 
 (* First runnable tid strictly greater than [cur], wrapping. *)
-let rec next_from (cur : int) runnable i =
-  if i = Array.length runnable then lowest runnable
-  else if runnable.(i) > cur then runnable.(i)
-  else next_from cur runnable (i + 1)
+let rec next_from (cur : int) ctx i =
+  if i = ctx.n_runnable then lowest ctx
+  else if ctx.runnable.(i) > cur then ctx.runnable.(i)
+  else next_from cur ctx (i + 1)
 
-let next_after cur runnable = next_from cur runnable 0
+let next_after cur ctx = next_from cur ctx 0
 
 let round_robin ~quantum () =
   if quantum <= 0 then invalid_arg "Sched.round_robin: quantum must be positive";
   let used = ref 0 in
   let pick ctx =
     let cur = ctx.last in
-    if cur >= 0 && mem cur ctx.runnable && !used < quantum then begin
+    if cur >= 0 && mem cur ctx && !used < quantum then begin
       incr used;
       cur
     end
     else begin
       used := 1;
-      if cur >= 0 then next_after cur ctx.runnable else lowest ctx.runnable
+      if cur >= 0 then next_after cur ctx else lowest ctx
     end
   in
   { name = Printf.sprintf "round-robin(q=%d)" quantum; pick }
 
 let random ~seed () =
   let rng = Coop_util.Rng.create seed in
-  let pick ctx = Coop_util.Rng.pick rng ctx.runnable in
+  let pick ctx =
+    if ctx.n_runnable = 0 then invalid_arg "Sched: empty runnable set";
+    ctx.runnable.(Coop_util.Rng.int rng ctx.n_runnable)
+  in
   { name = Printf.sprintf "random(seed=%d)" seed; pick }
 
 let cooperative () =
   let pick ctx =
     let cur = ctx.last in
-    if cur < 0 then lowest ctx.runnable
-    else if mem cur ctx.runnable && not ctx.last_yielded then cur
-    else next_after cur ctx.runnable
+    if cur < 0 then lowest ctx
+    else if mem cur ctx && not ctx.last_yielded then cur
+    else next_after cur ctx
   in
   { name = "cooperative"; pick }
 
-let sequential = { name = "sequential"; pick = (fun ctx -> lowest ctx.runnable) }
+let sequential = { name = "sequential"; pick = lowest }
 
 let pct ~seed ~depth ~change_span () =
   if depth < 1 then invalid_arg "Sched.pct: depth must be >= 1";
@@ -93,9 +97,9 @@ let pct ~seed ~depth ~change_span () =
         incr next_demotion
     | _ -> ());
     incr step;
-    let best = ref (lowest ctx.runnable) in
+    let best = ref (lowest ctx) in
     let best_p = ref (priority_of !best) in
-    for i = 1 to Array.length ctx.runnable - 1 do
+    for i = 1 to ctx.n_runnable - 1 do
       let tid = ctx.runnable.(i) in
       let p = priority_of tid in
       if p > !best_p then begin
@@ -120,12 +124,12 @@ let pinned decisions =
   let rest = ref decisions in
   let pick ctx =
     match !rest with
-    | d :: tl when mem d ctx.runnable ->
+    | d :: tl when mem d ctx ->
         rest := tl;
         d
     | _ :: tl ->
         rest := tl;
-        lowest ctx.runnable
-    | [] -> lowest ctx.runnable
+        lowest ctx
+    | [] -> lowest ctx
   in
   { name = "pinned"; pick }

@@ -9,9 +9,11 @@
 
 type context = {
   mutable runnable : int array;
-      (** Non-empty runnable tids, ascending. Owned by the run loop, which
-          reuses one array for as long as the set is unchanged (see
-          {!Vm.runnable_array}): read-only for the scheduler. *)
+      (** The runnable tids, ascending, in slots [0 .. n_runnable-1]; the
+          slots past them are garbage. A buffer owned by the run loop,
+          which rewrites it in place when the set changes (see
+          {!Vm.runnable_into}): read-only for the scheduler. *)
+  mutable n_runnable : int;  (** How many tids [runnable] holds, at least one. *)
   mutable last : int;
       (** Thread that executed the previous step, [-1] before the first
           one (an [int], not an option, so a thread switch allocates
@@ -28,7 +30,7 @@ type context = {
 
 type t = {
   name : string;  (** For reports. *)
-  pick : context -> int;  (** Chooses one tid out of [context.runnable]. *)
+  pick : context -> int;  (** Chooses one of [context]'s runnable tids. *)
 }
 
 val round_robin : quantum:int -> unit -> t

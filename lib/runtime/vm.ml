@@ -15,42 +15,35 @@ type status =
    instruction popped still hold their values and restoring [sp] undoes
    the pops. *)
 type frame = {
-  func : int;
+  mutable func : int;
   mutable pc : int;
-  locals : int array;  (* [n_locals] slots, parameters first *)
+  locals : int array;
+      (* at least [n_locals] slots, parameters first; the slots past
+         [n_locals] hold 0 *)
   mutable stack : int array;
   mutable sp : int;
 }
 
+(* Call frames are indexed by depth, outermost first: [frames.(0 ..
+   depth-1)] are live, the top frame at [depth-1]. A slot past them holds
+   the frame a return left there, which the next call at that depth
+   reuses when its locals are large enough, or [dummy_frame]. A finished
+   thread drops its frames. *)
 type thread = {
-  mutable frames : frame list;  (* innermost first *)
+  mutable frames : frame array;
+  mutable depth : int;
   mutable status : status;
   mutable entered : bool;  (* Enter event for the root frame already emitted *)
   mutable pending_yield : bool;  (* injected yield at current pc already emitted *)
   mutable wait_depth : int;  (* reentrancy depth to restore after a wait *)
 }
 
-(* Event payloads the program can ever emit, precomputed once per program
-   so the interpreter's hot loop allocates no [Loc.t] and no operation
-   variant for the common events. Built in [init], immutable afterwards —
-   copies share one [caches] record, which also makes it safe to share
-   across domains. Fork, Join and Out payloads stay dynamic: their
-   arguments are run-time values and the events are rare. *)
-type caches = {
-  locs : Loc.t array array;  (* func -> pc -> location *)
-  enter_ops : Event.op array;  (* func -> Enter *)
-  exit_ops : Event.op array;  (* func -> Exit *)
-  acquire_ops : Event.op array;  (* handle -> Acquire *)
-  release_ops : Event.op array;  (* handle -> Release *)
-  read_global_ops : Event.op array;  (* slot -> Read (Global _) *)
-  write_global_ops : Event.op array;  (* slot -> Write (Global _) *)
-  read_cell_ops : Event.op array array;  (* aid -> idx -> Read (Cell _) *)
-  write_cell_ops : Event.op array array;
-}
-
+(* The event payloads and locations come from the program's tables
+   ([Bytecode.tables], built once by the compiler and shared by every
+   state, copy and domain), so emitting an event allocates nothing but
+   the rare Fork, Join and Out payloads. *)
 type state = {
   prog : Bytecode.program;
-  caches : caches;
   scratch : Event.t;
       (* reused for every emission: sinks receive the same record with
          fields rewritten (the [Trace.Sink] contract — a sink that retains
@@ -71,32 +64,15 @@ type state = {
 
 exception Fault of string
 
-let build_caches (prog : Bytecode.program) =
-  let n_funcs = Array.length prog.funcs in
-  {
-    locs =
-      Array.init n_funcs (fun func ->
-          Array.init
-            (Array.length prog.funcs.(func).Bytecode.code)
-            (fun pc -> Bytecode.loc prog ~func ~pc));
-    enter_ops = Array.init n_funcs (fun f -> Event.Enter f);
-    exit_ops = Array.init n_funcs (fun f -> Event.Exit f);
-    acquire_ops = Array.init prog.n_locks (fun h -> Event.Acquire h);
-    release_ops = Array.init prog.n_locks (fun h -> Event.Release h);
-    read_global_ops =
-      Array.init prog.n_globals (fun g -> Event.Read (Event.Global g));
-    write_global_ops =
-      Array.init prog.n_globals (fun g -> Event.Write (Event.Global g));
-    read_cell_ops =
-      Array.mapi
-        (fun aid size -> Array.init size (fun i -> Event.Read (Event.Cell (aid, i))))
-        prog.array_sizes;
-    write_cell_ops =
-      Array.mapi
-        (fun aid size ->
-          Array.init size (fun i -> Event.Write (Event.Cell (aid, i))))
-        prog.array_sizes;
-  }
+(* The status values naming a lock handle or a thread, shared by every
+   state: parking a thread stores one of them rather than boxing a new
+   one. *)
+module Ids = Coop_util.Id_table
+
+let blocked_on_lock = Ids.create (fun h -> Blocked_on_lock h)
+let blocked_on_join = Ids.create (fun u -> Blocked_on_join u)
+let waiting = Ids.create (fun h -> Waiting h)
+let reacquiring = Ids.create (fun h -> Reacquiring h)
 
 let new_scratch () = Event.make ~tid:(-1) ~op:Event.Yield ~loc:Loc.none
 
@@ -111,14 +87,44 @@ let new_frame (prog : Bytecode.program) func args base nargs =
 let dummy_frame = { func = 0; pc = 0; locals = [||]; stack = [||]; sp = 0 }
 
 let new_thread frame =
-  { frames = [ frame ]; status = Runnable; entered = false;
+  { frames = [| frame |]; depth = 1; status = Runnable; entered = false;
     pending_yield = false; wait_depth = 0 }
+
+let top_frame t = Array.unsafe_get t.frames (t.depth - 1) [@@inline]
+
+(* Enters [func] at [t]'s next depth with [args.(base .. base+nargs-1)]
+   as its first locals, reusing the frame a return left at that depth
+   when its locals are large enough — whichever function it ran. *)
+let push_frame (prog : Bytecode.program) t func (args : int array) base nargs =
+  let d = t.depth in
+  let n_locals = max nargs prog.Bytecode.funcs.(func).Bytecode.n_locals in
+  let spare = if d < Array.length t.frames then t.frames.(d) else dummy_frame in
+  if spare != dummy_frame && Array.length spare.locals >= n_locals then begin
+    let locals = spare.locals in
+    for i = 0 to nargs - 1 do
+      Array.unsafe_set locals i (Array.unsafe_get args (base + i))
+    done;
+    for i = nargs to Array.length locals - 1 do
+      Array.unsafe_set locals i 0
+    done;
+    spare.func <- func;
+    spare.pc <- 0;
+    spare.sp <- 0
+  end
+  else begin
+    if d = Array.length t.frames then begin
+      let bigger = Array.make (max 4 (2 * d)) dummy_frame in
+      Array.blit t.frames 0 bigger 0 d;
+      t.frames <- bigger
+    end;
+    t.frames.(d) <- new_frame prog func args base nargs
+  end;
+  t.depth <- d + 1
 
 let init prog =
   let main = new_thread (new_frame prog prog.Bytecode.main [||] 0 0) in
   {
     prog;
-    caches = build_caches prog;
     scratch = new_scratch ();
     globals = Array.copy prog.Bytecode.global_init;
     arrays = Array.map (fun size -> Array.make size 0) prog.array_sizes;
@@ -136,6 +142,10 @@ let init prog =
 let copy_frame f =
   { f with locals = Array.copy f.locals; stack = Array.copy f.stack }
 
+(* The live frames only: a copy has no spare frame. *)
+let copy_thread t =
+  { t with frames = Array.init t.depth (fun i -> copy_frame t.frames.(i)) }
+
 let copy st =
   {
     st with
@@ -145,10 +155,7 @@ let copy st =
     lock_owner = Array.copy st.lock_owner;
     lock_depth = Array.copy st.lock_depth;
     conditions = Array.copy st.conditions;
-    threads =
-      Array.init st.n_threads (fun i ->
-          let t = st.threads.(i) in
-          { t with frames = List.map copy_frame t.frames });
+    threads = Array.init st.n_threads (fun i -> copy_thread st.threads.(i));
   }
 
 (* [copy], writing into [dst]'s own blocks wherever they have the right
@@ -161,29 +168,31 @@ let blit_ints (src : int array) (dst : int array) =
   done
 
 let frame_fits d f =
-  d.func = f.func
+  d != dummy_frame
   && Array.length d.locals = Array.length f.locals
   && Array.length d.stack = Array.length f.stack
 
-let rec frames_fit ds fs =
-  match (ds, fs) with
-  | [], [] -> true
-  | d :: ds, f :: fs -> frame_fits d f && frames_fit ds fs
-  | _ -> false
-
-(* [ds] itself, list cells included, when every frame fits. *)
-let frames_into ds fs =
-  if frames_fit ds fs then begin
-    List.iter2
-      (fun d f ->
-        d.pc <- f.pc;
-        d.sp <- f.sp;
-        blit_ints f.locals d.locals;
-        blit_ints f.stack d.stack)
-      ds fs;
-    ds
-  end
-  else List.map copy_frame fs
+(* Makes [d]'s live frames those of [t], in [d]'s own frames wherever
+   they fit. [d]'s frames past [t]'s depth stay as its spares. *)
+let frames_into d t =
+  let n = t.depth in
+  if Array.length d.frames < n then begin
+    let bigger = Array.make n dummy_frame in
+    Array.blit d.frames 0 bigger 0 (Array.length d.frames);
+    d.frames <- bigger
+  end;
+  for k = 0 to n - 1 do
+    let f = t.frames.(k) and g = d.frames.(k) in
+    if frame_fits g f then begin
+      g.func <- f.func;
+      g.pc <- f.pc;
+      g.sp <- f.sp;
+      blit_ints f.locals g.locals;
+      blit_ints f.stack g.stack
+    end
+    else d.frames.(k) <- copy_frame f
+  done;
+  d.depth <- n
 
 let copy_into ~dst src =
   if dst.prog != src.prog then invalid_arg "Vm.copy_into: different programs";
@@ -205,15 +214,14 @@ let copy_into ~dst src =
       let t = src.threads.(i) in
       if i < own then begin
         let d = old.(i) in
-        let frames = frames_into d.frames t.frames in
-        if frames != d.frames then d.frames <- frames;
+        frames_into d t;
         d.status <- t.status;
         d.entered <- t.entered;
         d.pending_yield <- t.pending_yield;
         d.wait_depth <- t.wait_depth;
         if dst.threads != old then dst.threads.(i) <- d
       end
-      else dst.threads.(i) <- { t with frames = List.map copy_frame t.frames }
+      else dst.threads.(i) <- copy_thread t
     done;
     dst.n_threads <- n;
     dst.output_rev <- src.output_rev;
@@ -241,29 +249,20 @@ let can_run st tid t =
   | Blocked_on_join u -> join_target_done st u
   | Waiting _ | Finished | Faulted _ -> false
 
-let runnable_array st prev =
-  let len = Array.length prev in
-  let count = ref 0 and same = ref true in
+let runnable_into st (buf : int array) =
+  if Array.length buf < st.n_threads then invalid_arg "Vm.runnable_into: buffer too short";
+  let count = ref 0 in
   for tid = 0 to st.n_threads - 1 do
     if can_run st tid st.threads.(tid) then begin
-      if !count >= len || prev.(!count) <> tid then same := false;
+      Array.unsafe_set buf !count tid;
       incr count
     end
   done;
-  if !same && !count = len then prev
-  else begin
-    let a = Array.make !count 0 in
-    let i = ref 0 in
-    for tid = 0 to st.n_threads - 1 do
-      if can_run st tid st.threads.(tid) then begin
-        a.(!i) <- tid;
-        incr i
-      end
-    done;
-    a
-  end
+  !count
 
-let runnable st = Array.to_list (runnable_array st [||])
+let runnable st =
+  let buf = Array.make st.n_threads 0 in
+  List.init (runnable_into st buf) (Array.get buf)
 
 let n_threads st = st.n_threads
 
@@ -292,12 +291,15 @@ let output st = List.rev st.output_rev
 let failures st = List.rev st.failures_rev
 
 (* Exact heap words of the configuration, counted per block as header
-   plus fields, excluding the program and event caches every copy shares.
-   The scratch event is priced with a dynamic [op] and its own [Loc.t];
-   a failure message is priced once, under the faulted thread's status,
-   which holds the same string. Immutable output/failure lists shared
-   between copies are counted in full by each — summed over a cache's
-   entries this over-counts, never under-counts. *)
+   plus fields, excluding the program and its tables, which every copy
+   shares. Spare frames count with the live ones, and [dummy_frame] with
+   its empty arrays once when some frame slot holds it. The scratch event
+   is priced with a dynamic [op] and its own [Loc.t]; a parked status is
+   priced per thread although threads share it; a failure message is
+   priced once, under the faulted thread's status, which holds the same
+   string. Immutable output/failure lists shared between copies are
+   counted in full by each — summed over a cache's entries this
+   over-counts, never under-counts. *)
 let approx_words st =
   let arr a = 1 + Array.length a in
   let string_words s = 1 + ((String.length s + 8) / 8) in
@@ -306,12 +308,8 @@ let approx_words st =
     | Blocked_on_lock _ | Blocked_on_join _ | Waiting _ | Reacquiring _ -> 2
     | Faulted msg -> 2 + string_words msg
   in
-  let rec frames_words acc = function
-    | [] -> acc
-    | f :: fs -> frames_words (acc + 3 + 6 + arr f.locals + arr f.stack) fs
-  in
   (* Loops rather than iterators: this runs on every checkpoint park. *)
-  let words = ref (15 + 10 + arr st.globals + arr st.arrays) in
+  let words = ref (14 + 10 + arr st.globals + arr st.arrays) in
   for i = 0 to Array.length st.arrays - 1 do
     words := !words + arr st.arrays.(i)
   done;
@@ -320,21 +318,29 @@ let approx_words st =
     words := !words + (3 * List.length st.conditions.(i))
   done;
   words := !words + arr st.threads;
+  let dummy = ref false in
   for tid = 0 to st.n_threads - 1 do
     let t = st.threads.(tid) in
-    words := frames_words (!words + 6 + status_words t.status) t.frames
+    words := !words + 7 + status_words t.status + arr t.frames;
+    for k = 0 to Array.length t.frames - 1 do
+      let f = t.frames.(k) in
+      if f == dummy_frame then dummy := true
+      else words := !words + 6 + arr f.locals + arr f.stack
+    done
   done;
-  !words + (3 * st.n_output) + (6 * List.length st.failures_rev)
+  (if !dummy then 7 else 0) + !words + (3 * st.n_output) + (6 * List.length st.failures_rev)
 
 let peek_instr st tid =
   if tid < 0 || tid >= st.n_threads then None
   else
-    match st.threads.(tid).frames with
-    | [] -> None
-    | frame :: _ ->
-        let f = st.prog.Bytecode.funcs.(frame.func) in
-        if frame.pc < 0 || frame.pc >= Array.length f.code then None
-        else Some (f.code.(frame.pc), st.caches.locs.(frame.func).(frame.pc))
+    let t = st.threads.(tid) in
+    if t.depth = 0 then None
+    else
+      let frame = top_frame t in
+      let f = st.prog.Bytecode.funcs.(frame.func) in
+      if frame.pc < 0 || frame.pc >= Array.length f.code then None
+      else
+        Some (f.code.(frame.pc), st.prog.Bytecode.tables.locs.(frame.func).(frame.pc))
 
 (* --- Arithmetic -------------------------------------------------------- *)
 
@@ -427,24 +433,30 @@ let advance frame t pc =
   set_runnable t
   [@@inline]
 
+let rec wake st handle = function
+  | [] -> ()
+  | w :: rest ->
+      st.threads.(w).status <- Ids.get reacquiring handle;
+      wake st handle rest
+
 (* Execute the instruction at [frame.pc] of [t], the top frame of [tid].
    Every [Fault] is raised before the instruction writes anything but
    [frame.sp], so the caller can undo a faulting step by restoring
    [sp]. *)
 let exec st t tid frame loc sink =
-  let caches = st.caches and scratch = st.scratch in
+  let tables = st.prog.Bytecode.tables and scratch = st.scratch in
   let pc = frame.pc in
   match st.prog.Bytecode.funcs.(frame.func).code.(pc) with
   | Bytecode.Const n ->
       push frame n;
       advance frame t pc
   | Bytecode.Load_global g ->
-      emit_to sink scratch tid loc caches.read_global_ops.(g);
+      emit_to sink scratch tid loc tables.read_global_ops.(g);
       push frame st.globals.(g);
       advance frame t pc
   | Bytecode.Store_global g ->
       let v = pop frame in
-      emit_to sink scratch tid loc caches.write_global_ops.(g);
+      emit_to sink scratch tid loc tables.write_global_ops.(g);
       st.globals.(g) <- v;
       advance frame t pc
   | Bytecode.Load_local l ->
@@ -456,14 +468,14 @@ let exec st t tid frame loc sink =
   | Bytecode.Load_elem aid ->
       let idx = pop frame in
       check_array st aid idx;
-      emit_to sink scratch tid loc caches.read_cell_ops.(aid).(idx);
+      emit_to sink scratch tid loc tables.read_cell_ops.(aid).(idx);
       push frame st.arrays.(aid).(idx);
       advance frame t pc
   | Bytecode.Store_elem aid ->
       let v = pop frame in
       let idx = pop frame in
       check_array st aid idx;
-      emit_to sink scratch tid loc caches.write_cell_ops.(aid).(idx);
+      emit_to sink scratch tid loc tables.write_cell_ops.(aid).(idx);
       st.arrays.(aid).(idx) <- v;
       advance frame t pc
   | Bytecode.Array_len aid ->
@@ -497,9 +509,9 @@ let exec st t tid frame loc sink =
         frame.sp <- frame.sp - 1;
         advance frame t pc
       end
-      else if owner >= 0 then t.status <- Blocked_on_lock handle
+      else if owner >= 0 then t.status <- Ids.get blocked_on_lock handle
       else begin
-        emit_to sink scratch tid loc caches.acquire_ops.(handle);
+        emit_to sink scratch tid loc tables.acquire_ops.(handle);
         st.lock_owner.(handle) <- tid;
         st.lock_depth.(handle) <- 1;
         frame.sp <- frame.sp - 1;
@@ -509,7 +521,7 @@ let exec st t tid frame loc sink =
       let handle = pop frame in
       let depth = held_depth st tid handle "release of" in
       if depth = 1 then begin
-        emit_to sink scratch tid loc caches.release_ops.(handle);
+        emit_to sink scratch tid loc tables.release_ops.(handle);
         st.lock_owner.(handle) <- -1;
         st.lock_depth.(handle) <- 0
       end
@@ -523,26 +535,26 @@ let exec st t tid frame loc sink =
          wait a scheduling point for the cooperative semantics and gives
          the analyses the right happens-before edges with no new event
          kinds. *)
-      emit_to sink scratch tid loc caches.release_ops.(handle);
+      emit_to sink scratch tid loc tables.release_ops.(handle);
       emit_to sink scratch tid loc Event.Yield;
       st.lock_owner.(handle) <- -1;
       st.lock_depth.(handle) <- 0;
       st.conditions.(handle) <- st.conditions.(handle) @ [ tid ];
       frame.pc <- pc + 1;
-      t.status <- Waiting handle;
+      t.status <- Ids.get waiting handle;
       t.wait_depth <- depth;
       st.yielded <- true
   | Bytecode.Notify all ->
       let handle = pop frame in
       ignore (held_depth st tid handle "notify on");
-      let woken, remaining =
-        match st.conditions.(handle) with
-        | waiters when all -> (waiters, [])
-        | [] -> ([], [])
-        | w :: rest -> ([ w ], rest)
-      in
-      st.conditions.(handle) <- remaining;
-      List.iter (fun w -> st.threads.(w).status <- Reacquiring handle) woken;
+      (match st.conditions.(handle) with
+      | [] -> ()
+      | waiters when all ->
+          st.conditions.(handle) <- [];
+          wake st handle waiters
+      | w :: rest ->
+          st.conditions.(handle) <- rest;
+          wake st handle [ w ]);
       advance frame t pc
   | Bytecode.Yield_instr ->
       emit_to sink scratch tid loc Event.Yield;
@@ -577,25 +589,26 @@ let exec st t tid frame loc sink =
         frame.sp <- frame.sp - 1;
         advance frame t pc
       end
-      else t.status <- Blocked_on_join target
+      else t.status <- Ids.get blocked_on_join target
   | Bytecode.Call (fi, nargs) ->
       let base = pop_args frame nargs in
-      emit_to sink scratch tid loc caches.enter_ops.(fi);
-      let callee = new_frame st.prog fi frame.stack base nargs in
+      emit_to sink scratch tid loc tables.enter_ops.(fi);
       frame.pc <- pc + 1;
-      t.frames <- callee :: t.frames;
+      push_frame st.prog t fi frame.stack base nargs;
       set_runnable t
-  | Bytecode.Ret -> (
+  | Bytecode.Ret ->
       let v = pop frame in
-      emit_to sink scratch tid loc caches.exit_ops.(frame.func);
-      match t.frames with
-      | _ :: (caller :: _ as outer) ->
-          push caller v;
-          t.frames <- outer;
-          set_runnable t
-      | _ ->
-          t.frames <- [];
-          t.status <- Finished)
+      emit_to sink scratch tid loc tables.exit_ops.(frame.func);
+      let d = t.depth - 1 in
+      t.depth <- d;
+      if d > 0 then begin
+        push (Array.unsafe_get t.frames (d - 1)) v;
+        set_runnable t
+      end
+      else begin
+        t.frames <- [||];
+        t.status <- Finished
+      end
   | Bytecode.Print ->
       let v = pop frame in
       emit_to sink scratch tid loc (Event.Out v);
@@ -616,28 +629,21 @@ let step ~yields st tid ~sink =
   if tid < 0 || tid >= st.n_threads then invalid_arg "Vm.step: unknown thread";
   let t = st.threads.(tid) in
   if not (can_run st tid t) then invalid_arg "Vm.step: thread cannot run";
-  let frame =
-    match t.frames with
-    | f :: _ -> f
-    | [] -> invalid_arg "Vm.step: thread has no frame"
-  in
-  let caches = st.caches and scratch = st.scratch in
-  let loc =
-    let table = caches.locs.(frame.func) in
-    if frame.pc >= 0 && frame.pc < Array.length table then table.(frame.pc)
-    else Bytecode.loc st.prog ~func:frame.func ~pc:frame.pc
-  in
+  if t.depth = 0 then invalid_arg "Vm.step: thread has no frame";
+  let frame = top_frame t in
+  let tables = st.prog.Bytecode.tables and scratch = st.scratch in
+  let loc = Bytecode.loc st.prog ~func:frame.func ~pc:frame.pc in
   st.yielded <- false;
   (* Root-frame Enter event, once per thread. *)
   if not t.entered then begin
-    emit_to sink scratch tid loc caches.enter_ops.(frame.func);
+    emit_to sink scratch tid loc tables.enter_ops.(frame.func);
     t.entered <- true
   end;
   (match t.status with
   | Reacquiring handle ->
       (* A woken waiter's next step reacquires its monitor at the saved
          reentrancy depth; no instruction executes this step. *)
-      emit_to sink scratch tid loc caches.acquire_ops.(handle);
+      emit_to sink scratch tid loc tables.acquire_ops.(handle);
       st.lock_owner.(handle) <- tid;
       st.lock_depth.(handle) <- max 1 t.wait_depth;
       t.status <- Runnable;
@@ -687,7 +693,7 @@ let local_next ~yields st frame =
          aid >= 0 && aid < Array.length st.prog.Bytecode.array_sizes
      | _ -> false)
   && (Loc.Set.is_empty yields
-     || not (Loc.Set.mem st.caches.locs.(frame.func).(pc) yields))
+     || not (Loc.Set.mem st.prog.Bytecode.tables.locs.(frame.func).(pc) yields))
 
 (* Executes invisible instructions of [frame] until [limit] of them ran
    or the next one is not invisible; returns how many ran. [exec] is the
@@ -706,9 +712,8 @@ let rec run_frame ~yields st t tid frame limit n =
 let ahead_frame st tid =
   if tid < 0 || tid >= st.n_threads then invalid_arg "Vm.run_local: unknown thread";
   let t = st.threads.(tid) in
-  match t.frames with
-  | frame :: _ when t.status == Runnable && t.entered -> frame
-  | _ -> dummy_frame
+  if t.depth > 0 && t.status == Runnable && t.entered then top_frame t
+  else dummy_frame
 
 let run_local ~yields st tid ~limit =
   let frame = ahead_frame st tid in
@@ -807,9 +812,9 @@ let rec transition_from ~yields st t tid fuel ~sink =
         let fuel = fuel - run_local ~yields st tid ~limit:fuel in
         if fuel = 0 then false
         else
-          match t.frames with
-          | [] -> true
-          | frame :: _ ->
+          if t.depth = 0 then true
+          else
+              let frame = top_frame t in
               let code = st.prog.Bytecode.funcs.(frame.func).Bytecode.code in
               let pc = frame.pc in
               if pc < 0 || pc >= Array.length code then true
@@ -817,7 +822,7 @@ let rec transition_from ~yields st t tid fuel ~sink =
                 let ends = ends_transition (Array.unsafe_get code pc) in
                 let injected =
                   (not (Loc.Set.is_empty yields))
-                  && Loc.Set.mem st.caches.locs.(frame.func).(pc) yields
+                  && Loc.Set.mem st.prog.Bytecode.tables.locs.(frame.func).(pc) yields
                 in
                 ignore (step ~yields st tid ~sink);
                 ends || injected
@@ -875,16 +880,16 @@ let key st =
     Buffer.add_char buf (if t.entered then 'e' else '.');
     Buffer.add_char buf (if t.pending_yield then 'y' else '.');
     add_int t.wait_depth;
-    List.iter
-      (fun f ->
-        add_int f.func;
-        add_int f.pc;
-        Buffer.add_char buf 's';
-        for i = 0 to f.sp - 1 do add_int f.stack.(i) done;
-        Buffer.add_char buf 'v';
-        add_nonzero f.locals;
-        Buffer.add_char buf '|')
-      t.frames;
+    for k = t.depth - 1 downto 0 do
+      let f = t.frames.(k) in
+      add_int f.func;
+      add_int f.pc;
+      Buffer.add_char buf 's';
+      for i = 0 to f.sp - 1 do add_int f.stack.(i) done;
+      Buffer.add_char buf 'v';
+      add_nonzero f.locals;
+      Buffer.add_char buf '|'
+    done;
     Buffer.add_char buf '!'
   done;
   Buffer.add_char buf 'O';

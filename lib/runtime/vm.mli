@@ -43,22 +43,28 @@ type state
 
 val init : Bytecode.program -> state
 (** The initial configuration: globals/arrays initialized, a single thread 0
-    about to enter [main]. *)
+    about to enter [main]. Allocates only the mutable state: the event
+    payloads and locations come from the program's
+    {!Coop_lang.Bytecode.tables}. *)
 
 val copy : state -> state
-(** A deep copy sharing only the immutable program and its event caches:
-    stepping either state never changes the other, and both continue
-    identically under the same schedule. O(state size). *)
+(** A deep copy of the live state, sharing only the immutable program and
+    its tables: stepping either state never changes the other, and both
+    continue identically under the same schedule. O(state size). A
+    thread keeps the frames its returns left behind for reuse by later
+    calls; a copy has none of them. *)
 
 val copy_into : dst:state -> state -> unit
 (** [copy_into ~dst src] turns [dst] into what [copy src] would return:
-    afterwards [dst] has [src]'s {!key} and {!approx_words}, and stepping
-    either state never changes the other. [dst]'s arrays, thread records
-    and frames are overwritten in place wherever their sizes fit, which
-    they do when [dst] is an earlier state of the same program, so a
-    recycled state costs no allocation. Only for a [dst] nothing else
-    references — a checkpoint taken back out of a store. Raises
-    [Invalid_argument] if the states run different programs. *)
+    afterwards [dst] has [src]'s {!key}, continues exactly like it, and
+    stepping either state never changes the other. [dst]'s arrays, thread
+    records and frames — live or left for reuse — are overwritten in place
+    wherever their sizes fit, which they do when [dst] is an earlier state
+    of the same program, so a recycled state costs no allocation. The
+    frames [dst] holds beyond [src]'s live ones stay its own for later
+    calls, so its {!approx_words} is at least a copy's. Only for a [dst]
+    nothing else references — a checkpoint taken back out of a store.
+    Raises [Invalid_argument] if the states run different programs. *)
 
 val program : state -> Bytecode.program
 (** The program this state executes. *)
@@ -80,12 +86,11 @@ val runnable_bits : state -> int -> int
     [63k + 62] as a bitset, tid [63k + i] in bit [i]: a word of a thread
     bitset, without building the list. *)
 
-val runnable_array : state -> int array -> int array
-(** [runnable_array st prev] is {!runnable} as an array — [prev] itself
-    when its contents already equal the runnable set, otherwise a fresh
-    array. A run loop that threads its previous result through allocates
-    only when the set changes. The result is never mutated afterwards, so
-    schedulers may keep it. *)
+val runnable_into : state -> int array -> int
+(** [runnable_into st buf] writes {!runnable} into [buf]'s first slots and
+    returns how many it wrote: a run loop that keeps one buffer allocates
+    nothing when the set changes. Raises [Invalid_argument] when [buf] is
+    shorter than {!n_threads}. *)
 
 val all_quiescent : state -> bool
 (** No thread can ever run again (all finished or faulted). *)
@@ -164,8 +169,9 @@ val transition : yields:Loc.Set.t -> state -> int -> fuel:int -> sink:Trace.Sink
     beyond what the executed instructions themselves allocate. *)
 
 val peek_instr : state -> int -> (Bytecode.instr * Loc.t) option
-(** The instruction a thread would execute next and its (shared, cached)
-    location, or [None] for threads without a frame (finished/faulted). *)
+(** The instruction a thread would execute next and its (shared,
+    tabulated) location, or [None] for a thread without a frame (one
+    that returned from its root function). *)
 
 val global_value : state -> int -> int
 (** Current value of a global slot. *)
@@ -177,12 +183,14 @@ val failures : state -> (int * string) list
 (** [(tid, message)] for each faulted thread, in fault order. *)
 
 val approx_words : state -> int
-(** The heap words of the configuration, excluding the program and event
-    caches every copy shares: exact for the state's own blocks, at most a
-    few words over for its scratch event. O(threads + frames). Used to
-    budget the checkpoint cache; copies share only immutable output and
-    failure lists, which each counts in full, so summing it over cached
-    states never under-counts what the cache pins. *)
+(** The heap words of the configuration, excluding the program and its
+    tables, which every copy shares: exact for the state's own blocks,
+    frames kept for reuse included, and at most a few words over for its
+    scratch event and for the status values its parked threads share.
+    O(threads + frames). Used to budget the checkpoint cache; copies
+    share only immutable output and failure lists, which each counts in
+    full, so summing it over cached states never under-counts what the
+    cache pins. *)
 
 val key : state -> string
 (** A canonical serialization of the configuration, equal for semantically

@@ -137,7 +137,10 @@ and exec_stmt w locals (s : Ast.stmt) =
         end
       in
       loop ()
-  | Ast.Print e -> w.output_rev <- eval_expr w locals e :: w.output_rev
+  | Ast.Print e ->
+      (* Evaluated first: a call in [e] may print. *)
+      let v = eval_expr w locals e in
+      w.output_rev <- v :: w.output_rev
   | Ast.Assert e ->
       if eval_expr w locals e = 0 then raise (Fault "assertion failed")
   | Ast.Return None -> raise (Returned 0)

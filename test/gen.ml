@@ -511,6 +511,39 @@ let gen_late_item locals counter =
                                  (v, Ast.Binary (Ast.Add, Ast.Var v, Ast.Int 1)))
                           ] )) ]))) ]
 
+(* Main's body: spawn [workers] workers, join them all, print g0. *)
+let spawn_join workers =
+  [ Ast.stmt (Ast.Local ("i", Ast.Int 0));
+    Ast.stmt
+      (Ast.While
+         ( Ast.Binary (Ast.Lt, Ast.Var "i", Ast.Int workers),
+           [ Ast.stmt
+               (Ast.Store ("tids", Ast.Var "i", Ast.Spawn ("worker", [ Ast.Var "i" ])));
+             Ast.stmt (Ast.Assign ("i", Ast.Binary (Ast.Add, Ast.Var "i", Ast.Int 1)))
+           ] ));
+    Ast.stmt (Ast.Assign ("i", Ast.Int 0));
+    Ast.stmt
+      (Ast.While
+         ( Ast.Binary (Ast.Lt, Ast.Var "i", Ast.Int workers),
+           [ Ast.stmt (Ast.Join_stmt (Ast.Index ("tids", Ast.Var "i")));
+             Ast.stmt (Ast.Assign ("i", Ast.Binary (Ast.Add, Ast.Var "i", Ast.Int 1)))
+           ] ));
+    Ast.stmt (Ast.Print (Ast.Var "g0"))
+  ]
+
+let concurrent_decls =
+  [ Ast.Gvar ("g0", 0); Ast.Gvar ("g1", 1); Ast.Gvar ("g2", 2);
+    Ast.Garray ("arr", 4); Ast.Garray ("tids", 4); Ast.Glock ("m", 1);
+    Ast.Glock ("ls", 2) ]
+
+let gen_concurrent_program =
+  let open Gen in
+  let* body = gen_worker_body in
+  let* workers = int_range 2 3 in
+  let worker = { Ast.fname = "worker"; params = [ "id" ]; body; fline = 1 } in
+  let main = { Ast.fname = "main"; params = []; body = spawn_join workers; fline = 1 } in
+  return { Ast.decls = concurrent_decls; funcs = [ worker; main ] }
+
 (* Fork/join-heavy programs whose main thread touches the shared globals
    (and lock [m]) in an unsynchronized prelude before any worker exists:
    single-threaded so far, every variable looks race-free and the lock
@@ -539,66 +572,87 @@ let gen_late_program =
     go n []
   in
   let* workers = int_range 2 3 in
-  let decls =
-    [ Ast.Gvar ("g0", 0); Ast.Gvar ("g1", 1); Ast.Gvar ("g2", 2);
-      Ast.Garray ("arr", 4); Ast.Garray ("tids", 4); Ast.Glock ("m", 1);
-      Ast.Glock ("ls", 2) ]
-  in
   let worker = { Ast.fname = "worker"; params = [ "id" ]; body; fline = 1 } in
-  let spawn_join =
-    prelude_items
-    @ [ Ast.stmt (Ast.Local ("i", Ast.Int 0));
-        Ast.stmt
-          (Ast.While
-             ( Ast.Binary (Ast.Lt, Ast.Var "i", Ast.Int workers),
-               [ Ast.stmt
-                   (Ast.Store
-                      ("tids", Ast.Var "i", Ast.Spawn ("worker", [ Ast.Var "i" ])));
-                 Ast.stmt
-                   (Ast.Assign ("i", Ast.Binary (Ast.Add, Ast.Var "i", Ast.Int 1)))
-               ] ));
-        Ast.stmt (Ast.Assign ("i", Ast.Int 0));
-        Ast.stmt
-          (Ast.While
-             ( Ast.Binary (Ast.Lt, Ast.Var "i", Ast.Int workers),
-               [ Ast.stmt (Ast.Join_stmt (Ast.Index ("tids", Ast.Var "i")));
-                 Ast.stmt
-                   (Ast.Assign ("i", Ast.Binary (Ast.Add, Ast.Var "i", Ast.Int 1)))
-               ] ));
-        Ast.stmt (Ast.Print (Ast.Var "g0"))
-      ]
+  let main =
+    { Ast.fname = "main"; params = []; body = prelude_items @ spawn_join workers; fline = 1 }
   in
-  let main = { Ast.fname = "main"; params = []; body = spawn_join; fline = 1 } in
-  return { Ast.decls; funcs = [ worker; main ] }
+  return { Ast.decls = concurrent_decls; funcs = [ worker; main ] }
 
-let gen_concurrent_program =
+(* [add(a, b)] adds [a] to g0 under lock m and returns [a + b] through
+   a local; [down(n)] recurses [n] levels, bumping g1 and yielding at the
+   bottom. *)
+let call_helpers =
+  let n = Ast.Var "n" in
+  [ { Ast.fname = "add"; params = [ "a"; "b" ]; fline = 1;
+      body =
+        [ Ast.stmt (Ast.Local ("s", Ast.Binary (Ast.Add, Ast.Var "a", Ast.Var "b")));
+          Ast.stmt
+            (Ast.Sync
+               ( { Ast.lock = "m"; index = None },
+                 [ Ast.stmt (Ast.Assign ("g0", Ast.Binary (Ast.Add, Ast.Var "g0", Ast.Var "a")))
+                 ] ));
+          Ast.stmt (Ast.Return (Some (Ast.Var "s"))) ] };
+    { Ast.fname = "down"; params = [ "n" ]; fline = 1;
+      body =
+        [ Ast.stmt
+            (Ast.If
+               ( Ast.Binary (Ast.Lt, Ast.Int 0, n),
+                 [ Ast.stmt (Ast.Assign ("g1", Ast.Binary (Ast.Add, Ast.Var "g1", Ast.Int 1)));
+                   Ast.stmt
+                     (Ast.Return
+                        (Some
+                           (Ast.Binary
+                              ( Ast.Add,
+                                Ast.Call ("down", [ Ast.Binary (Ast.Sub, n, Ast.Int 1) ]),
+                                Ast.Int 1 )))) ],
+                 [ Ast.stmt Ast.Yield ] ));
+          Ast.stmt (Ast.Return (Some n)) ] } ]
+
+(* A worker statement that calls: [add] or [down] (depth masked into
+   [0, 3]), under up to ten pending operands, so a return can push past
+   the eight operand slots a frame starts with. *)
+let gen_call_stmt =
   let open Gen in
-  let* body = gen_worker_body in
+  let e = gen_fuzz_expr [ "id" ] in
+  let* call =
+    oneof
+      [ (let* a = e in
+         let* b = e in
+         return (Ast.Call ("add", [ a; b ])));
+        map (fun d -> Ast.Call ("down", [ mask_index d ])) e ]
+  in
+  let* pending = list_size (int_range 0 10) (int_bound 9) in
+  let nested =
+    List.fold_right (fun c x -> Ast.Binary (Ast.Add, Ast.Int c, x)) pending call
+  in
+  oneof
+    [ map (fun g -> Ast.stmt (Ast.Assign (g, nested))) (oneofl [ "g1"; "g2" ]);
+      return (Ast.stmt (Ast.Expr_stmt nested)) ]
+
+(* Spawn/join programs whose workers spend much of their time in calls:
+   call statements mixed into [gen_concurrent_program]'s worker items,
+   and a bounded loop of calls, so frames are entered, returned from and
+   entered again at every depth. Same invariants: bounded, fault-free
+   under every scheduler. *)
+let gen_call_program =
+  let open Gen in
+  let* items = list_size (int_range 2 4) (gen_item [ "id" ] 0) in
+  let* calls = list_size (int_range 2 4) gen_call_stmt in
+  let* loop_calls = list_size (int_range 1 2) gen_call_stmt in
+  let* bound = int_range 1 3 in
+  let loop =
+    Ast.stmt
+      (Ast.Block
+         [ Ast.stmt (Ast.Local ("k", Ast.Int 0));
+           Ast.stmt
+             (Ast.While
+                ( Ast.Binary (Ast.Lt, Ast.Var "k", Ast.Int bound),
+                  loop_calls
+                  @ [ Ast.stmt (Ast.Assign ("k", Ast.Binary (Ast.Add, Ast.Var "k", Ast.Int 1))) ]
+                )) ])
+  in
+  let* body = shuffle_l ((loop :: items) @ calls) in
   let* workers = int_range 2 3 in
-  let decls =
-    [ Ast.Gvar ("g0", 0); Ast.Gvar ("g1", 1); Ast.Gvar ("g2", 2);
-      Ast.Garray ("arr", 4); Ast.Garray ("tids", 4); Ast.Glock ("m", 1);
-      Ast.Glock ("ls", 2) ]
-  in
   let worker = { Ast.fname = "worker"; params = [ "id" ]; body; fline = 1 } in
-  let spawn_join =
-    [ Ast.stmt (Ast.Local ("i", Ast.Int 0));
-      Ast.stmt
-        (Ast.While
-           ( Ast.Binary (Ast.Lt, Ast.Var "i", Ast.Int workers),
-             [ Ast.stmt
-                 (Ast.Store ("tids", Ast.Var "i", Ast.Spawn ("worker", [ Ast.Var "i" ])));
-               Ast.stmt (Ast.Assign ("i", Ast.Binary (Ast.Add, Ast.Var "i", Ast.Int 1)))
-             ] ));
-      Ast.stmt (Ast.Assign ("i", Ast.Int 0));
-      Ast.stmt
-        (Ast.While
-           ( Ast.Binary (Ast.Lt, Ast.Var "i", Ast.Int workers),
-             [ Ast.stmt (Ast.Join_stmt (Ast.Index ("tids", Ast.Var "i")));
-               Ast.stmt (Ast.Assign ("i", Ast.Binary (Ast.Add, Ast.Var "i", Ast.Int 1)))
-             ] ));
-      Ast.stmt (Ast.Print (Ast.Var "g0"))
-    ]
-  in
-  let main = { Ast.fname = "main"; params = []; body = spawn_join; fline = 1 } in
-  return { Ast.decls; funcs = [ worker; main ] }
+  let main = { Ast.fname = "main"; params = []; body = spawn_join workers; fline = 1 } in
+  return { Ast.decls = concurrent_decls; funcs = call_helpers @ [ worker; main ] }

@@ -102,8 +102,32 @@ let test_code_size () =
   Alcotest.(check bool) "more statements, more code" true
     (Bytecode.code_size p2 > Bytecode.code_size p1)
 
+(* The tables hold each instruction's location, and the payload of every
+   event the program can emit; two programs alive at once share the
+   payloads of the ids they both name. *)
+let test_event_tables () =
+  let open Coop_trace in
+  let a = Compile.source "var g; array xs[4]; lock l; fn main() { xs[1] = g; }" in
+  let b = Compile.source "var h; var g; array ys[9]; fn main() { ys[8] = 1; }" in
+  let ta = a.Bytecode.tables and tb = b.Bytecode.tables in
+  Alcotest.(check bool) "locations" true
+    (Array.for_all2
+       (fun f locs ->
+         Array.length locs = Array.length f.Bytecode.code
+         && Array.for_all (fun (l : Loc.t) -> l.line = f.Bytecode.lines.(l.pc)) locs)
+       a.Bytecode.funcs ta.Bytecode.locs);
+  Alcotest.(check bool) "cell payload" true
+    (ta.Bytecode.read_cell_ops.(0).(3) = Event.Read (Event.Cell (0, 3))
+     && tb.Bytecode.write_cell_ops.(0).(8) = Event.Write (Event.Cell (0, 8)));
+  Alcotest.(check bool) "shared across programs" true
+    (ta.Bytecode.read_cell_ops.(0).(3) == tb.Bytecode.read_cell_ops.(0).(3)
+     && ta.Bytecode.read_global_ops.(0) == tb.Bytecode.read_global_ops.(0));
+  Alcotest.(check bool) "lock payloads" true
+    (ta.Bytecode.acquire_ops.(0) = Event.Acquire 0 && ta.Bytecode.release_ops.(0) = Event.Release 0)
+
 let suite =
   [
+    Alcotest.test_case "event tables" `Quick test_event_tables;
     Alcotest.test_case "main index" `Quick test_main_index;
     Alcotest.test_case "implicit return" `Quick test_implicit_return;
     Alcotest.test_case "parameter slots" `Quick test_param_slots;

@@ -8,6 +8,7 @@ let () =
       ("util.pool", Test_pool.suite);
       ("util.stats", Test_stats.suite);
       ("util.table", Test_table.suite);
+      ("util.id_table", Test_id_table.suite);
       ("util.json", Test_json.suite);
       ("obs", Test_obs.suite);
       ("trace", Test_trace.suite);

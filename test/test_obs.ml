@@ -323,6 +323,27 @@ let test_chrome_trace_structure () =
           | Error e -> Alcotest.fail ("chrome trace not valid JSON: " ^ e))
       | _ -> Alcotest.fail "chrome trace must be a JSON array")
 
+(* The online engine's end-of-stream counters. In a race-free program
+   every variable is lock-protected, so no access ever gets the Racy
+   fact its transaction's mover assumption waits on: transactions that
+   register such an assumption stay parked until the stream ends. *)
+let test_online_parked_counters () =
+  let open Coop_runtime in
+  let prog =
+    Coop_lang.Compile.source
+      (Coop_workloads.Micro.locked_counter ~threads:2 ~incs:3 ~yield_at_loop:true)
+  in
+  with_obs (fun () ->
+      Coop_obs.enable ();
+      let r =
+        Coop_pipeline.run (Runner.source ~sched:(fun () -> Sched.random ~seed:1 ()) prog)
+      in
+      Alcotest.(check int) "race-free" 0 (List.length r.Coop_pipeline.races);
+      let counters = (Coop_obs.snapshot ()).Coop_obs.counters in
+      let count name = Option.value (List.assoc_opt name counters) ~default:(-1) in
+      Alcotest.(check (list int)) "opened, parked at end, peak handles" [ 9; 7; 7 ]
+        [ count "online/txns"; count "online/parked_at_end"; count "online/peak_handles" ])
+
 let test_to_json_schema () =
   with_obs (fun () ->
       Coop_obs.enable ();
@@ -476,4 +497,6 @@ let suite =
       test_sample_series;
     Alcotest.test_case "pool steal telemetry end to end" `Quick
       test_pool_steal_telemetry;
+    Alcotest.test_case "online parked-transaction counters" `Quick
+      test_online_parked_counters;
   ]

@@ -15,6 +15,7 @@
 (* Bind before [open QCheck2] shadows the module name (same dance as
    test_parallel.ml). *)
 let gen_program = Gen.gen_concurrent_program
+let gen_call_program = Gen.gen_call_program
 let gen_late_trace = Gen.gen_late_trace
 let gen_lock_heavy_trace = Gen.gen_lock_heavy_trace
 let print_trace = Gen.print_trace
@@ -225,20 +226,20 @@ let drive st sched ~max =
       | rs ->
           let tid =
             sched.Sched.pick
-              { Sched.runnable = Array.of_list rs; last; last_yielded }
+              { Sched.runnable = Array.of_list rs; n_runnable = List.length rs;
+                last; last_yielded }
           in
           go (n + 1) tid (Vm.step ~yields:Loc.Set.empty st tid ~sink)
   in
   go 0 (-1) false;
   List.rev !events
 
-(* Heap words reachable from [st] but not from the program and event
-   caches it shares with its copies — the first two fields of the state
-   record. The pair built to reach them adds three words of its own. *)
+(* Heap words reachable from [st] but not from the program (and its
+   tables) it shares with its copies — the first field of the state
+   record. *)
 let own_words st =
   let r = Obj.repr st in
-  Obj.reachable_words r
-  - (Obj.reachable_words (Obj.repr (Obj.field r 0, Obj.field r 1)) - 3)
+  Obj.reachable_words r - Obj.reachable_words (Obj.field r 0)
 
 let show_behavior st = Format.asprintf "%a" Behavior.pp (Behavior.of_state st)
 
@@ -246,13 +247,12 @@ let show_behavior st = Format.asprintf "%a" Behavior.pp (Behavior.of_state st)
    pinned schedule, donor and copy emit the same events and end in the
    same configuration; stepping the copy never disturbs the donor; and
    [approx_words] bounds what the copy really occupies. *)
-let vm_copy_law =
+let vm_copy_law ~name gen =
   QCheck_alcotest.to_alcotest
-    (Test.make ~name:"qcheck: Vm.copy is an independent branch within approx_words"
-       ~count:60
+    (Test.make ~name ~count:60
        ~print:(fun (p, k, seed) ->
          Printf.sprintf "prefix=%d seed=%d\n%s" k seed (Pretty.program p))
-       Gen.(triple gen_program (int_range 0 400) (int_range 0 1000))
+       Gen.(triple gen (int_range 0 400) (int_range 0 1000))
        (fun (p, k, seed) ->
          let prog = Compile.program p in
          let donor = Vm.init prog in
@@ -276,18 +276,16 @@ let vm_copy_law =
 (* [Vm.copy_into] is [Vm.copy] in recycled memory: written over a state
    from another point of the same run — stepped in place, so its spare
    thread slots alias a live thread, or a copy of one — the destination
-   gets the donor's key and approx_words, continues exactly like the
-   donor, and shares nothing mutable with it. *)
-let vm_copy_into_law =
+   gets the donor's key, continues exactly like the donor, and shares
+   nothing mutable with it. Its approx_words is a copy's plus the frames
+   it keeps for reuse, and still bounds what it occupies. *)
+let vm_copy_into_law ~name gen =
   QCheck_alcotest.to_alcotest
-    (Test.make ~name:"qcheck: Vm.copy_into is Vm.copy in recycled memory"
-       ~count:60
+    (Test.make ~name ~count:60
        ~print:(fun (p, (k, j, seed, fresh)) ->
          Printf.sprintf "prefix=%d dst_prefix=%d seed=%d copied_dst=%b\n%s" k j seed
            fresh (Pretty.program p))
-       Gen.(
-         pair gen_program
-           (quad (int_range 0 400) (int_range 0 400) (int_range 0 1000) bool))
+       Gen.(pair gen (quad (int_range 0 400) (int_range 0 400) (int_range 0 1000) bool))
        (fun (p, (k, j, seed, copied_dst)) ->
          let prog = Compile.program p in
          let donor = Vm.init prog in
@@ -298,9 +296,12 @@ let vm_copy_into_law =
          Vm.copy_into ~dst donor;
          let donor_key = Vm.key donor in
          if Vm.key dst <> donor_key then Test.fail_report "copy_into key differs";
-         if Vm.approx_words dst <> Vm.approx_words (Vm.copy donor) then
+         if Vm.approx_words dst < Vm.approx_words (Vm.copy donor) then
            Test.fail_reportf "approx_words %d, a copy has %d" (Vm.approx_words dst)
              (Vm.approx_words (Vm.copy donor));
+         if Vm.approx_words dst < own_words dst then
+           Test.fail_reportf "approx_words %d < %d reachable words"
+             (Vm.approx_words dst) (own_words dst);
          let picks, sched = Sched.recorded (Sched.random ~seed:(seed + 1) ()) in
          let dst_events = drive dst sched ~max:3_000 in
          if Vm.key donor <> donor_key then
@@ -309,6 +310,46 @@ let vm_copy_into_law =
          donor_events = dst_events
          && Vm.key donor = Vm.key dst
          && show_behavior donor = show_behavior dst))
+
+(* A state stepped in place keeps the frames its returns left and
+   reuses them for later calls at the same depth; its copy has none and
+   allocates fresh ones. Stepped in lockstep under one schedule, the two
+   have equal keys after every step and emit the same events, and the
+   stepped state's approx_words, spare frames included, bounds what it
+   occupies. *)
+let vm_reused_frames_law =
+  QCheck_alcotest.to_alcotest
+    (Test.make ~name:"qcheck: reused frames step like a fresh copy" ~count:60
+       ~print:(fun (p, k, seed) ->
+         Printf.sprintf "prefix=%d seed=%d\n%s" k seed (Pretty.program p))
+       Gen.(triple gen_call_program (int_range 0 400) (int_range 0 1000))
+       (fun (p, k, seed) ->
+         let prog = Compile.program p in
+         let st = Vm.init prog in
+         ignore (drive st (Sched.random ~seed ()) ~max:k);
+         let copy = Vm.copy st in
+         let events = ref [] in
+         let sink e = events := Format.asprintf "%a" Event.pp e :: !events in
+         let rng = Coop_util.Rng.create (seed + 1) in
+         let rec go n =
+           if Vm.key st <> Vm.key copy then
+             Test.fail_reportf "keys differ after %d steps" n;
+           if Vm.approx_words st < own_words st then
+             Test.fail_reportf "approx_words %d < %d reachable words after %d steps"
+               (Vm.approx_words st) (own_words st) n;
+           match Vm.runnable st with
+           | [] -> Vm.runnable copy = []
+           | rs when n < 3_000 ->
+               let tid = List.nth rs (Coop_util.Rng.int rng (List.length rs)) in
+               events := [];
+               ignore (Vm.step ~yields:Loc.Set.empty st tid ~sink);
+               let mine = !events in
+               events := [];
+               ignore (Vm.step ~yields:Loc.Set.empty copy tid ~sink);
+               mine = !events && go (n + 1)
+           | _ -> true
+         in
+         go 0 && show_behavior st = show_behavior copy))
 
 (* A stepped state's thread table grows by doubling, and its spare slots
    alias the last spawned thread: main plus three spawned workers leave a
@@ -574,13 +615,11 @@ let infer_cache_oblivious =
         pools)
 
 (* Heap words reachable from an inference prefix but not from the program
-   and event caches its VM state shares with every copy. The state is
-   the prefix record's first field. *)
+   (and its tables) its VM state shares with every copy. The state is
+   the prefix record's first field, the program the state's. *)
 let prefix_own_words p =
   let r = Obj.repr p in
-  let st = Obj.field r 0 in
-  Obj.reachable_words r
-  - (Obj.reachable_words (Obj.repr (Obj.field st 0, Obj.field st 1)) - 3)
+  Obj.reachable_words r - Obj.reachable_words (Obj.field (Obj.field r 0) 0)
 
 (* [Infer.prefix_weight] bounds what a prefix retains, so the cap bounds
    what inference pins: every prefix a run charges weighs at least its
@@ -634,8 +673,15 @@ let suite =
     Alcotest.test_case "dpor past 63 threads" `Quick test_dpor_many_threads;
     Alcotest.test_case "faulting step leaves its frame unchanged" `Quick
       test_fault_preserves_frame;
-    vm_copy_law;
-    vm_copy_into_law;
+    vm_copy_law ~name:"qcheck: Vm.copy is an independent branch within approx_words"
+      gen_program;
+    vm_copy_into_law ~name:"qcheck: Vm.copy_into is Vm.copy in recycled memory"
+      gen_program;
+    vm_copy_law ~name:"calls: Vm.copy is an independent branch within approx_words"
+      gen_call_program;
+    vm_copy_into_law ~name:"calls: Vm.copy_into is Vm.copy in recycled memory"
+      gen_call_program;
+    vm_reused_frames_law;
     Alcotest.test_case "copy_into over an aliased thread slot" `Quick
       test_copy_into_aliased_slot;
     dpor_cached_matches_stateless;

@@ -27,7 +27,8 @@ let via_reference ~yields ~max_steps ~sched prog sink =
       | rs ->
           let tid =
             sched.Sched.pick
-              { Sched.runnable = Array.of_list rs; last; last_yielded }
+              { Sched.runnable = Array.of_list rs; n_runnable = List.length rs;
+                last; last_yielded }
           in
           go (steps + 1) tid (Vm.step ~yields st tid ~sink)
   in

@@ -1,8 +1,11 @@
 open Coop_runtime
 open Coop_lang
 
+(* The buffer carries garbage past the runnable tids, as a run loop's
+   reused buffer does: a scheduler must never read it. *)
 let ctx ?(last = None) ?(last_yielded = false) runnable =
-  { Sched.runnable = Array.of_list runnable;
+  { Sched.runnable = Array.of_list (runnable @ [ 1000; 1001 ]);
+    n_runnable = List.length runnable;
     last = Option.value last ~default:(-1); last_yielded }
 
 let test_sequential () =
