@@ -1787,599 +1787,27 @@ let replay_bench () =
 (* JSON validation (the CI gate for the machine-readable output)           *)
 (* ---------------------------------------------------------------------- *)
 
-(* Validates every machine-readable document the toolchain emits, keyed by
-   shape: bench results ({"experiment": "table3" | "profile"}), a Coop_obs
-   snapshot ({"schema": "coop-obs/v1"}), or a Chrome trace_event array. *)
+(* Validates a machine-readable document the toolchain emits — a bench
+   result (table3, profile, vclock, pool, codec, coop-replay/v1), a
+   coop-obs/v1 snapshot, a coop-witness/v1 document or a Chrome
+   trace_event array — against its kind's gates in the table in gates.ml.
+   Exit 1 names the first gate that rejects. *)
 let json_verify path =
   let fail msg =
     Printf.eprintf "json-verify: %s: %s\n" path msg;
     exit 1
   in
-  let contents =
-    match open_in_bin path with
-    | exception Sys_error e -> fail e
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-  in
-  let json =
-    match Json.of_string contents with Ok v -> v | Error e -> fail e
-  in
-  let check_jobs () =
-    match Json.member "jobs" json with
-    | Some (Json.Int j) when j >= 1 -> ()
-    | _ -> fail "missing or invalid \"jobs\" field"
-  in
-  let workloads_of json =
-    match Json.member "workloads" json with
-    | Some (Json.List (_ :: _ as ws)) -> ws
-    | Some (Json.List []) -> fail "empty \"workloads\" array"
-    | _ -> fail "missing \"workloads\" array"
-  in
-  let name_of w =
-    match Json.member "name" w with
-    | Some (Json.String s) -> s
-    | _ -> fail "workload entry without a \"name\""
-  in
-  let verify_table3 () =
-    check_jobs ();
-    let workloads = workloads_of json in
-    List.iter
-      (fun w ->
-        let name = name_of w in
-        List.iter
-          (fun field ->
-            match Option.bind (Json.member field w) Json.to_float with
-            | Some v when v > 0. -> ()
-            | Some _ -> fail (Printf.sprintf "%s: non-positive %s" name field)
-            | None -> fail (Printf.sprintf "%s: missing numeric %s" name field))
-          [ "events"; "base_s"; "race_s"; "full_s"; "two_pass_s";
-            "passes_per_schedule"; "two_pass_passes"; "race_slowdown";
-            "full_slowdown"; "two_pass_slowdown"; "race_kev_s"; "full_kev_s";
-            "two_pass_kev_s"; "analysis_kev_s"; "minor_words_per_event" ];
-        (* Allocation counters: zero is legitimate for major collections. *)
-        match Option.bind (Json.member "major_collections" w) Json.to_float with
-        | Some v when v >= 0. -> ()
-        | Some _ -> fail (Printf.sprintf "%s: negative major_collections" name)
-        | None ->
-            fail (Printf.sprintf "%s: missing numeric major_collections" name))
-      workloads;
-    Printf.printf "json-verify: %s ok (table3, %d workloads)\n" path
-      (List.length workloads)
-  in
-  let verify_profile () =
-    check_jobs ();
-    let workloads = workloads_of json in
-    List.iter
-      (fun w ->
-        let name = name_of w in
-        (match Option.bind (Json.member "analysis_s" w) Json.to_float with
-        | Some v when v > 0. -> ()
-        | _ -> fail (Printf.sprintf "%s: missing positive analysis_s" name));
-        (* Witness cost columns: both timings positive, the relative
-           overhead finite (it may be slightly negative — timer noise). *)
-        List.iter
-          (fun field ->
-            match Option.bind (Json.member field w) Json.to_float with
-            | Some v when v > 0. && Float.is_finite v -> ()
-            | _ -> fail (Printf.sprintf "%s: missing positive %s" name field))
-          [ "witness_off_s"; "witness_on_s" ];
-        (match
-           Option.bind (Json.member "witness_overhead" w) Json.to_float
-         with
-        | Some v when Float.is_finite v -> ()
-        | _ -> fail (Printf.sprintf "%s: missing finite witness_overhead" name));
-        let checkers =
-          match Json.member "checkers" w with
-          | Some (Json.List (_ :: _ as cs)) -> cs
-          | _ -> fail (Printf.sprintf "%s: missing \"checkers\" array" name)
-        in
-        let share_sum =
-          List.fold_left
-            (fun acc c ->
-              (match Json.member "checker" c with
-              | Some (Json.String _) -> ()
-              | _ -> fail (Printf.sprintf "%s: checker without a name" name));
-              (* Minor words allocated inside the checker's steps: a
-                 count, so finite and non-negative. *)
-              (match Option.bind (Json.member "words" c) Json.to_float with
-              | Some w when w >= 0. && Float.is_finite w -> ()
-              | _ -> fail (Printf.sprintf "%s: checker without valid words" name));
-              match Option.bind (Json.member "share" c) Json.to_float with
-              | Some s when s >= 0. && s <= 1.0001 -> acc +. s
-              | _ ->
-                  fail (Printf.sprintf "%s: checker without a valid share" name))
-            0. checkers
-        in
-        (* The attribution includes an explicit dispatch/other residual, so
-           the rows must account for (essentially) all the analysis time. *)
-        if share_sum < 0.95 || share_sum > 1.05 then
-          fail
-            (Printf.sprintf "%s: checker shares sum to %.3f (want ~1)" name
-               share_sum))
-      workloads;
-    Printf.printf "json-verify: %s ok (profile, %d workloads)\n" path
-      (List.length workloads)
-  in
-  let verify_obs_snapshot () =
-    List.iter
-      (fun field ->
-        match Json.member field json with
-        | Some (Json.Obj _) -> ()
-        | _ -> fail (Printf.sprintf "missing %S object" field))
-      [ "counters"; "gauges"; "timers"; "histograms" ];
-    (* Every timer carries the minor words allocated inside it. *)
-    (match Json.member "timers" json with
-    | Some (Json.Obj timers) ->
-        List.iter
-          (fun (name, t) ->
-            match Option.bind (Json.member "words" t) Json.to_float with
-            | Some w when w >= 0. && Float.is_finite w -> ()
-            | _ -> fail (Printf.sprintf "timer %S without valid words" name))
-          timers
-    | _ -> ());
-    let spans =
-      match Json.member "spans" json with
-      | Some (Json.List ss) -> ss
-      | _ -> fail "missing \"spans\" array"
-    in
-    List.iter
-      (fun s ->
-        match
-          ( Json.member "name" s,
-            Option.bind (Json.member "start_us" s) Json.to_float,
-            Option.bind (Json.member "dur_us" s) Json.to_float )
-        with
-        | Some (Json.String _), Some _, Some d when d >= 0. -> ()
-        | _ -> fail "span without name/start_us/dur_us")
-      spans;
-    Printf.printf "json-verify: %s ok (coop-obs snapshot, %d spans)\n" path
-      (List.length spans)
-  in
-  let verify_chrome_trace events =
-    if events = [] then fail "empty trace_event array";
-    List.iter
-      (fun e ->
-        (match
-           ( Json.member "name" e, Json.member "ph" e, Json.member "pid" e,
-             Json.member "tid" e )
-         with
-        | Some (Json.String _), Some (Json.String _), Some (Json.Int _),
-          Some (Json.Int _) ->
-            ()
-        | _ -> fail "trace event without name/ph/pid/tid");
-        match Json.member "ph" e with
-        | Some (Json.String "X") -> (
-            match (Json.member "ts" e, Json.member "dur" e) with
-            | Some (Json.Int _), Some (Json.Int d) when d >= 0 -> ()
-            | _ -> fail "complete (X) event without integer ts/dur")
-        | _ -> ())
-      events;
-    Printf.printf "json-verify: %s ok (chrome trace, %d events)\n" path
-      (List.length events)
-  in
-  let verify_vclock () =
-    (match Option.bind (Json.member "ops_per_case" json) Json.to_float with
-    | Some v when v > 0. -> ()
-    | _ -> fail "missing positive \"ops_per_case\"");
-    let cases =
-      match Json.member "cases" json with
-      | Some (Json.List (_ :: _ as cs)) -> cs
-      | _ -> fail "missing non-empty \"cases\" array"
-    in
-    let impls = Hashtbl.create 4 and mixes = Hashtbl.create 4 in
-    List.iter
-      (fun c ->
-        (match (Json.member "impl" c, Json.member "mix" c) with
-        | Some (Json.String i), Some (Json.String m) ->
-            Hashtbl.replace impls i ();
-            Hashtbl.replace mixes m ()
-        | _ -> fail "case without impl/mix strings");
-        List.iter
-          (fun field ->
-            match Option.bind (Json.member field c) Json.to_float with
-            | Some v when v > 0. -> ()
-            | _ -> fail (Printf.sprintf "case without positive %s" field))
-          [ "threads"; "ops"; "seconds"; "mops_s" ])
-      cases;
-    (* The experiment is a comparison: both representations and all three
-       operation mixes must actually be present. *)
-    List.iter
-      (fun i ->
-        if not (Hashtbl.mem impls i) then
-          fail (Printf.sprintf "no cases for impl %S" i))
-      [ "flat"; "persistent" ];
-    List.iter
-      (fun m ->
-        if not (Hashtbl.mem mixes m) then
-          fail (Printf.sprintf "no cases for mix %S" m))
-      [ "tick"; "join"; "leq" ];
-    Printf.printf "json-verify: %s ok (vclock, %d cases)\n" path
-      (List.length cases)
-  in
-  let verify_pool () =
-    (match Json.member "leaves" json with
-    | Some (Json.Int n) when n > 0 -> ()
-    | _ -> fail "missing positive \"leaves\"");
-    let cases =
-      match Json.member "cases" json with
-      | Some (Json.List (_ :: _ as cs)) -> cs
-      | _ -> fail "missing non-empty \"cases\" array"
-    in
-    let shapes = Hashtbl.create 4 and impls = Hashtbl.create 4 in
-    List.iter
-      (fun c ->
-        (match (Json.member "shape" c, Json.member "impl" c) with
-        | Some (Json.String s), Some (Json.String i) ->
-            Hashtbl.replace shapes s ();
-            Hashtbl.replace impls i ()
-        | _ -> fail "case without shape/impl strings");
-        List.iter
-          (fun field ->
-            match Option.bind (Json.member field c) Json.to_float with
-            | Some v when v > 0. -> ()
-            | _ -> fail (Printf.sprintf "case without positive %s" field))
-          [ "domains"; "tasks" ];
-        (* Rows the machine cannot time honestly (8 domains on fewer
-           cores) are emitted as "skipped" rather than measured. *)
-        match Json.member "seconds" c with
-        | Some (Json.String "skipped") -> (
-            match Json.member "steals" c with
-            | Some (Json.String "skipped") -> ()
-            | _ -> fail "skipped case with a measured \"steals\" count")
-        | _ -> (
-            (match Option.bind (Json.member "seconds" c) Json.to_float with
-            | Some v when v > 0. -> ()
-            | _ -> fail "case without positive seconds");
-            match Json.member "steals" c with
-            | Some (Json.Int s) when s >= 0 -> ()
-            | _ -> fail "case without a non-negative \"steals\" count"))
-      cases;
-    (* The experiment is a comparison: both tree shapes and both
-       scheduling strategies must actually be present. *)
-    List.iter
-      (fun s ->
-        if not (Hashtbl.mem shapes s) then
-          fail (Printf.sprintf "no cases for shape %S" s))
-      [ "balanced"; "skewed" ];
-    List.iter
-      (fun i ->
-        if not (Hashtbl.mem impls i) then
-          fail (Printf.sprintf "no cases for impl %S" i))
-      [ "static"; "steal" ];
-    (match Json.member "summary" json with
-    | Some summary ->
-        List.iter
-          (fun field ->
-            match Json.member field summary with
-            | Some (Json.String "skipped") -> ()
-            | m -> (
-                match Option.bind m Json.to_float with
-                | Some v when Float.is_finite v -> ()
-                | _ ->
-                    fail
-                      (Printf.sprintf "summary without finite %s (or \
-                                       \"skipped\")" field)))
-          [ "skewed_speedup_8"; "balanced_overhead_8" ]
-    | None -> fail "missing \"summary\" object");
-    Printf.printf "json-verify: %s ok (pool, %d cases)\n" path
-      (List.length cases)
-  in
-  let verify_codec () =
-    (match Json.member "jobs" json with
-    | Some (Json.Int n) when n > 0 -> ()
-    | _ -> fail "missing positive \"jobs\"");
-    let workloads =
-      match Json.member "workloads" json with
-      | Some (Json.List (_ :: _ as ws)) -> ws
-      | _ -> fail "missing non-empty \"workloads\" array"
-    in
-    List.iter
-      (fun w ->
-        let name =
-          match Json.member "name" w with
-          | Some (Json.String n) -> n
-          | _ -> fail "workload without a name"
-        in
-        let ctx field = Printf.sprintf "workload %s: %s" name field in
-        List.iter
-          (fun field ->
-            match Json.member field w with
-            | Some (Json.Int n) when n > 0 -> ()
-            | _ -> fail (ctx (Printf.sprintf "missing positive %s" field)))
-          [ "events"; "text_bytes"; "bin_bytes" ];
-        List.iter
-          (fun field ->
-            match Option.bind (Json.member field w) Json.to_float with
-            | Some v when v > 0. -> ()
-            | _ -> fail (ctx (Printf.sprintf "missing positive %s" field)))
-          [ "text_bytes_per_event"; "bin_bytes_per_event"; "bytes_ratio";
-            "text_encode_mev_s"; "bin_encode_mev_s"; "text_parse_mev_s";
-            "bin_decode_mev_s"; "decode_speedup" ];
-        (match Json.member "decode_minor_words_per_event" w with
-        | Some m -> (
-            match Json.to_float m with
-            | Some v when v >= 0. -> ()
-            | _ -> fail (ctx "negative decode_minor_words_per_event"))
-        | None -> fail (ctx "missing decode_minor_words_per_event"));
-        (* Per-workload floors: deterministic size halving everywhere,
-           and no stream may degenerate to text-parser speed. The full
-           5x decode bar is held at the suite level below — def-heavy
-           microtraces (an interner def every other event, a cost the
-           text format never pays) legitimately bottom out near 4x. *)
-        (match Option.bind (Json.member "bytes_ratio" w) Json.to_float with
-        | Some r when r <= 0.5 -> ()
-        | Some r ->
-            fail (ctx (Printf.sprintf "bytes_ratio %.3f exceeds 0.5" r))
-        | None -> assert false);
-        match Option.bind (Json.member "decode_speedup" w) Json.to_float with
-        | Some s when s >= 3.0 -> ()
-        | Some s ->
-            fail (ctx (Printf.sprintf "decode_speedup %.2fx below 3x" s))
-        | None -> assert false)
-      workloads;
-    let agg =
-      match Json.member "aggregate" json with
-      | Some a -> a
-      | None -> fail "missing \"aggregate\" object"
-    in
-    (match Option.bind (Json.member "bytes_ratio" agg) Json.to_float with
-    | Some r when r > 0. && r <= 0.5 -> ()
-    | Some r ->
-        fail (Printf.sprintf "aggregate bytes_ratio %.3f exceeds 0.5" r)
-    | None -> fail "aggregate missing bytes_ratio");
-    (match Option.bind (Json.member "decode_speedup" agg) Json.to_float with
-    | Some s when s >= 5.0 -> ()
-    | Some s ->
-        fail (Printf.sprintf "aggregate decode_speedup %.2fx below 5x" s)
-    | None -> fail "aggregate missing decode_speedup");
-    Printf.printf "json-verify: %s ok (codec, %d workloads)\n" path
-      (List.length workloads)
-  in
-  (* coop-witness/v1: the causal-evidence documents coopcheck's --witness
-     json emits. Shapes per command: check/explain carry races (each with
-     an embedded race or locks witness) and violations (each with a
-     commit cause); atomize carries warnings; infer carries yields with
-     their forcing violation. explain documents additionally assert the
-     HB self-check passed — an unverified witness is a CI failure, not a
-     formatting nit. *)
-  let verify_witness () =
-    let command =
-      match Json.member "command" json with
-      | Some (Json.String c) -> c
-      | _ -> fail "missing \"command\" string"
-    in
-    let check_access ctx a =
-      match (Json.member "tid" a, Json.member "seq" a, Json.member "loc" a)
-      with
-      | Some (Json.Int t), Some (Json.Int s), Some (Json.String _)
-        when t >= 0 && s >= 1 ->
-          ()
-      | _ -> fail (ctx ^ ": access without tid/seq/loc")
-    in
-    let check_witness ctx = function
-      | Json.Null -> ()
-      | w -> (
-          match (Json.member "race" w, Json.member "locks" w) with
-          | Some r, None ->
-              (match (Json.member "first" r, Json.member "second" r) with
-              | Some f, Some s ->
-                  check_access ctx f;
-                  check_access ctx s
-              | _ -> fail (ctx ^ ": race witness without first/second"));
-              List.iter
-                (fun field ->
-                  match Json.member field r with
-                  | Some (Json.Int _) -> ()
-                  | _ -> fail (ctx ^ ": race witness without " ^ field))
-                [ "first_clock"; "second_sees" ]
-          | None, Some l -> (
-              (match Json.member "access" l with
-              | Some a -> check_access ctx a
-              | None -> fail (ctx ^ ": locks witness without access"));
-              match (Json.member "prior" l, Json.member "held" l) with
-              | Some (Json.List _), Some (Json.List _) -> ()
-              | _ -> fail (ctx ^ ": locks witness without prior/held"))
-          | _ -> fail (ctx ^ ": witness is neither race nor locks"))
-    in
-    let check_cause ctx = function
-      | Json.Null -> ()
-      | c -> (
-          match
-            ( Json.member "seq" c, Json.member "loc" c, Json.member "op" c,
-              Json.member "mover" c )
-          with
-          | Some (Json.Int s), Some (Json.String _), Some (Json.String _),
-            Some (Json.String _)
-            when s >= 1 ->
-              ()
-          | _ -> fail (ctx ^ ": cause without seq/loc/op/mover"))
-    in
-    let check_violation ctx v =
-      match
-        ( Json.member "tid" v, Json.member "loc" v, Json.member "op" v,
-          Json.member "mover" v )
-      with
-      | Some (Json.Int _), Some (Json.String _), Some (Json.String _),
-        Some (Json.String _) ->
-          check_cause ctx
-            (Option.value ~default:Json.Null (Json.member "cause" v))
-      | _ -> fail (ctx ^ ": violation without tid/loc/op/mover")
-    in
-    let list_of field =
-      match Json.member field json with
-      | Some (Json.List l) -> l
-      | _ -> fail (Printf.sprintf "missing %S array" field)
-    in
-    let counted =
-      match command with
-      | "check" | "explain" ->
-          let races = list_of "races" in
-          List.iteri
-            (fun i r ->
-              let ctx = Printf.sprintf "race %d" i in
-              (match (Json.member "var" r, Json.member "kind" r) with
-              | Some (Json.String _), Some (Json.String _) -> ()
-              | _ -> fail (ctx ^ ": missing var/kind"));
-              check_witness ctx
-                (Option.value ~default:Json.Null (Json.member "witness" r));
-              if command = "explain" then
-                match Json.member "verified" r with
-                | Some (Json.Bool true) -> ()
-                | Some (Json.Bool false) ->
-                    fail (ctx ^ ": witness failed the HB self-check")
-                | _ -> fail (ctx ^ ": explain race without verified"))
-            races;
-          let vs = list_of "violations" in
-          List.iteri
-            (fun i v -> check_violation (Printf.sprintf "violation %d" i) v)
-            vs;
-          List.length races + List.length vs
-      | "atomize" ->
-          let ws = list_of "warnings" in
-          List.iteri
-            (fun i w -> check_violation (Printf.sprintf "warning %d" i) w)
-            ws;
-          List.length ws
-      | "infer" ->
-          let ys = list_of "yields" in
-          List.iteri
-            (fun i y ->
-              let ctx = Printf.sprintf "yield %d" i in
-              (* round 0 = trace-mode inference (no re-execution). *)
-              (match
-                 ( Json.member "loc" y, Json.member "round" y,
-                   Json.member "sched" y )
-               with
-              | Some (Json.String _), Some (Json.Int r), Some (Json.String _)
-                when r >= 0 ->
-                  ()
-              | _ -> fail (ctx ^ ": missing loc/round/sched"));
-              match Json.member "violation" y with
-              | Some v -> check_violation ctx v
-              | None -> fail (ctx ^ ": missing violation"))
-            ys;
-          List.length ys
-      | c -> fail (Printf.sprintf "unknown witness command %S" c)
-    in
-    Printf.printf "json-verify: %s ok (coop-witness/v1 %s, %d witness(es))\n"
-      path command counted
-  in
-  (* coop-replay/v1: replay-elision results. Every DPOR row must be
-     verified against its stateless oracle and internally consistent
-     (cached steps = novel + replayed), and the suite medians must clear
-     the headline gates: total-steps reduction >= 3x and wall-clock
-     speedup >= 1.5x at default budgets. *)
-  let verify_replay () =
-    check_jobs ();
-    let rows field =
-      match Json.member field json with
-      | Some (Json.List (_ :: _ as rs)) -> rs
-      | Some (Json.List []) -> fail (Printf.sprintf "empty %S array" field)
-      | _ -> fail (Printf.sprintf "missing %S array" field)
-    in
-    let int_field ctx r field =
-      match Json.member field r with
-      | Some (Json.Int n) when n >= 0 -> n
-      | _ -> fail (Printf.sprintf "%s: missing non-negative %S" ctx field)
-    in
-    let float_field ctx r field =
-      match Option.bind (Json.member field r) Json.to_float with
-      | Some v when v > 0. && Float.is_finite v -> v
-      | _ -> fail (Printf.sprintf "%s: missing positive %S" ctx field)
-    in
-    let check_verified ctx r =
-      match Json.member "verified" r with
-      | Some (Json.Bool true) -> ()
-      | _ ->
-          fail (ctx ^ ": cached run not verified against its stateless oracle")
-    in
-    let dpor = rows "dpor" in
-    let measured =
-      List.map
-        (fun r ->
-          let ctx = "dpor " ^ name_of r in
-          check_verified ctx r;
-          let cached = int_field ctx r "cached_steps" in
-          let novel = int_field ctx r "novel_steps" in
-          let replayed = int_field ctx r "replayed_steps" in
-          if cached <> novel + replayed then
-            fail (ctx ^ ": cached_steps is not novel_steps + replayed_steps");
-          let stateless = int_field ctx r "stateless_steps" in
-          if cached < 1 || stateless < 1 then
-            fail (ctx ^ ": empty exploration");
-          ignore (int_field ctx r "executions");
-          ignore (int_field ctx r "cache_hits");
-          ignore (float_field ctx r "cached_seconds");
-          ignore (float_field ctx r "stateless_seconds");
-          let red = float_field ctx r "steps_reduction" in
-          if
-            Float.abs
-              (red -. (float_of_int stateless /. float_of_int cached))
-            > 1e-6
-          then fail (ctx ^ ": steps_reduction disagrees with the counters");
-          (red, float_field ctx r "speedup"))
-        dpor
-    in
-    List.iter
-      (fun r ->
-        let ctx = "infer " ^ name_of r in
-        check_verified ctx r;
-        ignore (int_field ctx r "events_analyzed");
-        ignore (int_field ctx r "prefix_events");
-        ignore (int_field ctx r "elided_events");
-        ignore (int_field ctx r "cache_hits");
-        ignore (float_field ctx r "cached_seconds");
-        ignore (float_field ctx r "stateless_seconds");
-        ignore (float_field ctx r "speedup"))
-      (rows "infer");
-    let median xs = Coop_util.Stats.median (Array.of_list xs) in
-    let mr = median (List.map fst measured) in
-    let msp = median (List.map snd measured) in
-    (match Json.member "summary" json with
-    | Some summary ->
-        List.iter
-          (fun (field, recomputed) ->
-            match Option.bind (Json.member field summary) Json.to_float with
-            | Some v when Float.abs (v -. recomputed) <= 1e-6 -> ()
-            | Some _ -> fail ("summary " ^ field ^ " disagrees with the rows")
-            | None -> fail ("summary without " ^ field))
-          [ ("median_steps_reduction", mr); ("median_speedup", msp) ]
-    | None -> fail "missing \"summary\" object");
-    if mr < 3.0 then
-      fail
-        (Printf.sprintf
-           "median steps reduction %.2fx below the 3x replay-elision gate" mr);
-    if msp < 1.5 then
-      fail
-        (Printf.sprintf
-           "median wall-clock speedup %.2fx below the 1.5x gate" msp);
-    Printf.printf
-      "json-verify: %s ok (coop-replay/v1, %d dpor rows, median reduction \
-       %.2fx, median speedup %.2fx)\n"
-      path (List.length dpor) mr msp
-  in
-  match json with
-  | Json.List events -> verify_chrome_trace events
-  | _ -> (
-      match (Json.member "experiment" json, Json.member "schema" json) with
-      | Some (Json.String "table3"), _ -> verify_table3 ()
-      | Some (Json.String "profile"), _ -> verify_profile ()
-      | Some (Json.String "vclock"), _ -> verify_vclock ()
-      | Some (Json.String "pool"), _ -> verify_pool ()
-      | Some (Json.String "codec"), _ -> verify_codec ()
-      | Some (Json.String "replay"), _ -> verify_replay ()
-      | _, Some (Json.String "coop-replay/v1") -> verify_replay ()
-      | _, Some (Json.String "coop-obs/v1") -> verify_obs_snapshot ()
-      | _, Some (Json.String "coop-witness/v1") -> verify_witness ()
-      | _ ->
-          fail
-            "unrecognized document (want \
-             experiment=table3|profile|vclock|pool|codec|replay, \
-             schema=coop-obs/v1|coop-witness/v1|coop-replay/v1, or a \
-             trace_event array)")
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> fail e
+  | contents -> (
+      match Json.of_string contents with
+      | Error e -> fail e
+      | Ok json -> (
+          match Gates.verify json with
+          | Ok (kind, applied) ->
+              Printf.printf "json-verify: %s ok (%s, %d gates)\n" path kind
+                (List.length applied)
+          | Error f -> fail (Gates.message f)))
 
 (* ---------------------------------------------------------------------- *)
 (* Driver                                                                  *)

@@ -1,10 +1,16 @@
 #!/bin/sh
 # The CI entry point: full build, test suite (sequential, and with 2- and
-# 4-domain shared pools), bench smoke tests including the
-# machine-readable JSON output, and short verified runs of the perfbench
-# workloads. Equivalent to `dune build @ci`, but with per-stage output.
+# 4-domain shared pools), the differential stages, the bench smoke tests
+# including the machine-readable JSON output, and short verified runs of
+# the perfbench workloads. The smoke stages are the dune aliases that
+# `dune build @ci` runs (bench/dune, bin/dune), forced to re-run here so
+# every stage executes and prints its output.
 set -eu
 cd "$(dirname "$0")"
+
+smoke() {
+  dune build --force "@$1"
+}
 
 echo "== build =="
 dune build @all
@@ -25,18 +31,10 @@ echo "== witness differential suite (HB self-check, cross-mode identity) =="
 dune exec test/test_main.exe -- test witness
 
 echo "== witness smoke (explain + check --witness, coop-witness/v1) =="
-dune exec bin/coopcheck.exe -- explain tsp \
-  --witness json:_build/ci-witness-tsp.json || [ $? -eq 1 ]
-dune exec bench/main.exe -- json-verify _build/ci-witness-tsp.json
-dune exec bin/coopcheck.exe -- check philo \
-  --witness json:_build/ci-witness-philo.json || [ $? -eq 1 ]
-dune exec bench/main.exe -- json-verify _build/ci-witness-philo.json
+smoke bench/smoke-witness
 
 echo "== piped-trace smoke (check --trace - on stdin, one pass) =="
-dune exec bin/coopcheck.exe -- trace philo -t 2 -s 2 \
-  --save _build/ci-pipe-smoke.tr
-dune exec bin/coopcheck.exe -- check --trace - \
-  < _build/ci-pipe-smoke.tr || [ $? -eq 1 ]
+smoke bin/smoke-pipe
 
 echo "== codec differential (text vs binary traces, identical verdicts) =="
 # The same recording saved in both formats must produce byte-identical
@@ -98,32 +96,25 @@ grep '^  ' _build/ci-frontier-j4.out > _build/ci-frontier-j4.cmp
 cmp _build/ci-frontier-j1.cmp _build/ci-frontier-j4.cmp
 
 echo "== bench smoke (table1) =="
-dune exec bench/main.exe -- table1
+smoke bench/smoke
 
 echo "== bench smoke (table3 --json, 2 domains, 2 workloads) =="
-COOP_JOBS=2 dune exec bench/main.exe -- table3 --only philo,crypt \
-  --json _build/ci-table3.json
-dune exec bench/main.exe -- json-verify _build/ci-table3.json
+smoke bench/smoke-json
 
 echo "== vclock bench smoke (flat vs persistent, json-verified) =="
-dune exec bench/main.exe -- vclock --json _build/ci-vclock.json
-dune exec bench/main.exe -- json-verify _build/ci-vclock.json
+smoke bench/smoke-vclock
 
 echo "== pool bench smoke (static shards vs work stealing, json-verified) =="
-dune exec bench/main.exe -- pool --json _build/ci-pool.json
-dune exec bench/main.exe -- json-verify _build/ci-pool.json
+smoke bench/smoke-pool
 
 echo "== allocation-budget smoke (minor words/event vs recorded budget) =="
-dune exec bench/main.exe -- alloc-smoke
+smoke bench/smoke-alloc
 
 echo "== codec bench smoke (text vs binary throughput, json-verified) =="
-dune exec bench/main.exe -- codec --only philo,crypt \
-  --json _build/ci-codec.json
-dune exec bench/main.exe -- json-verify _build/ci-codec.json
+smoke bench/smoke-codec
 
 echo "== replay bench smoke (checkpointed vs stateless dpor, json-verified) =="
-dune exec bench/main.exe -- replay --json _build/ci-replay.json
-dune exec bench/main.exe -- json-verify _build/ci-replay.json
+smoke bench/smoke-replay
 
 echo "== perfbench smoke (check, replay, dpor; every op verified) =="
 # Short closed-loop runs of the benchmark workloads. Each op's verdict is
@@ -140,18 +131,7 @@ print("perfbench %s: %d attempted, %d failed" % (sys.argv[1], r["attempted"], r[
 sys.exit(0 if r["failed"] == 0 and r["attempted"] > 0 else 1)' $w
 done
 
-echo "== profile smoke (--profile-json / --chrome-trace, 2 workloads) =="
-# coopcheck check exits 1 when the workload has violations; the profile
-# files must be written and valid either way.
-dune exec bin/coopcheck.exe -- check montecarlo \
-  --profile-json _build/ci-obs-mc.json \
-  --chrome-trace _build/ci-chrome-mc.json || [ $? -eq 1 ]
-dune exec bench/main.exe -- json-verify _build/ci-obs-mc.json
-dune exec bench/main.exe -- json-verify _build/ci-chrome-mc.json
-COOP_JOBS=2 dune exec bin/coopcheck.exe -- infer philo \
-  --profile-json _build/ci-obs-philo.json \
-  --chrome-trace _build/ci-chrome-philo.json
-dune exec bench/main.exe -- json-verify _build/ci-obs-philo.json
-dune exec bench/main.exe -- json-verify _build/ci-chrome-philo.json
+echo "== profile smoke (--profile-json / --chrome-trace, check and 2-domain infer) =="
+smoke bench/smoke-profile
 
 echo "== ci ok =="

@@ -103,27 +103,37 @@ let transfer prog st pc instr =
       let st = pop1 st in
       ([ t; pc + 1 ], st)
   | Bytecode.Acquire ->
-      let st' =
+      (* Must-held locks are tracked by handle: only an exactly known
+         handle is surely held. An array element known only up to its
+         group ([ls[id % 2]]) adds nothing — two threads holding [ls[0]]
+         and [ls[1]] share no lock. *)
+      let held =
         match top st.stack with
-        | Some v -> (
-            match Absval.lock_of_handle prog v with
-            | Absval.Group g -> { st with held = Iset.add g st.held }
-            | Absval.Any_lock -> st)
-        | None -> st
+        | Some (Absval.Const h) when h >= 0 && h < prog.Bytecode.n_locks ->
+            Iset.add h st.held
+        | _ -> st.held
       in
-      next (pop1 st')
+      next (pop1 { st with held })
   | Bytecode.Release ->
-      let st' =
+      let held =
         match top st.stack with
+        | Some (Absval.Const h) -> Iset.remove h st.held
         | Some v -> (
             match Absval.lock_of_handle prog v with
-            | Absval.Group g -> { st with held = Iset.remove g st.held }
+            | Absval.Group g ->
+                (* Some element of group [g]: none of its handles is
+                   surely held any more. *)
+                Iset.filter
+                  (fun h ->
+                    Absval.lock_of_handle prog (Absval.Const h)
+                    <> Absval.Group g)
+                  st.held
             | Absval.Any_lock ->
                 (* Unknown release: lose all certainty. *)
-                { st with held = Iset.empty })
-        | None -> st
+                Iset.empty)
+        | None -> st.held
       in
-      next (pop1 st')
+      next (pop1 { st with held })
   | Bytecode.Yield_instr | Bytecode.Atomic_begin | Bytecode.Atomic_end ->
       next st
   | Bytecode.Spawn (_, nargs) ->

@@ -1,7 +1,7 @@
 (** Intra-procedural abstract interpretation over the bytecode.
 
     For every reachable instruction of a function this computes the abstract
-    operand stack (to resolve lock handles) and the set of lock groups
+    operand stack (to resolve lock handles) and the set of lock handles
     {e must}-held — the ingredients of the static race approximation and
     the static transaction-automaton pass.
 
@@ -17,7 +17,11 @@ type info = {
   reachable : bool;  (** Whether any path reaches this pc. *)
   stack : Absval.t list;  (** Abstract operand stack before the instruction. *)
   locals : Absval.t Map.Make(Int).t;  (** Abstract local-slot values. *)
-  held : Iset.t;  (** Lock groups must-held before the instruction. *)
+  held : Iset.t;
+      (** Lock handles must-held before the instruction. Only an exactly
+          known handle counts: acquiring an array element known only up to
+          its group adds nothing, and releasing one drops the group's
+          handles. *)
   spawned_before : bool;
       (** Whether a [Spawn] may have executed on some path to this pc
           (used to recognize pre-fork initialization code in [main]). *)

@@ -27,7 +27,7 @@ type site = {
   root : int;  (** The thread-root context this site runs under. *)
   region : region;
   is_write : bool;
-  held : Iset.t;  (** Lock groups must-held. *)
+  held : Iset.t;  (** Lock handles must-held. *)
   pre_fork : bool;  (** In [main], before any possible spawn. *)
 }
 

@@ -8,7 +8,8 @@
     - they belong to {e concurrent contexts}: different thread roots, or
       the same spawned root (several instances may run), excluding code in
       [main] that no path reaches after a [Spawn];
-    - their must-held lock-group sets are disjoint.
+    - their must-held lock-handle sets are disjoint (an array element
+      known only up to its group is never must-held).
 
     Similarly, a lock group is {e shared} when two concurrent contexts may
     acquire it; non-shared groups are the static analogue of the dynamic

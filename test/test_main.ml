@@ -46,4 +46,5 @@ let () =
       ("parallel", Test_parallel.suite);
       ("replay", Test_replay.suite);
       ("sample-programs", Test_programs.suite);
+      ("bench.gates", Test_gates.suite);
     ]

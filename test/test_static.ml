@@ -111,8 +111,7 @@ let test_flow_unreachable () =
 
 (* --- Races --------------------------------------------------------------- *)
 
-let races_of src =
-  let prog = compile src in
+let races_of_prog prog =
   let cache = Hashtbl.create 8 in
   let flow_of f =
     match Hashtbl.find_opt cache f with
@@ -122,7 +121,11 @@ let races_of src =
         Hashtbl.add cache f i;
         i
   in
-  (prog, Races.analyze prog flow_of)
+  Races.analyze prog flow_of
+
+let races_of src =
+  let prog = compile src in
+  (prog, races_of_prog prog)
 
 let test_sequential_program_race_free () =
   let _, r = races_of "var x = 0; fn main() { x = 1; print(x); }" in
@@ -167,6 +170,75 @@ let test_thread_local_lock_group () =
   in
   (* Only main acquires m. *)
   Alcotest.(check int) "m not shared" 0 (List.length r.Races.shared_groups)
+
+(* Two workers lock different elements of one lock array: [ls[id % 2]]
+   is known only up to its group, so neither element is must-held and the
+   accesses to g2 stay unprotected — the race every schedule shows. *)
+let lock_array_src =
+  "var g2 = 0; array tids[4]; lock ls[2]; fn worker(id) { sync (ls[id % 2]) { \
+   g2 = g2; } } fn main() { var i = 0; while (i < 2) { tids[i] = spawn \
+   worker(i); i = i + 1; } i = 0; while (i < 2) { join tids[i]; i = i + 1; } }"
+
+let test_lock_array_elements_unprotected () =
+  let prog, r = races_of lock_array_src in
+  let g2 = Coop_trace.Event.Global 0 in
+  let _, trace =
+    Coop_runtime.Runner.record ~sched:(Coop_runtime.Sched.random ~seed:1 ())
+      prog
+  in
+  Alcotest.(check bool) "dynamically racy" true
+    (Coop_trace.Event.Var_set.mem g2
+       (Coop_race.Fasttrack.racy_vars_of_trace trace));
+  Alcotest.(check bool) "g2 may-racy" true (Races.is_racy_region r g2);
+  Alcotest.(check bool) "static violation" true (Check.check prog <> []);
+  (* A constant element is an exact handle and still protects. *)
+  let _, r =
+    races_of
+      "var g2 = 0; lock ls[2]; fn worker() { sync (ls[1]) { g2 = g2 + 1; } } \
+       fn main() { var t = spawn worker(); var u = spawn worker(); join t; \
+       join u; }"
+  in
+  Alcotest.(check int) "constant element protects" 0
+    (List.length r.Races.racy)
+
+(* The region-level soundness law: whatever a schedule shows, the static
+   approximations contain. Every variable FastTrack reports racy lies in a
+   may-racy region, and every lock handle two threads acquire lies in a
+   shared group. *)
+let region_sound p =
+  let prog = Compile.program p in
+  let r = races_of_prog prog in
+  List.for_all
+    (fun sched ->
+      let _, trace = Coop_runtime.Runner.record ~max_steps:300_000 ~sched prog in
+      let first_tid = Hashtbl.create 4 and shared = Hashtbl.create 4 in
+      Coop_trace.Trace.iter
+        (fun (e : Coop_trace.Event.t) ->
+          match e.op with
+          | Coop_trace.Event.Acquire h -> (
+              match Hashtbl.find_opt first_tid h with
+              | None -> Hashtbl.replace first_tid h e.tid
+              | Some t -> if t <> e.tid then Hashtbl.replace shared h ())
+          | _ -> ())
+        trace;
+      Coop_trace.Event.Var_set.for_all (Races.is_racy_region r)
+        (Coop_race.Fasttrack.racy_vars_of_trace trace)
+      && Hashtbl.fold
+           (fun h () ok ->
+             ok
+             &&
+             match Absval.lock_of_handle prog (Absval.Const h) with
+             | Absval.Group g -> List.mem g r.Races.shared_groups
+             | Absval.Any_lock -> false)
+           shared true)
+    Coop_runtime.Sched.
+      [ random ~seed:3 (); round_robin ~quantum:1 (); random ~seed:77 () ]
+
+let region_law speed count =
+  QCheck_alcotest.to_alcotest ~speed_level:speed
+    (QCheck2.Test.make
+       ~name:(Printf.sprintf "region-level soundness (%d programs)" count)
+       ~count ~print:Pretty.program Gen.gen_concurrent_program region_sound)
 
 (* --- Check --------------------------------------------------------------- *)
 
@@ -228,6 +300,10 @@ let suite =
     Alcotest.test_case "races: pre-fork init" `Quick test_pre_fork_init_not_racy;
     Alcotest.test_case "races: shared lock groups" `Quick test_shared_lock_groups;
     Alcotest.test_case "races: thread-local lock group" `Quick test_thread_local_lock_group;
+    Alcotest.test_case "races: lock-array elements unprotected" `Quick
+      test_lock_array_elements_unprotected;
+    region_law `Quick 40;
+    region_law `Slow 200;
     Alcotest.test_case "check: agrees on simple program" `Quick test_static_matches_dynamic_on_simple;
     Alcotest.test_case "check: over-approximates dynamic" `Slow test_static_over_approximates;
     Alcotest.test_case "check: fixpoint clean" `Quick test_static_fixpoint_clean;
