@@ -60,6 +60,23 @@ dune exec bin/coopcheck.exe -- check --trace - \
   < _build/ci-diff.ctr > _build/ci-diff-pipe.out || [ $? -eq 1 ]
 cmp _build/ci-diff-text.out _build/ci-diff-pipe.out
 
+echo "== atomize differential (single-pass vs two-pass, text vs binary) =="
+# The Atomizer must print the same warnings and witness documents from
+# the single-pass engine and the two-pass reference, and from the text
+# and binary recordings of the codec stage.
+dune exec bin/coopcheck.exe -- atomize tsp \
+  --witness json:_build/ci-atom-single.json > _build/ci-atom-single.out
+dune exec bin/coopcheck.exe -- atomize tsp --two-pass \
+  --witness json:_build/ci-atom-two.json > _build/ci-atom-two.out
+cmp _build/ci-atom-single.out _build/ci-atom-two.out
+cmp _build/ci-atom-single.json _build/ci-atom-two.json
+dune exec bin/coopcheck.exe -- atomize --trace _build/ci-diff.tr \
+  --witness json:_build/ci-atom-text.json > _build/ci-atom-text.out
+dune exec bin/coopcheck.exe -- atomize --trace _build/ci-diff.ctr \
+  --witness json:_build/ci-atom-bin.json > _build/ci-atom-bin.out
+cmp _build/ci-atom-text.out _build/ci-atom-bin.out
+cmp _build/ci-atom-text.json _build/ci-atom-bin.json
+
 echo "== replay differential (checkpointed vs stateless, identical output) =="
 # Replay elision must not change what is explored or inferred: cached and
 # stateless (--no-cache) runs must produce identical behaviour sets,

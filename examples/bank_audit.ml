@@ -53,7 +53,11 @@ let audit name prog =
   Format.printf "@.=== %s ===@." name;
   let _, trace = Runner.record ~sched:(Sched.random ~seed:99 ()) prog in
   let coop = Cooperability.check trace in
-  let atom = Coop_atomicity.Atomizer.check trace in
+  let atom =
+    Option.get
+      (Coop_pipeline.run ~atomize:true (Coop_trace.Source.of_trace trace))
+        .Coop_pipeline.atomizer
+  in
   Format.printf "races: %d | cooperability violations: %d | atomicity warnings: %d@."
     (List.length coop.Cooperability.races)
     (List.length coop.Cooperability.violations)

@@ -31,7 +31,7 @@ type warning = {
   cause : Coop_core.Online.cause option;
       (** The commit point of the activation — the causal pair's first
           half; [loc]/[op] is the second. Identical across the two-pass
-          and single-pass drivers. *)
+          and single-pass checkers. *)
 }
 
 type result = {
@@ -41,47 +41,36 @@ type result = {
   violated_activations : int;  (** How many of them were flagged. *)
 }
 
-val check : ?two_pass:bool -> Trace.t -> result
-(** Check a recorded trace. By default a single fused pass: the race
-    detector feeds racy-variable and shared-lock facts straight into the
-    nested-transaction engine ({!Coop_core.Online}), which repairs
-    affected activations on late facts. With [~two_pass:true], the
-    reference path: FastTrack racy set and lock scan first, then the
-    nested-transaction automaton (streams the trace three times). Both
-    agree exactly (property-tested). Thread-local locks are both-movers,
-    as in the cooperability checker, so the two analyses compare like
-    for like. *)
-
-val check_two_pass : Trace.t -> result
-(** [check ~two_pass:true], named for differential tests. *)
-
 val online_analysis :
   ?mark:Coop_trace.Analysis.mark ->
   interner:Interner.t ->
   subscribe:Coop_core.Online.subscribe ->
   unit ->
   result Analysis.t
-(** The single-pass nested-transaction checker: knowledge streams in
-    through [subscribe] while events flow, and affected activations are
-    repaired when a fact arrives late. Finalizes to exactly what
-    {!analysis} reports under final knowledge. [interner] must be the
-    chain's shared interner (events noted upstream, same interner as the
-    publishing detector); [mark] as in {!Coop_core.Online.create}. *)
+(** The single-pass nested-transaction checker on the
+    {!Coop_core.Online} engine: [Enter]/[Atomic_begin] push an
+    activation, [Exit]/[Atomic_end] pop the innermost one (a no-op when
+    none is open), and the engine steps every open activation of the
+    event's thread. Knowledge streams in through [subscribe] while
+    events flow, and affected activations are repaired when a fact
+    arrives late. Finalizes to exactly what {!analysis} reports under
+    final knowledge. [interner] must be the chain's shared interner
+    (events noted upstream, same interner as the publishing detector);
+    [mark] as in {!Coop_core.Online.create}. [Coop_pipeline.run
+    ~atomize:true] runs it behind the race detector. *)
 
 val analysis :
   ?local_locks:(int -> bool) ->
   racy:Event.Var_set.t ->
   unit ->
   result Analysis.t
-(** The nested-transaction automaton as a single-pass online analysis
-    (O(threads·depth) state). Like [Automaton.analysis], the racy set and
-    [local_locks] must be final knowledge — the fused pipeline runs this
-    in its second streaming phase. *)
-
-val check_with_racy :
-  ?local_locks:(int -> bool) -> racy:Event.Var_set.t -> Trace.t -> result
-(** Same with a precomputed racy set and local-lock predicate. Offline
-    wrapper over {!analysis}. *)
+(** The reference nested-transaction checker: one
+    {!Coop_core.Automaton.machine} per activation, flagged on its first
+    violation (O(threads·depth) state). The racy set and [local_locks]
+    must be final knowledge — [Coop_pipeline.run ~atomize:true
+    ~two_pass:true] runs this in its second streaming phase.
+    Thread-local locks are both movers, as in the cooperability
+    checker, so the two analyses compare like for like. *)
 
 val pp_warning : Format.formatter -> warning -> unit
 (** Human-readable warning. *)

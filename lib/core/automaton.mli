@@ -34,8 +34,23 @@ type violation = Online.viol = {
           and online paths (the differential suite pins it). *)
 }
 
+type machine
+(** The phase machine of one transaction, with the commit point of its
+    current Post phase. *)
+
+val machine : unit -> machine
+(** A machine in [Pre]. *)
+
+val advance : machine -> seq:int -> Event.t -> Mover.t -> violation option
+(** One move on an event of the given mover class: the violation it
+    causes, if any. A right mover in Post resets the machine to [Pre];
+    a non mover leaves it in Post. [seq] is the event's global position,
+    recorded as the commit point's. This is the reference transition
+    table; the single-pass engine ({!Online}) implements it
+    independently, and the differential suite pins the two together. *)
+
 type t
-(** Mutable automaton state for all threads. *)
+(** Mutable automaton state for all threads: one {!machine} each. *)
 
 val create : unit -> t
 (** All threads start in [Pre]. *)
@@ -80,10 +95,12 @@ val online_analysis :
     knowledge, in trace order. [interner] must be the chain's shared
     interner — the same one the publishing race detector uses — and
     every event must be noted on it upstream ({!Interner.analysis}).
-    [mark] as in {!Online.create}. Snapshottable via
+    [mark] as in {!Online.create}. The driver is the boundary rule
+    alone: a yield closes the thread's open transaction, and any other
+    event opens one if none is open, then steps it. Snapshottable via
     {!Analysis.snapshot} / {!Analysis.resume}: the packet deep-copies
-    the engine, the open-transaction slots, the accumulator {e and} the
-    shared interner, so resuming restores the whole fused stack's id
+    the engine (open transactions and retired results included) {e and}
+    the shared interner, so resuming restores the whole fused stack's id
     space consistently. *)
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -132,7 +132,3 @@ let violation_locs vs =
     Loc.Set.empty vs
 
 let cooperable r = r.violations = []
-
-let online () =
-  let a = online_chain () in
-  (Analysis.sink a, fun () -> result_of (Analysis.finalize a))

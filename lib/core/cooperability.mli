@@ -83,17 +83,13 @@ val cooperable : result -> bool
 
 val online_analysis : ?witness:bool -> unit -> result Analysis.t
 (** The fused single-pass chain (interner, race detector, event counter,
-    fact-fed automaton) as one analysis finalizing to a {!result}.
-    Unlike {!online} it exposes the {!Analysis.t} itself, and every
-    component is snapshottable — {!Analysis.snapshot} on one instance
-    and {!Analysis.resume} on a fresh one restores the exact mid-stream
-    state (id space, clocks, open transactions, counters), which is what
-    lets inference analyze a shared schedule prefix once and fork the
-    checker per schedule. [witness] as in {!check_source}. *)
-
-val online : unit -> Trace.Sink.t * (unit -> result)
-(** A truly online variant of the single-pass engine: a sink to attach to
-    a single live run and a function to finish the analysis. Each event
-    is analyzed as it happens and then dropped — nothing is buffered, so
-    a run too long to record can still be checked. Memory is the
-    engine's: O(threads·vars) plus live/parked transaction digests. *)
+    fact-fed automaton) as one analysis finalizing to a {!result}. To
+    check a live run, attach {!Analysis.sink} of it and call
+    {!Analysis.finalize} at the end: each event is analyzed as it
+    happens and then dropped, so a run too long to record can still be
+    checked. Every component is snapshottable — {!Analysis.snapshot} on
+    one instance and {!Analysis.resume} on a fresh one restores the
+    exact mid-stream state (id space, clocks, open transactions,
+    counters), which is what lets inference analyze a shared schedule
+    prefix once and fork the checker per schedule. [witness] as in
+    {!check_source}. *)

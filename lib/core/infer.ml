@@ -148,20 +148,15 @@ let default_portfolio =
    testing, re-executes it for its automaton phase). The runs are
    independent (fresh VM + fresh scheduler each), so they fan out across
    the pool, each schedule as its own task (not a pre-sharded batch) so
-   a slow schedule re-balances across domains; awaiting in index order
-   keeps the merge deterministic, making the result bit-identical to the
+   a slow schedule re-balances across domains; [parallel_map] returns
+   them in index order, making the result bit-identical to the
    sequential pass. Returns the runs, the prefix events analyzed once,
    the re-analysis that spared the other schedules, and the number of
    schedules resumed from the prefix. *)
 let portfolio_pass ?two_pass ?cache ~pool ~portfolio ~max_steps ~yields prog =
   let factories = Array.of_list portfolio in
   let n = Array.length factories in
-  let fan_out one =
-    let promises =
-      List.init n (fun i -> Coop_util.Pool.spawn pool (fun () -> one i))
-    in
-    List.map (Coop_util.Pool.await pool) promises
-  in
+  let fan_out one = Coop_util.Pool.parallel_map pool one (List.init n Fun.id) in
   (* Stateless: every schedule executes and analyzes the whole run,
      including the shared prefix — the differential oracle. A span per
      schedule, recorded on whichever pool domain ran it, shows the

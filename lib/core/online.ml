@@ -27,7 +27,14 @@ type viol = {
   cause : cause option;
 }
 
+(* A transaction's violations, newest first; [seq] is the position of
+   the offending event. *)
 type viols = Nil | Viol of { seq : int; v : viol; older : viols }
+
+(* The transactions retired with violations, most recent first. *)
+type 'a retired =
+  | Done
+  | Retired of { uid : int; data : 'a; viols : viols; rest : 'a retired }
 
 (* A log entry's code is [operand id lsl 3 lor kind]. Accesses are kinds
    0-1 and lock ops 2-3, so [kind lsr 1] picks the fact an entry depends
@@ -107,7 +114,8 @@ type tlog = {
   mutable buf : Bytes.t;
   mutable len : int;  (* bytes *)
   mutable last : int;  (* position of the last entry logged *)
-  mutable open_n : int; mutable parked_n : int;
+  mutable top : int;  (* handle of the innermost open transaction, or -1 *)
+  mutable parked_n : int;
   mutable parked_hi : int;  (* no parked slice reaches past this byte *)
 }
 
@@ -116,14 +124,16 @@ let st_parked = 1
 let st_free = 2
 
 (* A transaction: its byte slice of the log and the position its first
-   delta counts from, the phase machine with its commit point (cm_seq = 0
-   = none) and the cause built for it, and the number of chain entries
-   naming it. Records are reused with their handles; a free record has
-   uid -1 and its [stop] links the free list. *)
+   delta counts from, the enclosing open transaction, the phase machine
+   with its commit point (cm_seq = 0 = none) and the cause built for it,
+   and the number of chain entries naming it. Records are reused with
+   their handles; a free record has uid -1 and its [stop] links the free
+   list. *)
 type rcd = {
   mutable uid : int;
   mutable tid : int;  (* original id, reported in violations *)
   mutable dtid : int;  (* dense id: whose log *)
+  mutable outer : int;  (* handle of the enclosing open transaction, or -1 *)
   mutable start : int; mutable stop : int; mutable base : int;
   mutable state : int;
   mutable post : bool;
@@ -140,7 +150,7 @@ type rcd = {
 }
 
 let new_rcd () =
-  { uid = -1; tid = 0; dtid = 0; start = 0; stop = -1; base = 0;
+  { uid = -1; tid = 0; dtid = 0; outer = -1; start = 0; stop = -1; base = 0;
     state = st_free; post = false; cm_seq = 0; cm_code = 0;
     cm_loc = Loc.none; cm_op = Event.Yield; cause_seq = 0; cause = None;
     shape = 0; pend = 0; rstamp = -1; viols = Nil }
@@ -162,6 +172,7 @@ type 'a state = {
   mutable datas : 'a array;  (* a free slot keeps its last payload *)
   mutable n_handles : int; mutable free_h : int;
   mutable logs : tlog array;  (* by dense tid *)
+  mutable retired : 'a retired;
   mutable next_uid : int;
   mutable walk : int;
   mutable rd : int;  (* replay's read cursor *)
@@ -180,28 +191,22 @@ let entry_next c e = Int32.to_int (get32 c ((16 * e) + 4))
 let set_next c e n = set32 c ((16 * e) + 4) (Int32.of_int n)
 let entry_uid c e = Int64.to_int (get64 c ((16 * e) + 8))
 
-type 'a txn = int
-
 type 'a t = {
   itn : Interner.t;
-  on_retire : uid:int -> 'a -> viols -> unit;
   mark : Analysis.mark option;
   timed : bool;
   mutable s : 'a state;
   mutable repair_s : float; mutable repair_words : float; mutable repairs : int;
 }
 
-let create ?mark ~interner ~on_retire () =
-  { itn = interner; on_retire; mark; timed = Coop_obs.enabled ();
+let create ?mark ~interner () =
+  { itn = interner; mark; timed = Coop_obs.enabled ();
     s =
       { vfacts = Array.make 64 (-1); lfacts = Array.make 16 (-1);
         chain = Bytes.empty; ch_hi = 0; ch_free = -1; stale = 0; rcds = [||];
-        datas = [||]; n_handles = 0; free_h = -1; logs = [||]; next_uid = 0;
-        walk = 0; rd = 0 };
+        datas = [||]; n_handles = 0; free_h = -1; logs = [||]; retired = Done;
+        next_uid = 0; walk = 0; rd = 0 };
     repair_s = 0.; repair_words = 0.; repairs = 0 }
-
-let none : 'a txn = -1
-let is_none (h : 'a txn) = h < 0
 
 (* The fact column of a variable ([bit] 0) or lock ([bit] 1), grown to
    cover [id]. *)
@@ -317,8 +322,8 @@ let apply t r seq code func pc line m (e : Event.t) =
     if m = m_right then (r.post <- false; r.cm_seq <- 0)
   end
 
-let open_txn t ~tid ~data =
-  let s = t.s in
+let push t data =
+  let s = t.s and d = Interner.cur_tid t.itn in
   let h =
     if s.free_h >= 0 then s.free_h
     else begin
@@ -334,23 +339,35 @@ let open_txn t ~tid ~data =
       h
     end
   in
-  let r = s.rcds.(h) and d = Interner.tid_id t.itn tid in
+  let r = s.rcds.(h) in
   s.free_h <- r.stop;
   s.datas.(h) <- data;
   if d >= Array.length s.logs then
     s.logs <-
       Array.init (max (d + 1) (2 * Array.length s.logs)) (fun i ->
           if i < Array.length s.logs then s.logs.(i)
-          else { buf = Bytes.empty; len = 0; last = 0; open_n = 0;
+          else { buf = Bytes.empty; len = 0; last = 0; top = -1;
                  parked_n = 0; parked_hi = 0 });
   let lg = s.logs.(d) in
-  lg.open_n <- lg.open_n + 1;
+  r.outer <- lg.top;
+  lg.top <- h;
   r.uid <- s.next_uid;
   s.next_uid <- s.next_uid + 1;
-  r.tid <- tid; r.dtid <- d; r.start <- lg.len; r.base <- lg.last;
+  r.tid <- Interner.tid_of_id t.itn d; r.dtid <- d;
+  r.start <- lg.len; r.base <- lg.last;
   r.state <- st_open; r.post <- false; r.cm_seq <- 0; r.cause_seq <- 0;
-  r.shape <- 0; r.pend <- 0;
-  h
+  r.shape <- 0; r.pend <- 0
+
+(* The current event's thread's log, or an empty one (never written)
+   when the thread has none yet. *)
+let no_log =
+  { buf = Bytes.empty; len = 0; last = 0; top = -1; parked_n = 0; parked_hi = 0 }
+
+let open_log t s =
+  let d = Interner.cur_tid t.itn in
+  if d < Array.length s.logs then s.logs.(d) else no_log
+
+let in_txn t = (open_log t t.s).top >= 0
 
 let log_entry lg seq code (l : Loc.t) =
   if lg.len + max_entry > Bytes.length lg.buf then
@@ -364,31 +381,31 @@ let log_entry lg seq code (l : Loc.t) =
      else put b (put b (put b (p + 8) (zz l.func)) (zz l.pc)) (zz l.line));
   lg.last <- seq
 
-let step t h ~seq (e : Event.t) =
-  let kind = kind_of_op e.op in
-  if kind >= 0 then begin
-    let s = t.s in
-    let r = s.rcds.(h) and id = Interner.cur_operand t.itn in
-    let code = (id lsl 3) lor kind and lg = s.logs.(r.dtid) in
-    (* An enclosing transaction of the thread may have logged it. *)
-    if lg.len = r.start || lg.last <> seq then log_entry lg seq code e.loc;
-    if r.shape < 2 then
-      if r.shape = 1 && (can_violate lsr kind) land 1 = 1 then r.shape <- 2
-      else if (can_commit lsr kind) land 1 = 1 then r.shape <- 1;
-    let m =
-      if kind > 3 then settled kind
-      else begin
-        let fa = if kind < 2 then s.vfacts else s.lfacts in
-        let fa = if (2 * id) + 1 < Array.length fa then fa else column s (kind lsr 1) id in
-        let stamp = fa.(2 * id) in
-        if stamp = known then settled kind
-        else begin
-          if stamp <> r.uid then register s r h fa id;
-          m_both
-        end
-      end
+let step t ~seq (e : Event.t) =
+  let kind = kind_of_op e.op and s = t.s in
+  let lg = open_log t s in
+  if kind >= 0 && lg.top >= 0 then begin
+    let id = Interner.cur_operand t.itn in
+    let code = (id lsl 3) lor kind in
+    (* One entry serves every open transaction of the thread. *)
+    log_entry lg seq code e.loc;
+    let fa = if kind < 2 then s.vfacts else s.lfacts in
+    let fa =
+      if kind > 3 || (2 * id) + 1 < Array.length fa then fa
+      else column s (kind lsr 1) id
     in
-    apply t r seq code e.loc.func e.loc.pc e.loc.line m e
+    let m = if kind > 3 || fa.(2 * id) = known then settled kind else m_both in
+    let h = ref lg.top in
+    while !h >= 0 do
+      let r = s.rcds.(!h) in
+      if r.shape < 2 then
+        if r.shape = 1 && (can_violate lsr kind) land 1 = 1 then r.shape <- 2
+        else if (can_commit lsr kind) land 1 = 1 then r.shape <- 1;
+      (* An optimistic classification registers under its fact. *)
+      if m = m_both && fa.(2 * id) <> r.uid then register s r !h fa id;
+      apply t r seq code e.loc.func e.loc.pc e.loc.line m e;
+      h := r.outer
+    done
   end
 
 let rec get s b shift acc =
@@ -423,34 +440,41 @@ let replay t s r =
     apply t r !seq code func pc line (mover s code) replaying
   done
 
-(* Deliver the results and free the handle (entries still naming the
+(* Record the results and free the handle (entries still naming the
    transaction turn stale). With no transaction of the thread open, its
    log is cut back to the end of the last parked slice. *)
-let retire t s h r =
+let retire s h r =
   let lg = s.logs.(r.dtid) in
   if r.state = st_parked then lg.parked_n <- lg.parked_n - 1;
-  let uid = r.uid and viols = r.viols in
+  (match r.viols with
+  | Nil -> ()
+  | viols ->
+      s.retired <- Retired { uid = r.uid; data = s.datas.(h); viols; rest = s.retired });
   s.stale <- s.stale + r.pend;
   r.uid <- -1; r.state <- st_free; r.viols <- Nil;
   r.stop <- s.free_h;
   s.free_h <- h;
-  if lg.open_n = 0 then begin
+  if lg.top < 0 then begin
     if lg.parked_n = 0 then lg.parked_hi <- 0;
     lg.len <- lg.parked_hi
-  end;
-  t.on_retire ~uid s.datas.(h) viols
+  end
 
-let close t h =
-  let s = t.s in
+(* Close the thread's innermost open transaction: it retires at once
+   when no pending assumption could change its results. *)
+let close s lg =
+  let h = lg.top in
   let r = s.rcds.(h) in
-  let lg = s.logs.(r.dtid) in
+  lg.top <- r.outer;
   r.stop <- lg.len;
-  lg.open_n <- lg.open_n - 1;
-  if r.pend = 0 || r.shape < 2 then retire t s h r
+  if r.pend = 0 || r.shape < 2 then retire s h r
   else begin
     r.state <- st_parked;
     lg.parked_n <- lg.parked_n + 1; lg.parked_hi <- r.stop
   end
+
+let pop t =
+  let lg = open_log t t.s in
+  if lg.top >= 0 then close t.s lg
 
 let on_fact t f =
   let t0 = if t.timed then Coop_obs.now_s () else 0. in
@@ -478,7 +502,7 @@ let on_fact t f =
       else begin
         r.pend <- r.pend - 1;
         if r.rstamp <> s.walk then (r.rstamp <- s.walk; replay t s r);
-        if r.pend = 0 && r.state = st_parked then retire t s h r
+        if r.pend = 0 && r.state = st_parked then retire s h r
       end
     done
   end;
@@ -494,14 +518,16 @@ let on_fact t f =
   end
 
 let finalize t =
-  (* Assumptions still unresolved at end of stream were all correct, so
-     parked results are final as they are. *)
+  (* Transactions still open end with the stream. Assumptions still
+     unresolved then were all correct, so parked results are final as
+     they are. *)
   let s = t.s in
+  Array.iter (fun lg -> while lg.top >= 0 do close s lg done) s.logs;
   let parked = ref 0 in
   for h = 0 to s.n_handles - 1 do
     if s.rcds.(h).state = st_parked then begin
       incr parked;
-      retire t s h s.rcds.(h)
+      retire s h s.rcds.(h)
     end
   done;
   if Coop_obs.enabled () then begin
@@ -513,9 +539,64 @@ let finalize t =
     Coop_obs.timer_add ~words:t.repair_words "checker/repair" t.repair_s
       t.repairs
 
-(* Handles are indices, so copying every column copies the engine and
-   saved handles stay valid. Loading copies again, so a snapshot can be
-   restored into any number of engines that then share nothing. *)
+(* Merge sort of the indices [a.(lo .. hi-1)] by [before], a strict
+   order: several times cheaper than a generic sort of the records. *)
+let rec sort_by before (a : int array) tmp lo hi =
+  if hi - lo > 1 then begin
+    let mid = (lo + hi) / 2 in
+    sort_by before a tmp lo mid;
+    sort_by before a tmp mid hi;
+    Array.blit a lo tmp lo (hi - lo);
+    let i = ref lo and j = ref mid in
+    for k = lo to hi - 1 do
+      let left = !j >= hi || (!i < mid && before tmp.(!i) tmp.(!j)) in
+      a.(k) <- tmp.(if left then !i else !j);
+      if left then incr i else incr j
+    done
+  end
+
+let seq_of = function Viol c -> c.seq | Nil -> 0
+let uid_of = function Retired r -> r.uid | Done -> 0
+
+(* The items are violation cells, each with the retired transaction it
+   belongs to, sorted by position. Violations of one event in nested
+   transactions share a position: the innermost (latest-opened) comes
+   first. *)
+let results t ~first_only f =
+  let rec len n = function Nil -> n | Viol c -> len (n + 1) c.older in
+  let rec count n = function
+    | Done -> n
+    | Retired r -> count (if first_only then n + 1 else len n r.viols) r.rest
+  in
+  let n = count 0 t.s.retired in
+  let cells = Array.make n Nil and txns = Array.make n Done and i = ref 0 in
+  let rec fill r = function
+    | Nil -> ()
+    | Viol c as cell ->
+        (match c.older with
+        | Viol _ when first_only -> ()
+        | _ -> cells.(!i) <- cell; txns.(!i) <- r; incr i);
+        fill r c.older
+  in
+  let rec each = function Done -> () | Retired c as r -> fill r c.viols; each c.rest in
+  each t.s.retired;
+  let before a b =
+    let sa = seq_of cells.(a) and sb = seq_of cells.(b) in
+    sa < sb || (sa = sb && uid_of txns.(a) > uid_of txns.(b))
+  in
+  let order = Array.init n Fun.id in
+  sort_by before order (Array.make n 0) 0 n;
+  Array.fold_right
+    (fun k l ->
+      match (cells.(k), txns.(k)) with
+      | Viol c, Retired r -> f r.data c.v :: l
+      | _ -> l)
+    order []
+
+(* Handles are indices, so copying every column copies the engine, its
+   stacks of open transactions included. Loading copies again, so a
+   snapshot can be restored into any number of engines that then share
+   nothing. *)
 type 'a snapshot = 'a state
 
 let copy s =

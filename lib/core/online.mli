@@ -23,7 +23,11 @@
     outside 20/21/21 bits of function/pc/line take an escape followed by
     three varints). An event is logged once however many of the thread's
     transactions are open, so a transaction is a slice of its thread's
-    log plus a small record (phase, commit point, pending count). Replay
+    log plus a small record (phase, commit point, pending count, the
+    handle of the transaction enclosing it). The thread's log names its
+    innermost open transaction, so a thread's open transactions form a
+    stack threaded through the records: a push or pop allocates
+    nothing. Replay
     re-derives each op's mover from its code and rebuilds the
     [Event.op] through the interner's reverse maps only for an op it
     reports; the forward pass uses the event in hand.
@@ -58,7 +62,7 @@
     run's shared {!Interner} — the engine, the publishing detector and
     the transaction driver must use the {e same} interner, and every
     event must be noted on it (via {!Interner.analysis} at the head of
-    the chain) before it reaches {!step}. *)
+    the chain) before it reaches the engine. *)
 
 open Coop_trace
 
@@ -89,8 +93,11 @@ val facts : publish -> Coop_race.Fasttrack.facts
 
     One engine instance serves any notion of "transaction" — the
     automaton's yield-to-yield segments, the atomizer's function
-    activations and atomic blocks — via the ['a] payload and the caller
-    driving {!open_txn}/{!step}/{!close}. *)
+    activations and atomic blocks. The engine owns each thread's stack
+    of open transactions; a driver only states where transactions begin
+    and end ({!push}/{!pop}) and hands over the events between
+    ({!step}). Every operation acts on the thread of the event last
+    noted on the engine's interner. *)
 
 type cause = {
   cseq : int;  (** Global position of the commit-point event. *)
@@ -120,94 +127,77 @@ type viol = {
     would have reported it under final knowledge. [Automaton.violation]
     is this type, so a violation is built once, by the engine. *)
 
-type viols =
-  | Nil
-  | Viol of { seq : int; v : viol; older : viols }
-      (** [seq] is the global position of the offending event. *)
-(** A transaction's violations, newest first. *)
-
-type 'a txn
-(** A handle on an open or parked transaction with caller payload ['a].
-    Handles are stable across {!snapshot}/{!restore}: a handle saved with
-    a snapshot names the same transaction in any engine the snapshot is
-    restored into. A handle may be reused once its transaction retires. *)
-
 type 'a t
 (** Engine state: current knowledge, the fact chains, the per-thread
-    logs and the transactions. *)
+    logs and stacks of open transactions, the parked transactions and
+    the results of retired ones. ['a] is the payload a driver attaches
+    to each transaction. *)
 
-val none : 'a txn
-(** Names no transaction; never returned by {!open_txn}. For drivers'
-    empty slots. *)
-
-val is_none : 'a txn -> bool
-(** [is_none h] holds exactly for {!none}. *)
-
-val create :
-  ?mark:Analysis.mark ->
-  interner:Interner.t ->
-  on_retire:(uid:int -> 'a -> viols -> unit) ->
-  unit ->
-  'a t
-(** [on_retire ~uid data viols] fires exactly once per transaction, when
-    its results are final — at {!close} if no optimistic assumption is
-    outstanding or none could change them, otherwise when the last one
-    resolves, at latest during {!finalize}. [uid] is the creation order
-    ([a] < [b] iff [a] was opened first), [data] the payload given to
-    {!open_txn} and [viols] the violations, newest first. [interner] is
-    the run's shared interner (see the module preamble). [mark] is the
-    shared mark of the enclosing instrumented chain; repair time and
-    allocation advance it so they are billed to [checker/repair] and not
-    to the checker whose step triggered the fact. *)
+val create : ?mark:Analysis.mark -> interner:Interner.t -> unit -> 'a t
+(** [interner] is the run's shared interner (see the module preamble).
+    [mark] is the shared mark of the enclosing instrumented chain;
+    repair time and allocation advance it so they are billed to
+    [checker/repair] and not to the checker whose step triggered the
+    fact. *)
 
 val on_fact : 'a t -> fact -> unit
 (** Learn a fact: replay exactly the transactions that assumed its
     negation, then free the fact's chain (facts are final). Meant to be
     passed to a [subscribe]. *)
 
-val open_txn : 'a t -> tid:int -> data:'a -> 'a txn
-(** Start a transaction in the pre-commit phase. [tid] is the original
-    (uninterned) thread id, reported back verbatim in violations. *)
+val push : 'a t -> 'a -> unit
+(** Open a transaction with the given payload in the pre-commit phase,
+    innermost on the current event's thread. Allocates nothing once the
+    engine has as many handles as transactions ever open at once. *)
 
-val step : 'a t -> 'a txn -> seq:int -> Event.t -> unit
-(** Classify the event under current knowledge and advance the
-    transaction's phase machine; phase-irrelevant events are ignored.
-    The event must be the latest one noted on the engine's interner, and
-    every transaction of its thread that is open must be stepped with it
-    (the thread's transactions share one log). [seq] is the event's
+val pop : 'a t -> unit
+(** Close the current event's thread's innermost open transaction; a
+    no-op when it has none (a trace may end an activation it never
+    began). A closed transaction retires at once when no pending
+    assumption could change its results, else it parks until its facts
+    arrive or the stream ends. *)
+
+val in_txn : 'a t -> bool
+(** The current event's thread has an open transaction. *)
+
+val step : 'a t -> seq:int -> Event.t -> unit
+(** Classify the event under current knowledge and advance every open
+    transaction of its thread, innermost first; phase-irrelevant events
+    and threads with no open transaction are ignored. The event must be
+    the latest one noted on the engine's interner. [seq] is the event's
     global position — violation order and repair both depend on it
     being strictly increasing along the trace. *)
 
-val close : 'a t -> 'a txn -> unit
-(** The transaction's events are over (its yield / function exit /
-    atomic end). Retires immediately when no pending assumption could
-    change its results. The handle must not be used afterwards. *)
-
 val finalize : 'a t -> unit
-(** End of stream: retire every parked transaction (their surviving
-    optimistic assumptions are now known correct) and flush the
-    [checker/repair] timer. With telemetry on, also counts the
-    transactions the stream opened ([online/txns]), those still parked
-    here ([online/parked_at_end]) and the most handles live at once
-    ([online/peak_handles]). Callers must {!close} still-open
-    transactions first. *)
+(** End of stream: close every transaction still open, retire every
+    parked one (their surviving optimistic assumptions are now known
+    correct) and flush the [checker/repair] timer. With telemetry on,
+    also counts the transactions the stream opened ([online/txns]),
+    those still parked here ([online/parked_at_end]) and the most
+    handles live at once ([online/peak_handles]). *)
+
+val results : 'a t -> first_only:bool -> ('a -> viol -> 'b) -> 'b list
+(** The violations of the retired transactions, each mapped with its
+    transaction's payload, in trace order: by the offending event's
+    position, and among the nested transactions one event flags, the
+    innermost first. With [first_only], only each transaction's first
+    violation. Results are final after {!finalize}. *)
 
 (** {1 Checkpointing} *)
 
 type 'a snapshot
 (** A copy of the engine's state: knowledge, the fact columns and
-    chains, every transaction record and the used prefix of every
-    thread's log. Payloads and violation records are immutable and
-    shared. *)
+    chains, every transaction record, the used prefix of every thread's
+    log with its stack of open transactions, and the retired results.
+    Payloads and violation records are immutable and shared. *)
 
 val snapshot : 'a t -> 'a snapshot
 (** Capture the engine between two events. Shares no mutable structure
-    with it; open transactions are included, so the caller's saved
-    handles stay valid. *)
+    with it; open and parked transactions are included. *)
 
 val restore : 'a t -> 'a snapshot -> unit
 (** Overwrite the engine's state with the snapshot (copying again, so
     the snapshot stays reusable and two engines restored from it never
-    share state). The engine keeps its own construction-time
-    [on_retire], interner and mark. Handles saved with the snapshot name
-    the restored transactions. *)
+    share state). The engine keeps its own construction-time interner
+    and mark. The restored engine goes on exactly as the captured one
+    would: the same open transactions step with the next events. *)

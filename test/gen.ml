@@ -1,4 +1,5 @@
-(* QCheck generators shared by the property-based suites. *)
+(* QCheck generators, and the Atomizer entry points, shared by the
+   property-based suites. *)
 
 open QCheck2
 open Coop_trace
@@ -656,3 +657,23 @@ let gen_call_program =
   let worker = { Ast.fname = "worker"; params = [ "id" ]; body; fline = 1 } in
   let main = { Ast.fname = "main"; params = []; body = spawn_join workers; fline = 1 } in
   return { Ast.decls = concurrent_decls; funcs = call_helpers @ [ worker; main ] }
+
+(* ------------------------------------------------------------------ *)
+(* The Atomizer over a recorded trace.                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Behind the race detector in the fused pipeline: single-pass, or the
+   pipeline's two-pass mode with [~two_pass:true]. *)
+let atomize ?two_pass trace =
+  Option.get
+    (Coop_pipeline.run ~atomize:true ?two_pass (Source.of_trace trace))
+      .Coop_pipeline.atomizer
+
+(* The three-stream reference: the final racy set, then the thread-local
+   locks, then the reference checker. *)
+let atomize_offline trace =
+  Analysis.run
+    (Coop_atomicity.Atomizer.analysis
+       ~local_locks:(Coop_core.Cooperability.local_locks_of trace)
+       ~racy:(Coop_race.Fasttrack.racy_vars_of_trace trace) ())
+    trace

@@ -10,11 +10,11 @@ let trace_of ?(seed = 7) src =
   trace
 
 let test_single_transaction_atomic () =
-  let r = Atomizer.check (trace_of (Micro.single_transaction ~threads:3)) in
+  let r = Gen.atomize (trace_of (Micro.single_transaction ~threads:3)) in
   Alcotest.(check int) "no warnings" 0 (List.length r.Atomizer.warnings)
 
 let test_check_then_act_not_atomic () =
-  let r = Atomizer.check (trace_of (Micro.check_then_act ~threads:2)) in
+  let r = Gen.atomize (trace_of (Micro.check_then_act ~threads:2)) in
   Alcotest.(check bool) "warned" true (r.Atomizer.warnings <> []);
   Alcotest.(check bool) "grab flagged" true (r.Atomizer.flagged_functions <> [])
 
@@ -23,25 +23,25 @@ let test_atomicity_stricter_than_cooperability () =
      atomic. This is the key asymmetry the paper measures. *)
   let trace = trace_of (Micro.locked_counter ~threads:2 ~incs:3 ~yield_at_loop:true) in
   let coop = Cooperability.check trace in
-  let atom = Atomizer.check trace in
+  let atom = Gen.atomize trace in
   Alcotest.(check bool) "cooperable" true (Cooperability.cooperable coop);
   Alcotest.(check bool) "not atomic" true (atom.Atomizer.warnings <> [])
 
 let test_yield_not_a_boundary_for_atomicity () =
   (* The same program with and without yields gets the same atomicity
      verdict. *)
-  let w1 = Atomizer.check (trace_of (Micro.locked_counter ~threads:2 ~incs:3 ~yield_at_loop:true)) in
-  let w2 = Atomizer.check (trace_of (Micro.locked_counter ~threads:2 ~incs:3 ~yield_at_loop:false)) in
+  let w1 = Gen.atomize (trace_of (Micro.locked_counter ~threads:2 ~incs:3 ~yield_at_loop:true)) in
+  let w2 = Gen.atomize (trace_of (Micro.locked_counter ~threads:2 ~incs:3 ~yield_at_loop:false)) in
   Alcotest.(check bool) "both flagged" true
     (w1.Atomizer.warnings <> [] && w2.Atomizer.warnings <> [])
 
 let test_activations_counted () =
-  let r = Atomizer.check (trace_of (Micro.single_transaction ~threads:2)) in
+  let r = Gen.atomize (trace_of (Micro.single_transaction ~threads:2)) in
   (* main + 2 workers = 3 function activations at least. *)
   Alcotest.(check bool) "at least three" true (r.Atomizer.activations >= 3)
 
 let test_one_warning_per_activation () =
-  let r = Atomizer.check (trace_of (Micro.locked_counter ~threads:2 ~incs:5 ~yield_at_loop:false)) in
+  let r = Gen.atomize (trace_of (Micro.locked_counter ~threads:2 ~incs:5 ~yield_at_loop:false)) in
   (* Each worker activation is flagged once, not once per iteration. *)
   Alcotest.(check bool) "warnings bounded by activations" true
     (List.length r.Atomizer.warnings <= r.Atomizer.activations)
@@ -52,7 +52,7 @@ let test_atomic_block_checked () =
      fn worker() { atomic { sync (m) { x = x + 1; } sync (k) { y = y + 1; } } }\n\
      fn main() { var t1 = spawn worker(); var t2 = spawn worker(); join t1; join t2; }"
   in
-  let r = Atomizer.check (trace_of src) in
+  let r = Gen.atomize (trace_of src) in
   let block_warnings =
     List.filter
       (fun w -> match w.Atomizer.txn with Atomizer.Block _ -> true | _ -> false)

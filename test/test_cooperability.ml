@@ -43,9 +43,12 @@ let test_racy_counter_races () =
 let test_online_matches_offline () =
   let src = Micro.locked_counter ~threads:2 ~incs:3 ~yield_at_loop:false in
   let prog = Compile.source src in
-  let sink, finish = Cooperability.online () in
-  let _ = Runner.run ~max_steps:500_000 ~sched:(Sched.random ~seed:7 ()) ~sink prog in
-  let online = finish () in
+  let a = Cooperability.online_analysis () in
+  let _ =
+    Runner.run ~max_steps:500_000 ~sched:(Sched.random ~seed:7 ())
+      ~sink:(Coop_trace.Analysis.sink a) prog
+  in
+  let online = Coop_trace.Analysis.finalize a in
   let offline = check_src ~seed:7 src in
   Alcotest.(check int) "same violation count"
     (List.length offline.Cooperability.violations)

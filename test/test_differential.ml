@@ -9,7 +9,8 @@
    suite pins that equivalence on random feasible traces, on traces built
    to deliver facts late (single-threaded prefix, racing epilogue), on
    lock-heavy traces where every lock is shared by every thread, on
-   fork/join-heavy generated programs re-executed as streams, and through
+   fork/join-heavy and call-heavy generated programs re-executed as
+   streams, on a recorded trace with unmatched boundaries, and through
    the inference fixpoint at pool sizes 1, 2 and 4. It also pins the
    operational payoffs: one VM execution per portfolio schedule (the
    two-pass oracle needs two), and the ability to consume a non-replayable
@@ -21,6 +22,9 @@ let gen_late_trace = Gen.gen_late_trace
 let print_trace = Gen.print_trace
 let gen_late_program = Gen.gen_late_program
 let gen_lock_heavy_trace = Gen.gen_lock_heavy_trace
+let gen_call_program = Gen.gen_call_program
+let atomize = Gen.atomize
+let atomize_offline = Gen.atomize_offline
 
 open QCheck2
 open Coop_util
@@ -53,9 +57,7 @@ let coop_agrees trace =
     (Cooperability.check_source (Source.of_trace trace))
     (Cooperability.check_source ~two_pass:true (Source.of_trace trace))
 
-let atomizer_agrees trace =
-  Coop_atomicity.Atomizer.check trace
-  = Coop_atomicity.Atomizer.check_two_pass trace
+let atomizer_agrees trace = atomize trace = atomize_offline trace
 
 let pipeline_agrees mk_source =
   pipeline_result_equal
@@ -112,27 +114,39 @@ let pipeline_on_lock_heavy_traces =
     "full pipeline: single-pass = two-pass on lock-heavy traces" 20
     (fun trace -> pipeline_agrees (fun () -> Source.of_trace trace))
 
-(* The online sink is the same engine again, attached to a live stream. *)
+(* The same chain as an analysis, attached to a live stream as a sink. *)
 let online_sink_agrees =
-  prop gen_late_trace "Cooperability.online sink = check" 50 (fun trace ->
-      let sink, finish = Cooperability.online () in
-      Trace.iter sink trace;
-      coop_result_equal (finish ()) (Cooperability.check trace))
+  prop gen_late_trace "Cooperability.online_analysis sink = check" 50
+    (fun trace ->
+      let a = Cooperability.online_analysis () in
+      Trace.iter (Analysis.sink a) trace;
+      coop_result_equal (Analysis.finalize a) (Cooperability.check trace))
 
 (* --- Program-level equivalence: re-executed streams ----------------- *)
 
-(* Fork/join-heavy programs with an unsynchronized main prelude: the
-   facts about the prelude's variables (and the atomic blocks' implicit
-   assumptions) only arrive once the workers run. Both modes re-execute
-   deterministically via the scheduler factory. *)
-let pipeline_on_late_programs =
+(* Generated programs, re-executed deterministically in both modes via
+   the scheduler factory. *)
+let pipeline_on_programs name gen =
   QCheck_alcotest.to_alcotest
-    (Test.make ~name:"full pipeline: single-pass = two-pass on late programs"
-       ~count:25 ~print:Coop_lang.Pretty.program gen_late_program (fun p ->
+    (Test.make ~name ~count:25 ~print:Coop_lang.Pretty.program gen (fun p ->
          let prog = Coop_lang.Compile.program p in
          let sched () = Sched.random ~seed:31 () in
          pipeline_agrees (fun () ->
              Runner.source ~max_steps:300_000 ~sched prog)))
+
+(* Fork/join-heavy programs with an unsynchronized main prelude: the
+   facts about the prelude's variables (and the atomic blocks' implicit
+   assumptions) only arrive once the workers run. *)
+let pipeline_on_late_programs =
+  pipeline_on_programs "full pipeline: single-pass = two-pass on late programs"
+    gen_late_program
+
+(* Workers that call helpers, recursive ones included. A yield inside a
+   callee closes the automaton's segment while the Atomizer's
+   activations of the same thread, the caller's among them, stay open. *)
+let pipeline_on_call_programs =
+  pipeline_on_programs "full pipeline: single-pass = two-pass on call programs"
+    gen_call_program
 
 (* --- Inference: identical fixpoints, half the executions ------------ *)
 
@@ -310,13 +324,51 @@ let test_nested_activation_late_fact () =
         (1, Event.Read y); (1, Event.Write x); (1, Event.Exit 1);
         (1, Event.Read x); (1, Event.Exit 0) ]
   in
-  let online = Coop_atomicity.Atomizer.check tr in
+  let online = atomize tr in
   Alcotest.(check bool) "single-pass = two-pass" true
-    (online = Coop_atomicity.Atomizer.check_two_pass tr);
+    (online = atomize_offline tr);
   Alcotest.(check bool) "the late fact flagged activations" true
     (online.Coop_atomicity.Atomizer.warnings <> []);
   Alcotest.(check bool) "full pipeline agrees" true
     (pipeline_agrees (fun () -> Source.of_trace tr))
+
+(* Trace files come from outside the program, so boundaries need not
+   match: an [Exit] and an [Atomic_end] with no opener, a [Yield] before
+   a thread's first op, an [Exit] naming another function than the open
+   [Enter] (it closes the innermost activation all the same). An
+   unmatched boundary must leave other threads' activations open. Both
+   modes must agree and raise nothing, from memory and from a saved
+   file. *)
+let test_unmatched_boundaries () =
+  let x = Event.Global 0 and y = Event.Global 1 in
+  let tr =
+    trace_of
+      [ (0, Event.Exit 3); (0, Event.Atomic_end); (0, Event.Fork 1);
+        (0, Event.Fork 2); (1, Event.Yield); (1, Event.Enter 0);
+        (1, Event.Write x); (1, Event.Atomic_begin); (1, Event.Acquire 0);
+        (2, Event.Yield); (2, Event.Atomic_end); (2, Event.Enter 1);
+        (2, Event.Write x);  (* races with t1: Racy(x) arrives here *)
+        (1, Event.Write x); (1, Event.Write x); (1, Event.Write y);
+        (1, Event.Release 0); (1, Event.Exit 5);
+        (1, Event.Acquire 0); (1, Event.Release 0); (1, Event.Exit 0);
+        (1, Event.Atomic_end); (2, Event.Exit 1); (2, Event.Exit 1);
+        (2, Event.Read x); (2, Event.Atomic_end) ]
+  in
+  let single = atomize tr in
+  Alcotest.(check bool) "single-pass = two-pass" true
+    (single = atomize ~two_pass:true tr);
+  Alcotest.(check bool) "single-pass = three-stream" true
+    (single = atomize_offline tr);
+  Alcotest.(check int) "activations" 3 single.Coop_atomicity.Atomizer.activations;
+  Alcotest.(check int) "the late fact flagged both of t1's activations" 2
+    (List.length single.Coop_atomicity.Atomizer.warnings);
+  let path = Filename.temp_file "coop_unmatched" ".tr" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Serialize.save path tr;
+      Alcotest.(check bool) "from a file: single-pass = two-pass" true
+        (pipeline_agrees (fun () -> Source.of_file path)))
 
 (* A long yield-disciplined, race-free stream — each transaction one
    critical section with one access, then a yield — must run in bounded
@@ -369,6 +421,7 @@ let suite =
     pipeline_on_lock_heavy_traces;
     online_sink_agrees;
     pipeline_on_late_programs;
+    pipeline_on_call_programs;
     Alcotest.test_case "infer: identical across jobs and modes" `Slow
       test_infer_modes_agree;
     Alcotest.test_case "infer single-pass: 1 execution per schedule" `Quick
@@ -381,6 +434,8 @@ let suite =
       test_stamp_defeating_duplicates;
     Alcotest.test_case "engine: late fact into nested open activations" `Quick
       test_nested_activation_late_fact;
+    Alcotest.test_case "engine: unmatched boundaries in a recorded trace"
+      `Quick test_unmatched_boundaries;
     Alcotest.test_case "engine: bounded memory on a long disciplined stream"
       `Quick test_engine_memory_bounded;
   ]

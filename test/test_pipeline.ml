@@ -11,6 +11,7 @@
 let gen_trace = Gen.gen_trace
 let print_trace = Gen.print_trace
 let gen_program = Gen.gen_concurrent_program
+let atomize_offline = Gen.atomize_offline
 
 open QCheck2
 open Coop_trace
@@ -27,7 +28,7 @@ let agrees_with_offline trace (p : Coop_pipeline.result) =
   && p.Coop_pipeline.lockset_races = Some (Coop_race.Lockset.run trace)
   && p.Coop_pipeline.violations = coop.Cooperability.violations
   && p.Coop_pipeline.deadlock = Deadlock.analyze trace
-  && p.Coop_pipeline.atomizer = Some (Coop_atomicity.Atomizer.check trace)
+  && p.Coop_pipeline.atomizer = Some (atomize_offline trace)
   && p.Coop_pipeline.conflict = Some (Coop_atomicity.Conflict.check trace)
   && p.Coop_pipeline.events = Trace.length trace
 

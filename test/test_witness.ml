@@ -17,6 +17,7 @@
 let gen_trace = Gen.gen_trace
 let gen_late_trace = Gen.gen_late_trace
 let print_trace = Gen.print_trace
+let atomize = Gen.atomize
 
 open QCheck2
 open Coop_trace
@@ -113,8 +114,8 @@ let causes_on_late_traces =
     violations_carry_causes
 
 let atomizer_causes_identical trace =
-  let reference = Coop_atomicity.Atomizer.check trace in
-  Coop_atomicity.Atomizer.check_two_pass trace = reference
+  let reference = atomize trace in
+  atomize ~two_pass:true trace = reference
   && List.for_all
        (fun (w : Coop_atomicity.Atomizer.warning) ->
          w.Coop_atomicity.Atomizer.cause <> None)
