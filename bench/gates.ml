@@ -46,7 +46,6 @@ let any_int = is "an int" (function Json.Int _ -> true | _ -> false)
 let str = is "a string" (function Json.String _ -> true | _ -> false)
 let obj = is "an object" (function Json.Obj _ -> true | _ -> false)
 let list = is "a list" (function Json.List _ -> true | _ -> false)
-let absent = each "nothing" Option.is_none
 
 let within lo hi =
   num (Printf.sprintf "a number in [%g, %g]" lo hi) (fun x ->
@@ -265,13 +264,10 @@ let violation =
         | None | Some Json.Null -> []
         | Some _ -> ("seq" --> int_ge 1) :: described) ]
 
-(* A race's witness is null, a race witness (two accesses and the clocks
-   that order them) or a locks witness (an access and the locksets). *)
+(* A race's witness is null or a race witness: two accesses and the
+   clocks that order them. *)
 let race_witness = function
   | None | Some Json.Null -> []
-  | Some w when Json.member "locks" w <> None ->
-      [ "race" --> absent; under "locks.access" access;
-        "locks.prior" --> list; "locks.held" --> list ]
   | Some _ ->
       [ under "race.first" access; under "race.second" access;
         "race.first_clock" --> any_int; "race.second_sees" --> any_int ]

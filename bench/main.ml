@@ -639,7 +639,7 @@ let ablation_substrate () =
       let ls = Coop_race.Lockset.racy_vars_of_trace trace in
       let local_locks = Cooperability.local_locks_of trace in
       let sites racy =
-        Cooperability.check_with_racy ~local_locks ~racy trace
+        Coop_trace.Analysis.run (Automaton.analysis ~local_locks ~racy ()) trace
         |> Cooperability.violation_locs |> Coop_trace.Loc.Set.cardinal
       in
       [ r.entry.Registry.name;
@@ -690,15 +690,13 @@ let ablation_local_locks () =
     (fun (name, prog) ->
       let _, trace = Runner.record ~sched:(Sched.random ~seed:5 ()) prog in
       let racy = Coop_race.Fasttrack.racy_vars_of_trace trace in
-      let with_ =
-        Cooperability.check_with_racy
-          ~local_locks:(Cooperability.local_locks_of trace) ~racy trace
+      let sites ?local_locks () =
+        Coop_trace.Analysis.run (Automaton.analysis ?local_locks ~racy ()) trace
         |> Cooperability.violation_locs |> Coop_trace.Loc.Set.cardinal
       in
-      let without =
-        Cooperability.check_with_racy ~racy trace
-        |> Cooperability.violation_locs |> Coop_trace.Loc.Set.cardinal
-      in
+      (* Without the refinement every lock is shared. *)
+      let with_ = sites ~local_locks:(Cooperability.local_locks_of trace) () in
+      let without = sites () in
       [ name; string_of_int with_; string_of_int without ])
     programs
   |> List.iter (Table.add_row t);
@@ -919,8 +917,9 @@ let micro () =
       (* Figure 2: the automaton pass alone (no race detection). *)
       Test.make ~name:"fig2/automaton-pass"
         (Staged.stage (fun () ->
-             Cooperability.check_with_racy
-               ~racy:Coop_trace.Event.Var_set.empty philo_trace));
+             Coop_trace.Analysis.run
+               (Automaton.analysis ~racy:Coop_trace.Event.Var_set.empty ())
+               philo_trace));
     ]
   in
   let benchmark test =
@@ -1448,7 +1447,7 @@ let pool_run_steal pool leaves =
   go 0 (Array.length arr)
 
 let pool_case shape impl domains =
-  let pool = Pool.create ~jobs:domains () in
+  let pool = Pool.create ~monitor:Coop_obs.pool_monitor ~jobs:domains () in
   let leaves = pool_weights shape in
   Coop_obs.reset ();
   Coop_obs.enable ();

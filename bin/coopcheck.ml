@@ -171,23 +171,29 @@ let validate_jobs =
   validate ~kind:"jobs" ~wants:positive Coop_util.Pool.parse_jobs
 
 (* Resolve --jobs (> COOP_JOBS > recommended_domain_count) into the shared
-   pool every parallel backend draws from. A count the runtime cannot
-   start (OCaml caps the number of live domains) is a bad jobs argument
-   too, reported against whichever setting asked for it. *)
+   pool every parallel backend draws from, monitored when telemetry is on
+   (so --profile carries the pool/* counters and lanes). A count the
+   runtime cannot start (OCaml caps the number of live domains) is a bad
+   jobs argument too, reported against whichever setting asked for it. *)
 let pool_of_jobs jobs =
   Option.iter
     (fun s -> Coop_util.Pool.set_default_jobs (validate_jobs "--jobs" s))
     jobs;
-  try Coop_util.Pool.shared ()
-  with Invalid_argument _ as e ->
-    let source, arg =
-      match (jobs, Sys.getenv_opt "COOP_JOBS") with
-      | Some s, _ -> ("--jobs", s)
-      | None, Some s -> ("COOP_JOBS", s)
-      | None, None -> raise e
-    in
-    invalid ~kind:"jobs" ~wants:"a domain count the runtime can start" source
-      arg
+  let pool =
+    try Coop_util.Pool.shared ()
+    with Invalid_argument _ as e ->
+      let source, arg =
+        match (jobs, Sys.getenv_opt "COOP_JOBS") with
+        | Some s, _ -> ("--jobs", s)
+        | None, Some s -> ("COOP_JOBS", s)
+        | None, None -> raise e
+      in
+      invalid ~kind:"jobs" ~wants:"a domain count the runtime can start"
+        source arg
+  in
+  if Coop_obs.enabled () then
+    Coop_util.Pool.set_monitor pool (Some Coop_obs.pool_monitor);
+  pool
 
 (* A malformed COOP_JOBS is rejected up front rather than silently falling
    back to the machine's domain count. *)
@@ -401,6 +407,33 @@ let print_cause wmode = function
   | Some c when wmode = Some Witness.Text ->
       Format.printf "    cause: %a@." pp_cause c
   | _ -> ()
+
+(* The events/races/violations block of [check] and [explain]: every race,
+   then the first violation at each location, each followed by the
+   evidence lines the caller prints under it. *)
+let print_verdicts (r : Coop_pipeline.result) ~race_evidence ~cause =
+  Format.printf "events: %d@." r.Coop_pipeline.events;
+  Format.printf "races: %d on %d variable(s)@."
+    (List.length r.Coop_pipeline.races)
+    (Coop_trace.Event.Var_set.cardinal r.Coop_pipeline.racy);
+  List.iter
+    (fun race ->
+      Format.printf "  %a@." Coop_race.Report.pp race;
+      race_evidence race)
+    r.Coop_pipeline.races;
+  let vs = r.Coop_pipeline.violations in
+  Format.printf "cooperability violations: %d at %d location(s)@."
+    (List.length vs)
+    (Coop_trace.Loc.Set.cardinal (Coop_core.Cooperability.violation_locs vs));
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (v : Coop_core.Automaton.violation) ->
+      if not (Hashtbl.mem seen v.Coop_core.Automaton.loc) then begin
+        Hashtbl.add seen v.Coop_core.Automaton.loc ();
+        Format.printf "  %a@." Coop_core.Automaton.pp_violation v;
+        cause v.Coop_core.Automaton.cause
+      end)
+    vs
 
 (* --- profiling (the Coop_obs surface) ----------------------------------- *)
 
@@ -679,28 +712,9 @@ let check_cmd =
     let r =
       Coop_pipeline.run ~two_pass ~witness:(wmode <> None) source
     in
-    Format.printf "events: %d@." r.Coop_pipeline.events;
-    Format.printf "races: %d on %d variable(s)@."
-      (List.length r.Coop_pipeline.races)
-      (Coop_trace.Event.Var_set.cardinal r.Coop_pipeline.racy);
-    List.iter
-      (fun race ->
-        Format.printf "  %a@." Coop_race.Report.pp race;
-        print_race_witness wmode race)
-      r.Coop_pipeline.races;
+    print_verdicts r ~race_evidence:(print_race_witness wmode)
+      ~cause:(print_cause wmode);
     let vs = r.Coop_pipeline.violations in
-    Format.printf "cooperability violations: %d at %d location(s)@."
-      (List.length vs)
-      (Coop_trace.Loc.Set.cardinal (Coop_core.Cooperability.violation_locs vs));
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun (v : Coop_core.Automaton.violation) ->
-        if not (Hashtbl.mem seen v.Coop_core.Automaton.loc) then begin
-          Hashtbl.add seen v.Coop_core.Automaton.loc ();
-          Format.printf "  %a@." Coop_core.Automaton.pp_violation v;
-          print_cause wmode v.Coop_core.Automaton.cause
-        end)
-      vs;
     let dl = r.Coop_pipeline.deadlock in
     if dl.Coop_core.Deadlock.cycles <> [] then begin
       Format.printf "potential deadlocks (lock-order cycles):@.";
@@ -742,7 +756,8 @@ let explain_cmd =
     profile_setup profile;
     let wmode = witness_mode_of witness in
     (* The oracle replays the trace, so explain always materializes it —
-       which is also what lets a piped trace through: one read suffices. *)
+       which is also what lets a piped trace through, --two-pass
+       included: one read suffices, and the recording replays. *)
     let trace =
       match from_trace with
       | Some "-" -> Source.record (stdin_source ())
@@ -757,44 +772,28 @@ let explain_cmd =
                 "coopcheck: explain wants a PROGRAM or --trace FILE\n";
               exit 2)
     in
-    let r = Coop_core.Cooperability.check ~two_pass ~witness:true trace in
-    (* One oracle replay serves every witness on this trace. *)
-    let clocks = Coop_race.Witness_check.oracle trace in
-    let verdicts =
-      List.map
-        (fun race ->
-          (race, Coop_race.Witness_check.check_report ~clocks trace race))
-        r.Coop_core.Cooperability.races
+    let r =
+      Coop_pipeline.run ~two_pass ~witness:true (Source.of_trace trace)
     in
-    Format.printf "events: %d@." r.Coop_core.Cooperability.events;
-    Format.printf "races: %d on %d variable(s)@."
-      (List.length r.Coop_core.Cooperability.races)
-      (Coop_trace.Event.Var_set.cardinal r.Coop_core.Cooperability.racy);
-    List.iter
-      (fun ((race : Coop_race.Report.t), verdict) ->
-        Format.printf "  %a@." Coop_race.Report.pp race;
+    (* One oracle replay serves every witness on this trace; each race
+       is checked as it is printed. *)
+    let clocks = Coop_race.Witness_check.oracle trace in
+    let verdicts = ref [] in
+    print_verdicts r
+      ~race_evidence:(fun race ->
         (match race.Coop_race.Report.witness with
         | Some w -> Format.printf "    witness: %a@." Witness.pp w
         | None -> ());
+        let verdict = Coop_race.Witness_check.check_report ~clocks trace race in
+        verdicts := (race, verdict) :: !verdicts;
         match verdict with
         | Ok () -> Format.printf "    hb-check: verified@."
         | Error e -> Format.printf "    hb-check: FAILED (%s)@." e)
-      verdicts;
-    let vs = r.Coop_core.Cooperability.violations in
-    Format.printf "cooperability violations: %d at %d location(s)@."
-      (List.length vs)
-      (Coop_trace.Loc.Set.cardinal (Coop_core.Cooperability.violation_locs vs));
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun (v : Coop_core.Automaton.violation) ->
-        if not (Hashtbl.mem seen v.Coop_core.Automaton.loc) then begin
-          Hashtbl.add seen v.Coop_core.Automaton.loc ();
-          Format.printf "  %a@." Coop_core.Automaton.pp_violation v;
-          match v.Coop_core.Automaton.cause with
-          | Some c -> Format.printf "    cause: %a@." pp_cause c
-          | None -> ()
-        end)
-      vs;
+      ~cause:(function
+        | Some c -> Format.printf "    cause: %a@." pp_cause c
+        | None -> ());
+    let verdicts = List.rev !verdicts in
+    let vs = r.Coop_pipeline.violations in
     let failed =
       List.filter (fun (_, verdict) -> Result.is_error verdict) verdicts
     in
@@ -812,7 +811,7 @@ let explain_cmd =
         in
         emit_witness_doc dest
           (witness_doc ~command:"explain"
-             [ ("events", Json.Int r.Coop_core.Cooperability.events);
+             [ ("events", Json.Int r.Coop_pipeline.events);
                ("races", Json.List (List.map race_entry verdicts));
                ("violations", Json.List (List.map violation_json vs)) ])
     | _ -> ());
@@ -951,8 +950,8 @@ let ckpt_rows = function
         ("peak checkpoint bytes", string_of_int s.peak_bytes) ]
 
 let infer_cmd =
-  let action spec threads size max_steps max_executions max_depth max_segment
-      no_cache stats jobs witness profile from_trace =
+  let action spec threads size max_steps max_executions max_depth no_cache
+      stats jobs witness profile from_trace =
     profile_setup profile;
     let wmode = witness_mode_of witness in
     match from_trace with
@@ -971,10 +970,7 @@ let infer_cmd =
     (* Budget mapping for the inference engine: --max-executions caps the
        total portfolio runs (rounded down to whole rounds, at least one);
        --max-depth bounds the transitions of any single run, tightening
-       --max-steps. --max-segment has nothing to bound here — inference
-       streams at instruction granularity, so there is no invisible
-       prefix — but it is validated uniformly with explore. *)
-    ignore (max_segment : int option);
+       --max-steps. *)
     let max_rounds =
       Option.map
         (fun n ->
@@ -1070,11 +1066,6 @@ let infer_cmd =
               ~doc:
                 "Transition budget for any single portfolio run (tightens \
                  --max-steps)."
-          $ budget_opt_term ~flag:"max-segment"
-              ~doc:
-                "Invisible-prefix fuel, validated uniformly with explore; \
-                 the inference engine streams at instruction granularity, \
-                 so the value is otherwise unused."
           $ no_cache_arg $ stats_arg $ jobs_arg $ witness_arg $ profile_term
           $ from_trace_arg)
 

@@ -77,6 +77,32 @@ dune exec bin/coopcheck.exe -- atomize --trace _build/ci-diff.ctr \
 cmp _build/ci-atom-text.out _build/ci-atom-bin.out
 cmp _build/ci-atom-text.json _build/ci-atom-bin.json
 
+echo "== explain differential (single-pass vs two-pass, text vs binary) =="
+# explain must print the same verdicts, HB self-checks and witness
+# documents from the single-pass engine and the two-pass reference, and
+# from the text and binary recordings of the codec stage — piped through
+# stdin under --two-pass too (explain records its input first). It exits
+# 1 on violations, identically in every run; cmp is the gate.
+dune exec bin/coopcheck.exe -- explain tsp \
+  --witness json:_build/ci-explain-single.json \
+  > _build/ci-explain-single.out || [ $? -eq 1 ]
+dune exec bin/coopcheck.exe -- explain tsp --two-pass \
+  --witness json:_build/ci-explain-two.json \
+  > _build/ci-explain-two.out || [ $? -eq 1 ]
+cmp _build/ci-explain-single.out _build/ci-explain-two.out
+cmp _build/ci-explain-single.json _build/ci-explain-two.json
+dune exec bin/coopcheck.exe -- explain --trace _build/ci-diff.tr \
+  --witness json:_build/ci-explain-text.json \
+  > _build/ci-explain-text.out || [ $? -eq 1 ]
+dune exec bin/coopcheck.exe -- explain --trace _build/ci-diff.ctr \
+  --witness json:_build/ci-explain-bin.json \
+  > _build/ci-explain-bin.out || [ $? -eq 1 ]
+cmp _build/ci-explain-text.out _build/ci-explain-bin.out
+cmp _build/ci-explain-text.json _build/ci-explain-bin.json
+dune exec bin/coopcheck.exe -- explain --trace - --two-pass \
+  < _build/ci-diff.ctr > _build/ci-explain-pipe.out || [ $? -eq 1 ]
+cmp _build/ci-explain-text.out _build/ci-explain-pipe.out
+
 echo "== replay differential (checkpointed vs stateless, identical output) =="
 # Replay elision must not change what is explored or inferred: cached and
 # stateless (--no-cache) runs must produce identical behaviour sets,

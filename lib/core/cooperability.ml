@@ -42,44 +42,6 @@ let local_locks_analysis ?interner () =
 
 let local_locks_of trace = Analysis.run (local_locks_analysis ()) trace
 
-let check_with_racy ?local_locks ~racy trace =
-  Analysis.run (Automaton.analysis ?local_locks ~racy ()) trace
-
-(* The two-pass reference oracle: phase 1 fuses the race detector with
-   the thread-local-lock scan (one dispatch per event); phase 2
-   re-streams the source through the transaction automaton with the
-   now-final racy set. Nothing is materialized, so memory stays
-   O(threads·vars) — but the source is executed twice, which doubles the
-   dynamic-analysis cost per inferred schedule and rules out
-   non-replayable sources (pipes). *)
-let check_two_pass ?(witness = false) source =
-  let mark = Analysis.mark () in
-  let instr name a =
-    Analysis.instrument ~mark ~name:("checker/" ^ name) a
-  in
-  (* One interner serves the fused phase-1 chain: the note stage interns
-     each event's operands once, and both checkers index by the ids. *)
-  let itn = Interner.create () in
-  let phase1 =
-    Analysis.instrument_phase ~name:"analysis/phase1" ~mark
-      (Analysis.chain
-         (instr "intern" (Interner.analysis itn))
-         (Analysis.chain
-            (instr "fasttrack"
-               (Coop_race.Fasttrack.analysis ~interner:itn ~witness ()))
-            (Analysis.chain
-               (instr "local_locks" (local_locks_analysis ~interner:itn ()))
-               (Analysis.count ()))))
-  in
-  let (), (races, (local_locks, events)) = Source.run source phase1 in
-  let racy = Coop_race.Report.racy_vars races in
-  let violations =
-    Source.run source
-      (Analysis.instrument_phase ~name:"analysis/phase2" ~mark
-         (instr "automaton" (Automaton.analysis ~local_locks ~racy ())))
-  in
-  { violations; races; racy; events }
-
 (* The single-pass engine: the race detector publishes racy-variable and
    shared-lock facts into the automaton as they are discovered, and the
    automaton classifies optimistically, repairing the affected
@@ -119,12 +81,7 @@ let result_of ((), ((races, events), violations)) =
 let online_analysis ?witness () =
   Analysis.map result_of (online_chain ?witness ())
 
-let check_source ?(two_pass = false) ?witness source =
-  if two_pass then check_two_pass ?witness source
-  else result_of (Source.run source (online_chain ?witness ()))
-
-let check ?two_pass ?witness trace =
-  check_source ?two_pass ?witness (Source.of_trace trace)
+let check ?witness trace = Analysis.run (online_analysis ?witness ()) trace
 
 let violation_locs vs =
   List.fold_left

@@ -5,14 +5,14 @@
     per-thread transaction automaton, which checks that every inter-yield
     segment matches the reducible pattern [(R|B)* (N|L) (L|B)*].
 
-    By default the two are fused into a {b single streaming pass}: the
-    race detector publishes racy-variable and shared-lock facts the
-    moment they are discovered, and the automaton classifies movers
+    The two are fused into a {b single streaming pass}: the race
+    detector publishes racy-variable and shared-lock facts the moment
+    they are discovered, and the automaton classifies movers
     optimistically, repairing the affected transactions when a fact
-    arrives late (see {!Online}). The historical {b two-pass} mode —
-    learn the final racy set first, re-stream through the automaton
-    second — is kept behind a flag as the reference oracle; the
-    differential test suite pins the two modes to identical results.
+    arrives late (see {!Online}). The two-pass reference oracle — learn
+    the final racy set first, re-stream through the automaton second —
+    lives in [Coop_pipeline.run ~two_pass:true]; the differential test
+    suite pins the two to identical results.
 
     A trace with no violations witnesses that this execution is reducible:
     it is behaviourally equivalent to a cooperative execution of the same
@@ -28,32 +28,16 @@ type result = {
   events : int;  (** Trace length. *)
 }
 
-val check : ?two_pass:bool -> ?witness:bool -> Trace.t -> result
-(** Full check of a recorded trace. Locks only ever touched by a single
-    thread in the trace are classified as both-movers (the
-    thread-local-lock refinement). Thin wrapper over {!check_source}. *)
-
-val check_source : ?two_pass:bool -> ?witness:bool -> Source.t -> result
-(** The streaming core. By default ([two_pass = false]) one fused pass:
-    race detector, event counter and fact-fed transaction automaton
-    chained over a single replay, so the source is consumed exactly once
-    — it may be a serialized trace on disk, a deterministic re-execution
-    of the program ([Runner.source]), or a {e non-replayable} pipe
-    ([Source.of_channel]). With [~two_pass:true], the reference oracle:
-    phase 1 streams the fused race detector + thread-local-lock scan,
-    phase 2 re-streams the source through the automaton with the final
-    racy set (requires a replayable source). Both modes avoid
-    materializing the trace and produce identical results
-    (property-tested); single-pass memory additionally holds the digests
-    of transactions with unresolved optimistic assumptions.
+val check : ?witness:bool -> Trace.t -> result
+(** Full single-pass check of a recorded trace: {!online_analysis} run
+    over it. Locks only ever touched by a single thread in the trace are
+    classified as both-movers (the thread-local-lock refinement).
 
     [witness] (default [false]) makes every race report carry a
     {!Coop_race.Report.witness} — the two conflicting accesses and the
-    clock evidence proving them unordered (see {!Coop_provenance}) —
-    in both modes, with identical witnesses across them (the
-    differential suite pins it). Violations always carry their commit
-    {!Online.cause}; the flag only gates the race detector's per-access
-    side tables. *)
+    clock evidence proving them unordered (see {!Coop_provenance}).
+    Violations always carry their commit {!Online.cause}; the flag only
+    gates the race detector's per-access side tables. *)
 
 val local_locks_of : Trace.t -> int -> bool
 (** [local_locks_of tr] is the predicate of locks acquired by at most one
@@ -65,15 +49,6 @@ val local_locks_analysis : ?interner:Interner.t -> unit -> (int -> bool) Analysi
     array over dense lock ids; with [~interner] the scan shares a fused
     chain's interner (events must be noted upstream), without it it
     notes events itself. *)
-
-val check_with_racy :
-  ?local_locks:(int -> bool) ->
-  racy:Event.Var_set.t ->
-  Trace.t ->
-  Automaton.violation list
-(** Automaton pass only, with a given racy set (used when the racy set is
-    already known, e.g. across inference rounds). [local_locks] defaults to
-    treating every lock as shared. *)
 
 val violation_locs : Automaton.violation list -> Loc.Set.t
 (** Distinct locations named by violations — the candidate yield points. *)
@@ -92,4 +67,4 @@ val online_analysis : ?witness:bool -> unit -> result Analysis.t
     exact mid-stream state (id space, clocks, open transactions,
     counters), which is what lets inference analyze a shared schedule
     prefix once and fork the checker per schedule. [witness] as in
-    {!check_source}. *)
+    {!check}. *)

@@ -125,8 +125,10 @@ let run_tail ~yields ~max_steps ~sched ~sink pre =
 
 (* Each entry is a factory minting a fresh, identically seeded scheduler
    instance per call. The single-pass checker consumes one execution, but
-   the two-pass oracle replays the program once per phase — factories
-   keep both modes (and the span-name peek below) deterministic. *)
+   the two-pass oracle ([Coop_pipeline.run ~two_pass:true], which the
+   differential suite runs over this portfolio) replays the program once
+   per phase — factories keep both (and the span-name peek below)
+   deterministic. *)
 let default_portfolio =
   [
     (fun () -> Sched.random ~seed:11 ());
@@ -144,8 +146,7 @@ let default_portfolio =
 (* One portfolio pass: run every scheduler with the current yields and
    collect all violations. Each run is streamed straight into the fused
    single-pass checker — no trace is recorded and the program executes
-   exactly once per schedule (the two-pass oracle, kept for differential
-   testing, re-executes it for its automaton phase). The runs are
+   exactly once per schedule. The runs are
    independent (fresh VM + fresh scheduler each), so they fan out across
    the pool, each schedule as its own task (not a pre-sharded batch) so
    a slow schedule re-balances across domains; [parallel_map] returns
@@ -153,12 +154,12 @@ let default_portfolio =
    sequential pass. Returns the runs, the prefix events analyzed once,
    the re-analysis that spared the other schedules, and the number of
    schedules resumed from the prefix. *)
-let portfolio_pass ?two_pass ?cache ~pool ~portfolio ~max_steps ~yields prog =
+let portfolio_pass ?cache ~pool ~portfolio ~max_steps ~yields prog =
   let factories = Array.of_list portfolio in
   let n = Array.length factories in
   let fan_out one = Coop_util.Pool.parallel_map pool one (List.init n Fun.id) in
   (* Stateless: every schedule executes and analyzes the whole run,
-     including the shared prefix — the differential oracle. A span per
+     including the shared prefix — the replay-elision oracle. A span per
      schedule, recorded on whichever pool domain ran it, shows the
      portfolio's actual parallel shape; the schedule name also labels
      the run's violations, so an inferred yield's witness names the
@@ -170,7 +171,7 @@ let portfolio_pass ?two_pass ?cache ~pool ~portfolio ~max_steps ~yields prog =
         let source =
           Runner.source ~yields ?max_steps ~sched:factories.(i) prog
         in
-        let r = Cooperability.check_source ?two_pass source in
+        let r = Source.run source (Cooperability.online_analysis ()) in
         (name, r.Cooperability.violations, r.Cooperability.events))
   in
   let stateless () = (fan_out one, 0, 0, 0) in
@@ -212,14 +213,12 @@ let portfolio_pass ?two_pass ?cache ~pool ~portfolio ~max_steps ~yields prog =
       end
 
 let infer ?pool ?(max_rounds = 20) ?(portfolio = default_portfolio) ?max_steps
-    ?(base_yields = Loc.Set.empty) ?two_pass ?(no_cache = false) ?ckpt prog =
+    ?(base_yields = Loc.Set.empty) ?(no_cache = false) ?ckpt prog =
   let pool =
     match pool with Some p -> p | None -> Coop_util.Pool.shared ()
   in
-  (* Replay elision needs the single-pass checker (the two-pass oracle
-     re-streams its source, which a resumed prefix cannot provide). *)
   let cache =
-    if no_cache || two_pass = Some true then None
+    if no_cache then None
     else Some (match ckpt with Some c -> c | None -> prefix_cache ())
   in
   let before = Option.map Coop_util.Ckpt_cache.stats cache in
@@ -232,7 +231,7 @@ let infer ?pool ?(max_rounds = 20) ?(portfolio = default_portfolio) ?max_steps
       Coop_obs.span
         (Printf.sprintf "infer/round%d" round)
         (fun () ->
-          portfolio_pass ?two_pass ?cache ~pool ~portfolio ~max_steps
+          portfolio_pass ?cache ~pool ~portfolio ~max_steps
             ~yields prog)
     in
     prefix_total := !prefix_total + prefix_events;

@@ -12,13 +12,13 @@
     schedules, which is why the portfolio mixes random seeds with extreme
     round-robin quanta.
 
-    Every run is analysed online through [Cooperability.check_source] — the
-    fixpoint loop never materializes a trace, so memory stays flat however
-    many rounds and schedulers it takes. With the single-pass engine each
-    schedule is {e executed exactly once} per round; the two-pass oracle
-    (available via [?two_pass] for differential testing) re-executes every
-    schedule for its automaton phase, doubling the dynamic cost — the
-    paper's "slowdown dominated by the race detector" regime. *)
+    Every run is analysed online through
+    [Cooperability.online_analysis] — the fixpoint loop never
+    materializes a trace, so memory stays flat however many rounds and
+    schedulers it takes, and each schedule is {e executed exactly once}
+    per round. The differential suite checks the first round's violation
+    count against the two-pass oracle ([Coop_pipeline.run
+    ~two_pass:true]) run over the same portfolio. *)
 
 open Coop_trace
 open Coop_runtime
@@ -92,7 +92,6 @@ val infer :
   ?portfolio:(unit -> Sched.t) list ->
   ?max_steps:int ->
   ?base_yields:Loc.Set.t ->
-  ?two_pass:bool ->
   ?no_cache:bool ->
   ?ckpt:prefix Coop_util.Ckpt_cache.t ->
   Coop_lang.Bytecode.program ->
@@ -119,7 +118,5 @@ val infer :
     stateless pass (property-tested, with a roomy and with a full
     budget); only [prefix_events]/[elided_events]/[cache_hits] differ
     from zero. [~no_cache:true] forces the stateless pass — the
-    differential oracle. The cached path always analyzes through the
-    single-pass engine: [two_pass] forces it off (the oracle re-streams
-    its source, which a resumed prefix cannot provide). Budget counter
+    differential oracle. Budget counter
     deltas flush to [Coop_obs] ([ckpt/*]) when telemetry is on. *)

@@ -57,22 +57,15 @@ let of_counts prog ~inferred ~events ~yield_events =
        else 1000. *. float_of_int yield_events /. float_of_int events);
   }
 
-let snap_key : (int * int) Analysis.Key.t = Analysis.Key.create "metrics"
-
 let analysis prog ~inferred () =
   let events = ref 0 in
   let yield_events = ref 0 in
-  Analysis.snapshottable ~key:snap_key
-    ~save:(fun () -> (!events, !yield_events))
-    ~load:(fun (e, y) ->
-      events := e;
-      yield_events := y)
-    (Analysis.make
-       ~step:(fun (e : Event.t) ->
-         incr events;
-         if e.op = Event.Yield then incr yield_events)
-       ~finalize:(fun () ->
-         of_counts prog ~inferred ~events:!events ~yield_events:!yield_events))
+  Analysis.make
+    ~step:(fun (e : Event.t) ->
+      incr events;
+      if e.op = Event.Yield then incr yield_events)
+    ~finalize:(fun () ->
+      of_counts prog ~inferred ~events:!events ~yield_events:!yield_events)
 
 let compute prog ~inferred ~trace = Analysis.run (analysis prog ~inferred ()) trace
 

@@ -25,8 +25,7 @@ val analysis :
 (** Single-pass online variant: the dynamic event/yield densities are
     counted as the stream flows by (O(1) state); the static counts are
     folded in at finalize. Feed it straight from the VM sink to measure a
-    run without recording it. Snapshottable via {!Analysis.snapshot} /
-    {!Analysis.resume} (the two counters are the whole state). *)
+    run without recording it. *)
 
 val compute :
   Coop_lang.Bytecode.program -> inferred:Loc.Set.t -> trace:Trace.t -> t

@@ -314,23 +314,13 @@ let pool_monitor =
         sample name v);
   }
 
-[@@@warning "-3"]  (* Pool.set_global_monitor: the documented shim for
-                      process-wide enable/disable. *)
-
 let enable () =
   if not !on then begin
     if !epoch_us = 0. then epoch_us := 1e6 *. now_s ();
-    on := true;
-    Coop_util.Pool.set_global_monitor (Some pool_monitor)
+    on := true
   end
 
-let disable () =
-  if !on then begin
-    on := false;
-    Coop_util.Pool.set_global_monitor None
-  end
-
-[@@@warning "+3"]
+let disable () = on := false
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot (merge)                                                    *)

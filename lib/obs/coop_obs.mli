@@ -14,14 +14,14 @@
       one {!snapshot} on demand — so [Coop_util.Pool] workers record
       without taking any shared lock on the hot path.
 
-    Enabling also installs a process-wide {!Coop_util.Pool} monitor (via
-    the deprecated global shim — pools with a per-pool monitor keep
-    their own) so every pool exports queue depth, per-task latency,
+    A {!Coop_util.Pool} given {!pool_monitor} ([Pool.create ~monitor] or
+    [Pool.set_monitor]) exports queue depth, per-task latency,
     per-worker busy time, and the work-stealing seam: a [pool/steals]
     counter, a [pool/steal_latency_us] histogram, per-deque depth gauges
     ([pool/deque_depth/d<slot>]) with timestamped {!sample} series
     behind them, and a derived [pool/steals_per_task] gauge in the
-    snapshot. Disabling removes the monitor.
+    snapshot. Like every other entry point it records only while
+    telemetry is enabled.
 
     {!snapshot} is a best-effort merge: call it at quiescence (after the
     runs being profiled have completed) for exact totals. *)
@@ -33,11 +33,14 @@ val enabled : unit -> bool
 
 val enable : unit -> unit
 (** Turn recording on (idempotent; the span epoch is set on the first
-    call after a {!reset}). Installs the pool monitor. *)
+    call after a {!reset}). *)
 
 val disable : unit -> unit
-(** Turn recording off and uninstall the pool monitor. Recorded data
-    survives until {!reset}. *)
+(** Turn recording off. Recorded data survives until {!reset}. *)
+
+val pool_monitor : Coop_util.Pool.monitor
+(** The pool monitor behind the [pool/*] counters, timers, histograms
+    and lanes; install it on each pool to be profiled. *)
 
 val reset : unit -> unit
 (** Drop all recorded data and every per-domain buffer. *)

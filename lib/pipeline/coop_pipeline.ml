@@ -3,7 +3,6 @@ open Coop_trace
 type result = {
   races : Coop_race.Report.t list;
   racy : Event.Var_set.t;
-  lockset_races : Coop_race.Report.t list option;
   violations : Coop_core.Automaton.violation list;
   deadlock : Coop_core.Deadlock.result;
   atomizer : Coop_atomicity.Atomizer.result option;
@@ -24,14 +23,15 @@ let opt = function
 let instr mark name a =
   Analysis.instrument ~mark ~name:("checker/" ^ name) a
 
-(* Two-pass reference: phase 1 gathers final knowledge, phase 2
-   re-streams the source through the mover/transaction checkers. *)
-let run_two_pass ?(lockset = false) ?(atomize = false) ?(conflict = false)
-    ?(witness = false) source =
+(* The two-pass reference oracle, the only one in the tree: phase 1
+   gathers final knowledge, phase 2 re-streams the source through the
+   mover/transaction checkers. Nothing is materialized, but the source
+   is consumed twice, so it must be replayable. *)
+let run_two_pass ?(atomize = false) ?(conflict = false) ?(witness = false)
+    source =
   (* Phase 1: everything that needs no prior knowledge, fused behind one
-     event dispatch — happens-before race detection, the optional Eraser
-     baseline, the thread-local-lock scan, lock-order deadlock edges, and
-     the event counter. *)
+     event dispatch — happens-before race detection, the thread-local-lock
+     scan, lock-order deadlock edges, and the event counter. *)
   let mark = Analysis.mark () in
   let instr name a = instr mark name a in
   (* Both phases share one interner (and so one dense-id space): each
@@ -46,21 +46,14 @@ let run_two_pass ?(lockset = false) ?(atomize = false) ?(conflict = false)
             (instr "fasttrack"
                (Coop_race.Fasttrack.analysis ~interner:itn ~witness ()))
             (Analysis.chain
-               (opt
-                  (if lockset then
-                     Some
-                       (instr "lockset"
-                          (Coop_race.Lockset.analysis ~interner:itn ~witness ()))
-                   else None))
+               (instr "local_locks"
+                  (Coop_core.Cooperability.local_locks_analysis ~interner:itn
+                     ()))
                (Analysis.chain
-                  (instr "local_locks"
-                     (Coop_core.Cooperability.local_locks_analysis
-                        ~interner:itn ()))
-                  (Analysis.chain
-                     (instr "deadlock" (Coop_core.Deadlock.analysis ()))
-                     (Analysis.count ()))))))
+                  (instr "deadlock" (Coop_core.Deadlock.analysis ()))
+                  (Analysis.count ())))))
   in
-  let (), (races, (lockset_races, (local_locks, (deadlock, events)))) =
+  let (), (races, (local_locks, (deadlock, events))) =
     Coop_obs.span "pipeline/phase1" (fun () -> Source.run source phase1)
   in
   let racy = Coop_race.Report.racy_vars races in
@@ -91,14 +84,13 @@ let run_two_pass ?(lockset = false) ?(atomize = false) ?(conflict = false)
   let (), (violations, (atomizer, conflict)) =
     Coop_obs.span "pipeline/phase2" (fun () -> Source.run source phase2)
   in
-  { races; racy; lockset_races; violations; deadlock; atomizer; conflict;
-    events }
+  { races; racy; violations; deadlock; atomizer; conflict; events }
 
 (* Single-pass: the race detector publishes facts into the engine-backed
    mover checkers as they stream, so every checker — knowledge producers
    and consumers alike — rides one replay behind one event dispatch. *)
-let run_online ?(lockset = false) ?(atomize = false) ?(conflict = false)
-    ?(witness = false) source =
+let run_online ?(atomize = false) ?(conflict = false) ?(witness = false)
+    source =
   let mark = Analysis.mark () in
   let instr name a = instr mark name a in
   (* One interner for the whole fused chain: the head note stage interns
@@ -116,16 +108,8 @@ let run_online ?(lockset = false) ?(atomize = false) ?(conflict = false)
                    (Coop_race.Fasttrack.analysis ~interner:itn ~witness
                       ~facts:(Coop_core.Online.facts publish) ()))
                 (Analysis.chain
-                   (opt
-                      (if lockset then
-                         Some
-                           (instr "lockset"
-                              (Coop_race.Lockset.analysis ~interner:itn
-                                 ~witness ()))
-                       else None))
-                   (Analysis.chain
-                      (instr "deadlock" (Coop_core.Deadlock.analysis ()))
-                      (Analysis.count ()))))
+                   (instr "deadlock" (Coop_core.Deadlock.analysis ()))
+                   (Analysis.count ())))
             (fun ~subscribe ->
               Analysis.chain
                 (instr "automaton"
@@ -148,15 +132,15 @@ let run_online ?(lockset = false) ?(atomize = false) ?(conflict = false)
                        else None))))))
   in
   let ( (),
-        ( (races, (lockset_races, (deadlock, events))),
+        ( (races, (deadlock, events)),
           (violations, (atomizer, conflict)) ) ) =
     Coop_obs.span "pipeline/online" (fun () -> Source.run source fused)
   in
-  { races; racy = Coop_race.Report.racy_vars races; lockset_races; violations;
-    deadlock; atomizer; conflict; events }
+  { races; racy = Coop_race.Report.racy_vars races; violations; deadlock;
+    atomizer; conflict; events }
 
-let run ?lockset ?atomize ?conflict ?(two_pass = false) ?witness source =
-  if two_pass then run_two_pass ?lockset ?atomize ?conflict ?witness source
-  else run_online ?lockset ?atomize ?conflict ?witness source
+let run ?atomize ?conflict ?(two_pass = false) ?witness source =
+  if two_pass then run_two_pass ?atomize ?conflict ?witness source
+  else run_online ?atomize ?conflict ?witness source
 
 let cooperable r = r.violations = []

@@ -4,15 +4,19 @@
     feeds an event stream ({!Coop_trace.Source.t}) through every dynamic
     analysis, and never materializes a trace. By default everything runs
     in a {b single streaming pass}: the knowledge-free analyses —
-    FastTrack happens-before race detection, the optional Eraser-lockset
-    baseline, lock-order deadlock prediction, the event counter — are
-    fused via [Analysis.chain], and the race detector publishes its
-    discoveries through [Analysis.feedback] into the engine-backed
-    mover/transaction checkers (the cooperability automaton and the
-    optional Atomizer baseline) riding the same replay. The historical
-    {b two-pass} mode, where phase 2 re-streams the source with the
-    final racy set, is kept behind [~two_pass:true] as the reference
-    oracle (and requires a replayable source).
+    FastTrack happens-before race detection, lock-order deadlock
+    prediction, the event counter — are fused via [Analysis.chain], and
+    the race detector publishes its discoveries through
+    [Analysis.feedback] into the engine-backed mover/transaction checkers
+    (the cooperability automaton and the optional Atomizer baseline)
+    riding the same replay.
+
+    With [~two_pass:true] it is the tree's one {b two-pass reference
+    oracle}: phase 1 learns the final racy set and thread-local locks,
+    phase 2 re-streams the source through the checkers with full
+    knowledge (so the source must be replayable). [coopcheck
+    --two-pass], the differential suites and the perfbench oracle all
+    run it.
 
     Memory is O(threads·vars) plus, in single-pass mode, the digests of
     transactions with unresolved optimistic assumptions; the source may
@@ -28,8 +32,6 @@ open Coop_trace
 type result = {
   races : Coop_race.Report.t list;  (** FastTrack races, detection order. *)
   racy : Event.Var_set.t;  (** Racy variables (non-mover accesses). *)
-  lockset_races : Coop_race.Report.t list option;
-      (** Eraser-lockset warnings, when requested. *)
   violations : Coop_core.Automaton.violation list;
       (** Cooperability violations, program order. *)
   deadlock : Coop_core.Deadlock.result;  (** Lock-order graph and cycles. *)
@@ -41,7 +43,6 @@ type result = {
 }
 
 val run :
-  ?lockset:bool ->
   ?atomize:bool ->
   ?conflict:bool ->
   ?two_pass:bool ->
@@ -50,13 +51,13 @@ val run :
   result
 (** [run source] drives the fused chain over [source] — one replay by
     default, exactly two with [~two_pass:true] (default [false]). The
-    optional flags (all default [false]) enable the Eraser-lockset,
-    Atomizer and conflict-graph baselines.
+    optional flags (both default [false]) enable the Atomizer and
+    conflict-graph baselines.
 
-    [witness] (default [false]) makes every FastTrack race and Eraser
-    warning carry a {!Coop_race.Report.witness} (see
-    {!Coop_provenance}), identical in both modes; violations and
-    Atomizer warnings always carry their commit cause. *)
+    [witness] (default [false]) makes every FastTrack race carry a
+    {!Coop_race.Report.witness} (see {!Coop_provenance}), identical in
+    both modes; violations and Atomizer warnings always carry their
+    commit cause. *)
 
 val cooperable : result -> bool
 (** No cooperability violations. *)

@@ -14,34 +14,14 @@ type race = {
   r_second_sees : int;
 }
 
-type lockset = {
-  l_access : access;
-  l_prior : int list;
-  l_held : int list;
-}
-
-type t =
-  | Race of race
-  | Locks of lockset
+type t = Race of race
 
 let pp_access ppf a =
   Format.fprintf ppf "t%d#%d @%a" a.a_tid a.a_seq Loc.pp a.a_loc
 
-let pp_locks ppf ls =
-  let ppl ppf = function
-    | [] -> Format.pp_print_string ppf "{}"
-    | l ->
-        Format.fprintf ppf "{%s}"
-          (String.concat "," (List.map string_of_int l))
-  in
-  Format.fprintf ppf "%a holds %a, prior candidates %a: disjoint" pp_access
-    ls.l_access ppl ls.l_held ppl ls.l_prior
-
-let pp ppf = function
-  | Race r ->
-      Format.fprintf ppf "%a clock %d, %a sees %d: unordered" pp_access
-        r.r_first r.r_first_clock pp_access r.r_second r.r_second_sees
-  | Locks ls -> pp_locks ppf ls
+let pp ppf (Race r) =
+  Format.fprintf ppf "%a clock %d, %a sees %d: unordered" pp_access r.r_first
+    r.r_first_clock pp_access r.r_second r.r_second_sees
 
 let schema = "coop-witness/v1"
 
@@ -56,15 +36,7 @@ let race_json r =
       ("first_clock", Json.Int r.r_first_clock);
       ("second_sees", Json.Int r.r_second_sees) ]
 
-let lockset_json ls =
-  Json.Obj
-    [ ("access", access_json ls.l_access);
-      ("prior", Json.List (List.map (fun l -> Json.Int l) ls.l_prior));
-      ("held", Json.List (List.map (fun l -> Json.Int l) ls.l_held)) ]
-
-let to_json = function
-  | Race r -> Json.Obj [ ("race", race_json r) ]
-  | Locks ls -> Json.Obj [ ("locks", lockset_json ls) ]
+let to_json (Race r) = Json.Obj [ ("race", race_json r) ]
 
 type mode =
   | Text

@@ -1,12 +1,12 @@
 (** First-class witnesses: the causal evidence behind a verdict.
 
-    Every verdict the toolchain emits — "these two accesses race", "this
-    variable has no consistent lock", "a yield is missing here" — is
-    backed by a small, machine-checkable record of {e why} it holds.
-    This module owns the shapes that only need trace vocabulary
-    (locations, variables, thread ids): the happens-before access pair
-    behind a FastTrack race and the divergent lock sets behind an Eraser
-    warning. Commit-point causes for mover violations live with the
+    Every verdict the toolchain emits — "these two accesses race", "a
+    yield is missing here" — is backed by a small, machine-checkable
+    record of {e why} it holds. This module owns the shape that only
+    needs trace vocabulary (locations, variables, thread ids): the
+    happens-before access pair behind a FastTrack race. The Eraser
+    lockset baseline is an offline ablation and carries no evidence.
+    Commit-point causes for mover violations live with the
     transaction engine ([Coop_core.Online.cause]), which owns the mover
     vocabulary.
 
@@ -43,21 +43,8 @@ type race = {
 (** Evidence for a happens-before race: the two conflicting accesses and
     the clock comparison that proves them unordered. *)
 
-type lockset = {
-  l_access : access;  (** The access on which the candidate set died. *)
-  l_prior : int list;
-      (** Candidate locks (original handles, ascending) protecting the
-          variable before this access. *)
-  l_held : int list;
-      (** Locks held by the accessing thread at the access, ascending.
-          Disjoint from [l_prior] — that is the divergence. *)
-}
-(** Evidence for an Eraser warning: the two lock sets whose intersection
-    emptied the candidate set. *)
-
-type t =
-  | Race of race
-  | Locks of lockset
+type t = Race of race
+(** A witness, tagged ["race"] in JSON. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line human-readable evidence, e.g.
@@ -69,7 +56,7 @@ val schema : string
 
 val to_json : t -> Coop_util.Json.t
 (** The witness under its variant tag, as embedded in [coop-witness/v1]
-    documents ([{"race": ...}] or [{"locks": ...}]). *)
+    documents ([{"race": ...}]). *)
 
 (** {2 CLI surface} *)
 

@@ -25,19 +25,13 @@ let dummy_info =
 
 type t = {
   itn : Interner.t;
-  own_interner : bool;
-  witness : bool;  (* capture divergent-lock-set evidence per warning *)
-  mutable seq : int;  (* 1-based global position of the current event *)
   mutable held : Iset.t array;  (* dense tid -> locks currently held *)
   mutable vars : var_info array;  (* dense var id -> info *)
   mutable reports : Report.t list;  (* reversed *)
 }
 
-let create ?interner ?(witness = false) () =
-  let own_interner = interner = None in
-  let itn = match interner with Some itn -> itn | None -> Interner.create () in
-  { itn; own_interner; witness;
-    seq = 0;
+let create () =
+  { itn = Interner.create ();
     held = Array.make 8 Iset.empty;
     vars = Array.make 64 dummy_info;
     reports = [] }
@@ -69,13 +63,13 @@ let info_of t vid =
     i
   end
 
-let warn t i tid v kind w =
+let warn t i tid v kind =
   if i.warned then []
   else begin
     i.warned <- true;
     let r =
       { Report.var = v; kind; first_tid = -1; second_tid = tid;
-        second_loc = Loc.none; witness = w }
+        second_loc = Loc.none; witness = None }
     in
     t.reports <- r :: t.reports;
     [ r ]
@@ -94,13 +88,9 @@ let refine i locks =
     i.candidates <- locks
   end
 
-let access t tid vid v ~orig_tid ~loc ~is_write =
+let access t tid vid v ~orig_tid ~is_write =
   let i = info_of t vid in
-  let locks = held_by t tid in
-  (* Snapshot the candidate set before this access refines it: the
-     warning's evidence is the divergence (prior ∩ held = ∅). *)
-  let prior = if t.witness then i.candidates else Iset.empty in
-  refine i locks;
+  refine i (held_by t tid);
   if is_write then i.written <- true;
   match i.state with
   | Virgin ->
@@ -111,34 +101,20 @@ let access t tid vid v ~orig_tid ~loc ~is_write =
       i.state <-
         (if is_write || i.state = Shared_modified then Shared_modified
          else Shared);
-      if i.written && Iset.is_empty i.candidates then begin
-        let w =
-          if t.witness then
-            Some
-              (Coop_provenance.Witness.Locks
-                 {
-                   l_access = { a_tid = orig_tid; a_seq = t.seq; a_loc = loc };
-                   l_prior = Iset.elements prior;
-                   l_held = Iset.elements locks;
-                 })
-          else None
-        in
+      if i.written && Iset.is_empty i.candidates then
         warn t i orig_tid v
           (if is_write then Report.Write_write else Report.Write_read)
-          w
-      end
       else []
 
 let handle t (e : Event.t) =
-  t.seq <- t.seq + 1;
-  if t.own_interner then Interner.note t.itn e;
+  Interner.note t.itn e;
   let tid = Interner.cur_tid t.itn in
   match e.op with
   | Event.Read v ->
-      access t tid (Interner.cur_operand t.itn) v ~orig_tid:e.tid ~loc:e.loc
+      access t tid (Interner.cur_operand t.itn) v ~orig_tid:e.tid
         ~is_write:false
   | Event.Write v ->
-      access t tid (Interner.cur_operand t.itn) v ~orig_tid:e.tid ~loc:e.loc
+      access t tid (Interner.cur_operand t.itn) v ~orig_tid:e.tid
         ~is_write:true
   | Event.Acquire l ->
       set_held t tid (Iset.add l (held_by t tid));
@@ -169,52 +145,9 @@ let candidate_locks t v =
 
 let racy_vars t = Report.racy_vars t.reports
 
-(* Checkpointing: held sets are immutable (array copy suffices), var
-   records are copied field-wise; the interner rides along so standalone
-   detectors restore their id assignments. *)
-type snapshot = {
-  s_itn : Interner.snapshot;
-  s_seq : int;
-  s_held : Iset.t array;
-  s_vars : var_info array;
-  s_reports : Report.t list;
-}
+let run trace =
+  let t = create () in
+  Trace.iter (fun e -> ignore (handle t e)) trace;
+  List.rev t.reports
 
-let copy_info i =
-  if i == dummy_info then i
-  else
-    { state = i.state; candidates = i.candidates;
-      have_candidates = i.have_candidates; written = i.written;
-      warned = i.warned }
-
-let snapshot t =
-  {
-    s_itn = Interner.snapshot t.itn;
-    s_seq = t.seq;
-    s_held = Array.copy t.held;
-    s_vars = Array.map copy_info t.vars;
-    s_reports = t.reports;
-  }
-
-let restore t s =
-  Interner.restore t.itn s.s_itn;
-  t.seq <- s.s_seq;
-  t.held <- Array.copy s.s_held;
-  t.vars <- Array.map copy_info s.s_vars;
-  t.reports <- s.s_reports
-
-let snap_key : snapshot Analysis.Key.t = Analysis.Key.create "lockset"
-
-let analysis ?interner ?witness () =
-  let t = create ?interner ?witness () in
-  Analysis.snapshottable ~key:snap_key
-    ~save:(fun () -> snapshot t)
-    ~load:(restore t)
-    (Analysis.make
-       ~step:(fun e -> ignore (handle t e))
-       ~finalize:(fun () -> List.rev t.reports))
-
-let run trace = Analysis.run (analysis ()) trace
-
-let racy_vars_of_trace trace =
-  Report.racy_vars (Analysis.run (analysis ()) trace)
+let racy_vars_of_trace trace = Report.racy_vars (run trace)

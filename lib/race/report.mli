@@ -12,10 +12,10 @@ type t = {
   second_tid : int;  (** Thread of the later access. *)
   second_loc : Coop_trace.Loc.t;  (** Location of the access that exposed the race. *)
   witness : Coop_provenance.Witness.t option;
-      (** Causal evidence, when the detector ran with [~witness:true]:
-          the unordered access pair (FastTrack) or the divergent lock
-          sets (Eraser). [None] otherwise — capture is opt-in so the
-          default hot path pays nothing. *)
+      (** Causal evidence, when FastTrack ran with [~witness:true]: the
+          unordered access pair. [None] otherwise (and always for the
+          Eraser baseline) — capture is opt-in so the default hot path
+          pays nothing. *)
 }
 
 val pp : Format.formatter -> t -> unit

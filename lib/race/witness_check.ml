@@ -30,19 +30,14 @@ let check_access trace var (a : W.access) ~want_write ~role =
     else
       let ok =
         match (e.Event.op, want_write) with
-        | Event.Write v, Some true -> Event.equal_var v var
-        | Event.Read v, Some false -> Event.equal_var v var
-        | (Event.Write v | Event.Read v), None -> Event.equal_var v var
+        | Event.Write v, true | Event.Read v, false -> Event.equal_var v var
         | _ -> false
       in
       if ok then Ok e
       else
         err "%s access at position %d is not a %s of the racy variable" role
           a.W.a_seq
-          (match want_write with
-          | Some true -> "write"
-          | Some false -> "read"
-          | None -> "access")
+          (if want_write then "write" else "read")
 
 (* A race witness must point at two conflicting accesses the oracle deems
    unordered, and its recorded clock components must match the oracle's. *)
@@ -54,12 +49,12 @@ let check_race ~clocks trace (r : Report.t) (w : W.race) =
     | Report.Write_read -> (true, false)
   in
   let* ef =
-    check_access trace r.Report.var w.W.r_first ~want_write:(Some first_write)
+    check_access trace r.Report.var w.W.r_first ~want_write:first_write
       ~role:"first"
   in
   let* _es =
     check_access trace r.Report.var w.W.r_second
-      ~want_write:(Some second_write) ~role:"second"
+      ~want_write:second_write ~role:"second"
   in
   if w.W.r_first.W.a_seq >= w.W.r_second.W.a_seq then
     err "witness accesses out of trace order (%d >= %d)" w.W.r_first.W.a_seq
@@ -80,33 +75,10 @@ let check_race ~clocks trace (r : Report.t) (w : W.race) =
         ftid second_sees first_clock
     else Ok ()
 
-(* A lockset witness is structural: the fatal access is real, and the
-   candidate set it met is disjoint from the locks it held (the divergence
-   that emptied the candidates). *)
-let check_locks trace (r : Report.t) (w : W.lockset) =
-  let want_write =
-    match r.Report.kind with
-    | Report.Write_write -> Some true
-    (* Eraser's Write_read warning fires on a read of an already-written
-       shared variable; the fatal access itself is the read. *)
-    | Report.Write_read -> Some false
-    | Report.Read_write -> None
-  in
-  let* _e =
-    check_access trace r.Report.var w.W.l_access ~want_write ~role:"fatal"
-  in
-  match List.find_opt (fun l -> List.mem l w.W.l_prior) w.W.l_held with
-  | Some l ->
-      err "lock sets not divergent: lock %d is in both the prior candidates \
-           and the held set"
-        l
-  | None -> Ok ()
-
 let check_report ~clocks trace (r : Report.t) =
   match r.Report.witness with
   | None -> err "report on %a carries no witness" Event.pp_var r.Report.var
   | Some (W.Race w) -> check_race ~clocks trace r w
-  | Some (W.Locks w) -> check_locks trace r w
 
 let check_all trace reports =
   let clocks = oracle trace in

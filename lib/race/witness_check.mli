@@ -5,10 +5,7 @@
     the {!Naive_hb} vector-clock oracle and confirms that the claimed
     evidence is real: the positions hold the claimed accesses, the
     recorded clock components match the oracle's, and the comparison
-    proves the pair unordered. A {!Coop_provenance.Witness.Locks}
-    witness is checked structurally (the positions hold the access, the
-    two lock sets are disjoint) — Eraser deliberately over-approximates
-    happens-before, so no clock claim is made.
+    proves the pair unordered.
 
     This is the "self-check mode" of [coopcheck explain] and the
     backbone of the witness differential test suite: a verdict whose

@@ -85,7 +85,7 @@ val source :
     identically seeded scheduler per call — the VM is deterministic given
     the schedule, so every replay then yields the identical event
     sequence, which is what multi-phase analyses (e.g.
-    [Cooperability.check_source]) require. *)
+    [Coop_pipeline.run ~two_pass:true]) require. *)
 
 val behavior_of : outcome -> Behavior.t
 (** The observable behaviour of an outcome. *)

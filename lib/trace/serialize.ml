@@ -240,17 +240,25 @@ let with_file_sink ?(format = Text) ?syms path k =
       close_out_noerr oc;
       raise e
 
-let of_string_any ?syms s =
-  let n = String.length s in
-  let m = String.length Codec.magic in
-  if n >= m && String.sub s 0 m = Codec.magic then
-    (Binary, Codec.of_string ?syms s)
-  else if n > 0 && n < m && String.sub Codec.magic 0 n = s then
+(* The first magic byte is non-ASCII, so no text trace can collide with
+   a binary header; a non-empty strict prefix of the magic can only be
+   a binary stream cut off mid-header, which deserves a truncation
+   error rather than a baffling text-parse one. *)
+let sniff head =
+  if String.starts_with ~prefix:Codec.magic head then Binary
+  else if head <> "" && String.starts_with ~prefix:head Codec.magic then
+    let n = String.length head in
     Wire.parse_error
       (Printf.sprintf "truncated header: not a complete %s stream (byte %d)"
          Codec.format_name n)
       n
-  else (Text, of_string ?syms s)
+  else Text
+
+let of_string_any ?syms s =
+  let n = min (String.length s) (String.length Codec.magic) in
+  match sniff (String.sub s 0 n) with
+  | Binary -> (Binary, Codec.of_string ?syms s)
+  | Text -> (Text, of_string ?syms s)
 
 let load ?syms path =
   let ic = open_in_bin path in

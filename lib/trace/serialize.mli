@@ -88,6 +88,15 @@ val with_file_sink :
     trace. [syms]' bindings are written up front. The channel is closed
     when [k] returns (or raises). *)
 
+val sniff : string -> format
+(** [sniff head] decides a stream's format from its first bytes: at most
+    [String.length Codec.magic] of them, fewer only when the stream is
+    that short. [Binary] on the full magic, [Text] otherwise (including
+    the empty stream). Raises {!Parse_error} ["truncated header: ...
+    (byte N)"] on a non-empty strict prefix of the magic — a binary
+    stream cut off mid-header. The one decision behind every
+    auto-detecting entry point. *)
+
 val of_string_any : ?syms:Symtab.t -> string -> format * Trace.t
 (** Decode a string in {e either} format, auto-detected by magic bytes,
     reporting which it was. Raises {!Parse_error} (including on a

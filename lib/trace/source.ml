@@ -19,44 +19,19 @@ let read_head ic =
   in
   Bytes.sub_string buf 0 (go 0)
 
-let is_strict_magic_prefix head =
-  let n = String.length head in
-  n > 0
-  && n < String.length Codec.magic
-  && String.sub Codec.magic 0 n = head
-
-(* The first magic byte is non-ASCII, so no text trace can collide with
-   a binary header; a non-empty strict prefix of the magic can only be
-   a binary stream cut off mid-header, which deserves a truncation
-   error rather than a baffling text-parse one. *)
 let dispatch ?syms head ic sink =
-  if head = Codec.magic then
-    Codec.iter_channel_body ?syms ~offset:(String.length Codec.magic) ic sink
-  else if is_strict_magic_prefix head then
-    Wire.parse_error
-      (Printf.sprintf "truncated header: not a complete %s stream (byte %d)"
-         Codec.format_name (String.length head))
-      (String.length head)
-  else Serialize.iter_channel_from ?syms ~prefix:head ic sink
+  match Serialize.sniff head with
+  | Binary ->
+      Codec.iter_channel_body ?syms ~offset:(String.length Codec.magic) ic
+        sink
+  | Text -> Serialize.iter_channel_from ?syms ~prefix:head ic sink
 
 let format_of_file path =
   let ic = open_in_bin path in
-  let head =
-    match read_head ic with
-    | head ->
-        close_in_noerr ic;
-        head
-    | exception e ->
-        close_in_noerr ic;
-        raise e
-  in
-  if head = Codec.magic then Serialize.Binary
-  else if is_strict_magic_prefix head then
-    Wire.parse_error
-      (Printf.sprintf "truncated header: not a complete %s stream (byte %d)"
-         Codec.format_name (String.length head))
-      (String.length head)
-  else Serialize.Text
+  Serialize.sniff
+    (Fun.protect
+       ~finally:(fun () -> close_in_noerr ic)
+       (fun () -> read_head ic))
 
 (* ---- decode timing ---------------------------------------------------- *)
 

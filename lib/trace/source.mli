@@ -10,9 +10,10 @@
     O(threads·vars) memory.
 
     File and channel sources are {e format-agnostic}: the first bytes are
-    sniffed and dispatched to the {!Codec} binary decoder (magic match)
-    or the {!Serialize} text parser (anything else — the magic's first
-    byte is non-ASCII, so the two cannot collide). Both decode paths
+    sniffed ({!Serialize.sniff}) and dispatched to the {!Codec} binary
+    decoder (magic match) or the {!Serialize} text parser (anything else
+    — the magic's first byte is non-ASCII, so the two cannot collide).
+    Both decode paths
     charge their time to the ["trace/decode"] timer when observability
     is on, so [--profile] shows what share of a run is parsing.
 
@@ -54,9 +55,10 @@ val of_channel : ?syms:Symtab.t -> in_channel -> t
     closed. *)
 
 val format_of_file : string -> Serialize.format
-(** Which format a trace file holds, by its magic bytes (reads at most
-    8 bytes). Raises [Sys_error]; raises {!Serialize.Parse_error} on a
-    file that is a truncated binary header. *)
+(** Which format a trace file holds, by {!Serialize.sniff} of its first
+    bytes (reads at most 8). Raises [Sys_error]; raises
+    {!Serialize.Parse_error} on a file that is a truncated binary
+    header. *)
 
 val replay : t -> Trace.Sink.t -> unit
 (** [replay source sink] is [source sink]; the explicit name for call

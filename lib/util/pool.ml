@@ -45,17 +45,10 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Monitors: per-pool, with a deprecated process-wide fallback.        *)
+(* Monitors: one per pool.                                             *)
 (* ------------------------------------------------------------------ *)
 
-let global_monitor : monitor option Atomic.t = Atomic.make None
-let set_global_monitor m = Atomic.set global_monitor m
 let set_monitor pool m = Atomic.set pool.pool_monitor m
-
-let effective_monitor pool =
-  match Atomic.get pool.pool_monitor with
-  | Some _ as m -> m
-  | None -> Atomic.get global_monitor
 
 (* ------------------------------------------------------------------ *)
 (* Worker identity: which deque (if any) does this domain own?         *)
@@ -111,7 +104,7 @@ let enqueue pool task =
   | Some s ->
       let dq = pool.deques.(s) in
       Spmc_deque.push dq task;
-      (match effective_monitor pool with
+      (match Atomic.get pool.pool_monitor with
       | None -> ()
       | Some m ->
           let depth = Spmc_deque.length dq in
@@ -123,7 +116,7 @@ let enqueue pool task =
       let n = Queue.length pool.injector in
       Atomic.set pool.inj_size n;
       Mutex.unlock pool.inj_mutex;
-      (match effective_monitor pool with
+      (match Atomic.get pool.pool_monitor with
       | None -> ()
       | Some m -> m.on_submit ~queued:n));
   wake_all pool
@@ -159,7 +152,7 @@ let try_steal pool ~self rng ~t0 =
       else
         match Spmc_deque.steal pool.deques.(v) with
         | Some task ->
-            (match effective_monitor pool with
+            (match Atomic.get pool.pool_monitor with
             | None -> ()
             | Some m ->
                 let thief = match self with Some s -> s | None -> -1 in
@@ -187,7 +180,7 @@ let find_task pool ~self rng ~t0 =
       | None -> try_steal pool ~self rng ~t0)
 
 let run_task pool task =
-  match effective_monitor pool with
+  match Atomic.get pool.pool_monitor with
   | None -> task ()
   | Some m -> m.wrap_task task ()
 
@@ -207,7 +200,7 @@ let max_backoff = 6
 (* ------------------------------------------------------------------ *)
 
 let monitored_now pool =
-  match effective_monitor pool with None -> 0. | Some _ -> now ()
+  match Atomic.get pool.pool_monitor with None -> 0. | Some _ -> now ()
 
 let rec worker_loop pool slot rng =
   let t0 = monitored_now pool in

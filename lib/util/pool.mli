@@ -34,10 +34,11 @@
 type t
 
 (** Telemetry hooks. The pool only depends on the stdlib clock, so
-    observability is injected: [Coop_obs.enable] installs a monitor that
-    exports queue depth, per-task latency, per-worker busy time, steal
-    counts, steal latency and per-deque depth; with no monitor installed
-    (the default) the dispatch path takes no timestamps. *)
+    observability is injected per pool ({!create}'s [?monitor] or
+    {!set_monitor}): [Coop_obs.pool_monitor] exports queue depth,
+    per-task latency, per-worker busy time, steal counts, steal latency
+    and per-deque depth; with no monitor installed (the default) the
+    dispatch path takes no timestamps. *)
 type monitor = {
   on_submit : queued:int -> unit;
       (** Called once per {!spawn} with the owning deque's (or the
@@ -73,15 +74,7 @@ val shutdown : t -> unit
     Idempotent. *)
 
 val set_monitor : t -> monitor option -> unit
-(** Install or remove this pool's monitor. Takes precedence over the
-    deprecated global monitor. *)
-
-val set_global_monitor : monitor option -> unit
-  [@@ocaml.deprecated
-    "use per-pool monitors: Pool.create ?monitor or Pool.set_monitor"]
-(** Install or remove the process-wide fallback monitor, consulted by
-    pools with no per-pool monitor. Deprecated shim for
-    [Coop_obs.enable]; new code should scope monitors to a pool. *)
+(** Install or remove this pool's monitor. *)
 
 type 'a promise
 (** The result of a {!spawn}ed task: pending, a value, or an exception

@@ -255,6 +255,36 @@ let test_autodetect_sources () =
   Sys.remove bin;
   Sys.remove empty
 
+(* A file holding a strict prefix of the magic is a binary stream cut off
+   mid-header: every auto-detecting entry point raises the one truncation
+   error, at the byte where the stream ended. *)
+let test_truncated_header_everywhere () =
+  let path = Filename.temp_file "coop" ".ctr" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub Codec.magic 0 4));
+  let expected =
+    Printf.sprintf "truncated header: not a complete %s stream (byte 4)"
+      Codec.format_name
+  in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Parse_error" name
+    | exception Serialize.Parse_error (msg, pos) ->
+        Alcotest.(check string) (name ^ ": message") expected msg;
+        Alcotest.(check int) (name ^ ": position") 4 pos
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      raises "Source.of_file" (fun () -> Source.count (Source.of_file path));
+      raises "Source.of_channel" (fun () ->
+          In_channel.with_open_bin path (fun ic ->
+              Source.count (Source.of_channel ic)));
+      raises "Source.format_of_file" (fun () ->
+          ignore (Source.format_of_file path);
+          0);
+      raises "Serialize.load" (fun () -> Trace.length (Serialize.load path)))
+
 (* --- cross-format verdict agreement ------------------------------------ *)
 
 let violation_sig (v : Coop_core.Automaton.violation) =
@@ -316,6 +346,8 @@ let suite =
     Alcotest.test_case "text errors carry line numbers" `Quick
       test_text_errors_carry_line;
     Alcotest.test_case "source auto-detection" `Quick test_autodetect_sources;
+    Alcotest.test_case "truncated header: one error at every entry point"
+      `Quick test_truncated_header_everywhere;
     Alcotest.test_case "formats agree" `Quick test_formats_agree;
     prop_roundtrip;
     prop_cross_format;

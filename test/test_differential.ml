@@ -11,10 +11,11 @@
    lock-heavy traces where every lock is shared by every thread, on
    fork/join-heavy and call-heavy generated programs re-executed as
    streams, on a recorded trace with unmatched boundaries, and through
-   the inference fixpoint at pool sizes 1, 2 and 4. It also pins the
-   operational payoffs: one VM execution per portfolio schedule (the
-   two-pass oracle needs two), and the ability to consume a non-replayable
-   pipe. *)
+   the inference fixpoint (its first round against the two-pass oracle
+   run over the same portfolio). It also pins the operational payoffs:
+   one VM execution per portfolio schedule, and the ability to consume a
+   non-replayable pipe. The oracle is the pipeline's two-pass mode,
+   [Coop_pipeline.run ~two_pass:true]. *)
 
 (* Bind the shared harness before [open QCheck2] shadows the module name. *)
 let gen_trace = Gen.gen_trace
@@ -45,26 +46,32 @@ let pipeline_result_equal (a : Coop_pipeline.result) (b : Coop_pipeline.result)
     =
   a.Coop_pipeline.races = b.Coop_pipeline.races
   && Event.Var_set.equal a.Coop_pipeline.racy b.Coop_pipeline.racy
-  && a.Coop_pipeline.lockset_races = b.Coop_pipeline.lockset_races
   && a.Coop_pipeline.violations = b.Coop_pipeline.violations
   && a.Coop_pipeline.deadlock = b.Coop_pipeline.deadlock
   && a.Coop_pipeline.atomizer = b.Coop_pipeline.atomizer
   && a.Coop_pipeline.conflict = b.Coop_pipeline.conflict
   && a.Coop_pipeline.events = b.Coop_pipeline.events
 
+(* The single-pass checker against the two-pass oracle, on the fields
+   they share. *)
+let two_pass trace = Coop_pipeline.run ~two_pass:true (Source.of_trace trace)
+
+let agrees_with_oracle (c : Cooperability.result) (o : Coop_pipeline.result) =
+  c.Cooperability.violations = o.Coop_pipeline.violations
+  && c.Cooperability.races = o.Coop_pipeline.races
+  && Event.Var_set.equal c.Cooperability.racy o.Coop_pipeline.racy
+  && c.Cooperability.events = o.Coop_pipeline.events
+
 let coop_agrees trace =
-  coop_result_equal
-    (Cooperability.check_source (Source.of_trace trace))
-    (Cooperability.check_source ~two_pass:true (Source.of_trace trace))
+  agrees_with_oracle (Cooperability.check trace) (two_pass trace)
 
 let atomizer_agrees trace = atomize trace = atomize_offline trace
 
 let pipeline_agrees mk_source =
   pipeline_result_equal
-    (Coop_pipeline.run ~lockset:true ~atomize:true ~conflict:true
+    (Coop_pipeline.run ~atomize:true ~conflict:true (mk_source ()))
+    (Coop_pipeline.run ~atomize:true ~conflict:true ~two_pass:true
        (mk_source ()))
-    (Coop_pipeline.run ~lockset:true ~atomize:true ~conflict:true
-       ~two_pass:true (mk_source ()))
 
 let prop gen name count f =
   QCheck_alcotest.to_alcotest
@@ -148,7 +155,7 @@ let pipeline_on_call_programs =
   pipeline_on_programs "full pipeline: single-pass = two-pass on call programs"
     gen_call_program
 
-(* --- Inference: identical fixpoints, half the executions ------------ *)
+(* --- Inference: identical fixpoints, one execution per schedule ------ *)
 
 let pools = [ (1, Pool.create ~jobs:1 ()); (2, Pool.create ~jobs:2 ());
               (4, Pool.create ~jobs:4 ()) ]
@@ -164,47 +171,62 @@ let infer_prog () =
   let e = Option.get (Registry.find "philo") in
   Registry.program_of ~threads:2 ~size:2 e
 
-let test_infer_modes_agree () =
+let test_infer_jobs_agree () =
   let prog = infer_prog () in
   let reference =
     Infer.infer ~pool:(List.assoc 1 pools) ~max_steps:300_000 prog
   in
   List.iter
     (fun (jobs, pool) ->
-      List.iter
-        (fun two_pass ->
-          let r = Infer.infer ~pool ~max_steps:300_000 ~two_pass prog in
-          let tag =
-            Printf.sprintf "jobs=%d two_pass=%b" jobs two_pass
-          in
-          Alcotest.check loc_set (tag ^ ": yields") reference.Infer.yields
-            r.Infer.yields;
-          Alcotest.(check int) (tag ^ ": rounds") reference.Infer.rounds
-            r.Infer.rounds;
-          Alcotest.(check int)
-            (tag ^ ": initial violations")
-            reference.Infer.initial_violations r.Infer.initial_violations;
-          Alcotest.(check int)
-            (tag ^ ": final check")
-            reference.Infer.final_check_violations
-            r.Infer.final_check_violations;
-          Alcotest.(check int)
-            (tag ^ ": events analyzed")
-            reference.Infer.events_analyzed r.Infer.events_analyzed)
-        [ false; true ])
+      let r = Infer.infer ~pool ~max_steps:300_000 prog in
+      let tag = Printf.sprintf "jobs=%d" jobs in
+      Alcotest.check loc_set (tag ^ ": yields") reference.Infer.yields
+        r.Infer.yields;
+      Alcotest.(check int) (tag ^ ": rounds") reference.Infer.rounds
+        r.Infer.rounds;
+      Alcotest.(check int)
+        (tag ^ ": initial violations")
+        reference.Infer.initial_violations r.Infer.initial_violations;
+      Alcotest.(check int)
+        (tag ^ ": final check")
+        reference.Infer.final_check_violations
+        r.Infer.final_check_violations;
+      Alcotest.(check int)
+        (tag ^ ": events analyzed")
+        reference.Infer.events_analyzed r.Infer.events_analyzed)
     pools
 
-(* Span-count accounting: in single-pass mode every [infer/schedule:*]
-   span contains exactly one [vm/run:*] span — the program executed once
-   per schedule; the two-pass oracle re-executes for its automaton phase,
-   so its ratio is exactly two. *)
+(* The inference path against the two-pass oracle: round one runs every
+   portfolio schedule with no inferred yields, so its violation count is
+   the oracle's summed over the same schedules at the same step
+   budget. *)
+let test_infer_matches_two_pass () =
+  let prog = infer_prog () in
+  let max_steps = 300_000 in
+  let r = Infer.infer ~pool:(List.assoc 1 pools) ~max_steps prog in
+  let oracle =
+    List.fold_left
+      (fun acc sched ->
+        let o =
+          Coop_pipeline.run ~two_pass:true
+            (Runner.source ~max_steps ~sched prog)
+        in
+        acc + List.length o.Coop_pipeline.violations)
+      0 Infer.default_portfolio
+  in
+  Alcotest.(check bool) "the portfolio violates" true (oracle > 0);
+  Alcotest.(check int) "initial violations = two-pass oracle over the portfolio"
+    oracle r.Infer.initial_violations
+
+(* Span-count accounting: every [infer/schedule:*] span contains exactly
+   one [vm/run:*] span — the program executed once per schedule. *)
 let count_spans snap prefix =
   List.length
     (List.filter
        (fun s -> String.starts_with ~prefix s.Coop_obs.span_name)
        snap.Coop_obs.spans)
 
-let executions_per_schedule ~two_pass =
+let test_single_pass_executes_once () =
   Coop_obs.reset ();
   Coop_obs.enable ();
   Fun.protect
@@ -213,22 +235,12 @@ let executions_per_schedule ~two_pass =
       Coop_obs.reset ())
     (fun () ->
       let prog = infer_prog () in
-      ignore
-        (Infer.infer ~pool:(List.assoc 1 pools) ~max_steps:300_000 ~two_pass
-           prog);
+      ignore (Infer.infer ~pool:(List.assoc 1 pools) ~max_steps:300_000 prog);
       let snap = Coop_obs.snapshot () in
       let schedules = count_spans snap "infer/schedule:" in
       let runs = count_spans snap "vm/run:" in
       Alcotest.(check bool) "portfolio ran schedules" true (schedules > 0);
-      (schedules, runs))
-
-let test_single_pass_executes_once () =
-  let schedules, runs = executions_per_schedule ~two_pass:false in
-  Alcotest.(check int) "one VM execution per schedule" schedules runs
-
-let test_two_pass_executes_twice () =
-  let schedules, runs = executions_per_schedule ~two_pass:true in
-  Alcotest.(check int) "two VM executions per schedule" (2 * schedules) runs
+      Alcotest.(check int) "one VM execution per schedule" schedules runs)
 
 (* --- Pipes: single-pass consumes what two-pass cannot --------------- *)
 
@@ -250,7 +262,8 @@ let test_channel_source () =
         (fun () ->
           Alcotest.(check bool) "piped check = recorded check" true
             (coop_result_equal
-               (Cooperability.check_source (Source.of_channel ic))
+               (Source.run (Source.of_channel ic)
+                  (Cooperability.online_analysis ()))
                (Cooperability.check trace)));
       (* A channel source refuses to replay rather than stream garbage. *)
       let ic = open_in path in
@@ -298,10 +311,11 @@ let test_stamp_defeating_duplicates () =
       ([ (0, Event.Fork 1); (0, Event.Fork 2) ] @ rounds
       @ [ (1, Event.Write (v 7)); (2, Event.Write (v 7)); (1, Event.Read (v 8)) ])
   in
-  let online = Cooperability.check tr and oracle = Cooperability.check ~two_pass:true tr in
+  let oracle = two_pass tr in
   Alcotest.(check bool) "a late racy fact arrived" true
-    (Event.Var_set.mem (v 7) oracle.Cooperability.racy);
-  Alcotest.(check bool) "single-pass = two-pass" true (coop_result_equal online oracle);
+    (Event.Var_set.mem (v 7) oracle.Coop_pipeline.racy);
+  Alcotest.(check bool) "single-pass = two-pass" true
+    (agrees_with_oracle (Cooperability.check tr) oracle);
   Alcotest.(check bool) "full pipeline agrees" true
     (pipeline_agrees (fun () -> Source.of_trace tr))
 
@@ -422,12 +436,12 @@ let suite =
     online_sink_agrees;
     pipeline_on_late_programs;
     pipeline_on_call_programs;
-    Alcotest.test_case "infer: identical across jobs and modes" `Slow
-      test_infer_modes_agree;
+    Alcotest.test_case "infer: identical across jobs" `Slow
+      test_infer_jobs_agree;
+    Alcotest.test_case "infer: initial violations = two-pass over the portfolio"
+      `Quick test_infer_matches_two_pass;
     Alcotest.test_case "infer single-pass: 1 execution per schedule" `Quick
       test_single_pass_executes_once;
-    Alcotest.test_case "infer two-pass: 2 executions per schedule" `Quick
-      test_two_pass_executes_twice;
     Alcotest.test_case "channel source: consumable once, by one pass" `Quick
       test_channel_source;
     Alcotest.test_case "engine: stamp-defeating duplicates, late fact" `Quick

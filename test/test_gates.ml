@@ -88,8 +88,8 @@ let violation =
   {|{"tid": -1, "loc": "l", "op": "rd(g0)", "mover": "non-mover",
      "cause": {"seq": 1, "loc": "m", "op": "rel(l1)", "mover": "left-mover"}}|}
 
-(* Races with a race witness, a locks witness and none, and a violation
-   with and without a cause. *)
+(* Races with a race witness and without, and a violation with and
+   without a cause. *)
 let races ~explain =
   let verified = if explain then {|, "verified": true|} else "" in
   Printf.sprintf
@@ -97,10 +97,8 @@ let races ~explain =
         "first": {"tid": 0, "seq": 1, "loc": "a"},
         "second": {"tid": 0, "seq": 1, "loc": "b"},
         "first_clock": -1, "second_sees": -1}}},
-      {"var": "g1", "kind": "write-write"%s, "witness": {"locks": {
-        "access": {"tid": 0, "seq": 1, "loc": "c"}, "prior": [], "held": []}}},
       {"var": "g2", "kind": "read-write"%s, "witness": null}]|}
-    verified verified verified
+    verified verified
 
 let check_doc command =
   Printf.sprintf
@@ -316,13 +314,9 @@ let mutants =
           [ set "races.0.witness.race.first_clock" "null" ]);
          ("races[].witness.race.second_sees",
           [ drop "races.0.witness.race.second_sees" ]);
-         ("races[].witness.race", [ set "races.1.witness.race" "{}" ]);
-         ("races[].witness.locks.prior", [ set "races.1.witness.locks.prior" "{}" ]);
-         ("races[].witness.locks.held", [ drop "races.1.witness.locks.held" ]);
          ("violations", [ drop "violations" ]) ]
       @ access_mutants "races.0.witness.race.first." "races[].witness.race.first."
       @ access_mutants "races.0.witness.race.second." "races[].witness.race.second."
-      @ access_mutants "races.1.witness.locks.access." "races[].witness.locks.access."
       @ violation_mutants "violations.0." "violations[].")
   @ List.map (fun (p, e) -> ("atomize", p, e))
       (("warnings", [ set "warnings" "null" ])

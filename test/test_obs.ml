@@ -115,7 +115,7 @@ let test_counter_merge_across_pool_sizes () =
   let totals jobs =
     with_obs (fun () ->
         Coop_obs.enable ();
-        let p = Pool.create ~jobs () in
+        let p = Pool.create ~monitor:Coop_obs.pool_monitor ~jobs () in
         Fun.protect
           ~finally:(fun () -> Pool.shutdown p)
           (fun () ->
@@ -426,7 +426,7 @@ let test_sample_series () =
 let test_pool_steal_telemetry () =
   with_obs (fun () ->
       Coop_obs.enable ();
-      let p = Pool.create ~jobs:4 () in
+      let p = Pool.create ~monitor:Coop_obs.pool_monitor ~jobs:4 () in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown p)
         (fun () ->
@@ -458,7 +458,7 @@ let test_pool_steal_telemetry () =
       (* And nothing records once telemetry is off again. *)
       Coop_obs.disable ();
       Coop_obs.reset ();
-      let p = Pool.create ~jobs:2 () in
+      let p = Pool.create ~monitor:Coop_obs.pool_monitor ~jobs:2 () in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown p)
         (fun () ->

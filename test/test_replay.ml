@@ -84,13 +84,12 @@ let law_traces =
     ("single_transaction 2", Micro.single_transaction ~threads:2);
     ("monitor_cell 2", Micro.monitor_cell ~items:2) ]
   |> List.map (fun (name, src) ->
-         let prog = Compile.source src in
          let _, tr =
            Runner.record ~max_steps:200_000
              ~sched:(Sched.random ~seed:11 ())
-             prog
+             (Compile.source src)
          in
-         (name, prog, tr))
+         (name, tr))
 
 let feed a tr lo hi =
   for i = lo to hi - 1 do
@@ -159,23 +158,15 @@ let show_coop (r : Cooperability.result) =
 
 let test_snapshot_resume_law () =
   List.iter
-    (fun (name, prog, tr) ->
+    (fun (name, tr) ->
       check_law
         (name ^ "/fasttrack+witness")
         (fun () -> Fasttrack.analysis ~witness:true ())
         show_reports tr;
       check_law
-        (name ^ "/lockset+witness")
-        (fun () -> Lockset.analysis ~witness:true ())
-        show_reports tr;
-      check_law
         (name ^ "/online chain+witness")
         (fun () -> Cooperability.online_analysis ~witness:true ())
-        show_coop tr;
-      check_law (name ^ "/metrics")
-        (fun () -> Metrics.analysis prog ~inferred:Loc.Set.empty ())
-        (Format.asprintf "%a" Metrics.pp)
-        tr)
+        show_coop tr)
     law_traces
 
 (* The law on late-knowledge streams, at a random cut: facts arrive

@@ -4,12 +4,11 @@
    Three families of properties. (1) Replay: every race witness the
    detectors capture passes the happens-before self-check — the two
    positions hold the claimed accesses and the vector-clock oracle
-   confirms them unordered ([Coop_race.Witness_check]); Eraser witnesses
-   carry genuinely disjoint lock sets. (2) Identity: witnesses and
-   commit causes are byte-identical between the single-pass engine and
-   the two-pass oracle — the structural equalities below include the
-   witness and cause fields, so a drift in either mode's seq numbering
-   or commit tracking fails here.
+   confirms them unordered ([Coop_race.Witness_check]). (2) Identity:
+   witnesses and commit causes are byte-identical between the single-pass
+   engine and the two-pass oracle — the structural equalities below
+   include the witness and cause fields, so a drift in either mode's seq
+   numbering or commit tracking fails here.
    (3) Determinism: inferred-yield witnesses do not depend on the pool
    size fanning the schedule portfolio out. Plus units for the CLI's
    --witness mode parser and the default (witness-off) hot path. *)
@@ -46,49 +45,24 @@ let races_replay_on_late_traces =
     "every race witness replays HB-unordered (late-knowledge traces)" 40
     races_replay
 
-let lockset_witnesses_diverge trace =
-  let p =
-    Coop_pipeline.run ~lockset:true ~witness:true (Source.of_trace trace)
-  in
-  match p.Coop_pipeline.lockset_races with
-  | None -> Test.fail_report "pipeline dropped the requested lockset pass"
-  | Some reports -> (
-      List.for_all
-        (fun (r : Coop_race.Report.t) ->
-          match r.Coop_race.Report.witness with
-          | Some (Witness.Locks ls) ->
-              (* The divergence that emptied the candidate set: nothing
-                 held at the fatal access was a prior candidate. *)
-              List.for_all
-                (fun l -> not (List.mem l ls.Witness.l_held))
-                ls.Witness.l_prior
-          | _ -> false)
-        reports
-      &&
-      match Witness_check.check_all trace reports with
-      | Ok _ -> true
-      | Error e -> Test.fail_report e)
-
-let lockset_on_traces =
-  prop gen_trace
-    "every Eraser witness carries disjoint lock sets (random traces)" 30
-    lockset_witnesses_diverge
-
 (* --- Identity: the same evidence in every mode ------------------------ *)
 
-let coop_result_equal (a : Cooperability.result) (b : Cooperability.result) =
-  a.Cooperability.violations = b.Cooperability.violations
-  && a.Cooperability.races = b.Cooperability.races
-  && Event.Var_set.equal a.Cooperability.racy b.Cooperability.racy
-  && a.Cooperability.events = b.Cooperability.events
-
 (* Report.t and Automaton.violation embed the witness and cause, so the
-   structural comparison above pins them too. *)
+   structural comparisons pin them too. Both single-pass chains — the
+   checker inference runs and the pipeline [check] runs — must match the
+   two-pass oracle. *)
 let witnesses_identical trace =
   let run two_pass =
-    Cooperability.check_source ~two_pass ~witness:true (Source.of_trace trace)
+    Coop_pipeline.run ~two_pass ~witness:true (Source.of_trace trace)
   in
-  coop_result_equal (run false) (run true)
+  let oracle = run true and pipeline = run false in
+  let c = Cooperability.check ~witness:true trace in
+  c.Cooperability.violations = oracle.Coop_pipeline.violations
+  && c.Cooperability.races = oracle.Coop_pipeline.races
+  && Event.Var_set.equal c.Cooperability.racy oracle.Coop_pipeline.racy
+  && c.Cooperability.events = oracle.Coop_pipeline.events
+  && pipeline.Coop_pipeline.violations = oracle.Coop_pipeline.violations
+  && pipeline.Coop_pipeline.races = oracle.Coop_pipeline.races
 
 let identity_on_traces =
   prop gen_trace
@@ -223,7 +197,6 @@ let suite =
   [
     races_replay_on_traces;
     races_replay_on_late_traces;
-    lockset_on_traces;
     identity_on_traces;
     identity_on_late_traces;
     causes_on_late_traces;
