@@ -162,10 +162,10 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the parallel analyses (yield inference runs \
-           its schedule portfolio concurrently; explore shards the branch \
-           frontier). Defaults to \\$(b,COOP_JOBS), then the machine's \
-           domain count. 1 forces the sequential path; results are \
-           identical either way.")
+           its schedule portfolio concurrently; explore runs its \
+           preemptive and cooperative searches side by side). Defaults to \
+           \\$(b,COOP_JOBS), then the machine's domain count. 1 forces the \
+           sequential path; results are identical either way.")
 
 let validate_jobs =
   validate ~kind:"jobs" ~wants:positive Coop_util.Pool.parse_jobs
@@ -1146,6 +1146,17 @@ let atomize_cmd =
 let explore_cmd =
   let action spec threads size max_states max_executions max_depth max_segment
       with_inferred use_dpor no_cache stats jobs profile =
+    (* The DPOR budgets mean nothing to the stateful explorer: asking for
+       one without --dpor is a malformed invocation, not a no-op. *)
+    if not use_dpor then
+      List.iter
+        (fun (flag, v) ->
+          Option.iter
+            (fun n ->
+              invalid ~kind:flag ~wants:"--dpor" ("--" ^ flag)
+                (string_of_int n))
+            v)
+        [ ("max-executions", max_executions); ("max-depth", max_depth) ];
     profile_setup profile;
     let prog = load ~threads ~size spec in
     let pool = pool_of_jobs jobs in
@@ -1163,7 +1174,7 @@ let explore_cmd =
          the --max-states budget, as before the flags were split. *)
       let max_executions = Option.value max_executions ~default:max_states in
       let r =
-        Dpor.run ~pool ~yields ~max_executions ?max_depth ?max_segment
+        Dpor.run ~yields ~max_executions ?max_depth ?max_segment
           ~no_cache ?ckpt prog
       in
       Format.printf "dpor: %d executions, %d transitions, complete=%b@."
@@ -1181,8 +1192,6 @@ let explore_cmd =
           @ ckpt_rows (Option.map Coop_util.Ckpt_cache.stats ckpt))
     end
     else begin
-      ignore (max_executions : int option);
-      ignore (max_depth : int option);
       ignore (no_cache : bool);
       let v =
         Coop_core.Equivalence.compare ~pool ~yields ~max_states ?max_segment
@@ -1233,9 +1242,11 @@ let explore_cmd =
           $ budget_opt_term ~flag:"max-executions"
               ~doc:
                 "Execution budget for the DPOR explorer (defaults to the \
-                 --max-states value)."
+                 --max-states value). Requires $(b,--dpor)."
           $ budget_opt_term ~flag:"max-depth"
-              ~doc:"Transition budget per DPOR execution (default 10_000)."
+              ~doc:
+                "Transition budget per DPOR execution (default 10_000). \
+                 Requires $(b,--dpor)."
           $ budget_opt_term ~flag:"max-segment"
               ~doc:
                 "Invisible-instruction fuel per scheduling decision \

@@ -29,6 +29,10 @@ expect_invalid "$exe" check philo --max-steps=-1
 expect_invalid "$exe" trace philo --format xml
 expect_invalid "$exe" check philo --witness foo
 expect_invalid env COOP_JOBS=abc "$exe" check philo
+# The DPOR budgets without --dpor: the stateful explorer has no use for
+# them, so asking for one is malformed rather than silently ignored.
+expect_invalid "$exe" explore philo -t 2 -s 1 --max-executions 5
+expect_invalid "$exe" explore philo -t 2 -s 1 --max-depth 5
 # More domains than the runtime can start: the pool must fail cleanly.
 expect_invalid "$exe" infer philo --jobs 100000
 

@@ -8,27 +8,14 @@ type verdict = {
 }
 
 let compare ?pool ?yields ?max_states ?max_segment prog =
-  (* The two explorations are themselves independent; with a pool each
-     mode is spawned as its own task (which then spawns per-frontier
-     subtasks inside it — nested spawning on one pool), and awaited in a
-     fixed order for a deterministic verdict. *)
+  (* The two explorations are independent: with a pool each mode runs as
+     its own task, the results in mode order. *)
+  let explore mode = Explore.run ?yields ?max_states ?max_segment mode prog in
+  let modes = [ Explore.Preemptive; Explore.Cooperative ] in
   let both =
     match pool with
-    | Some p when Coop_util.Pool.jobs p > 1 ->
-        let promises =
-          List.map
-            (fun mode ->
-              Coop_util.Pool.spawn p (fun () ->
-                  Explore.run ~pool:p ?yields ?max_states ?max_segment mode
-                    prog))
-            [ Explore.Preemptive; Explore.Cooperative ]
-        in
-        List.map (Coop_util.Pool.await p) promises
-    | _ ->
-        List.map
-          (fun mode ->
-            Explore.run ?yields ?max_states ?max_segment mode prog)
-          [ Explore.Preemptive; Explore.Cooperative ]
+    | Some p -> Coop_util.Pool.parallel_map p explore modes
+    | None -> List.map explore modes
   in
   match both with
   | [ preemptive; cooperative ] ->

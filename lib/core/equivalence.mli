@@ -25,10 +25,9 @@ val compare :
   Coop_lang.Bytecode.program ->
   verdict
 (** [compare ?yields prog] explores both semantics with the same injected
-    yield set. With a [pool] the two explorations run concurrently and
-    each shards its frontier across the pool (see {!Explore.run}); the
-    verdict is unchanged. [max_segment] is passed through to both
-    {!Explore.run} calls. *)
+    yield set. With a [pool] the two explorations run concurrently, one
+    task each; the verdict is unchanged. [max_segment] is passed through
+    to both {!Explore.run} calls. *)
 
 val pp : Format.formatter -> verdict -> unit
 (** One-line summary with behaviour counts and state counts. *)

@@ -160,18 +160,33 @@ let push_sleep f (src : int array) i =
    nearest parked ancestor. Must be a power of two. *)
 let ckpt_spacing = 4
 
-(* One DPOR exploration. [root_only = Some p] restricts the root frame to
-   the single first choice [p], its siblings pre-marked tried: a shard
-   explores the subtree of first step [p]. Backtrack requests at the root
-   go to [root_notify] instead, and [run] spawns each newly requested
-   root choice as a pool task. The spawned set is a deterministic
-   fixpoint, a superset of the sequential root persistent set, hence
-   sound; shards lose the root-level sleep sets, so they may re-explore
-   executions a sequential run prunes (counted in [executions]/[steps]),
-   but the behaviour set is exact either way. *)
-let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
-    ?(yields = Loc.Set.empty) ?(max_executions = 50_000)
-    ?(max_depth = 10_000) ?(max_segment = 100_000) prog =
+(* Flush the store's counter deltas attributable to one [run] into the
+   telemetry registers (the store itself has no Coop_obs dependency and
+   may be shared across runs, hence deltas). *)
+let flush_obs c (before : Coop_util.Ckpt_cache.stats) =
+  if Coop_obs.enabled () then begin
+    let open Coop_util.Ckpt_cache in
+    let s = stats c in
+    Coop_obs.count "ckpt/hits" (s.hits - before.hits);
+    Coop_obs.count "ckpt/misses" (s.misses - before.misses);
+    Coop_obs.count "ckpt/evictions" (s.evictions - before.evictions);
+    Coop_obs.gauge "ckpt/bytes" (float_of_int s.bytes);
+    Coop_obs.gauge "ckpt/peak_bytes" (float_of_int s.peak_bytes)
+  end
+
+let default_cache () =
+  Coop_util.Ckpt_cache.create
+    ~weight:(fun st -> 8 * Vm.approx_words st)
+    ()
+
+let run ?(yields = Loc.Set.empty) ?(max_executions = 50_000)
+    ?(max_depth = 10_000) ?(max_segment = 100_000) ?(no_cache = false)
+    ?(sleep_sets = true) ?ckpt prog =
+  let cache =
+    if no_cache then None
+    else Some (match ckpt with Some c -> c | None -> default_cache ())
+  in
+  let before = Option.map Coop_util.Ckpt_cache.stats cache in
   let behaviors = ref Behavior.Set.empty in
   let executions = ref 0 in
   let novel = ref 0 and replayed = ref 0 in
@@ -271,22 +286,12 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     if i >= 0 then
       if not (dependent f.taken (4 * i) f.taken (4 * d)) then
         add_backtracks d (i - 1) tb
-      else begin
-        match (i, root_notify) with
-        | 0, Some notify ->
-            if mem f 0 enabled tb then notify tb
-            else
-              for t = 0 to (f.nw * 63) - 1 do
-                if mem f 0 enabled t then notify t
-              done
-        | _ ->
-            if mem f i enabled tb then add f i backtrack tb
-            else
-              for k = 0 to f.nw - 1 do
-                let b = word f i backtrack 0 + k in
-                f.bits.(b) <- f.bits.(b) lor f.bits.(word f i enabled 0 + k)
-              done
-      end
+      else if mem f i enabled tb then add f i backtrack tb
+      else
+        for k = 0 to f.nw - 1 do
+          let b = word f i backtrack 0 + k in
+          f.bits.(b) <- f.bits.(b) lor f.bits.(word f i enabled 0 + k)
+        done
   in
   (* Explores from the frame at depth [d], whose pre-choice state is in
      [f.work]: the first choice steps it in place, later (backtracked)
@@ -340,19 +345,14 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     end
   in
   make_frame 0 f.work;
-  (match root_only with
-  | Some p ->
-      Array.fill f.bits (word f 0 backtrack 0) f.nw 0;
-      add f 0 backtrack p;
-      Array.blit f.bits (word f 0 enabled 0) f.bits (word f 0 tried 0) f.nw;
-      let i = word f 0 tried p in
-      f.bits.(i) <- f.bits.(i) land lnot (1 lsl (p mod 63))
-  | None -> ());
   explore 0;
   unpark 0;
   Option.iter
     (fun c -> Coop_util.Ckpt_cache.tally c ~hits:!hits ~misses:!misses)
     cache;
+  (match (cache, before) with
+  | Some c, Some b -> flush_obs c b
+  | _ -> ());
   {
     behaviors = !behaviors;
     executions = !executions;
@@ -362,108 +362,3 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     cache_hits = !hits;
     complete = !complete;
   }
-
-(* Flush the store's counter deltas attributable to one [run] into the
-   telemetry registers (the store itself has no Coop_obs dependency and
-   may be shared across runs, hence deltas). *)
-let flush_obs c (before : Coop_util.Ckpt_cache.stats) =
-  if Coop_obs.enabled () then begin
-    let open Coop_util.Ckpt_cache in
-    let s = stats c in
-    Coop_obs.count "ckpt/hits" (s.hits - before.hits);
-    Coop_obs.count "ckpt/misses" (s.misses - before.misses);
-    Coop_obs.count "ckpt/evictions" (s.evictions - before.evictions);
-    Coop_obs.gauge "ckpt/bytes" (float_of_int s.bytes);
-    Coop_obs.gauge "ckpt/peak_bytes" (float_of_int s.peak_bytes)
-  end
-
-let default_cache () =
-  Coop_util.Ckpt_cache.create
-    ~weight:(fun st -> 8 * Vm.approx_words st)
-    ()
-
-let run ?pool ?yields ?max_executions ?max_depth ?max_segment
-    ?(no_cache = false) ?(sleep_sets = true) ?ckpt prog =
-  let cache =
-    if no_cache then None
-    else Some (match ckpt with Some c -> c | None -> default_cache ())
-  in
-  let before = Option.map Coop_util.Ckpt_cache.stats cache in
-  let finish r =
-    (match (cache, before) with
-    | Some c, Some b -> flush_obs c b
-    | _ -> ());
-    r
-  in
-  let jobs = match pool with Some p -> Coop_util.Pool.jobs p | None -> 1 in
-  let roots = Vm.runnable (Vm.init prog) in
-  if jobs <= 1 || List.length roots <= 1 then
-    finish
-      (run_seq ?cache ~sleep_sets ?yields ?max_executions ?max_depth
-         ?max_segment prog)
-  else begin
-    let pool = Option.get pool in
-    (* Dynamic root sharding: start from the root choice the sequential
-       run would take first, and spawn a task for every further root
-       choice the shards' persistent-set requests discover, exactly
-       once each. The set so spawned is the least fixpoint of those
-       (deterministic) requests, so it does not depend on pool size or
-       on which domain ran which shard — the determinism suites rely on
-       this. Tasks spawn from inside tasks, which is what the
-       work-stealing pool is for. *)
-    let mutex = Mutex.create () in
-    let spawned = Hashtbl.create 8 in
-    let promises : (int * result Coop_util.Pool.promise) list ref =
-      ref []
-    in
-    let rec launch p =
-      if not (Hashtbl.mem spawned p) then begin
-        Hashtbl.replace spawned p ();
-        let promise =
-          Coop_util.Pool.spawn pool (fun () ->
-              (* Shards share the one store's budget, charged
-                 lock-free; each parks in its own frames. *)
-              run_seq ~root_only:p ~root_notify ?cache ~sleep_sets ?yields
-                ?max_executions ?max_depth ?max_segment prog)
-        in
-        promises := (p, promise) :: !promises
-      end
-    and root_notify p = Mutex.protect mutex (fun () -> launch p) in
-    root_notify (List.fold_left min (List.hd roots) roots);
-    (* Await until no shard has requested anything new: results are
-       keyed by root tid and merged in tid order below, so the fold is
-       deterministic whatever order the shards finished in. *)
-    let take () =
-      let l = !promises in
-      promises := [];
-      l
-    in
-    let rec drain acc =
-      match Mutex.protect mutex take with
-      | [] -> acc
-      | l ->
-          drain
-            (List.fold_left
-               (fun acc (t, pr) -> (t, Coop_util.Pool.await pool pr) :: acc)
-               acc l)
-    in
-    let shards =
-      List.sort (fun (a, _) (b, _) -> compare a b) (drain []) |> List.map snd
-    in
-    finish
-      (List.fold_left
-         (fun acc r ->
-           {
-             behaviors = Behavior.Set.union acc.behaviors r.behaviors;
-             executions = acc.executions + r.executions;
-             steps = acc.steps + r.steps;
-             novel_steps = acc.novel_steps + r.novel_steps;
-             replayed_steps = acc.replayed_steps + r.replayed_steps;
-             cache_hits = acc.cache_hits + r.cache_hits;
-             complete = acc.complete && r.complete;
-           })
-         { behaviors = Behavior.Set.empty; executions = 0; steps = 0;
-           novel_steps = 0; replayed_steps = 0; cache_hits = 0;
-           complete = true }
-         shards)
-  end

@@ -83,7 +83,6 @@ val default_cache : unit -> Vm.state Coop_util.Ckpt_cache.t
     {!Coop_util.Ckpt_cache.stats} afterwards. *)
 
 val run :
-  ?pool:Coop_util.Pool.t ->
   ?yields:Loc.Set.t ->
   ?max_executions:int ->
   ?max_depth:int ->
@@ -113,17 +112,5 @@ val run :
     [~sleep_sets:false] is the plain-DPOR oracle — same behaviour set,
     more executions (property-tested).
 
-    With a [pool] of more than one domain and at least two threads
-    runnable initially, the root choice is sharded {e dynamically}: the
-    first shard is the root choice the sequential run would take, and
-    every further root backtrack point a shard discovers is spawned as a
-    fresh pool task the moment it is requested (exactly once each). The
-    spawned set is the least fixpoint of those requests — a superset of
-    the lazy sequential root backtrack set, hence sound, and independent
-    of pool size or scheduling, so results merge deterministically in
-    root-tid order. Shards share one store's budget. On complete
-    explorations the merged [behaviors] set is identical to the
-    sequential run's (property-tested); [executions]/[steps] may be
-    larger because root-level sleep sets do not prune across shards, and
-    each shard gets the full [max_executions] budget. Without [pool] (or
-    with one of size 1) the sequential path runs — the default. *)
+    The search is sequential: every field of the result is a function of
+    the arguments alone. *)

@@ -39,7 +39,6 @@ type result = {
 }
 
 val run :
-  ?pool:Coop_util.Pool.t ->
   ?yields:Loc.Set.t ->
   ?max_states:int ->
   ?max_segment:int ->
@@ -53,18 +52,8 @@ val run :
     executed per scheduling decision (guards against yield-free infinite
     loops).
 
-    With a [pool] of more than one domain, the top-level branch frontier is
-    expanded breadth-first until it is wide enough and the subtrees are
-    explored in parallel, each with its own memo table and the full
-    [max_states] budget; each task captures its start state. The whole
-    frontier is built in memory before any task starts.
-
-    On complete explorations [behaviors], [complete]
-    and [deadlocks] are identical to the sequential run (deadlocked
-    terminals are deduplicated by state key across shards;
-    property-tested); [states] may be larger because memoization is lost
-    across shards. Without [pool] (or with one of size 1) the sequential
-    path runs — the default. *)
+    The search is sequential and memoized across the whole space, so
+    every field of the result is a function of the arguments alone. *)
 
 val behaviors_equal : result -> result -> bool
 (** Whether two complete explorations produced the same behaviour set. *)

@@ -7,17 +7,16 @@
     drain a small injector queue (submissions from foreign domains),
     then steal from random victims with exponential backoff, and only
     sleep when a whole backoff episode finds nothing. Irregular task
-    trees — one DPOR root owning 100x the subtree of another — therefore
-    re-balance dynamically instead of leaving domains idle behind a
-    static shard boundary.
+    trees therefore re-balance dynamically instead of leaving domains
+    idle behind a static shard boundary.
 
-    Every independent-run layer of the system (the inference portfolio,
-    the explorers' frontier shards, DPOR's root subtrees, the bench
-    harness's per-workload rows) fans out through {!spawn}/{!await} or
-    {!parallel_map}. Determinism is the callers' contract: results are
-    collected keyed by task identity and merged in a deterministic
-    order, so a parallel run is observably identical to the sequential
-    one, just faster.
+    The independent-run layers of the system (the inference portfolio,
+    [Equivalence.compare]'s two explorations, the bench harness's
+    per-workload rows) fan out through {!spawn}/{!await} or
+    {!parallel_map}; the explorers themselves are sequential.
+    Determinism is the callers' contract: results are collected keyed by
+    task identity and merged in a deterministic order, so a parallel run
+    is observably identical to the sequential one, just faster.
 
     Awaiters {e help}: while a promise is outstanding, the awaiting
     domain executes queued tasks (its own deque, the injector, steals).

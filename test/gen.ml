@@ -1,9 +1,37 @@
-(* QCheck generators, and the Atomizer entry points, shared by the
-   property-based suites. *)
+(* QCheck generators, the Atomizer entry points and the one way a
+   property becomes an alcotest case, shared by the property-based
+   suites. *)
 
 open QCheck2
 open Coop_trace
 open Coop_lang
+
+(* ------------------------------------------------------------------ *)
+(* Seeding.                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every property draws its inputs from a fresh generator state seeded
+   with [QCHECK_SEED] when that is set, and with one fixed constant
+   otherwise, so a plain test run checks the same inputs every time and
+   a failure reproduces by exporting the printed seed. *)
+let seed =
+  lazy
+    (let s =
+       match Sys.getenv_opt "QCHECK_SEED" with
+       | None -> 20110212
+       | Some v -> (
+           match int_of_string_opt v with
+           | Some n -> n
+           | None ->
+               failwith (Printf.sprintf "QCHECK_SEED=%S: want an integer" v))
+     in
+     Printf.printf "qcheck seed: %d\n%!" s;
+     s)
+
+let to_alcotest ?speed_level test =
+  QCheck_alcotest.to_alcotest ?speed_level
+    ~rand:(Random.State.make [| Lazy.force seed |])
+    test
 
 (* ------------------------------------------------------------------ *)
 (* CoopLang AST generators (for the pretty/parse round trip).          *)

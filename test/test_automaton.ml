@@ -115,7 +115,7 @@ let gen_syms =
   QCheck2.Gen.(list_size (int_bound 20) (oneofl [ R; L; B; N; Y ]))
 
 let prop_matches_regex =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make
        ~name:"automaton accepts exactly (R|B)*(N|L)?(L|B)* per segment"
        ~count:1000 gen_syms (fun syms ->

@@ -100,7 +100,7 @@ let test_save_load () =
     (traces_equal trace trace'')
 
 let prop_roundtrip =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make ~name:"binary round trip on random traces" ~count:200
        ~print:Gen.print_trace Gen.gen_trace (fun trace ->
          traces_equal trace (Codec.of_string (Codec.to_string trace))))
@@ -108,7 +108,7 @@ let prop_roundtrip =
 (* text -> binary -> text -> binary is a fixpoint: both encoders are
    deterministic functions of the event sequence alone. *)
 let prop_cross_format =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make ~name:"text/binary conversion idempotent" ~count:100
        ~print:Gen.print_trace Gen.gen_trace (fun trace ->
          let b1 = Codec.to_string trace in

@@ -34,7 +34,7 @@ let model_pop m =
 let model_steal = function [] -> (None, []) | x :: tl -> (Some x, tl)
 
 let sequential_model =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make ~name:"qcheck: deque matches the list model" ~count:500
        ~print:print_ops ops_gen (fun ops ->
          (* A tiny initial capacity so longer op sequences also exercise

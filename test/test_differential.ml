@@ -27,6 +27,7 @@ let gen_call_program = Gen.gen_call_program
 let atomize = Gen.atomize
 let atomize_offline = Gen.atomize_offline
 
+let to_alcotest = Gen.to_alcotest
 open QCheck2
 open Coop_util
 open Coop_trace
@@ -74,8 +75,7 @@ let pipeline_agrees mk_source =
        (mk_source ()))
 
 let prop gen name count f =
-  QCheck_alcotest.to_alcotest
-    (Test.make ~name ~count ~print:print_trace gen f)
+  to_alcotest (Test.make ~name ~count ~print:print_trace gen f)
 
 (* --- Checker-level equivalence on random traces --------------------- *)
 
@@ -134,7 +134,7 @@ let online_sink_agrees =
 (* Generated programs, re-executed deterministically in both modes via
    the scheduler factory. *)
 let pipeline_on_programs name gen =
-  QCheck_alcotest.to_alcotest
+  to_alcotest
     (Test.make ~name ~count:25 ~print:Coop_lang.Pretty.program gen (fun p ->
          let prog = Coop_lang.Compile.program p in
          let sched () = Sched.random ~seed:31 () in

@@ -231,12 +231,12 @@ let agrees_with_evaluator p =
   else (not faulted) && out = e.Eval.output && globals = e.Eval.globals
 
 let prop_vm_matches_evaluator =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make ~name:"compiler+VM agree with reference evaluator"
        ~count:500 ~print:Pretty.program gen_seq_program agrees_with_evaluator)
 
 let prop_calls_match_evaluator ~name ~speed ~count ~helpers ~stmts =
-  QCheck_alcotest.to_alcotest ~speed_level:speed
+  Gen.to_alcotest ~speed_level:speed
     (QCheck2.Test.make ~name ~count ~print:Pretty.program
        (gen_call_program ~helpers ~stmts) agrees_with_evaluator)
 

@@ -25,7 +25,8 @@ let test_locked_counter_deterministic () =
 
 let test_deadlock_found () =
   let r = behaviors Explore.Preemptive (Micro.deadlock_prone ()) in
-  Alcotest.(check bool) "deadlock reachable" true (r.Explore.deadlocks > 0);
+  (* One memoized search meets each deadlocked terminal state once. *)
+  Alcotest.(check int) "one deadlocked state" 1 r.Explore.deadlocks;
   Alcotest.(check int) "both behaviours" 2 (Behavior.Set.cardinal r.Explore.behaviors)
 
 let test_deadlock_invisible_cooperatively () =

@@ -9,6 +9,7 @@
    [open QCheck2] shadows the module name. *)
 let gen_program = Gen.gen_concurrent_program
 
+let to_alcotest = Gen.to_alcotest
 open QCheck2
 open Coop_lang
 open Coop_runtime
@@ -17,8 +18,7 @@ open Coop_core
 let compile p = Compile.program p
 
 let prop name count f =
-  QCheck_alcotest.to_alcotest
-    (Test.make ~name ~count ~print:Pretty.program gen_program f)
+  to_alcotest (Test.make ~name ~count ~print:Pretty.program gen_program f)
 
 let terminates =
   prop "generated programs terminate fault-free under every scheduler" 60

@@ -150,7 +150,7 @@ let gen_json =
                       (pair gen_raw_string (self (n / 2)))) ]))
 
 let prop_roundtrip =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make ~name:"print/parse round trip on random documents"
        ~count:500
        ~print:(fun v -> Json.to_string v)

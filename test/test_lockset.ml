@@ -83,7 +83,7 @@ let test_coarser_than_fasttrack () =
 let prop_sound_wrt_fasttrack =
   (* Whatever FastTrack flags, the lockset detector flags too (on feasible
      traces): HB-races are always lockset violations. *)
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make ~name:"lockset racy set contains fasttrack racy set"
        ~count:300 ~print:Gen.print_trace Gen.gen_trace (fun trace ->
          let ft = Fasttrack.racy_vars_of_trace trace in

@@ -112,7 +112,7 @@ let test_error_trailing () =
   | exception Parser.Error (_, _) -> ())
 
 let prop_roundtrip =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make ~name:"pretty-print/parse round trip" ~count:500
        ~print:Pretty.program Gen.gen_program (fun p ->
          let printed = Pretty.program p in
@@ -121,7 +121,7 @@ let prop_roundtrip =
          | exception _ -> false))
 
 let prop_expr_roundtrip =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make ~name:"expression round trip" ~count:500
        ~print:Pretty.expr (Gen.gen_expr 5) (fun e ->
          match Parser.expr (Pretty.expr e) with

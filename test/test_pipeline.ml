@@ -13,6 +13,7 @@ let print_trace = Gen.print_trace
 let gen_program = Gen.gen_concurrent_program
 let atomize_offline = Gen.atomize_offline
 
+let to_alcotest = Gen.to_alcotest
 open QCheck2
 open Coop_trace
 open Coop_runtime
@@ -35,11 +36,10 @@ let full_run source =
   Coop_pipeline.run ~atomize:true ~conflict:true source
 
 let prop_trace name count f =
-  QCheck_alcotest.to_alcotest
-    (Test.make ~name ~count ~print:print_trace gen_trace f)
+  to_alcotest (Test.make ~name ~count ~print:print_trace gen_trace f)
 
 let prop_program name count f =
-  QCheck_alcotest.to_alcotest
+  to_alcotest
     (Test.make ~name ~count ~print:Coop_lang.Pretty.program gen_program f)
 
 let pipeline_matches_offline_on_traces =

@@ -131,7 +131,7 @@ let test_naive_race_pairs () =
   Alcotest.(check int) "one pair" 1 (List.length (Naive_hb.race_pairs t))
 
 let prop_agreement =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make ~name:"fasttrack agrees with naive HB oracle" ~count:500
        ~print:Gen.print_trace Gen.gen_trace (fun trace ->
          let ft = Fasttrack.racy_vars_of_trace trace in
@@ -213,7 +213,7 @@ let churn_oracle trace =
   List.rev !out
 
 let prop_churn_oracle =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make
        ~name:"read-share churn: reports = FastTrack rules over naive HB"
        ~count:500 ~print:Gen.print_trace gen_churn (fun trace ->
@@ -233,7 +233,7 @@ let prop_churn_oracle =
 (* Streaming a prefix, snapshotting, and resuming a fresh detector on
    the rest gives the uncut run's reports, witnesses included. *)
 let prop_churn_snapshot =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make
        ~name:"read-share churn: snapshot/restore at a random cut" ~count:300
        ~print:(fun (t, k) -> Printf.sprintf "cut %d\n%s" k (Gen.print_trace t))

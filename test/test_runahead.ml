@@ -7,6 +7,7 @@
 (* Bind before [open QCheck2] shadows the module name. *)
 let gen_program = Gen.gen_concurrent_program
 
+let to_alcotest = Gen.to_alcotest
 open QCheck2
 open Coop_trace
 open Coop_lang
@@ -79,7 +80,7 @@ let same_run ~yields ~max_steps ~sched_of prog =
   true
 
 let differential =
-  QCheck_alcotest.to_alcotest
+  to_alcotest
     (Test.make ~name:"qcheck: run-ahead loop = one instruction per draw" ~count:150
        ~print:(fun (p, (k, seed, ys, budget)) ->
          Printf.sprintf "sched=%d seed=%d yields=%b budget=%d\n%s" k seed ys budget

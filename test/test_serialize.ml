@@ -69,7 +69,7 @@ let test_blank_lines_ignored () =
   Alcotest.(check int) "one event" 1 (Trace.length t)
 
 let prop_roundtrip =
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make ~name:"serialize round trip on random traces"
        ~count:200 ~print:Gen.print_trace Gen.gen_trace (fun trace ->
          traces_equal trace (Serialize.of_string (Serialize.to_string trace))))

@@ -235,7 +235,7 @@ let region_sound p =
       [ random ~seed:3 (); round_robin ~quantum:1 (); random ~seed:77 () ]
 
 let region_law speed count =
-  QCheck_alcotest.to_alcotest ~speed_level:speed
+  Gen.to_alcotest ~speed_level:speed
     (QCheck2.Test.make
        ~name:(Printf.sprintf "region-level soundness (%d programs)" count)
        ~count ~print:Pretty.program Gen.gen_concurrent_program region_sound)

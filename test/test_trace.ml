@@ -22,7 +22,7 @@ let prop_loc_to_string =
                    min_int + 1; max_int - 1 ];
         G.small_signed_int; G.int ]
   in
-  QCheck_alcotest.to_alcotest
+  Gen.to_alcotest
     (QCheck2.Test.make ~name:"loc to_string = sprintf = pp" ~count:2000
        ~print:(fun (f, p, l) -> Printf.sprintf "func=%d pc=%d line=%d" f p l)
        (G.triple field field field)

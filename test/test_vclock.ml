@@ -1,4 +1,5 @@
 open Coop_race
+let to_alcotest = Gen.to_alcotest
 open QCheck2
 module P = Vclock.Persistent
 
@@ -94,7 +95,7 @@ let test_pers_join () =
 
 (* --- Lattice laws, for both implementations ---------------------------- *)
 
-let prop name gen f = QCheck_alcotest.to_alcotest (Test.make ~name ~count:300 gen f)
+let prop name gen f = to_alcotest (Test.make ~name ~count:300 gen f)
 
 (* The flat side states each law with [copy] + in-place ops so the laws
    also exercise the mutating entry points, not just [of_list]. *)
@@ -224,7 +225,7 @@ let agree flat pers =
 
 let differential_suite =
   [
-    QCheck_alcotest.to_alcotest
+    to_alcotest
       (Test.make ~name:"flat = persistent on random op sequences" ~count:500
          ~print:print_ops
          (Gen.list_size (Gen.int_bound 30) op_gen)
@@ -251,7 +252,7 @@ let differential_suite =
                    pers := P.empty);
                agree flat !pers)
              ops));
-    QCheck_alcotest.to_alcotest
+    to_alcotest
       (Test.make ~name:"leq/equal/compare agree across representations"
          ~count:500
          (Gen.pair bindings_gen bindings_gen)

@@ -18,6 +18,7 @@ let gen_late_trace = Gen.gen_late_trace
 let print_trace = Gen.print_trace
 let atomize = Gen.atomize
 
+let to_alcotest = Gen.to_alcotest
 open QCheck2
 open Coop_trace
 open Coop_core
@@ -25,8 +26,7 @@ module Witness = Coop_provenance.Witness
 module Witness_check = Coop_race.Witness_check
 
 let prop gen name count f =
-  QCheck_alcotest.to_alcotest
-    (Test.make ~name ~count ~print:print_trace gen f)
+  to_alcotest (Test.make ~name ~count ~print:print_trace gen f)
 
 (* --- Replay: witnesses survive the HB oracle -------------------------- *)
 
