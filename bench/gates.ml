@@ -194,10 +194,10 @@ let pool =
          "tasks" --> positive;
          Case ("", fun c ->
              if not (skipped (member c "seconds")) then
-               [ "seconds" --> positive; "steals" --> int_ge 0 ]
-             else [ "steals" --> one_of [ "skipped" ] ]) ]
+               [ "seconds" --> positive ]
+             else []) ]
   @ [ "cases[].shape" --> covers [ "balanced"; "skewed" ];
-      "cases[].impl" --> covers [ "static"; "steal" ]; "summary" --> obj ]
+      "cases[].impl" --> covers [ "static"; "per-leaf" ]; "summary" --> obj ]
   @ List.map
       (fun f -> Case (f, fun v -> if skipped v then [] else [ "" --> finite ]))
       [ "summary.skewed_speedup_8"; "summary.balanced_overhead_8" ]

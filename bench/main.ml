@@ -1386,21 +1386,21 @@ let codec_bench () =
   Printf.printf "(wrote %s)\n" path
 
 (* ---------------------------------------------------------------------- *)
-(* Pool microbenchmark: static sharding vs work stealing                   *)
+(* Pool microbenchmark: static shards vs per-leaf tasks                    *)
 (* ---------------------------------------------------------------------- *)
 
-(* Scheduler load-balancing probe: the same task tree executed (a) as
-   [domains] statically pre-sharded chunk tasks and (b) as one task per
-   leaf, fork-join spawned so the work-stealing deques re-balance it.
-   Leaves are timed waits rather than CPU spins, so the measured
-   wall-clock is a pure function of distribution quality — domains
-   overlap sleeps the same way they would overlap real blocking work,
-   independent of the host's core count. The balanced tree cannot be
-   improved by stealing (equal chunks are already optimal), so its
-   steal-vs-static delta is the scheduler's overhead budget; the
-   Zipf-sized tree front-loads its heavy leaves into the first static
-   chunk — exactly the irregularity of DPOR root subtrees and explore
-   frontiers that motivated the work-stealing rebuild. *)
+(* Scheduler load-balancing probe: the same task tree executed on one
+   pool (a) as [domains] statically pre-sharded chunk tasks and (b) as
+   one task per leaf, fork-join spawned, so whichever domain is free
+   takes the next leaf from the shared queue. Leaves are timed waits
+   rather than CPU spins, so the measured wall-clock is a pure function
+   of distribution quality — domains overlap sleeps the same way they
+   would overlap real blocking work, independent of the host's core
+   count. The balanced tree cannot be improved by finer tasks (equal
+   chunks are already optimal), so its per-leaf-vs-static delta is the
+   scheduler's overhead budget; the Zipf-sized tree front-loads its
+   heavy leaves into the first static chunk, which per-leaf tasks
+   re-balance. *)
 
 let pool_leaves = 64
 let pool_unit_s = 0.004
@@ -1431,10 +1431,10 @@ let pool_run_static pool domains leaves =
   in
   List.iter (Pool.await pool) promises
 
-let pool_run_steal pool leaves =
+let pool_run_per_leaf pool leaves =
   let arr = Array.of_list leaves in
   (* Fork-join over the leaf range: every leaf its own task, spawned
-     from inside tasks, so idle domains steal the un-started half-trees. *)
+     from inside tasks, so idle domains take the un-started half-trees. *)
   let rec go lo hi =
     if hi - lo <= 1 then (if hi > lo then pool_sleep arr.(lo))
     else begin
@@ -1447,30 +1447,20 @@ let pool_run_steal pool leaves =
   go 0 (Array.length arr)
 
 let pool_case shape impl domains =
-  let pool = Pool.create ~monitor:Coop_obs.pool_monitor ~jobs:domains () in
+  let pool = Pool.create ~jobs:domains () in
   let leaves = pool_weights shape in
-  Coop_obs.reset ();
-  Coop_obs.enable ();
   let t0 = Unix.gettimeofday () in
   (match impl with
   | "static" -> pool_run_static pool domains leaves
-  | _ -> pool_run_steal pool leaves);
+  | _ -> pool_run_per_leaf pool leaves);
   let seconds = Unix.gettimeofday () -. t0 in
-  let snap = Coop_obs.snapshot () in
-  let steals =
-    match List.assoc_opt "pool/steals" snap.Coop_obs.counters with
-    | Some n -> n
-    | None -> 0
-  in
-  Coop_obs.disable ();
-  Coop_obs.reset ();
   Pool.shutdown pool;
-  (seconds, steals)
+  seconds
 
 let pool_bench () =
   let domains_list = [ 1; 2; 4; 8 ] in
   let shapes = [ "balanced"; "skewed" ] in
-  let impls = [ "static"; "steal" ] in
+  let impls = [ "static"; "per-leaf" ] in
   (* Timing 8 domains on a machine with fewer cores measures the OS
      scheduler multiplexing oversubscribed domains, not the pool — a
      reliably flaky row. It is emitted as "skipped" instead. *)
@@ -1503,38 +1493,38 @@ let pool_bench () =
     Table.create
       ~headers:
         [ ("tree", Table.Left); ("domains", Table.Right);
-          ("static (ms)", Table.Right); ("steal (ms)", Table.Right);
-          ("speedup", Table.Right); ("steals", Table.Right) ]
+          ("static (ms)", Table.Right); ("per-leaf (ms)", Table.Right);
+          ("speedup", Table.Right) ]
   in
   List.iter
     (fun shape ->
       List.iter
         (fun d ->
-          match (find shape "static" d, find shape "steal" d) with
-          | Some (st, _), Some (ws, steals) ->
+          match (find shape "static" d, find shape "per-leaf" d) with
+          | Some st, Some pl ->
               Table.add_row table
-                [ shape; string_of_int d; ms st; ms ws;
-                  Printf.sprintf "%.2fx" (st /. ws); string_of_int steals ]
+                [ shape; string_of_int d; ms st; ms pl;
+                  Printf.sprintf "%.2fx" (st /. pl) ]
           | _ ->
               Table.add_row table
-                [ shape; string_of_int d; "skipped"; "skipped"; "-"; "-" ])
+                [ shape; string_of_int d; "skipped"; "skipped"; "-" ])
         domains_list)
     shapes;
   Table.print
     ~title:
       (Printf.sprintf
-         "Pool microbenchmark: static shards vs work stealing (%d timed-wait \
+         "Pool microbenchmark: static shards vs per-leaf tasks (%d timed-wait \
           leaves, unit %.1f ms)"
          pool_leaves (1000. *. pool_unit_s))
     table;
   let skewed_speedup_8 =
-    match (find "skewed" "static" 8, find "skewed" "steal" 8) with
-    | Some (st, _), Some (ws, _) -> Some (st /. ws)
+    match (find "skewed" "static" 8, find "skewed" "per-leaf" 8) with
+    | Some st, Some pl -> Some (st /. pl)
     | _ -> None
   in
   let balanced_overhead_8 =
-    match (find "balanced" "static" 8, find "balanced" "steal" 8) with
-    | Some (st, _), Some (ws, _) -> Some ((ws /. st) -. 1.)
+    match (find "balanced" "static" 8, find "balanced" "per-leaf" 8) with
+    | Some st, Some pl -> Some ((pl /. st) -. 1.)
     | _ -> None
   in
   (match (skewed_speedup_8, balanced_overhead_8) with
@@ -1561,16 +1551,12 @@ let pool_bench () =
                      ("domains", Json.Int domains);
                      ("tasks",
                       Json.Int
-                        (if impl = "steal" then pool_leaves
-                         else min domains pool_leaves)) ]
-                  @
-                  match m with
-                  | Some (seconds, steals) ->
-                      [ ("seconds", Json.Float seconds);
-                        ("steals", Json.Int steals) ]
-                  | None ->
-                      [ ("seconds", Json.String "skipped");
-                        ("steals", Json.String "skipped") ]))
+                        (if impl = "per-leaf" then pool_leaves
+                         else min domains pool_leaves));
+                     ("seconds",
+                      match m with
+                      | Some seconds -> Json.Float seconds
+                      | None -> Json.String "skipped") ]))
               results));
         ("summary",
          Json.Obj

@@ -21,7 +21,7 @@ dune runtest
 echo "== tests (COOP_JOBS=2: parallel analyses on the shared pool) =="
 COOP_JOBS=2 dune runtest --force
 
-echo "== tests (COOP_JOBS=4: deeper work-stealing interleavings) =="
+echo "== tests (COOP_JOBS=4: deeper shared-queue interleavings) =="
 # The other passes check the properties on the pinned default seed; this
 # one draws a fresh seed, so CI keeps sampling new inputs. A failure
 # reproduces with the echoed QCHECK_SEED.
@@ -131,10 +131,11 @@ dune exec bin/coopcheck.exe -- infer philo -t 2 -s 2 --no-cache \
 cmp _build/ci-replay-infer-cached.out _build/ci-replay-infer-stateless.out
 cmp _build/ci-replay-infer-cached.json _build/ci-replay-infer-stateless.json
 
-echo "== explore is -j independent (whole stdout, -j 1 vs -j 4) =="
-# Both explorers search sequentially whatever the pool size, so every
-# line — behaviours, state and execution counts, the --stats table —
-# must be byte-identical at -j 1 and -j 4.
+echo "== explore and infer are -j independent (whole stdout, -j 1 vs -j 4) =="
+# Both explorers search sequentially whatever the pool size, and infer
+# merges its portfolio runs in schedule order, so every line —
+# behaviours, state and execution counts, yields, the --stats tables —
+# and infer's witness document must be byte-identical at -j 1 and -j 4.
 dune exec bin/coopcheck.exe -- explore philo -t 3 -s 1 --stats -j 1 \
   > _build/ci-jobs-explore-j1.out
 dune exec bin/coopcheck.exe -- explore philo -t 3 -s 1 --stats -j 4 \
@@ -145,6 +146,15 @@ dune exec bin/coopcheck.exe -- explore bank -t 2 -s 2 --dpor --stats -j 1 \
 dune exec bin/coopcheck.exe -- explore bank -t 2 -s 2 --dpor --stats -j 4 \
   > _build/ci-jobs-dpor-j4.out
 cmp _build/ci-jobs-dpor-j1.out _build/ci-jobs-dpor-j4.out
+for w in tsp bank; do
+  for j in 1 4; do
+    dune exec bin/coopcheck.exe -- infer $w --stats -j $j \
+      --witness json:_build/ci-jobs-infer-$w-j$j.json \
+      > _build/ci-jobs-infer-$w-j$j.out
+  done
+  cmp _build/ci-jobs-infer-$w-j1.out _build/ci-jobs-infer-$w-j4.out
+  cmp _build/ci-jobs-infer-$w-j1.json _build/ci-jobs-infer-$w-j4.json
+done
 
 echo "== bench smoke (table1) =="
 smoke bench/smoke
@@ -155,7 +165,7 @@ smoke bench/smoke-json
 echo "== vclock bench smoke (flat vs persistent, json-verified) =="
 smoke bench/smoke-vclock
 
-echo "== pool bench smoke (static shards vs work stealing, json-verified) =="
+echo "== pool bench smoke (static shards vs per-leaf tasks, json-verified) =="
 smoke bench/smoke-pool
 
 echo "== allocation-budget smoke (minor words/event vs recorded budget) =="

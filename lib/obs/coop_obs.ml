@@ -276,9 +276,8 @@ let flow_end name ~id = flow_event name ~id Flow_end
 (* ------------------------------------------------------------------ *)
 
 (* Queue depth on every spawn, per-task latency and per-worker busy time
-   on every executed task, plus the work-stealing seam: steal counts and
-   latency, and per-deque depth both as gauges and as timestamped
-   samples (the chrome-trace counter lanes). *)
+   on every executed task. The pool has no deques and never steals, so
+   the other two hooks are no-ops. *)
 let pool_monitor =
   {
     Coop_util.Pool.on_submit =
@@ -292,26 +291,8 @@ let pool_monitor =
           observe "pool/task_us" (1e6 *. dt)
         in
         Fun.protect ~finally:finish task);
-    on_steal =
-      (fun ~thief:_ ~victim:_ ~latency_s ->
-        count "pool/steals" 1;
-        observe "pool/steal_latency_us" (1e6 *. latency_s);
-        if !on then begin
-          (* Cumulative per-domain steal count as a counter lane. *)
-          let st = state () in
-          let n =
-            match Hashtbl.find_opt st.d_counters "pool/steals" with
-            | Some r -> !r
-            | None -> 0
-          in
-          sample "pool/steals" (float_of_int n)
-        end);
-    on_deque_depth =
-      (fun ~slot ~depth ->
-        let name = "pool/deque_depth/d" ^ string_of_int slot in
-        let v = float_of_int depth in
-        gauge name v;
-        sample name v);
+    on_steal = (fun ~thief:_ ~victim:_ ~latency_s:_ -> ());
+    on_deque_depth = (fun ~slot:_ ~depth:_ -> ());
   }
 
 let enable () =
@@ -439,20 +420,6 @@ let snapshot () =
           min = h.hmin; max = h.hmax })
   in
   let gauges_l = sorted_bindings gauges (fun r -> snd !r) in
-  (* Derived: how much re-balancing the scheduler did per executed task.
-     Present exactly when at least one steal was recorded. *)
-  let gauges_l =
-    match
-      (List.assoc_opt "pool/steals" counters_l,
-       List.assoc_opt "pool/task_us" hists_l)
-    with
-    | Some steals, Some h when h.Hist.count > 0 ->
-        (("pool/steals_per_task",
-          float_of_int steals /. float_of_int h.Hist.count)
-         :: gauges_l)
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-    | _ -> gauges_l
-  in
   {
     spans;
     counters = counters_l;
@@ -734,8 +701,8 @@ let chrome_trace snap =
             ("dur", Int (max 1 (int_of_float s.dur_us))) ])
       snap.spans
   in
-  (* Timestamped sample series (steal counts, per-deque depth) become
-     counter lanes: one [ph:"C"] track per (name, recording domain). *)
+  (* Timestamped sample series become counter lanes: one [ph:"C"] track
+     per (name, recording domain). *)
   let counter_lanes =
     List.concat_map
       (fun (name, samples) ->

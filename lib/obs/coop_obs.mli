@@ -15,13 +15,10 @@
       without taking any shared lock on the hot path.
 
     A {!Coop_util.Pool} given {!pool_monitor} ([Pool.create ~monitor] or
-    [Pool.set_monitor]) exports queue depth, per-task latency,
-    per-worker busy time, and the work-stealing seam: a [pool/steals]
-    counter, a [pool/steal_latency_us] histogram, per-deque depth gauges
-    ([pool/deque_depth/d<slot>]) with timestamped {!sample} series
-    behind them, and a derived [pool/steals_per_task] gauge in the
-    snapshot. Like every other entry point it records only while
-    telemetry is enabled.
+    [Pool.set_monitor]) exports the shared queue's depth
+    ([pool/queue_depth]), per-task latency ([pool/task_us]) and
+    per-worker busy time ([pool/worker_busy]). Like every other entry
+    point it records only while telemetry is enabled.
 
     {!snapshot} is a best-effort merge: call it at quiescence (after the
     runs being profiled have completed) for exact totals. *)
@@ -83,8 +80,7 @@ val sample : string -> float -> unit
 (** [sample name v] appends a timestamped point to the named series on
     the recording domain. Series merge by concatenation (sorted by
     timestamp) rather than by aggregation, and render as [ph:"C"]
-    counter lanes in {!chrome_trace} — the pool monitor uses them for
-    cumulative steal counts and per-deque depth over time. *)
+    counter lanes in {!chrome_trace}. *)
 
 val flow_begin : string -> id:int -> unit
 (** [flow_begin name ~id] records the start of a cross-domain flow — a
@@ -164,8 +160,7 @@ type snapshot = {
   spans : span_record list;  (** Sorted by start time. *)
   counters : (string * int) list;  (** Sorted by name, summed over domains. *)
   gauges : (string * float) list;
-      (** Sorted by name, last write wins. Includes the derived
-          [pool/steals_per_task] when at least one steal was recorded. *)
+      (** Sorted by name, last write wins. *)
   timers : (string * timer) list;  (** Sorted by name. *)
   hists : (string * Hist.t) list;  (** Sorted by name, merged over domains. *)
   samples : (string * sample_record list) list;
@@ -211,8 +206,7 @@ val chrome_trace : snapshot -> Coop_util.Json.t
 (** The snapshot's spans as a Chrome [trace_event] JSON array (one
     pseudo-process, one thread per domain, [ph:"X"] complete events with
     [ts]/[dur] in microseconds), plus one [ph:"C"] counter lane per
-    sample series (cumulative steals, per-deque depth) so scheduler
-    behaviour graphs alongside the span timeline, plus flow events
-    ([ph:"s"]/[ph:"f"], matched by [id]) drawing fact-propagation
-    arrows between domain lanes. Loadable in [chrome://tracing] and
+    sample series so progress graphs alongside the span timeline, plus
+    flow events ([ph:"s"]/[ph:"f"], matched by [id]) drawing
+    fact-propagation arrows between domain lanes. Loadable in [chrome://tracing] and
     Perfetto. *)

@@ -1,25 +1,16 @@
-(* A work-stealing pool of worker domains over per-domain Chase–Lev
-   deques (Spmc_deque).
+(* A pool of worker domains over one shared FIFO of tasks.
 
-   Every domain attached to a pool — the creating domain (slot 0) and
-   each spawned worker (slots 1..jobs-1) — owns one deque. [spawn] from
-   an attached domain pushes onto its own deque (cheap, lock-free);
-   [spawn] from a foreign domain lands in a small mutex-protected
-   injector queue. Idle domains look for work in a fixed order: own
-   deque (LIFO pop), injector, then random-victim stealing across the
-   other deques with exponential backoff between sweeps; only when a
-   full backoff episode finds nothing do they sleep on a condition
-   variable. Producers broadcast only when the atomic idler count is
-   non-zero, and sleepers re-check for work (and for promise
-   resolution) after registering under the lock, so wakeups are never
-   lost.
+   One mutex guards the queue, the [live] flag and the worker list; one
+   condition variable is broadcast whenever a task is queued, a task
+   completes, or the pool shuts down. Workers pop from the front and
+   sleep only while the queue is empty.
 
-   Deadlock-freedom under nesting keeps the old pool's rule: a domain
-   awaiting a promise never blocks while there is runnable work — it
-   pops, drains the injector, or steals, and only sleeps when every
-   outstanding task is already executing on some other domain. Those
-   executions finish by induction (their own nested spawns obey the same
-   rule), and each completion broadcasts, so the sleep is always woken. *)
+   Deadlock-freedom under nesting: a domain awaiting a promise never
+   sleeps while the queue holds work — it pops and runs queued tasks —
+   and sleeps only when every outstanding task is already executing on
+   some other domain. Those executions finish by induction (their own
+   nested spawns obey the same rule), and each completion broadcasts, so
+   the sleep is always woken. *)
 
 type task = unit -> unit
 
@@ -32,206 +23,53 @@ type monitor = {
 
 type t = {
   jobs : int;
-  deques : task Spmc_deque.t array;  (* slot 0 = creator, 1.. = workers *)
-  injector : task Queue.t;           (* submissions from foreign domains *)
-  inj_mutex : Mutex.t;
-  inj_size : int Atomic.t;           (* mirror of [Queue.length injector] *)
+  queue : task Queue.t;
+  lock : Mutex.t;
+  wake : Condition.t;
   pool_monitor : monitor option Atomic.t;
-  lock : Mutex.t;                    (* guards sleeping and [live] *)
-  wake : Condition.t;                (* new work or a task completed *)
-  idlers : int Atomic.t;             (* domains blocked on [wake] *)
-  mutable live : bool;               (* written under [lock] *)
+  mutable live : bool;
   mutable workers : unit Domain.t list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Monitors: one per pool.                                             *)
-(* ------------------------------------------------------------------ *)
-
 let set_monitor pool m = Atomic.set pool.pool_monitor m
 
-(* ------------------------------------------------------------------ *)
-(* Worker identity: which deque (if any) does this domain own?         *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-domain association from pool (by physical identity) to owned
-   slot. A domain can own slots in several pools (the main domain is
-   slot 0 of every pool it creates); entries are tiny and pools are few,
-   so the list is never pruned. *)
-let slots_key : (t * int) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let register_slot pool slot =
-  let r = Domain.DLS.get slots_key in
-  r := (pool, slot) :: !r
-
-let my_slot pool =
-  let rec find = function
-    | [] -> None
-    | (p, s) :: rest -> if p == pool then Some s else find rest
-  in
-  find !(Domain.DLS.get slots_key)
-
-(* ------------------------------------------------------------------ *)
-(* Scheduling primitives.                                              *)
-(* ------------------------------------------------------------------ *)
-
-let nop () = ()
-let now () = Unix.gettimeofday ()
-
-(* Per-call-site xorshift; seeded from the domain id so victims differ
-   across domains without shared state. *)
-let fresh_rng () =
-  ref ((((Domain.self () :> int) + 1) * 0x9E3779B1) lor 1)
-
-let rng_next r =
-  let x = !r in
-  let x = x lxor (x lsl 13) in
-  let x = x lxor (x lsr 7) in
-  let x = x lxor (x lsl 17) in
-  r := x;
-  x land max_int
-
-let wake_all pool =
-  if Atomic.get pool.idlers > 0 then begin
-    Mutex.lock pool.lock;
-    Condition.broadcast pool.wake;
-    Mutex.unlock pool.lock
-  end
+let broadcast pool =
+  Mutex.lock pool.lock;
+  Condition.broadcast pool.wake;
+  Mutex.unlock pool.lock
 
 let enqueue pool task =
-  (match my_slot pool with
-  | Some s ->
-      let dq = pool.deques.(s) in
-      Spmc_deque.push dq task;
-      (match Atomic.get pool.pool_monitor with
-      | None -> ()
-      | Some m ->
-          let depth = Spmc_deque.length dq in
-          m.on_submit ~queued:depth;
-          m.on_deque_depth ~slot:s ~depth)
-  | None ->
-      Mutex.lock pool.inj_mutex;
-      Queue.push task pool.injector;
-      let n = Queue.length pool.injector in
-      Atomic.set pool.inj_size n;
-      Mutex.unlock pool.inj_mutex;
-      (match Atomic.get pool.pool_monitor with
-      | None -> ()
-      | Some m -> m.on_submit ~queued:n));
-  wake_all pool
-
-let try_injector pool =
-  if Atomic.get pool.inj_size = 0 then None
-  else begin
-    Mutex.lock pool.inj_mutex;
-    let r =
-      if Queue.is_empty pool.injector then None
-      else begin
-        let t = Queue.pop pool.injector in
-        Atomic.set pool.inj_size (Queue.length pool.injector);
-        Some t
-      end
-    in
-    Mutex.unlock pool.inj_mutex;
-    r
-  end
-
-(* One randomized sweep over the other deques. [t0] is when this search
-   episode started (0. when unmonitored): a successful steal reports
-   [now - t0] as its latency — time from running out of local work to
-   acquiring remote work. *)
-let try_steal pool ~self rng ~t0 =
-  let n = Array.length pool.deques in
-  let start = rng_next rng mod n in
-  let rec sweep i =
-    if i >= n then None
-    else begin
-      let v = (start + i) mod n in
-      if self = Some v then sweep (i + 1)
-      else
-        match Spmc_deque.steal pool.deques.(v) with
-        | Some task ->
-            (match Atomic.get pool.pool_monitor with
-            | None -> ()
-            | Some m ->
-                let thief = match self with Some s -> s | None -> -1 in
-                m.on_steal ~thief ~victim:v
-                  ~latency_s:(if t0 > 0. then now () -. t0 else 0.);
-                m.on_deque_depth ~slot:v
-                  ~depth:(Spmc_deque.length pool.deques.(v)));
-            Some task
-        | None -> sweep (i + 1)
-    end
-  in
-  if n <= 1 && self <> None then None else sweep 0
-
-let find_task pool ~self rng ~t0 =
-  let own =
-    match self with
-    | Some s -> Spmc_deque.pop pool.deques.(s)
-    | None -> None
-  in
-  match own with
-  | Some _ as t -> t
-  | None -> (
-      match try_injector pool with
-      | Some _ as t -> t
-      | None -> try_steal pool ~self rng ~t0)
+  Mutex.lock pool.lock;
+  Queue.push task pool.queue;
+  let queued = Queue.length pool.queue in
+  Condition.broadcast pool.wake;
+  Mutex.unlock pool.lock;
+  match Atomic.get pool.pool_monitor with
+  | None -> ()
+  | Some m -> m.on_submit ~queued
 
 let run_task pool task =
   match Atomic.get pool.pool_monitor with
   | None -> task ()
   | Some m -> m.wrap_task task ()
 
-let work_available pool =
-  Atomic.get pool.inj_size > 0
-  || Array.exists (fun d -> Spmc_deque.length d > 0) pool.deques
+(* Pop the next task, waiting while the queue is empty and [wait ()]
+   holds; [None] once the queue is empty and [wait ()] does not. *)
+let take pool ~wait =
+  Mutex.lock pool.lock;
+  while Queue.is_empty pool.queue && wait () do
+    Condition.wait pool.wake pool.lock
+  done;
+  let task = Queue.take_opt pool.queue in
+  Mutex.unlock pool.lock;
+  task
 
-let relax n =
-  for _ = 1 to n do
-    Domain.cpu_relax ()
-  done
-
-let max_backoff = 6
-
-(* ------------------------------------------------------------------ *)
-(* Workers.                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let monitored_now pool =
-  match Atomic.get pool.pool_monitor with None -> 0. | Some _ -> now ()
-
-let rec worker_loop pool slot rng =
-  let t0 = monitored_now pool in
-  let rec search backoff =
-    match find_task pool ~self:(Some slot) rng ~t0 with
-    | Some task ->
-        run_task pool task;
-        worker_loop pool slot rng
-    | None ->
-        if backoff <= max_backoff then begin
-          relax (1 lsl backoff);
-          search (backoff + 1)
-        end
-        else begin
-          (* Backoff exhausted: sleep, or exit if the pool is done. *)
-          Mutex.lock pool.lock;
-          Atomic.incr pool.idlers;
-          let quit =
-            if work_available pool then false
-            else if not pool.live then true
-            else begin
-              Condition.wait pool.wake pool.lock;
-              false
-            end
-          in
-          Atomic.decr pool.idlers;
-          Mutex.unlock pool.lock;
-          if not quit then worker_loop pool slot rng
-        end
-  in
-  search 0
+let rec worker_loop pool =
+  match take pool ~wait:(fun () -> pool.live) with
+  | Some task ->
+      run_task pool task;
+      worker_loop pool
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Tasks and promises.                                                 *)
@@ -244,6 +82,8 @@ type 'a state =
 
 type 'a promise = 'a state Atomic.t
 
+let pending p = match Atomic.get p with Pending -> true | _ -> false
+
 let spawn pool f =
   let p = Atomic.make Pending in
   enqueue pool (fun () ->
@@ -253,37 +93,22 @@ let spawn pool f =
           let bt = Printexc.get_raw_backtrace () in
           Atomic.set p (Failed (e, bt)));
       (* Completion may unblock an awaiter. *)
-      wake_all pool);
+      broadcast pool);
   p
 
-let await_result pool p =
-  let self = my_slot pool in
-  let rng = fresh_rng () in
-  let rec loop () =
-    match Atomic.get p with
-    | Done v -> Ok v
-    | Failed (e, bt) -> Error (e, bt)
-    | Pending -> (
-        let t0 = monitored_now pool in
-        match find_task pool ~self rng ~t0 with
-        | Some task ->
-            run_task pool task;
-            loop ()
-        | None ->
-            (* Nothing runnable: our promise's task (or something it
-               transitively awaits) is executing elsewhere. Sleep until a
-               completion or a fresh spawn broadcasts. *)
-            Mutex.lock pool.lock;
-            Atomic.incr pool.idlers;
-            (match Atomic.get p with
-            | Pending when not (work_available pool) ->
-                Condition.wait pool.wake pool.lock
-            | _ -> ());
-            Atomic.decr pool.idlers;
-            Mutex.unlock pool.lock;
-            loop ())
-  in
-  loop ()
+(* Help while the promise is pending: run queued tasks, and sleep only
+   when the queue is empty. [take] re-checks [pending] under the lock,
+   and a completion sets its promise before it broadcasts, so the wakeup
+   is never lost. *)
+let rec await_result pool p =
+  match Atomic.get p with
+  | Done v -> Ok v
+  | Failed (e, bt) -> Error (e, bt)
+  | Pending ->
+      (match take pool ~wait:(fun () -> pending p) with
+      | Some task -> run_task pool task
+      | None -> ());
+      await_result pool p
 
 let await pool p =
   match await_result pool p with
@@ -303,6 +128,8 @@ let shutdown pool =
   pool.workers <- [];
   Condition.broadcast pool.wake;
   Mutex.unlock pool.lock;
+  (* Help drain what is still queued: a one-job pool has no worker. *)
+  worker_loop pool;
   List.iter Domain.join workers
 
 let create ?monitor ~jobs () =
@@ -310,31 +137,20 @@ let create ?monitor ~jobs () =
   let pool =
     {
       jobs;
-      deques =
-        Array.init jobs (fun _ -> Spmc_deque.create ~dummy:nop ());
-      injector = Queue.create ();
-      inj_mutex = Mutex.create ();
-      inj_size = Atomic.make 0;
-      pool_monitor = Atomic.make monitor;
+      queue = Queue.create ();
       lock = Mutex.create ();
       wake = Condition.create ();
-      idlers = Atomic.make 0;
+      pool_monitor = Atomic.make monitor;
       live = true;
       workers = [];
     }
   in
-  register_slot pool 0;
   (* The runtime caps live domains (128 in OCaml 5.1). If a spawn fails
      partway, stop and join the workers already started — leaked, they
      would keep counting against the cap — before reporting. *)
   (try
-     for slot = 1 to jobs - 1 do
-       let d =
-         Domain.spawn (fun () ->
-             register_slot pool slot;
-             worker_loop pool slot (fresh_rng ()))
-       in
-       pool.workers <- d :: pool.workers
+     for _ = 1 to jobs - 1 do
+       pool.workers <- Domain.spawn (fun () -> worker_loop pool) :: pool.workers
      done
    with Failure msg ->
      shutdown pool;
@@ -343,20 +159,18 @@ let create ?monitor ~jobs () =
   pool
 
 (* ------------------------------------------------------------------ *)
-(* parallel_map, reimplemented on spawn/await.                         *)
+(* parallel_map, on spawn/await.                                       *)
 (* ------------------------------------------------------------------ *)
 
 let parallel_map pool f xs =
   match xs with
   | [] -> []
   | [ x ] -> [ f x ]
-  | xs when pool.jobs = 1 && pool.workers = [] -> List.map f xs
+  | xs when pool.jobs = 1 -> List.map f xs
   | xs ->
       let promises = List.map (fun x -> spawn pool (fun () -> f x)) xs in
       (* Settle the whole batch first (awaiting in input order; helping
-         runs the rest), then re-raise the first failure in input order
-         — a deterministic strengthening of the old completion-order
-         contract. *)
+         runs the rest), then re-raise the first failure in input order. *)
       let settled = List.map (await_result pool) promises in
       List.map
         (function

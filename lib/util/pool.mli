@@ -1,14 +1,14 @@
-(** A work-stealing domain pool.
+(** A domain pool over one shared task queue.
 
-    Each pool owns one {!Spmc_deque} per attached domain: the creating
-    domain (slot 0) plus [jobs - 1] spawned workers. {!spawn} from an
-    attached domain pushes onto that domain's own deque with no
-    interlocked operations; idle domains pop their own deque first, then
-    drain a small injector queue (submissions from foreign domains),
-    then steal from random victims with exponential backoff, and only
-    sleep when a whole backoff episode finds nothing. Irregular task
-    trees therefore re-balance dynamically instead of leaving domains
-    idle behind a static shard boundary.
+    A pool is [jobs - 1] spawned worker domains and one mutex-guarded
+    FIFO of tasks with one condition variable. {!spawn}, from any
+    domain, pushes at the back and wakes the sleepers; workers pop from
+    the front and sleep only while the queue is empty. Load balance is
+    decided at runtime by whichever domain goes idle first, so uneven
+    tasks do not leave domains idle behind a static shard boundary.
+    The tasks submitted here are coarse (a whole program run, a bench
+    row), so one central queue costs them nothing measurable
+    (EXPERIMENTS.md, "Shared-queue pool").
 
     The independent-run layers of the system (the inference portfolio,
     [Equivalence.compare]'s two explorations, the bench harness's
@@ -19,12 +19,12 @@
     is observably identical to the sequential one, just faster.
 
     Awaiters {e help}: while a promise is outstanding, the awaiting
-    domain executes queued tasks (its own deque, the injector, steals).
-    This makes nested {!spawn}/{!await} — a pool task spawning and
-    awaiting subtasks on the same pool — deadlock-free by construction:
-    a waiter never sleeps while there is runnable work, and a promise
-    whose task is in flight on another domain completes by induction on
-    nesting depth, broadcasting on completion.
+    domain pops and runs queued tasks. This makes nested
+    {!spawn}/{!await} — a pool task spawning and awaiting subtasks on
+    the same pool — deadlock-free by construction: a waiter sleeps only
+    while the queue is empty, and a promise whose task is in flight on
+    another domain completes by induction on nesting depth, broadcasting
+    on completion.
 
     A pool of [jobs = 1] spawns no domains; {!parallel_map} degrades to
     [List.map] and {!await} runs queued tasks inline on the calling
@@ -35,30 +35,24 @@ type t
 (** Telemetry hooks. The pool only depends on the stdlib clock, so
     observability is injected per pool ({!create}'s [?monitor] or
     {!set_monitor}): [Coop_obs.pool_monitor] exports queue depth,
-    per-task latency, per-worker busy time, steal counts, steal latency
-    and per-deque depth; with no monitor installed (the default) the
-    dispatch path takes no timestamps. *)
+    per-task latency and per-worker busy time; with no monitor installed
+    (the default) the dispatch path takes no timestamps. The pool calls
+    [on_submit] and [wrap_task] and never calls [on_steal] or
+    [on_deque_depth]. *)
 type monitor = {
   on_submit : queued:int -> unit;
-      (** Called once per {!spawn} with the owning deque's (or the
-          injector's) length just after the push. *)
+      (** Called once per {!spawn} with the shared queue's length just
+          after the push. *)
   wrap_task : (unit -> unit) -> unit -> unit;
       (** Wraps every task execution (worker or helping awaiter); the
           monitor owns the timing. Must call the task exactly once. *)
   on_steal : thief:int -> victim:int -> latency_s:float -> unit;
-      (** Called after each successful steal. [thief]/[victim] are deque
-          slots ([-1] for a foreign helping domain); [latency_s] is the
-          time from running out of local work to acquiring the stolen
-          task. *)
   on_deque_depth : slot:int -> depth:int -> unit;
-      (** Called with a deque's depth right after it changed size on the
-          submission or steal path (a racy snapshot — a gauge, not an
-          invariant). *)
 }
 
 val create : ?monitor:monitor -> jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs >= 1]; the
-    creating domain owns slot 0 and participates when it awaits).
+    creating domain participates when it awaits).
     [monitor] installs a per-pool monitor from the start. Raises
     [Invalid_argument] when [jobs < 1], or when the runtime cannot start
     [jobs - 1] more domains (OCaml caps the number of live domains); in
@@ -69,7 +63,8 @@ val jobs : t -> int
 (** Parallelism of the pool (including the creating domain). *)
 
 val shutdown : t -> unit
-(** Stop and join the workers. Outstanding tasks are drained first.
+(** Stop and join the workers. Outstanding tasks are drained first,
+    the calling domain helping (so a [jobs = 1] pool runs them itself).
     Idempotent. *)
 
 val set_monitor : t -> monitor option -> unit

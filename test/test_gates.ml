@@ -57,9 +57,9 @@ let vclock =
 let pool =
   {|{"experiment": "pool", "leaves": 1, "cases": [
      {"shape": "balanced", "impl": "static", "domains": 1e-9, "tasks": 1e-9,
-      "seconds": 1e-9, "steals": 0},
-     {"shape": "skewed", "impl": "steal", "domains": 8, "tasks": 64,
-      "seconds": "skipped", "steals": "skipped"}],
+      "seconds": 1e-9},
+     {"shape": "skewed", "impl": "per-leaf", "domains": 8, "tasks": 64,
+      "seconds": "skipped"}],
      "summary": {"skewed_speedup_8": -1.5, "balanced_overhead_8": "skipped"}}|}
 
 let codec =
@@ -243,8 +243,6 @@ let mutants =
         ("cases[].domains", [ set "cases.0.domains" "0" ]);
         ("cases[].tasks", [ set "cases.0.tasks" "0" ]);
         ("cases[].seconds", [ set "cases.0.seconds" "0" ]);
-        ("cases[].steals", [ set "cases.0.steals" "-1" ]);
-        ("cases[].steals", [ set "cases.1.steals" "3" ]);
         ("cases[].shape", [ set "cases.1.shape" {|"balanced"|} ]);
         ("cases[].impl", [ set "cases.1.impl" {|"static"|} ]);
         ("summary", [ set "summary" "[]" ]);

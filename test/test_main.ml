@@ -4,7 +4,6 @@ let () =
   Alcotest.run "coop"
     [
       ("util.rng", Test_rng.suite);
-      ("util.deque", Test_deque.suite);
       ("util.pool", Test_pool.suite);
       ("util.stats", Test_stats.suite);
       ("util.table", Test_table.suite);

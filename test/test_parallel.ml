@@ -24,8 +24,8 @@ open Coop_workloads
 (* Module-level pools, shared across test cases; alcotest runs cases
    sequentially so there is no cross-test interference. Size 4 appears
    twice so every determinism check also compares two runs at the same
-   size — work stealing makes the task interleaving different every run,
-   and the answers must not be. *)
+   size — which domain takes which task differs every run, and the
+   answers must not be. *)
 let pool2 = Pool.create ~jobs:2 ()
 let pool4 = Pool.create ~jobs:4 ()
 let pools =
