@@ -176,10 +176,14 @@ type table3_row = {
   t3_major_collections : int;  (* major collections during that run *)
 }
 
-(* GC cost of one full-pipeline pass, sampled on a dedicated run so the
-   timed medians above stay unperturbed. OCaml 5 GC counters are
-   per-domain; the pipeline runs on the calling domain, so the delta is
-   the run's own allocation. *)
+(* GC cost of one run of [f], sampled on a dedicated run so timed
+   medians stay unperturbed. [Gc.quick_stat]'s minor words include what
+   every other domain allocated in the window, so the sample is the
+   run's own only while no other domain runs OCaml code: taken inside a
+   pool task while other rows ran on another domain, table3's series
+   read 27.87 and 8.78 words/event in two runs, against 3.125
+   sequentially. Callers sample on the calling domain, with the pool
+   idle. *)
 let alloc_sample f =
   (* Flush the young generation at both window edges: the runtime only
      folds young-generation allocation into [minor_words] at minor
@@ -195,7 +199,8 @@ let alloc_sample f =
     g1.Gc.minor_words -. g0.Gc.minor_words,
     g1.Gc.major_collections - g0.Gc.major_collections )
 
-let table3_measure r =
+(* The timed columns of one row, one pool task per row. *)
+let table3_time r =
   let sched () = Sched.random ~seed:5 () in
   (* Timed at 32x the default workload size: the default-size streams run
      in single-digit milliseconds, where scheduler noise and per-run
@@ -233,12 +238,18 @@ let table3_measure r =
     time_median (fun () ->
         Coop_pipeline.run ~atomize:true ~two_pass:true source)
   in
+  (r.entry.Registry.name, source, base, race, full, two, !events)
+
+(* A row from its timings: the allocation columns come from one more
+   full-pipeline pass, run on the calling domain after the parallel
+   timing (see [alloc_sample]). *)
+let table3_row (name, source, base, race, full, two, events) =
   let _, minor_w, majors =
     alloc_sample (fun () -> Coop_pipeline.run ~atomize:true source)
   in
-  { t3_name = r.entry.Registry.name; t3_base = base; t3_race = race;
-    t3_full = full; t3_two = two; t3_events = !events;
-    t3_minor_w_per_event = minor_w /. float_of_int (max 1 !events);
+  { t3_name = name; t3_base = base; t3_race = race; t3_full = full;
+    t3_two = two; t3_events = events;
+    t3_minor_w_per_event = minor_w /. float_of_int (max 1 events);
     t3_major_collections = majors }
 
 let table3_json rows =
@@ -289,7 +300,7 @@ let table3 () =
           ("race kev/s", Table.Right); ("1-pass kev/s", Table.Right);
           ("2-pass kev/s", Table.Right); ("minor w/ev", Table.Right) ]
   in
-  let measured = Pool.map table3_measure (Lazy.force rows) in
+  let measured = List.map table3_row (Pool.map table3_time (Lazy.force rows)) in
   List.iter
     (fun w ->
       let slow x = Printf.sprintf "%.2fx" (x /. w.t3_base) in

@@ -161,6 +161,20 @@ smoke bench/smoke
 
 echo "== bench smoke (table3 --json, 2 domains, 2 workloads) =="
 smoke bench/smoke-json
+# Run twice more at 2 domains: each row's events and minor words/event
+# are sampled on the calling domain after the parallel timing, so both
+# runs must print the same numbers exactly.
+for k in 1 2; do
+  COOP_JOBS=2 dune exec bench/main.exe -- table3 --only philo,crypt \
+    --json _build/ci-table3-$k.json > /dev/null
+done
+python3 -c '
+import json, sys
+rows = [{w["name"]: (w["events"], w["minor_words_per_event"])
+         for w in json.load(open(f))["workloads"]} for f in sys.argv[1:]]
+print("table3 rows at 2 domains: %s" % rows[0])
+sys.exit(0 if rows[0] == rows[1] and len(rows[0]) == 2 else 1)' \
+  _build/ci-table3-1.json _build/ci-table3-2.json
 
 echo "== vclock bench smoke (flat vs persistent, json-verified) =="
 smoke bench/smoke-vclock

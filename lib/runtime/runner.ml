@@ -25,7 +25,10 @@ let run_ahead_cap = 1024
    runnable set or the sink can see, so each draw sees the context a
    one-instruction-per-draw loop would show it. A step limit can stop the
    run while a thread is ahead: its frame goes back to its mark and
-   replays the draws it consumed. The context record, its runnable
+   replays the draws it consumed. The runnable set is recomputed only
+   after a step that reports writing what it depends on
+   ({!Vm.runnable_changed}); most steps are reads and writes of shared
+   memory, which leave it as it was. The context record, its runnable
    buffer and the per-thread tables are reused, so a draw allocates
    nothing. *)
 let resume_raw ~yields ~max_steps ~sched ~sink ~last ~last_yielded ~steps st =
@@ -76,7 +79,7 @@ let resume_raw ~yields ~max_steps ~sched ~sink ~last ~last_yielded ~steps st =
       end
       else begin
         ctx.last_yielded <- Vm.step ~yields st tid ~sink;
-        refresh ();
+        if Vm.runnable_changed st then refresh ();
         let limit = min run_ahead_cap (max_steps - steps - 1) in
         let n = Vm.run_ahead ~yields st tid ~limit !marks.(tid) in
         !left.(tid) <- n;

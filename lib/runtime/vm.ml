@@ -59,8 +59,14 @@ type state = {
   mutable output_rev : int list;
   mutable n_output : int;
   mutable failures_rev : (int * string) list;
-  mutable yielded : bool;  (* scratch: [step]'s result, set while it runs *)
+  mutable report : int;
+      (* scratch, written while [step] runs: [yielded_bit] when it emitted
+         a yield, [changed_bit] when it wrote a thread status, a lock
+         owner or the thread count *)
 }
+
+let yielded_bit = 1
+let changed_bit = 2
 
 exception Fault of string
 
@@ -136,7 +142,7 @@ let init prog =
     output_rev = [];
     n_output = 0;
     failures_rev = [];
-    yielded = false;
+    report = 0;
   }
 
 let copy_frame f =
@@ -227,7 +233,7 @@ let copy_into ~dst src =
     dst.output_rev <- src.output_rev;
     dst.n_output <- src.n_output;
     dst.failures_rev <- src.failures_rev;
-    dst.yielded <- src.yielded
+    dst.report <- src.report
   end
 
 let program st = st.prog
@@ -330,18 +336,6 @@ let approx_words st =
   done;
   (if !dummy then 7 else 0) + !words + (3 * st.n_output) + (6 * List.length st.failures_rev)
 
-let peek_instr st tid =
-  if tid < 0 || tid >= st.n_threads then None
-  else
-    let t = st.threads.(tid) in
-    if t.depth = 0 then None
-    else
-      let frame = top_frame t in
-      let f = st.prog.Bytecode.funcs.(frame.func) in
-      if frame.pc < 0 || frame.pc >= Array.length f.code then None
-      else
-        Some (f.code.(frame.pc), st.prog.Bytecode.tables.locs.(frame.func).(frame.pc))
-
 (* --- Arithmetic -------------------------------------------------------- *)
 
 let apply_binop op a b =
@@ -376,14 +370,20 @@ let pop f =
 
 let top f = if f.sp = 0 then underflow () else Array.unsafe_get f.stack (f.sp - 1)
 
+(* [frame]'s operand array [stack], with room for a push at [sp]. *)
+let room frame stack sp =
+  if sp < Array.length stack then stack
+  else begin
+    let bigger = Array.make (2 * sp) 0 in
+    Array.blit stack 0 bigger 0 sp;
+    frame.stack <- bigger;
+    bigger
+  end
+  [@@inline]
+
 let push f v =
   let sp = f.sp in
-  if sp = Array.length f.stack then begin
-    let bigger = Array.make (2 * sp) 0 in
-    Array.blit f.stack 0 bigger 0 sp;
-    f.stack <- bigger
-  end;
-  Array.unsafe_set f.stack sp v;
+  Array.unsafe_set (room f f.stack sp) sp v;
   f.sp <- sp + 1
 
 (* Pops [nargs] arguments; returns the index of the first (deepest) one,
@@ -424,8 +424,16 @@ let emit_to sink (scratch : Event.t) tid loc op =
   sink scratch
   [@@inline]
 
+(* Only a thread that can run is stepped, and it can run afterwards
+   too, so this write never changes the runnable set. *)
 let set_runnable t = if t.status != Runnable then t.status <- Runnable
   [@@inline]
+
+(* Reports a write to what [can_run] reads — a thread status, a lock
+   owner, the thread count: the runnable set may have changed. *)
+let changed st = st.report <- st.report lor changed_bit [@@inline]
+
+let yielded st = st.report <- st.report lor yielded_bit [@@inline]
 
 (* Completion of a straight-line instruction at [pc]. *)
 let advance frame t pc =
@@ -509,13 +517,17 @@ let exec st t tid frame loc sink =
         frame.sp <- frame.sp - 1;
         advance frame t pc
       end
-      else if owner >= 0 then t.status <- Ids.get blocked_on_lock handle
+      else if owner >= 0 then begin
+        t.status <- Ids.get blocked_on_lock handle;
+        changed st
+      end
       else begin
         emit_to sink scratch tid loc tables.acquire_ops.(handle);
         st.lock_owner.(handle) <- tid;
         st.lock_depth.(handle) <- 1;
         frame.sp <- frame.sp - 1;
-        advance frame t pc
+        advance frame t pc;
+        changed st
       end
   | Bytecode.Release ->
       let handle = pop frame in
@@ -523,7 +535,8 @@ let exec st t tid frame loc sink =
       if depth = 1 then begin
         emit_to sink scratch tid loc tables.release_ops.(handle);
         st.lock_owner.(handle) <- -1;
-        st.lock_depth.(handle) <- 0
+        st.lock_depth.(handle) <- 0;
+        changed st
       end
       else st.lock_depth.(handle) <- depth - 1;
       advance frame t pc
@@ -543,7 +556,8 @@ let exec st t tid frame loc sink =
       frame.pc <- pc + 1;
       t.status <- Ids.get waiting handle;
       t.wait_depth <- depth;
-      st.yielded <- true
+      changed st;
+      yielded st
   | Bytecode.Notify all ->
       let handle = pop frame in
       ignore (held_depth st tid handle "notify on");
@@ -551,15 +565,17 @@ let exec st t tid frame loc sink =
       | [] -> ()
       | waiters when all ->
           st.conditions.(handle) <- [];
-          wake st handle waiters
+          wake st handle waiters;
+          changed st
       | w :: rest ->
           st.conditions.(handle) <- rest;
-          wake st handle [ w ]);
+          wake st handle [ w ];
+          changed st);
       advance frame t pc
   | Bytecode.Yield_instr ->
       emit_to sink scratch tid loc Event.Yield;
       advance frame t pc;
-      st.yielded <- true
+      yielded st
   | Bytecode.Atomic_begin ->
       emit_to sink scratch tid loc Event.Atomic_begin;
       advance frame t pc
@@ -579,7 +595,8 @@ let exec st t tid frame loc sink =
       st.threads.(child) <- thread;
       st.n_threads <- child + 1;
       push frame child;
-      advance frame t pc
+      advance frame t pc;
+      changed st
   | Bytecode.Join ->
       let target = top frame in
       if target < 0 || target >= st.n_threads then
@@ -589,7 +606,10 @@ let exec st t tid frame loc sink =
         frame.sp <- frame.sp - 1;
         advance frame t pc
       end
-      else t.status <- Ids.get blocked_on_join target
+      else begin
+        t.status <- Ids.get blocked_on_join target;
+        changed st
+      end
   | Bytecode.Call (fi, nargs) ->
       let base = pop_args frame nargs in
       emit_to sink scratch tid loc tables.enter_ops.(fi);
@@ -607,7 +627,8 @@ let exec st t tid frame loc sink =
       end
       else begin
         t.frames <- [||];
-        t.status <- Finished
+        t.status <- Finished;
+        changed st
       end
   | Bytecode.Print ->
       let v = pop frame in
@@ -622,7 +643,9 @@ let exec st t tid frame loc sink =
   | Bytecode.Pop ->
       ignore (pop frame);
       advance frame t pc
-  | Bytecode.Halt -> t.status <- Finished
+  | Bytecode.Halt ->
+      t.status <- Finished;
+      changed st
 
 (* Execute one instruction of [tid]. Precondition: the thread can run. *)
 let step ~yields st tid ~sink =
@@ -633,7 +656,7 @@ let step ~yields st tid ~sink =
   let frame = top_frame t in
   let tables = st.prog.Bytecode.tables and scratch = st.scratch in
   let loc = Bytecode.loc st.prog ~func:frame.func ~pc:frame.pc in
-  st.yielded <- false;
+  st.report <- 0;
   (* Root-frame Enter event, once per thread. *)
   if not t.entered then begin
     emit_to sink scratch tid loc tables.enter_ops.(frame.func);
@@ -647,14 +670,18 @@ let step ~yields st tid ~sink =
       st.lock_owner.(handle) <- tid;
       st.lock_depth.(handle) <- max 1 t.wait_depth;
       t.status <- Runnable;
-      t.wait_depth <- 0
+      t.wait_depth <- 0;
+      changed st
   | _ ->
       (* Injected yield: its own scheduling point, before the instruction. *)
-      if (not t.pending_yield) && Loc.Set.mem loc yields then begin
+      if (not t.pending_yield)
+         && (not (Loc.Set.is_empty yields))
+         && Loc.Set.mem loc yields
+      then begin
         emit_to sink scratch tid loc Event.Yield;
         t.pending_yield <- true;
         set_runnable t;
-        st.yielded <- true
+        yielded st
       end
       else begin
         t.pending_yield <- false;
@@ -663,48 +690,87 @@ let step ~yields st tid ~sink =
         with Fault msg ->
           frame.sp <- sp;
           st.failures_rev <- (tid, msg) :: st.failures_rev;
-          t.status <- Faulted msg
+          t.status <- Faulted msg;
+          changed st
       end);
-  st.yielded
+  st.report land yielded_bit <> 0
+
+let runnable_changed st = st.report land changed_bit <> 0
 
 (* --- Running ahead ----------------------------------------------------- *)
 
-(* Whether the instruction at [frame.pc] is invisible and cannot fault:
-   it reads and writes only [frame] (pc, locals, operand stack), emits no
-   event and changes no status. An instruction at a location in [yields]
-   is never invisible, since an injected yield is a scheduling point —
-   whether or not that yield was already emitted. *)
-let local_next ~yields st frame =
-  let pc = frame.pc in
-  let code = st.prog.Bytecode.funcs.(frame.func).Bytecode.code in
-  pc >= 0
-  && pc < Array.length code
-  && (match Array.unsafe_get code pc with
-     | Bytecode.Const _ | Bytecode.Load_local _ | Bytecode.Jump _ -> true
-     | Bytecode.Store_local _ | Bytecode.Unop _ | Bytecode.Jump_if_zero _
-     | Bytecode.Pop ->
-         frame.sp >= 1
-     | Bytecode.Binop (Ast.Div | Ast.Mod) ->
-         frame.sp >= 2 && Array.unsafe_get frame.stack (frame.sp - 1) <> 0
-     | Bytecode.Binop _ -> frame.sp >= 2
-     | Bytecode.Assert ->
-         frame.sp >= 1 && Array.unsafe_get frame.stack (frame.sp - 1) <> 0
-     | Bytecode.Array_len aid ->
-         aid >= 0 && aid < Array.length st.prog.Bytecode.array_sizes
-     | _ -> false)
-  && (Loc.Set.is_empty yields
-     || not (Loc.Set.mem st.prog.Bytecode.tables.locs.(frame.func).(pc) yields))
+(* Stops [run_code]: writes its pc and operand count back to [frame]
+   and returns the fuel left. *)
+let stop frame pc sp fuel =
+  frame.pc <- pc;
+  frame.sp <- sp;
+  fuel
+  [@@inline]
 
-(* Executes invisible instructions of [frame] until [limit] of them ran
-   or the next one is not invisible; returns how many ran. [exec] is the
-   one implementation of their semantics: for these instructions it
-   neither emits nor faults, so the location and sink go unused. *)
-let rec run_frame ~yields st t tid frame limit n =
-  if n < limit && local_next ~yields st frame then begin
-    exec st t tid frame Loc.none Trace.Sink.ignore;
-    run_frame ~yields st t tid frame limit (n + 1)
-  end
-  else n
+(* Executes the invisible instructions of [frame], whose code is [code]
+   and locations [locs], from [pc] with [sp] operands on [stack], while
+   [fuel] lasts; returns the fuel left. It stops before an instruction
+   that is visible, would fault (a short operand stack, a zero divisor, a
+   failing assert, a bad array id) or, when [check], sits at a location
+   in [yields] — an injected yield is a scheduling point whether or not
+   it was already emitted. Each instruction is decoded once and does
+   exactly what [exec] does with it, which a one-instruction-per-draw
+   loop reaches through [step]. The frame's registers travel as
+   arguments and are written back only at the stop; at top level, a call
+   allocates nothing. *)
+let rec run_code frame code locs yields check sizes stack pc sp fuel =
+  if fuel <= 0 || pc < 0 || pc >= Array.length code
+     || (check && Loc.Set.mem (Array.unsafe_get locs pc) yields)
+  then stop frame pc sp fuel
+  else
+    match Array.unsafe_get code pc with
+    | Bytecode.Const v ->
+        let stack = room frame stack sp in
+        Array.unsafe_set stack sp v;
+        run_code frame code locs yields check sizes stack (pc + 1) (sp + 1) (fuel - 1)
+    | Bytecode.Load_local l ->
+        let v = frame.locals.(l) in
+        let stack = room frame stack sp in
+        Array.unsafe_set stack sp v;
+        run_code frame code locs yields check sizes stack (pc + 1) (sp + 1) (fuel - 1)
+    | Bytecode.Store_local l when sp >= 1 ->
+        frame.locals.(l) <- Array.unsafe_get stack (sp - 1);
+        run_code frame code locs yields check sizes stack (pc + 1) (sp - 1) (fuel - 1)
+    | Bytecode.Jump target ->
+        run_code frame code locs yields check sizes stack target sp (fuel - 1)
+    | Bytecode.Jump_if_zero target when sp >= 1 ->
+        let pc = if Array.unsafe_get stack (sp - 1) = 0 then target else pc + 1 in
+        run_code frame code locs yields check sizes stack pc (sp - 1) (fuel - 1)
+    | Bytecode.Binop op when sp >= 2 -> (
+        let b = Array.unsafe_get stack (sp - 1) in
+        match op with
+        | (Ast.Div | Ast.Mod) when b = 0 -> stop frame pc sp fuel
+        | _ ->
+            let a = Array.unsafe_get stack (sp - 2) in
+            Array.unsafe_set stack (sp - 2) (apply_binop op a b);
+            run_code frame code locs yields check sizes stack (pc + 1) (sp - 1) (fuel - 1))
+    | Bytecode.Unop op when sp >= 1 ->
+        Array.unsafe_set stack (sp - 1) (apply_unop op (Array.unsafe_get stack (sp - 1)));
+        run_code frame code locs yields check sizes stack (pc + 1) sp (fuel - 1)
+    | Bytecode.Assert when sp >= 1 && Array.unsafe_get stack (sp - 1) <> 0 ->
+        run_code frame code locs yields check sizes stack (pc + 1) (sp - 1) (fuel - 1)
+    | Bytecode.Pop when sp >= 1 ->
+        run_code frame code locs yields check sizes stack (pc + 1) (sp - 1) (fuel - 1)
+    | Bytecode.Array_len aid when aid >= 0 && aid < Array.length sizes ->
+        let stack = room frame stack sp in
+        Array.unsafe_set stack sp (Array.unsafe_get sizes aid);
+        run_code frame code locs yields check sizes stack (pc + 1) (sp + 1) (fuel - 1)
+    | _ -> stop frame pc sp fuel
+
+(* Runs [frame] ahead by up to [limit] invisible instructions; returns
+   how many ran. *)
+let run_frame ~yields st frame limit =
+  let prog = st.prog in
+  limit
+  - run_code frame prog.Bytecode.funcs.(frame.func).Bytecode.code
+      prog.Bytecode.tables.locs.(frame.func) yields
+      (not (Loc.Set.is_empty yields))
+      prog.Bytecode.array_sizes frame.stack frame.pc frame.sp limit
 
 (* The top frame of [tid] when the thread may run ahead: it is live,
    [Runnable] (not parked, woken or finished) and already entered, so
@@ -717,8 +783,7 @@ let ahead_frame st tid =
 
 let run_local ~yields st tid ~limit =
   let frame = ahead_frame st tid in
-  if frame == dummy_frame then 0
-  else run_frame ~yields st st.threads.(tid) tid frame limit 0
+  if frame == dummy_frame then 0 else run_frame ~yields st frame limit
 
 type mark = {
   mutable m_frame : frame;  (* [dummy_frame] until the first save *)
@@ -753,11 +818,10 @@ let save_frame m frame =
 
 let run_ahead ~yields st tid ~limit m =
   let frame = ahead_frame st tid in
-  if frame == dummy_frame || limit <= 0 || not (local_next ~yields st frame)
-  then 0
+  if frame == dummy_frame || limit <= 0 then 0
   else begin
     save_frame m frame;
-    run_frame ~yields st st.threads.(tid) tid frame limit 0
+    run_frame ~yields st frame limit
   end
 
 (* Invisible instructions push no frame, so the saved frame is still the

@@ -111,6 +111,16 @@ val step : yields:Loc.Set.t -> state -> int -> sink:Trace.Sink.t -> bool
     and operand stack exactly as they were before the step and marks it
     [Faulted]. Raises [Invalid_argument] if [tid] cannot run. *)
 
+val runnable_changed : state -> bool
+(** Whether the last {!step} on this state wrote what {!runnable} reads:
+    a thread status (a park, a wake, a finish, a fault, a monitor
+    reacquire), a lock owner or the thread count. That happens on
+    acquire, release, wait, notify, spawn, join, a return at depth 0,
+    halt, a fault and a reacquire. When it is [false], {!runnable} is
+    what it was before the step, so a run loop that caches the runnable
+    set refreshes it only when this is [true]. (A step may report a
+    change that leaves the set as it was.) *)
+
 (** {2 Running ahead}
 
     An {e invisible} instruction — [Const], [Load_local], [Store_local],
@@ -167,11 +177,6 @@ val transition : yields:Loc.Set.t -> state -> int -> fuel:int -> sink:Trace.Sink
     Returns [false] when [fuel] instructions ran without ending it; the
     state is then half-stepped and must be discarded. Allocates nothing
     beyond what the executed instructions themselves allocate. *)
-
-val peek_instr : state -> int -> (Bytecode.instr * Loc.t) option
-(** The instruction a thread would execute next and its (shared,
-    tabulated) location, or [None] for a thread without a frame (one
-    that returned from its root function). *)
 
 val global_value : state -> int -> int
 (** Current value of a global slot. *)

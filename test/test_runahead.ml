@@ -1,8 +1,10 @@
 (* The run loop executes a thread's invisible instructions ahead of the
-   scheduler draws that account for them (Vm.run_ahead). It must be
-   observationally the one-instruction-per-draw loop below: the same
-   draws, events, step count, termination and final Vm.key, also when a
-   step budget runs out in the middle of a run-ahead. *)
+   scheduler draws that account for them (Vm.run_ahead), and keeps the
+   runnable set cached between the steps that may change it
+   (Vm.runnable_changed). It must be observationally the
+   one-instruction-per-draw loop below: the same draws, the same context
+   at every draw, events, step count, termination and final Vm.key, also
+   when a step budget runs out in the middle of a run-ahead. *)
 
 (* Bind before [open QCheck2] shadows the module name. *)
 let gen_program = Gen.gen_concurrent_program
@@ -35,17 +37,34 @@ let via_reference ~yields ~max_steps ~sched prog sink =
   in
   go 0 (-1) false
 
+(* [s], recording every context it is shown: the runnable prefix,
+   [n_runnable], [last] and [last_yielded]. *)
+let recording (s : Sched.t) =
+  let seen = Buffer.create 4096 in
+  let pick (c : Sched.context) =
+    for i = 0 to c.n_runnable - 1 do
+      Buffer.add_string seen (string_of_int c.runnable.(i));
+      Buffer.add_char seen ','
+    done;
+    Buffer.add_string seen
+      (Printf.sprintf "n%d l%d y%b;" c.n_runnable c.last c.last_yielded);
+    s.pick c
+  in
+  ({ s with pick }, seen)
+
 (* Everything a run shows: its events, steps, termination, final key
-   and failures. *)
-let observe run =
+   and failures, and the contexts its scheduler saw. *)
+let observe run sched =
+  let sched, contexts = recording sched in
   let buf = Buffer.create 4096 in
   let sink e = Buffer.add_string buf (Format.asprintf "%a;" Event.pp e) in
-  let termination, steps, final = run sink in
-  ( Buffer.contents buf,
-    steps,
-    Format.asprintf "%a" Runner.pp_termination termination,
-    Vm.key final,
-    Vm.failures final )
+  let termination, steps, final = run ~sched sink in
+  ( (Buffer.contents buf,
+     steps,
+     Format.asprintf "%a" Runner.pp_termination termination,
+     Vm.key final,
+     Vm.failures final),
+    Buffer.contents contexts )
 
 let via_runner ~yields ~max_steps ~sched prog sink =
   let o = Runner.run ~yields ~max_steps ~sched ~sink prog in
@@ -71,12 +90,13 @@ let random_yields prog seed =
     Loc.Set.empty (all_locs prog)
 
 let same_run ~yields ~max_steps ~sched_of prog =
-  let a = observe (via_reference ~yields ~max_steps ~sched:(sched_of ()) prog) in
-  let b = observe (via_runner ~yields ~max_steps ~sched:(sched_of ()) prog) in
+  let a, ca = observe (via_reference ~yields ~max_steps prog) (sched_of ()) in
+  let b, cb = observe (via_runner ~yields ~max_steps prog) (sched_of ()) in
   let _, sa, ta, ka, _ = a and _, sb, tb, kb, _ = b in
-  if a <> b then
-    Test.fail_reportf "reference %d steps %s key %s@.runner    %d steps %s key %s" sa
-      ta ka sb tb kb;
+  if a <> b || ca <> cb then
+    Test.fail_reportf
+      "reference %d steps %s key %s@.runner    %d steps %s key %s@.same contexts: %b"
+      sa ta ka sb tb kb (ca = cb);
   true
 
 let differential =
@@ -96,10 +116,9 @@ let differential =
 
 (* Every budget from 1 to past the end: each one cuts the run at a
    different draw, inside run-aheads and between them. *)
-let every_budget ?(yields = Loc.Set.empty) ~sched_of src =
-  let prog = Compile.source src in
-  let _, total, _, _, _ =
-    observe (via_reference ~yields ~max_steps:1_000_000 ~sched:(sched_of ()) prog)
+let every_budget ?(yields = Loc.Set.empty) ~sched_of prog =
+  let (_, total, _, _, _), _ =
+    observe (via_reference ~yields ~max_steps:1_000_000 prog) (sched_of ())
   in
   for max_steps = 1 to total + 1 do
     ignore (same_run ~yields ~max_steps ~sched_of prog)
@@ -115,7 +134,9 @@ let test_fault_in_prefix () =
     (fun (name, src) ->
       List.iter
         (fun seed ->
-          let total = every_budget ~sched_of:(fun () -> Sched.random ~seed ()) src in
+          let total =
+            every_budget ~sched_of:(fun () -> Sched.random ~seed ()) (Compile.source src)
+          in
           let o =
             Runner.run ~sched:(Sched.random ~seed ()) ~sink:Trace.Sink.ignore
               (Compile.source src)
@@ -151,6 +172,64 @@ let test_local_infinite_loop () =
       (fun () -> Sched.pct ~seed:2 ~depth:3 ~change_span:100 ());
       (fun () -> Sched.cooperative ()) ]
 
+(* [src] with the [Ret] that ends function [name] replaced by [Halt],
+   which the compiler never emits. *)
+let halting name src =
+  let prog = Compile.source src in
+  Array.iter
+    (fun (f : Bytecode.func) ->
+      if f.name = name then begin
+        let last = Array.length f.code - 1 in
+        assert (f.code.(last) = Bytecode.Ret);
+        f.code.(last) <- Bytecode.Halt
+      end)
+    prog.Bytecode.funcs;
+  prog
+
+(* Paths the generated programs never take, each of which changes the
+   runnable set: wait, notifyall and the monitor reacquire; a lock-order
+   deadlock; an acquire that leaves contenders parked; a join of a thread
+   that already finished; a halt; faults on visible instructions, which
+   finish their thread and free its joiner. *)
+let test_runnable_changes () =
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun (sched_name, sched_of) ->
+          let total = every_budget ~sched_of prog in
+          if total = 0 then Alcotest.failf "%s under %s: no steps" name sched_name)
+        [ ("random 1", fun () -> Sched.random ~seed:1 ());
+          ("random 2", fun () -> Sched.random ~seed:2 ());
+          ("random 3", fun () -> Sched.random ~seed:3 ());
+          ("round-robin 1", fun () -> Sched.round_robin ~quantum:1 ());
+          ("round-robin 3", fun () -> Sched.round_robin ~quantum:3 ()) ])
+    (List.map (fun (name, src) -> (name, Compile.source src))
+    [ ("monitor_cell", Coop_workloads.Micro.monitor_cell ~items:3);
+      ("deadlock_prone", Coop_workloads.Micro.deadlock_prone ());
+      ( "notifyall to three waiters",
+        "var ready = 0; var g = 0; lock m; fn w() { sync (m) { while (ready == 0) \
+         { wait(m); } g = g + 1; } } fn main() { var a = spawn w(); var b = spawn w(); \
+         var c = spawn w(); var i = 0; while (i < 30) { i = i + 1; } sync (m) { \
+         ready = 1; notifyall(m); } join a; join b; join c; print(g); }" );
+      ( "lock contention",
+        "var g = 0; lock m; fn w(n) { var i = 0; while (i < n) { sync (m) { \
+         g = g + 1; } i = i + 1; } } fn main() { var a = spawn w(3); \
+         var b = spawn w(3); var c = spawn w(3); join a; join b; join c; print(g); }" );
+      ( "join of a finished thread",
+        "var g = 0; fn w() { g = 1; } fn main() { var t = spawn w(); var i = 0; \
+         while (i < 40) { i = i + 1; } g = 2; join t; print(g); }" );
+      ( "index out of bounds",
+        "array a[3]; var g = 0; fn w(x) { var i = x + 2; a[i] = 1; g = 1; } \
+         fn main() { var t = spawn w(1); var u = spawn w(0); g = 2; join t; \
+         join u; print(a[2]); }" );
+      ( "release of an unheld lock",
+        "lock m; var g = 0; fn w() { g = 1; release(m); g = 2; } fn main() { \
+         var t = spawn w(); acquire(m); g = 3; release(m); join t; print(g); }" ) ]
+    @ [ ( "halt",
+          halting "w"
+            "var g = 0; fn w() { g = 1; } fn main() { var t = spawn w(); \
+             join t; print(g); }" ) ])
+
 (* Injected yields stop a run-ahead, pending or not. *)
 let test_yields_stop_runahead () =
   let src =
@@ -166,7 +245,7 @@ let test_yields_stop_runahead () =
         ignore
           (every_budget ~yields:(Loc.Set.singleton l)
              ~sched_of:(fun () -> Sched.cooperative ())
-             src))
+             prog))
     locs
 
 (* Inference resumes each schedule's tail through the same run loop
@@ -216,5 +295,7 @@ let suite =
     Alcotest.test_case "local infinite loop at the step limit" `Quick
       test_local_infinite_loop;
     Alcotest.test_case "injected yields stop a run-ahead" `Quick test_yields_stop_runahead;
+    Alcotest.test_case "runnable-set changes at every budget" `Quick
+      test_runnable_changes;
     Alcotest.test_case "infer identical at pools 1/2/4" `Quick test_infer_pools;
   ]

@@ -99,13 +99,6 @@ let test_key_distinguishes () =
   Alcotest.(check bool) "keys differ across steps" false (k0 = Vm.key st);
   Alcotest.(check string) "key deterministic" (Vm.key st) (Vm.key st)
 
-let test_peek_instr () =
-  let prog = Compile.source "fn main() { print(1); }" in
-  let st = Vm.init prog in
-  (match Vm.peek_instr st 0 with
-  | Some (Bytecode.Const 1, loc) -> Alcotest.(check int) "loc func" prog.Bytecode.main loc.Coop_trace.Loc.func
-  | _ -> Alcotest.fail "expected Const 1 first")
-
 let test_blocking_join_and_lock () =
   let prog =
     Compile.source
@@ -163,6 +156,5 @@ let suite =
     Alcotest.test_case "yield semantics" `Quick test_yield_instr_noop_semantics;
     Alcotest.test_case "scheduler determinism" `Quick test_step_determinism;
     Alcotest.test_case "state keys" `Quick test_key_distinguishes;
-    Alcotest.test_case "peek_instr" `Quick test_peek_instr;
     Alcotest.test_case "blocking join and lock" `Quick test_blocking_join_and_lock;
   ]
