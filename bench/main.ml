@@ -1152,10 +1152,12 @@ let alloc_budget_verdict_words_per_event = 8.
    keyed checkpoints and boxed frames; the bound is ~2x the larger. *)
 let alloc_budget_dpor_words_per_step = 15.
 
-(* The VM alone — [Runner.run] into an ignoring sink, seed 5 — in minor
-   words per step, on montecarlo at 40 (a call per random draw) and bank
-   at 40 (two functions called in turn at one depth, lock blocking, and
-   a runnable set that changes on every acquire and release). With the
+(* The VM alone — [Runner.run] into an ignoring sink — in minor words
+   per step, on montecarlo at 40 (a call per random draw) and bank at 40
+   (two functions called in turn at one depth, lock blocking, and a
+   runnable set that changes on every acquire and release), under one
+   scheduler of each family that skips credited draws its own way:
+   random (seed 5), round-robin, PCT and cooperative. With the
    payload and location tables built once per program, frames reused by
    calls at the same depth and shared parked statuses, what remains is
    per run — the state, the spawned threads and their first frames:
@@ -1194,13 +1196,20 @@ let alloc_smoke () =
   List.iter
     (fun name ->
       let prog = Registry.program_of ~size:40 (Option.get (Registry.find name)) in
-      let run () =
-        Runner.run ~sched:(Sched.random ~seed:5 ()) ~sink:Coop_trace.Trace.Sink.ignore prog
-      in
-      ignore (run ());
-      let o, minor_w, majors = alloc_sample run in
-      check ~per:"step" ("vm " ^ name) o.Runner.steps minor_w majors
-        alloc_budget_vm_words_per_step)
+      List.iter
+        (fun sched ->
+          let run () =
+            Runner.run ~sched:(sched ()) ~sink:Coop_trace.Trace.Sink.ignore prog
+          in
+          ignore (run ());
+          let o, minor_w, majors = alloc_sample run in
+          check ~per:"step"
+            (Printf.sprintf "vm %s %s" name (sched ()).Sched.name)
+            o.Runner.steps minor_w majors alloc_budget_vm_words_per_step)
+        [ (fun () -> Sched.random ~seed:5 ());
+          (fun () -> Sched.round_robin ~quantum:3 ());
+          (fun () -> Sched.pct ~seed:7 ~depth:3 ~change_span:5_000 ());
+          Sched.cooperative ])
     [ "montecarlo"; "bank" ];
   let crypt = Registry.program_of ~size:160 (Option.get (Registry.find "crypt")) in
   let _, tr = Runner.record ~sched:(Sched.random ~seed:1 ()) crypt in

@@ -18,19 +18,21 @@ type outcome = {
 let run_ahead_cap = 1024
 
 (* Steps [st] in place from a point reached after [steps] draws, [last]
-   and [last_yielded] describing the previous one. Every draw asks the
-   scheduler; after each real [Vm.step] the thread runs ahead through its
-   invisible instructions and [left.(tid)] of its later draws cost only a
-   decrement. Those instructions touch nothing another thread, the
-   runnable set or the sink can see, so each draw sees the context a
-   one-instruction-per-draw loop would show it. A step limit can stop the
-   run while a thread is ahead: its frame goes back to its mark and
-   replays the draws it consumed. The runnable set is recomputed only
-   after a step that reports writing what it depends on
-   ({!Vm.runnable_changed}); most steps are reads and writes of shared
-   memory, which leave it as it was. The context record, its runnable
-   buffer and the per-thread tables are reused, so a draw allocates
-   nothing. *)
+   and [last_yielded] describing the previous one. After each real
+   [Vm.step] the thread runs ahead through its invisible instructions,
+   and [l.credit.(tid)] of its later draws cost nothing but a
+   decrement: the scheduler takes those inside {!Sched.skip}, which
+   returns the first thread it draws with no credit, so the loop calls
+   the scheduler once per real step. Those instructions touch nothing
+   another thread, the runnable set or the sink can see, so each draw
+   sees the context a one-instruction-per-draw loop would show it. A
+   step limit can stop the run while a thread is ahead: its frame goes
+   back to its mark and replays the draws it consumed. The runnable set
+   is recomputed only after a step that reports writing what it depends
+   on ({!Vm.runnable_changed}); most steps are reads and writes of
+   shared memory, which leave it as it was. The context record, its
+   runnable buffer, the ledger and the per-thread tables are reused, so
+   a draw allocates nothing. *)
 let resume_raw ~yields ~max_steps ~sched ~sink ~last ~last_yielded ~steps st =
   let ctx =
     { Sched.runnable = Array.make (max 8 (Vm.n_threads st)) 0; n_runnable = 0;
@@ -42,18 +44,19 @@ let resume_raw ~yields ~max_steps ~sched ~sink ~last ~last_yielded ~steps st =
     ctx.n_runnable <- Vm.runnable_into st ctx.runnable
   in
   refresh ();
-  let left = ref [||] and ran = ref [||] and marks = ref [||] in
+  let l = { Sched.credit = [||]; draws = steps; budget = max_steps } in
+  let ran = ref [||] and marks = ref [||] in
   let grow tid =
     let n = max 8 (2 * (tid + 1)) in
     let extend a fill =
       Array.init n (fun i -> if i < Array.length a then a.(i) else fill ())
     in
-    left := extend !left (fun () -> 0);
+    l.credit <- extend l.credit (fun () -> 0);
     ran := extend !ran (fun () -> 0);
     marks := extend !marks Vm.new_mark
   in
-  let rec loop steps =
-    if steps >= max_steps then begin
+  let rec loop () =
+    if l.draws >= max_steps then begin
       Array.iteri
         (fun tid k ->
           if k > 0 then begin
@@ -62,33 +65,28 @@ let resume_raw ~yields ~max_steps ~sched ~sink ~last ~last_yielded ~steps st =
             let n = Vm.run_local ~yields st tid ~limit:consumed in
             assert (n = consumed)
           end)
-        !left;
-      { final = st; termination = Step_limit; steps }
+        l.credit;
+      { final = st; termination = Step_limit; steps = l.draws }
     end
     else if ctx.n_runnable = 0 then
       let termination = if Vm.all_quiescent st then Completed else Deadlock in
-      { final = st; termination; steps }
+      { final = st; termination; steps = l.draws }
     else begin
-      let tid = sched.Sched.pick ctx in
-      if tid >= Array.length !left then grow tid;
-      ctx.last <- tid;
-      let k = !left.(tid) in
-      if k > 0 then begin
-        !left.(tid) <- k - 1;
-        ctx.last_yielded <- false
-      end
-      else begin
+      let tid = Sched.skip sched ctx l in
+      if tid >= 0 then begin
+        if tid >= Array.length l.credit then grow tid;
+        ctx.last <- tid;
         ctx.last_yielded <- Vm.step ~yields st tid ~sink;
         if Vm.runnable_changed st then refresh ();
-        let limit = min run_ahead_cap (max_steps - steps - 1) in
+        let limit = min run_ahead_cap (max_steps - l.draws) in
         let n = Vm.run_ahead ~yields st tid ~limit !marks.(tid) in
-        !left.(tid) <- n;
+        l.credit.(tid) <- n;
         !ran.(tid) <- n
       end;
-      loop (steps + 1)
+      loop ()
     end
   in
-  loop steps
+  loop ()
 
 let resume ?(yields = Loc.Set.empty) ?(max_steps = 10_000_000) ~sched ~sink
     ~last ~last_yielded ~steps st =

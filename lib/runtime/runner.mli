@@ -49,11 +49,13 @@ val resume :
     split into a prefix and a [resume] takes the same steps and emits the
     same events as the whole run.
 
-    Every draw asks [sched], but the loop executes a thread's invisible
-    instructions ({!Vm.run_ahead}) right after its real steps and
-    charges them to its later draws, so the events, steps, termination
-    and final state ({!Vm.key} included, also at the step limit) are
-    exactly those of executing one instruction per draw. *)
+    The loop executes a thread's invisible instructions
+    ({!Vm.run_ahead}) right after its real steps and charges them to its
+    later draws, which [sched] takes in bulk ({!Sched.skip}): one call
+    per real step, however many draws it covers. The draws, events,
+    steps, termination and final state ({!Vm.key} included, also at the
+    step limit) are exactly those of asking [sched.pick] once per draw
+    and executing one instruction each. *)
 
 val record :
   ?yields:Loc.Set.t ->

@@ -28,10 +28,49 @@ type context = {
     state at a draw can be ahead of the step count; the fields above are
     exactly what a one-instruction-per-draw loop would show. *)
 
+type ledger = {
+  mutable credit : int array;
+      (** Per tid, how many of its coming draws the run loop has already
+          executed (by running it ahead); tids past the end have none. *)
+  mutable draws : int;  (** Draws taken so far in the run. *)
+  budget : int;  (** The run's step budget: no draw is taken past it. *)
+}
+(** The run loop's account of the draws it owes, read and written by
+    {!skip}. *)
+
+type skipper
+(** A scheduler's many-draw entry point, built together with its [pick]
+    by the constructors below. *)
+
 type t = {
   name : string;  (** For reports. *)
   pick : context -> int;  (** Chooses one of [context]'s runnable tids. *)
+  skipper : skipper;
+      (** Draws like [pick]. A record update that replaces [pick] ([{ s
+          with pick = p }], e.g. to count or log the draws) leaves it
+          stale; {!skip} notices and calls the new [pick] once per draw. *)
 }
+
+val skip : t -> context -> ledger -> int
+(** [skip s ctx l] takes the draws [s.pick ctx] would take one at a
+    time, from [l.draws < l.budget]. Each draw counts in [l.draws]; one
+    that lands on a thread with credit decrements that credit and leaves
+    [ctx.last] at that thread and [ctx.last_yielded] false, as the run
+    loop would. It stops at the first draw of a thread with no credit and
+    returns that thread, leaving [ctx] as it was before the draw: the
+    caller executes its step and records [last] and [last_yielded]. It
+    returns [-1] when [l.draws] reaches [l.budget] with every draw
+    credited. The runnable set must not be empty, and stays unchanged
+    throughout (credited draws execute nothing).
+
+    The draws, the returned thread, the credits, [ctx] and the
+    scheduler's state afterwards are exactly those of calling [pick] per
+    draw, but the built-in schedulers skip runs of credited draws without
+    a call each: [random] in one allocation-free loop over its generator,
+    [sequential] and [cooperative] in O(1), [round_robin] in O(threads),
+    [pct] in O(1) up to its next change point. [pinned], [recorded] and any
+    [s] whose [pick] was replaced by record update go draw by draw
+    through [pick]. *)
 
 val round_robin : quantum:int -> unit -> t
 (** Preemptive round-robin: runs each thread for up to [quantum] consecutive

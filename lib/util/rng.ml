@@ -29,11 +29,37 @@ let next t =
   mix s
   [@@inline]
 
+(* The non-negative 62 bits of an output that [int] reduces modulo its
+   bound. Rejection-free modulo is fine here: bound is tiny relative to
+   2^62. *)
+let bits out = Int64.to_int (Int64.shift_right_logical out 2) [@@inline]
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection-free modulo is fine here: bound is tiny relative to 2^62. *)
-  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
-  v mod bound
+  bits (next t) mod bound
+
+let draw_while t bound ~keys ~counts ~max =
+  if bound <= 0 then invalid_arg "Rng.draw_while: bound must be positive";
+  (* For a power of two the mask is the modulo of the non-negative bits. *)
+  let mask = if bound land (bound - 1) = 0 then bound - 1 else -1 in
+  let n_counts = Array.length counts in
+  let s = ref (Bytes.get_int64_ne t 0) in
+  let taken = ref 0 and going = ref true in
+  while !going && !taken < max do
+    let s' = Int64.add !s gamma in
+    let v = bits (mix s') in
+    let key = keys.(if mask >= 0 then v land mask else v mod bound) in
+    if key < n_counts && counts.(key) > 0 then begin
+      counts.(key) <- counts.(key) - 1;
+      s := s';
+      incr taken
+    end
+    else going := false
+  done;
+  Bytes.set_int64_ne t 0 !s;
+  !taken
+
+let last_int t bound = bits (mix (Bytes.get_int64_ne t 0)) mod bound
 
 let bool t = Int64.logand (next t) 1L = 1L
 

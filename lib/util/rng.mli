@@ -22,6 +22,20 @@ val int : t -> int -> int
 (** [int t bound] is a uniform integer in [\[0, bound)]. [bound] must be
     positive. *)
 
+val draw_while : t -> int -> keys:int array -> counts:int array -> max:int -> int
+(** [draw_while t bound ~keys ~counts ~max] takes the draws [i = int t
+    bound] in turn while the key drawn, [keys.(i)], has a positive count
+    [counts.(keys.(i))] (keys past the end of [counts] count 0),
+    decrementing that count at each, and at most [max] of them. The draw
+    that finds a zero count is not taken: the next [int t bound] returns
+    it. Returns the number of draws taken. The same draws as the loop
+    over [int], with the state in a local: it allocates nothing.
+    [keys] must hold at least [bound] keys, all non-negative. *)
+
+val last_int : t -> int -> int
+(** [last_int t bound] is what the draw that left [t] in its current
+    state returned, if that draw was an [int t bound]. *)
+
 val bool : t -> bool
 (** [bool t] is a uniform boolean. *)
 

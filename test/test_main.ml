@@ -26,6 +26,8 @@ let () =
       ("runtime.sched", Test_sched.suite);
       ("runtime.runner", Test_runner.suite);
       ("runtime.runahead", Test_runahead.suite);
+      ("runtime.skip", Test_skip.suite);
+      ("runtime.golden", Test_golden.suite);
       ("runtime.explore", Test_explore.suite);
       ("runtime.monitor", Test_monitor.suite);
       ("core.mover", Test_mover.suite);
