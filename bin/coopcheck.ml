@@ -172,7 +172,7 @@ let validate_jobs =
 
 (* Resolve --jobs (> COOP_JOBS > recommended_domain_count) into the shared
    pool every parallel backend draws from, monitored when telemetry is on
-   (so --profile carries the pool/* counters and lanes). A count the
+   (so --profile carries the pool/* timer and histograms). A count the
    runtime cannot start (OCaml caps the number of live domains) is a bad
    jobs argument too, reported against whichever setting asked for it. *)
 let pool_of_jobs jobs =

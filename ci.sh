@@ -122,14 +122,21 @@ grep -v '^dpor:' _build/ci-replay-cached.out > _build/ci-replay-cached.cmp
 grep -v '^dpor:' _build/ci-replay-stateless.out \
   > _build/ci-replay-stateless.cmp
 cmp _build/ci-replay-cached.cmp _build/ci-replay-stateless.cmp
-dune exec bin/coopcheck.exe -- infer philo -t 2 -s 2 \
-  --witness json:_build/ci-replay-infer-cached.json \
-  > _build/ci-replay-infer-cached.out
-dune exec bin/coopcheck.exe -- infer philo -t 2 -s 2 --no-cache \
-  --witness json:_build/ci-replay-infer-stateless.json \
-  > _build/ci-replay-infer-stateless.out
-cmp _build/ci-replay-infer-cached.out _build/ci-replay-infer-stateless.out
-cmp _build/ci-replay-infer-cached.json _build/ci-replay-infer-stateless.json
+# Each schedule's checker is fed the round's recorded prefix before its
+# tail runs. philo's prefixes total 4 events over its rounds; sparse's
+# total 202 and tsp's 136, so the checker carries real prefix state
+# into the tail.
+for w in "philo -t 2 -s 2" sparse tsp; do
+  dune exec bin/coopcheck.exe -- infer $w \
+    --witness json:_build/ci-replay-infer-cached.json \
+    > _build/ci-replay-infer-cached.out
+  dune exec bin/coopcheck.exe -- infer $w --no-cache \
+    --witness json:_build/ci-replay-infer-stateless.json \
+    > _build/ci-replay-infer-stateless.out
+  cmp _build/ci-replay-infer-cached.out _build/ci-replay-infer-stateless.out
+  cmp _build/ci-replay-infer-cached.json \
+    _build/ci-replay-infer-stateless.json
+done
 
 echo "== explore and infer are -j independent (whole stdout, -j 1 vs -j 4) =="
 # Both explorers search sequentially whatever the pool size, and infer

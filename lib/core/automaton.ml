@@ -99,19 +99,6 @@ let analysis ?local_locks ~racy () =
     ~step:(fun e -> ignore (step ?local_locks t ~racy e))
     ~finalize:(fun () -> violations t)
 
-(* Checkpoint of the online driver: the engine (open transactions
-   included) and the position counter. The interner rides along so the
-   whole fused stack restores consistently even when this component is
-   resumed first. *)
-type online_snapshot = {
-  os_itn : Interner.snapshot;
-  os_eng : unit Online.snapshot;
-  os_seq : int;
-}
-
-let online_key : online_snapshot Analysis.Key.t =
-  Analysis.Key.create "automaton-online"
-
 (* Single-pass variant: each thread's yield-to-yield segment becomes one
    engine transaction, opened by the segment's first op and closed by
    the yield, classified optimistically and repaired when facts arrive.
@@ -133,17 +120,7 @@ let online_analysis ?mark ~interner ~subscribe () =
     Online.finalize engine;
     Online.results engine ~first_only:false (fun () v -> v)
   in
-  let save () =
-    { os_itn = Interner.snapshot interner; os_eng = Online.snapshot engine;
-      os_seq = !seq }
-  in
-  let load s =
-    Interner.restore interner s.os_itn;
-    Online.restore engine s.os_eng;
-    seq := s.os_seq
-  in
-  Analysis.snapshottable ~key:online_key ~save ~load
-    (Analysis.make ~step ~finalize)
+  Analysis.make ~step ~finalize
 
 let pp_violation ppf v =
   Format.fprintf ppf "t%d needs a yield before %a at %a (%a in post-commit)"

@@ -97,11 +97,7 @@ val online_analysis :
     every event must be noted on it upstream ({!Interner.analysis}).
     [mark] as in {!Online.create}. The driver is the boundary rule
     alone: a yield closes the thread's open transaction, and any other
-    event opens one if none is open, then steps it. Snapshottable via
-    {!Analysis.snapshot} / {!Analysis.resume}: the packet deep-copies
-    the engine (open transactions and retired results included) {e and}
-    the shared interner, so resuming restores the whole fused stack's id
-    space consistently. *)
+    event opens one if none is open, then steps it. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 (** Human-readable description, e.g.

@@ -74,10 +74,6 @@ let online_chain ?(witness = false) () =
 let result_of ((), ((races, events), violations)) =
   { violations; races; racy = Coop_race.Report.racy_vars races; events }
 
-(* Every component of the online chain — interner, detector, event
-   counter, engine-backed automaton — is snapshottable, so the mapped
-   analysis is too; replay elision leans on that to park a shared
-   prefix once and resume it per schedule. *)
 let online_analysis ?witness () =
   Analysis.map result_of (online_chain ?witness ())
 

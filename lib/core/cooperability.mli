@@ -62,9 +62,7 @@ val online_analysis : ?witness:bool -> unit -> result Analysis.t
     check a live run, attach {!Analysis.sink} of it and call
     {!Analysis.finalize} at the end: each event is analyzed as it
     happens and then dropped, so a run too long to record can still be
-    checked. Every component is snapshottable — {!Analysis.snapshot} on
-    one instance and {!Analysis.resume} on a fresh one restores the
-    exact mid-stream state (id space, clocks, open transactions,
-    counters), which is what lets inference analyze a shared schedule
-    prefix once and fork the checker per schedule. [witness] as in
-    {!check}. *)
+    checked. The chain's state depends only on the events fed so far,
+    so a fresh instance fed a recorded prefix continues exactly like one
+    that saw the prefix live — how inference shares a schedule prefix.
+    [witness] as in {!check}. *)

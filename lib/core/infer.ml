@@ -23,39 +23,35 @@ type result = {
 (* The shared pre-divergence prefix of one round: as long as exactly one
    thread is runnable the schedule cannot matter, so every portfolio
    member executes the same step sequence and feeds the checker the same
-   events. The prefix is executed and analyzed once; each schedule then
-   fast-forwards a fresh scheduler over the recorded picks (restoring
-   its internal RNG/quantum/priority state), resumes a fresh checker
-   from the analysis snapshot and runs only the divergent tail. *)
+   events. The prefix is executed once and its events recorded; each
+   schedule then fast-forwards a fresh scheduler over the recorded picks
+   (restoring its internal RNG/quantum/priority state), feeds the
+   recorded events to a fresh checker and runs only the divergent
+   tail. *)
 type prefix = {
   ck_state : Vm.state;  (* state at the divergence point; never stepped *)
   ck_last : int;  (* last tid picked in the prefix, -1 for none *)
   ck_yielded : bool;  (* whether the prefix's last step yielded *)
   ck_steps : int;  (* VM steps executed in the prefix *)
-  ck_events : int;  (* events the prefix fed the checker *)
   ck_tids : int array;  (* the forced pick at each prefix step *)
   ck_flags : bool array;  (* last_yielded visible at each pick *)
-  ck_snap : Analysis.snapshot;  (* checker state at the divergence point *)
+  ck_trace : Trace.t;  (* the events the prefix emitted *)
 }
 
 (* The VM state's own words plus the prefix's other blocks, measured:
-   the analysis snapshot holds the checker's whole state and has no size
-   estimate of its own, and a prefix is weighed once per round. *)
+   the recorded events have no size estimate of their own, and a prefix
+   is weighed once per round. *)
 let prefix_weight p =
   let arr a = 1 + Array.length a in
   8
-  * (9 + Vm.approx_words p.ck_state + arr p.ck_tids + arr p.ck_flags
-    + Obj.reachable_words (Obj.repr p.ck_snap))
+  * (8 + Vm.approx_words p.ck_state + arr p.ck_tids + arr p.ck_flags
+    + Obj.reachable_words (Obj.repr p.ck_trace))
 
 let prefix_cache () = Coop_util.Ckpt_cache.create ~weight:prefix_weight ()
 
 let compute_prefix ~yields ~max_steps prog =
-  let proto = Cooperability.online_analysis () in
-  let events = ref 0 in
-  let sink e =
-    incr events;
-    Analysis.step proto e
-  in
+  let trace = Trace.create () in
+  let sink = Trace.Sink.recording trace in
   let tids = ref [] in
   let flags = ref [] in
   let st = Vm.init prog in
@@ -77,21 +73,15 @@ let compute_prefix ~yields ~max_steps prog =
   in
   let last, yielded, steps = go (-1) false 0 in
   Coop_obs.count "vm/steps" steps;
-  Coop_obs.count "vm/events" !events;
-  let snap =
-    match Analysis.snapshot proto with
-    | Some s -> s
-    | None -> assert false  (* the online chain is snapshottable *)
-  in
+  Coop_obs.count "vm/events" (Trace.length trace);
   {
     ck_state = st;
     ck_last = last;
     ck_yielded = yielded;
     ck_steps = steps;
-    ck_events = !events;
     ck_tids = Array.of_list (List.rev !tids);
     ck_flags = Array.of_list (List.rev !flags);
-    ck_snap = snap;
+    ck_trace = trace;
   }
 
 (* Replay the recorded prefix contexts through a fresh scheduler so its
@@ -151,8 +141,8 @@ let default_portfolio =
    the pool, each schedule as its own task (not a pre-sharded batch) so
    a slow schedule re-balances across domains; [parallel_map] returns
    them in index order, making the result bit-identical to the
-   sequential pass. Returns the runs, the prefix events analyzed once,
-   the re-analysis that spared the other schedules, and the number of
+   sequential pass. Returns the runs, the prefix events executed once,
+   the re-execution that spared the other schedules, and the number of
    schedules resumed from the prefix. *)
 let portfolio_pass ?cache ~pool ~portfolio ~max_steps ~yields prog =
   let factories = Array.of_list portfolio in
@@ -198,7 +188,7 @@ let portfolio_pass ?cache ~pool ~portfolio ~max_steps ~yields prog =
             (fun () ->
               fast_forward pre sched;
               let a = Cooperability.online_analysis () in
-              Analysis.resume a pre.ck_snap;
+              Trace.iter (Analysis.step a) pre.ck_trace;
               run_tail ~yields ~max_steps:steps_cap ~sched
                 ~sink:(Analysis.sink a) pre;
               let r = Analysis.finalize a in
@@ -207,9 +197,10 @@ let portfolio_pass ?cache ~pool ~portfolio ~max_steps ~yields prog =
         let runs = fan_out one_cached in
         Coop_util.Ckpt_cache.release c w;
         Coop_util.Ckpt_cache.tally c ~hits:n ~misses:0;
-        (* The prefix's events were analyzed once instead of once per
-           schedule: every schedule after the first got them for free. *)
-        (runs, pre.ck_events, (n - 1) * pre.ck_events, n)
+        (* The prefix was executed once instead of once per schedule:
+           every schedule after the first got its events for free. *)
+        let events = Trace.length pre.ck_trace in
+        (runs, events, (n - 1) * events, n)
       end
 
 let infer ?pool ?(max_rounds = 20) ?(portfolio = default_portfolio) ?max_steps

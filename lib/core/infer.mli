@@ -48,11 +48,11 @@ type result = {
           inferred set is stable. *)
   events_analyzed : int;  (** Total events across all analysed runs. *)
   prefix_events : int;
-      (** Events in the shared pre-divergence prefixes, analyzed once
+      (** Events in the shared pre-divergence prefixes, executed once
           per round instead of once per schedule ([0] when replay
-          elision is off). *)
+          elision is off). Every schedule still analyzes them. *)
   elided_events : int;
-      (** Events spared re-execution and re-analysis by prefix sharing:
+      (** Events spared re-execution by prefix sharing:
           [(portfolio size - 1) * prefix_events] summed over rounds
           ([0] when replay elision is off). *)
   cache_hits : int;
@@ -65,14 +65,14 @@ type result = {
 }
 
 type prefix
-(** A round's pre-divergence prefix: the VM state, the recorded
-    forced scheduler picks and the checker's analysis snapshot at the
-    point where more than one thread first becomes runnable. *)
+(** A round's pre-divergence prefix: the VM state at the point where
+    more than one thread first becomes runnable, the forced scheduler
+    picks that led there and the events those steps emitted. *)
 
 val prefix_weight : prefix -> int
 (** The bytes a prefix retains beyond the program: its VM state's
-    {!Vm.approx_words}, plus the measured words of its analysis snapshot
-    and recorded picks. Never below the prefix's own heap words
+    {!Vm.approx_words}, plus the measured words of its recorded events
+    and picks. Never below the prefix's own heap words
     (property-tested). *)
 
 val prefix_cache : unit -> prefix Coop_util.Ckpt_cache.t
@@ -106,9 +106,9 @@ val infer :
 
     {b Replay elision} (default on): within a round, every schedule
     executes the same steps until a second thread becomes runnable — so
-    the shared prefix is executed and analyzed once, and each schedule
-    fast-forwards a fresh scheduler over the recorded picks, resumes a
-    fresh checker from the prefix's analysis snapshot and runs only the
+    the shared prefix is executed once and its events recorded, and each
+    schedule fast-forwards a fresh scheduler over the recorded picks,
+    feeds the recorded events to a fresh checker and runs only the
     divergent tail. The round holds its prefix and charges
     {!prefix_weight} to the [ckpt] budget (a fresh {!prefix_cache} per
     call by default) until the round ends, tallying one hit per schedule

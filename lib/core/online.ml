@@ -157,7 +157,7 @@ let new_rcd () =
 
 let filler = new_rcd () (* table slots past [n_handles]; never used *)
 
-(* Everything a snapshot copies. [vfacts]/[lfacts] hold two ints per
+(* The engine's whole mutable state. [vfacts]/[lfacts] hold two ints per
    variable/lock id: the stamp (uid of the last registrant, -1 none,
    [known] once the fact holds) and the head of the fact's chain. [chain]
    holds 16 bytes per entry: handle and next (32 bits each), then the
@@ -592,20 +592,3 @@ let results t ~first_only f =
       | Viol c, Retired r -> f r.data c.v :: l
       | _ -> l)
     order []
-
-(* Handles are indices, so copying every column copies the engine, its
-   stacks of open transactions included. Loading copies again, so a
-   snapshot can be restored into any number of engines that then share
-   nothing. *)
-type 'a snapshot = 'a state
-
-let copy s =
-  { s with
-    vfacts = Array.copy s.vfacts; lfacts = Array.copy s.lfacts;
-    chain = Bytes.sub s.chain 0 (16 * s.ch_hi);
-    rcds = Array.init s.n_handles (fun h -> { (s.rcds.(h)) with uid = s.rcds.(h).uid });
-    datas = Array.sub s.datas 0 s.n_handles;
-    logs = Array.map (fun lg -> { lg with buf = Bytes.sub lg.buf 0 lg.len }) s.logs }
-
-let snapshot t = copy t.s
-let restore t snap = t.s <- copy snap

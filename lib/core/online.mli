@@ -182,22 +182,3 @@ val results : 'a t -> first_only:bool -> ('a -> viol -> 'b) -> 'b list
     position, and among the nested transactions one event flags, the
     innermost first. With [first_only], only each transaction's first
     violation. Results are final after {!finalize}. *)
-
-(** {1 Checkpointing} *)
-
-type 'a snapshot
-(** A copy of the engine's state: knowledge, the fact columns and
-    chains, every transaction record, the used prefix of every thread's
-    log with its stack of open transactions, and the retired results.
-    Payloads and violation records are immutable and shared. *)
-
-val snapshot : 'a t -> 'a snapshot
-(** Capture the engine between two events. Shares no mutable structure
-    with it; open and parked transactions are included. *)
-
-val restore : 'a t -> 'a snapshot -> unit
-(** Overwrite the engine's state with the snapshot (copying again, so
-    the snapshot stays reusable and two engines restored from it never
-    share state). The engine keeps its own construction-time interner
-    and mark. The restored engine goes on exactly as the captured one
-    would: the same open transactions step with the next events. *)

@@ -36,8 +36,10 @@ val disable : unit -> unit
 (** Turn recording off. Recorded data survives until {!reset}. *)
 
 val pool_monitor : Coop_util.Pool.monitor
-(** The pool monitor behind the [pool/*] counters, timers, histograms
-    and lanes; install it on each pool to be profiled. *)
+(** The pool monitor behind the [pool/worker_busy] timer and the
+    [pool/queue_depth] and [pool/task_us] histograms; install it on each
+    pool to be profiled. Its [on_steal] and [on_deque_depth] hooks
+    record nothing (the shared-queue pool never calls them). *)
 
 val reset : unit -> unit
 (** Drop all recorded data and every per-domain buffer. *)

@@ -367,75 +367,9 @@ let racy_vars t = Report.racy_vars t.reports
 
 let sink t : Trace.Sink.t = fun e -> ignore (handle t e)
 
-(* Checkpointing. A snapshot deep-copies every mutable table — flat
-   Vclock arrays, the variable columns, witness side tables — and
-   includes the interner so a standalone (own-interner) detector restores
-   its id assignments too. The unoccupied-slot sentinels are module
-   values, so physical-equality probes keep working across copies. *)
-type snapshot = {
-  s_itn : Interner.snapshot;
-  s_witness : bool;
-  s_seq : int;
-  s_clocks : Vclock.t array;
-  s_locks : Vclock.t array;
-  s_w : Epoch.t array;
-  s_r : Epoch.t array;
-  s_rvcs : Vclock.t array;
-  s_wsides : wside array;
-  s_reports : Report.t list;
-  s_racy_fired : Bytes.t;
-  s_lock_owner : int array;
-}
-
-let copy_clock c = if c == dummy_clock then c else Vclock.copy c
-
-let copy_wside ws =
-  if ws == dummy_wside then ws
-  else
-    { lw_seq = ws.lw_seq; lw_loc = ws.lw_loc; lr_seq = ws.lr_seq;
-      lr_loc = ws.lr_loc; readers = Hashtbl.copy ws.readers }
-
-let snapshot t =
-  {
-    s_itn = Interner.snapshot t.itn;
-    s_witness = t.witness;
-    s_seq = t.seq;
-    s_clocks = Array.map copy_clock t.clocks;
-    s_locks = Array.map copy_clock t.locks;
-    s_w = Array.copy t.w;
-    s_r = Array.copy t.r;
-    s_rvcs = Array.map copy_clock t.rvcs;
-    s_wsides = Array.map copy_wside t.wsides;
-    s_reports = t.reports;
-    s_racy_fired = Bytes.copy t.racy_fired;
-    s_lock_owner = Array.copy t.lock_owner;
-  }
-
-let restore t s =
-  if t.witness <> s.s_witness then
-    invalid_arg "Fasttrack.restore: witness mode mismatch";
-  Interner.restore t.itn s.s_itn;
-  t.seq <- s.s_seq;
-  (* Copy again on restore: the snapshot stays loadable into further
-     instances after this one mutates. *)
-  t.clocks <- Array.map copy_clock s.s_clocks;
-  t.locks <- Array.map copy_clock s.s_locks;
-  t.w <- Array.copy s.s_w;
-  t.r <- Array.copy s.s_r;
-  t.rvcs <- Array.map copy_clock s.s_rvcs;
-  t.wsides <- Array.map copy_wside s.s_wsides;
-  t.reports <- s.s_reports;
-  t.racy_fired <- Bytes.copy s.s_racy_fired;
-  t.lock_owner <- Array.copy s.s_lock_owner
-
-let snap_key : snapshot Analysis.Key.t = Analysis.Key.create "fasttrack"
-
 let analysis ?facts ?interner ?witness () =
   let t = create ?facts ?interner ?witness () in
-  Analysis.snapshottable ~key:snap_key
-    ~save:(fun () -> snapshot t)
-    ~load:(restore t)
-    (Analysis.make ~step:(sink t) ~finalize:(fun () -> races t))
+  Analysis.make ~step:(sink t) ~finalize:(fun () -> races t)
 
 let run trace = Analysis.run (analysis ()) trace
 

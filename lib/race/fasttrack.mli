@@ -54,23 +54,6 @@ val handle : t -> Event.t -> Report.t list
     Each call advances the detector's global position counter (witness
     evidence is keyed by it). *)
 
-type snapshot
-(** A deep copy of the detector — clocks, lock clocks, per-variable
-    epochs/read vectors, witness side tables, fired-fact bytes, lock
-    ownership and the interner. *)
-
-val snapshot : t -> snapshot
-(** Capture the detector between two events. Shares no mutable structure
-    with [t]; reports (immutable) are shared. *)
-
-val restore : t -> snapshot -> unit
-(** Overwrite [t] (including its interner) with the snapshot, copying
-    again so the snapshot stays reusable. A restored detector is
-    observationally identical — reports, witnesses, published facts —
-    to one that streamed the snapshot's prefix itself; its [facts]
-    callbacks are its own (construction-time) channel. Raises
-    [Invalid_argument] when the witness modes disagree. *)
-
 val races : t -> Report.t list
 (** All races reported so far, in detection order. *)
 
@@ -85,9 +68,7 @@ val analysis :
   Report.t list Analysis.t
 (** A fresh detector as a single-pass online analysis: O(threads·vars)
     state, finalizes to the races in detection order. [facts], [interner]
-    and [witness] as in {!create}. Snapshottable via
-    {!Analysis.snapshot} / {!Analysis.resume} ({!snapshot} /
-    {!restore} under a shared key). *)
+    and [witness] as in {!create}. *)
 
 val run : Trace.t -> Report.t list
 (** Run a fresh detector over a recorded trace (offline wrapper over

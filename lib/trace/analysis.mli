@@ -8,63 +8,21 @@
     can be fed directly from the VM sink ({!sink}) or from a serialized
     trace streamed off disk.
 
-    Composition is fused: {!chain} and {!all} dispatch each event exactly
-    once and pass it through every component in order, RoadRunner-style, so
-    a later analysis in the chain may read state an earlier one just
-    updated. *)
+    Composition is fused: {!chain} and {!feedback} dispatch each event
+    exactly once and pass it through every component in order,
+    RoadRunner-style, so a later analysis in the chain may read state an
+    earlier one just updated.
+
+    An analysis keeps no way to copy its state out. A consumer that needs
+    the state after a shared prefix in several places records the
+    prefix's events and feeds them to each fresh instance. *)
 
 type 'r t
 (** An online analysis producing a result of type ['r]. *)
 
-type snapshot
-(** A deep copy of a snapshottable analysis's internal state, taken
-    between two events. Snapshots are ordered lists of per-component
-    packets; {!resume} matches them component-wise against the target's
-    composition, so a snapshot can only be resumed into an analysis with
-    the {e same shape} (the same chain of the same checkers) — typically
-    a fresh instance built by the same constructor call. *)
-
-module Key : sig
-  type 'a t
-  (** The identity of one snapshottable component {e kind}. Create the
-      key once, at the defining module's toplevel, so every instance of
-      that checker shares it — that sharing is what lets a packet saved
-      from one instance load into another without untyped casts. *)
-
-  val create : string -> 'a t
-  (** [create name] mints a key. [name] labels the component in
-      mismatch errors; it also participates in shape checking, so use
-      one fixed name per checker kind. *)
-end
-
 val make : step:(Event.t -> unit) -> finalize:(unit -> 'r) -> 'r t
 (** Build an analysis from its two operations. [step] is the hot path; it
-    must be safe to call [finalize] at any point (end of stream). The
-    result is not snapshottable; see {!snapshottable}. *)
-
-val snapshottable :
-  key:'s Key.t -> save:(unit -> 's) -> load:('s -> unit) -> 'r t -> 'r t
-(** [snapshottable ~key ~save ~load a] declares [a] checkpointable.
-
-    The deep-copy contract: [save ()] must return a value sharing {e no
-    mutable structure} with the live analysis, and [load s] must install
-    a state sharing no mutable structure with [s] (copy again on load),
-    so one snapshot can be loaded into many instances and every instance
-    diverges independently afterwards. Under that contract, an instance
-    that loads a snapshot taken after streaming a prefix is
-    observationally identical to one that streamed the full prefix —
-    the law the replay-elision layer relies on (property-tested). *)
-
-val snapshot : _ t -> snapshot option
-(** Capture the analysis's state between two events; [None] when any
-    component lacks {!snapshottable} support. *)
-
-val resume : _ t -> snapshot -> unit
-(** Install a snapshot into an analysis of the same shape, replacing its
-    state as if it had streamed the snapshot's prefix. Raises
-    [Invalid_argument] when the shapes disagree (missing, surplus or
-    differently-keyed components). Domain-safe: concurrent resumes of
-    the same component kind serialize on the key. *)
+    must be safe to call [finalize] at any point (end of stream). *)
 
 val step : _ t -> Event.t -> unit
 (** Feed one event. *)
@@ -84,10 +42,6 @@ val chain : 'a t -> 'b t -> ('a * 'b) t
     first analysis then the second. The second may consult (mutable) state
     the first maintains — the chaining discipline of event-stream tool
     stacks. *)
-
-val all : 'r t list -> 'r list t
-(** Fused homogeneous fan-out: every analysis sees every event, one
-    dispatch per event. *)
 
 val feedback :
   (publish:('f -> unit) -> 'a t) ->
@@ -111,11 +65,7 @@ val const : 'r -> 'r t
     sinks, placeholders in heterogeneous chains). *)
 
 val count : unit -> int t
-(** Counts events. Snapshottable (as is {!const}), so counters survive
-    prefix-resume in fused chains. *)
-
-val fold : ('a -> Event.t -> 'a) -> 'a -> 'a t
-(** A left fold over the stream as an analysis. *)
+(** Counts events. *)
 
 type mark = { mutable mark_s : float; mutable mark_words : float }
 (** The shared mark of one instrumented fused chain: the clock and the

@@ -599,15 +599,12 @@ let iter_channel ?syms ic f =
       0;
   iter_channel_body ?syms ~offset:magic_len ic f
 
-let iter_file ?syms path f =
+let load ?syms path =
+  let trace = Trace.create () in
   let ic = open_in_bin path in
-  match iter_channel ?syms ic f with
+  (match iter_channel ?syms ic (Trace.Sink.recording trace) with
   | () -> close_in ic
   | exception e ->
       close_in_noerr ic;
-      raise e
-
-let load ?syms path =
-  let trace = Trace.create () in
-  iter_file ?syms path (Trace.Sink.recording trace);
+      raise e);
   trace

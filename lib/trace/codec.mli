@@ -106,21 +106,16 @@ val of_string : ?syms:Symtab.t -> string -> Trace.t
 (** Decode into a fresh trace (events are copied). Raises
     {!Parse_error}. *)
 
-val iter_channel : ?syms:Symtab.t -> in_channel -> (Event.t -> unit) -> unit
-(** Stream-decode from a channel, stopping after the end-of-stream
-    chunk without reading past it — safe on pipes carrying further
-    data. Constant memory. Raises {!Parse_error} (with absolute byte
-    offsets) on corruption or truncation, including EOF before the
-    end-of-stream marker. *)
-
 val iter_channel_body :
   ?syms:Symtab.t -> offset:int -> in_channel -> (Event.t -> unit) -> unit
-(** Like {!iter_channel} when the caller has already consumed (and
-    checked) the magic — the format auto-detection path. [offset] is
-    the number of bytes already consumed, for error positions. *)
-
-val iter_file : ?syms:Symtab.t -> string -> (Event.t -> unit) -> unit
-(** Stream-decode a file. Raises [Sys_error] and {!Parse_error}. *)
+(** Stream-decode from a channel whose magic the caller has already
+    consumed (and checked) — the format auto-detection path. [offset]
+    is the number of bytes already consumed, for error positions.
+    Stops after the end-of-stream chunk without reading past it — safe
+    on pipes carrying further data. Constant memory. Raises
+    {!Parse_error} (with absolute byte offsets) on corruption or
+    truncation, including EOF before the end-of-stream marker. *)
 
 val load : ?syms:Symtab.t -> string -> Trace.t
-(** Read and decode a whole file. *)
+(** Read and decode a whole file. Raises [Sys_error] and
+    {!Parse_error}. *)

@@ -178,77 +178,7 @@ let note t (e : Event.t) =
 let cur_tid t = t.cur_tid
 let cur_operand t = t.cur_operand
 
-(* Snapshots copy every table, forward and reverse. Ids are assigned in
-   first-touch order, so restoring the tables makes a resumed consumer
-   assign exactly the ids a full-stream run would have — and truncates
-   away any ids a previously-run different suffix may have minted, which
-   is what keeps id-indexed checker arrays from reading stale slots. *)
-type snapshot = {
-  s_globals : int array;
-  s_cells : int array array;
-  s_locks : int array;
-  s_tids : int array;
-  s_odd_vars : (Event.var * int) list;
-  s_odd_locks : (int * int) list;
-  s_odd_tids : (int * int) list;
-  s_var_names : Event.var array;
-  s_n_vars : int;
-  s_lock_names : int array;
-  s_n_locks : int;
-  s_tid_names : int array;
-  s_n_tids : int;
-  s_cur_tid : int;
-  s_cur_operand : int;
-}
-
-let snapshot t =
-  let bindings h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] in
-  {
-    s_globals = Array.copy t.globals;
-    s_cells = Array.map Array.copy t.cells;
-    s_locks = Array.copy t.locks;
-    s_tids = Array.copy t.tids;
-    s_odd_vars = bindings t.odd_vars;
-    s_odd_locks = bindings t.odd_locks;
-    s_odd_tids = bindings t.odd_tids;
-    s_var_names = Array.copy t.var_names;
-    s_n_vars = t.n_vars;
-    s_lock_names = Array.copy t.lock_names;
-    s_n_locks = t.n_locks;
-    s_tid_names = Array.copy t.tid_names;
-    s_n_tids = t.n_tids;
-    s_cur_tid = t.cur_tid;
-    s_cur_operand = t.cur_operand;
-  }
-
-let restore t s =
-  let refill h l =
-    Hashtbl.reset h;
-    List.iter (fun (k, v) -> Hashtbl.replace h k v) l
-  in
-  t.globals <- Array.copy s.s_globals;
-  t.cells <- Array.map Array.copy s.s_cells;
-  t.locks <- Array.copy s.s_locks;
-  t.tids <- Array.copy s.s_tids;
-  refill t.odd_vars s.s_odd_vars;
-  refill t.odd_locks s.s_odd_locks;
-  refill t.odd_tids s.s_odd_tids;
-  t.var_names <- Array.copy s.s_var_names;
-  t.n_vars <- s.s_n_vars;
-  t.lock_names <- Array.copy s.s_lock_names;
-  t.n_locks <- s.s_n_locks;
-  t.tid_names <- Array.copy s.s_tid_names;
-  t.n_tids <- s.s_n_tids;
-  t.cur_tid <- s.s_cur_tid;
-  t.cur_operand <- s.s_cur_operand
-
-let snap_key : snapshot Analysis.Key.t = Analysis.Key.create "interner"
-
-let analysis t =
-  Analysis.snapshottable ~key:snap_key
-    ~save:(fun () -> snapshot t)
-    ~load:(restore t)
-    (Analysis.make ~step:(note t) ~finalize:(fun () -> ()))
+let analysis t = Analysis.make ~step:(note t) ~finalize:(fun () -> ())
 
 let var_of_id t id =
   if id < 0 || id >= t.n_vars then invalid_arg "Interner.var_of_id";

@@ -16,10 +16,12 @@
     [~interner] owns a private interner and notes events itself.
 
     Ids are only meaningful relative to their interner and only dense
-    per run; reverse lookups ({!var_of_id} etc.) recover the original
-    names for reports. Common case (VM-produced events) lookups are
-    plain array loads; odd inputs (huge handles from hand-written trace
-    files) fall back to a hash table. *)
+    per run. They follow first-appearance order alone, so a fresh
+    interner fed the same events assigns the same ids. Reverse lookups
+    ({!var_of_id} etc.) recover the original names for reports. Common
+    case (VM-produced events) lookups are plain array loads; odd inputs
+    (huge handles from hand-written trace files) fall back to a hash
+    table. *)
 
 type t
 
@@ -43,25 +45,7 @@ val cur_operand : t -> int
 val analysis : t -> unit Analysis.t
 (** The note stage: an analysis whose step is [note]. Place it at the
     head of a fused chain so every [~interner] checker downstream reads
-    {!cur_tid} / {!cur_operand} instead of re-hashing. Snapshottable:
-    its packet is {!snapshot} of the interner, restored with
-    {!restore}. *)
-
-(** {2 Checkpointing} *)
-
-type snapshot
-(** A deep copy of every assignment table. *)
-
-val snapshot : t -> snapshot
-(** Capture the interner. The copy shares no mutable structure with
-    [t]; one snapshot may be restored into many interners. *)
-
-val restore : t -> snapshot -> unit
-(** Overwrite [t] with the snapshot's assignments. Because ids are
-    assigned in first-touch order, a restored interner hands a resumed
-    event stream exactly the ids a full-stream run would have — and
-    forgets ids minted after the snapshot, so id-indexed consumer state
-    restored alongside it can never be read through stale ids. *)
+    {!cur_tid} / {!cur_operand} instead of re-hashing. *)
 
 (** {2 Direct lookups} *)
 

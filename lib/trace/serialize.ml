@@ -196,16 +196,6 @@ let iter_channel_from ?syms ~prefix ic f =
    with End_of_file -> ());
   if !frag <> "" then handle !frag
 
-let iter_channel ?syms ic f = iter_channel_from ?syms ~prefix:"" ic f
-
-let iter_file ?syms path f =
-  let ic = open_in_bin path in
-  match iter_channel ?syms ic f with
-  | () -> close_in ic
-  | exception e ->
-      close_in_noerr ic;
-      raise e
-
 let save ?(format = Text) ?syms path trace =
   match format with
   | Binary -> Codec.save ?syms path trace

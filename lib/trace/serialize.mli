@@ -20,7 +20,7 @@
     {!with_file_sink} take a {!format}, and {!load} (like
     [Source.of_file]) auto-detects which of the two a file contains by
     its magic bytes. The text entry points ({!of_string},
-    {!iter_channel}, …) parse text only. *)
+    {!iter_channel_from}, …) parse text only. *)
 
 exception Parse_error of string * int
 (** [(message, position)] on malformed input — an alias of
@@ -58,23 +58,15 @@ val iter_string : ?syms:Symtab.t -> string -> (Event.t -> unit) -> unit
 (** [iter_string s f] parses [s] and calls [f] on each event in order,
     without building a trace. Raises {!Parse_error}. *)
 
-val iter_channel : ?syms:Symtab.t -> in_channel -> (Event.t -> unit) -> unit
-(** [iter_channel ic f] reads serialized events from [ic] until
-    end-of-file, calling [f] on each — constant memory, works on a
-    non-seekable channel (a pipe, stdin). The channel is {e not}
-    closed. Raises {!Parse_error}. *)
-
 val iter_channel_from :
   ?syms:Symtab.t -> prefix:string -> in_channel -> (Event.t -> unit) -> unit
-(** Like {!iter_channel} when a format sniffer already consumed
-    [prefix] bytes off the channel: they are re-interpreted as the
-    start of the text, embedded newlines and a trailing partial line
-    included. [iter_channel] is [iter_channel_from ~prefix:""]. *)
-
-val iter_file : ?syms:Symtab.t -> string -> (Event.t -> unit) -> unit
-(** [iter_file path f] streams the text trace file at [path] one line
-    at a time, calling [f] on each event — constant memory regardless
-    of file size. Raises [Sys_error] and {!Parse_error}. *)
+(** [iter_channel_from ~prefix ic f] reads serialized events from [ic]
+    until end-of-file, calling [f] on each — constant memory, works on
+    a non-seekable channel (a pipe, stdin). [prefix] holds the bytes a
+    format sniffer already consumed off the channel ([""] for none):
+    they are re-interpreted as the start of the text, embedded newlines
+    and a trailing partial line included. The channel is {e not}
+    closed. Raises {!Parse_error}. *)
 
 val save : ?format:format -> ?syms:Symtab.t -> string -> Trace.t -> unit
 (** [save path t] writes [t] to [path] in the chosen format (default

@@ -2,8 +2,6 @@ type t = Trace.Sink.t -> unit
 
 let of_trace trace : t = fun sink -> Trace.iter sink trace
 
-let of_list events : t = fun sink -> List.iter sink events
-
 (* ---- format auto-detection -------------------------------------------- *)
 
 (* Read up to |magic| bytes; a short read means the stream itself is
@@ -78,8 +76,6 @@ let of_channel ?syms ic : t =
       invalid_arg "Source.of_channel: a channel source cannot be replayed";
     consumed := true;
     with_decode_timer (fun sink -> dispatch ?syms (read_head ic) ic sink) sink
-
-let replay source sink = source sink
 
 let run source analysis =
   source (Analysis.sink analysis);

@@ -31,9 +31,6 @@ type t = Trace.Sink.t -> unit
 val of_trace : Trace.t -> t
 (** Stream a recorded trace (no copy). *)
 
-val of_list : Event.t list -> t
-(** Stream a list of events. *)
-
 val of_file : ?syms:Symtab.t -> string -> t
 (** Stream a trace file in either format, auto-detected per replay (the
     file is re-opened and re-sniffed each invocation, so mixed-format
@@ -59,10 +56,6 @@ val format_of_file : string -> Serialize.format
     bytes (reads at most 8). Raises [Sys_error]; raises
     {!Serialize.Parse_error} on a file that is a truncated binary
     header. *)
-
-val replay : t -> Trace.Sink.t -> unit
-(** [replay source sink] is [source sink]; the explicit name for call
-    sites that re-stream in a later phase. *)
 
 val run : t -> 'r Analysis.t -> 'r
 (** One streaming pass: feed every event to the analysis and finalize. *)

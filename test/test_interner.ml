@@ -1,9 +1,8 @@
 (* Unit tests for [Interner]: dense first-appearance ids in three
    separate id spaces, the per-event cursor the fused chain reads, id
    stability as the tables grow mid-trace, the hash fallback for names
-   too large for the direct tables, reverse lookups, and the
-   snapshot/restore law checkpointed exploration relies on (a resumed
-   stream gets exactly the ids a full-stream run would). *)
+   too large for the direct tables, reverse lookups, and separate
+   instances that share no ids. *)
 
 open Coop_trace
 
@@ -154,53 +153,47 @@ let test_out_of_range_names () =
     [ t_huge; t_neg; Interner.tid_id itn huge ];
   Alcotest.(check int) "huge tid round trip" huge (Interner.tid_of_id itn 0)
 
-(* Ids minted after a snapshot — by a suffix that is later abandoned —
-   must be forgotten on restore, so the resumed suffix gets exactly the
-   ids of a full-stream run; the snapshot shares nothing with the donor
-   and restores into any number of interners. *)
-let test_snapshot_restore () =
-  let prefix =
+(* Interners keep no state outside their instance: two fed different
+   streams in alternation each mint exactly the ids it mints alone,
+   hash-fallback names included. *)
+let test_interleaved_instances () =
+  let a_events =
     [
       ev 0 (Event.Fork 1);
       ev 1 (Event.Write (Event.Global 2));
       ev 1 (Event.Acquire 9);
       ev 0 (Event.Read (Event.Global (1 lsl 40)));
+      ev 1 (Event.Release 9);
     ]
   in
-  let abandoned =
-    [
-      ev 1 (Event.Write (Event.Global 5));
-      ev 1 (Event.Acquire (1 lsl 40));
-      ev 0 (Event.Fork 4);
-      ev 4 (Event.Read (Event.Cell (0, 3)));
-    ]
-  in
-  let suffix =
+  let b_events =
     [
       ev 0 (Event.Fork 6);
       ev 6 (Event.Read (Event.Cell (0, 3)));
       ev 6 (Event.Acquire (1 lsl 40));
       ev 6 (Event.Write (Event.Global 5));
-      ev 1 (Event.Release 9);
+      ev 0 (Event.Write (Event.Global 2));
     ]
   in
-  let full = Interner.create () in
-  note_all full prefix;
-  let expected = cursors full suffix in
-  let donor = Interner.create () in
-  note_all donor prefix;
-  let snap = Interner.snapshot donor in
-  note_all donor abandoned;
-  Interner.restore donor snap;
-  Alcotest.(check (list int)) "restore forgets abandoned ids" [ 2; 1; 2 ]
-    [ Interner.n_vars donor; Interner.n_locks donor; Interner.n_tids donor ];
-  Alcotest.(check (list (pair int int))) "resumed ids = full-stream ids"
-    expected (cursors donor suffix);
-  let other = Interner.create () in
-  note_all other abandoned;
-  Interner.restore other snap;
-  Alcotest.(check (list (pair int int))) "snapshot restores elsewhere too"
-    expected (cursors other suffix)
+  let solo events = cursors (Interner.create ()) events in
+  let a = Interner.create () and b = Interner.create () in
+  let got_a, got_b =
+    List.split
+      (List.map2
+         (fun ea eb ->
+           let ca = cursors a [ ea ] in
+           let cb = cursors b [ eb ] in
+           (List.hd ca, List.hd cb))
+         a_events b_events)
+  in
+  Alcotest.(check (list (pair int int))) "first instance = solo run"
+    (solo a_events) got_a;
+  Alcotest.(check (list (pair int int))) "second instance = solo run"
+    (solo b_events) got_b;
+  Alcotest.(check (list int)) "first instance's table sizes" [ 2; 1; 2 ]
+    [ Interner.n_vars a; Interner.n_locks a; Interner.n_tids a ];
+  Alcotest.(check (list int)) "second instance's table sizes" [ 3; 1; 2 ]
+    [ Interner.n_vars b; Interner.n_locks b; Interner.n_tids b ]
 
 let suite =
   [
@@ -212,6 +205,6 @@ let suite =
       test_reverse_lookups_reject_foreign_ids;
     Alcotest.test_case "out-of-range names take the hash fallback" `Quick
       test_out_of_range_names;
-    Alcotest.test_case "snapshot/restore: resumed ids match a full run"
-      `Quick test_snapshot_restore;
+    Alcotest.test_case "interleaved instances share no ids" `Quick
+      test_interleaved_instances;
   ]

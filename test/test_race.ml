@@ -230,25 +230,25 @@ let prop_churn_oracle =
          && Event.Var_set.equal (Report.racy_vars races)
               (Naive_hb.racy_vars trace)))
 
-(* Streaming a prefix, snapshotting, and resuming a fresh detector on
-   the rest gives the uncut run's reports, witnesses included. *)
-let prop_churn_snapshot =
+(* Detectors keep no state outside their instance: two stepped in
+   alternation over different streams each report, witnesses included,
+   what it reports alone. *)
+let prop_churn_interleaved =
   Gen.to_alcotest
     (QCheck2.Test.make
-       ~name:"read-share churn: snapshot/restore at a random cut" ~count:300
-       ~print:(fun (t, k) -> Printf.sprintf "cut %d\n%s" k (Gen.print_trace t))
-       QCheck2.Gen.(pair gen_churn (int_bound 1000))
-       (fun (trace, k) ->
-         let events = Trace.to_list trace in
-         let cut = k mod (List.length events + 1) in
-         let uncut = Analysis.run (Fasttrack.analysis ~witness:true ()) trace in
-         let donor = Fasttrack.analysis ~witness:true () in
-         List.iteri (fun i e -> if i < cut then Analysis.step donor e) events;
-         let snap = Option.get (Analysis.snapshot donor) in
+       ~name:"read-share churn: interleaved detectors = solo runs" ~count:300
+       ~print:(fun (t, u) ->
+         Gen.print_trace t ^ "\n--- and ---\n" ^ Gen.print_trace u)
+       QCheck2.Gen.(pair gen_churn gen_churn)
+       (fun (t, u) ->
+         let solo tr = Analysis.run (Fasttrack.analysis ~witness:true ()) tr in
          let a = Fasttrack.analysis ~witness:true () in
-         Analysis.resume a snap;
-         List.iteri (fun i e -> if i >= cut then Analysis.step a e) events;
-         Analysis.finalize a = uncut))
+         let b = Fasttrack.analysis ~witness:true () in
+         for i = 0 to max (Trace.length t) (Trace.length u) - 1 do
+           if i < Trace.length t then Analysis.step a (Trace.get t i);
+           if i < Trace.length u then Analysis.step b (Trace.get u i)
+         done;
+         Analysis.finalize a = solo t && Analysis.finalize b = solo u))
 
 let suite =
   [
@@ -269,5 +269,5 @@ let suite =
     Alcotest.test_case "naive race pairs" `Quick test_naive_race_pairs;
     prop_agreement;
     prop_churn_oracle;
-    prop_churn_snapshot;
+    prop_churn_interleaved;
   ]

@@ -4,13 +4,17 @@
      observationally identical to the stateless oracle —
      same behaviour sets, executions and novel steps; only the prefix
      re-derivation work ([replayed_steps]) differs;
-   - every snapshottable analysis obeys the snapshot/resume law: an
-     instance resumed from a mid-stream snapshot finalizes exactly like
-     one that streamed the full trace (including witnesses), and one
-     snapshot serves many independent resumes (the deep-copy contract);
+   - a VM state copied mid-run ([Vm.copy], [Vm.copy_into]) is an
+     independent branch that continues exactly like its donor;
    - inference is cache-oblivious: yield sets, rounds, violation counts
      and witness chains are identical with replay elision on, refused by
-     a full budget and off. *)
+     a full budget and off — including when race facts about the
+     recorded prefix's events only arrive in the divergent tail, so each
+     schedule's checker repairs transactions the replayed prefix
+     opened;
+   - a fresh online chain fed a recorded prefix and then the tail
+     finalizes like one fed the whole stream, even when several chains
+     are stepped in alternation (no state is shared between them). *)
 
 (* Bind before [open QCheck2] shadows the module name (same dance as
    test_parallel.ml). *)
@@ -24,7 +28,6 @@ let to_alcotest = Gen.to_alcotest
 open QCheck2
 open Coop_util
 open Coop_trace
-open Coop_race
 open Coop_lang
 open Coop_runtime
 open Coop_core
@@ -76,133 +79,6 @@ let test_dpor_counter_split () =
         (name ^ ": stateless path never hits")
         0 s.Dpor.cache_hits)
     micro_programs
-
-(* --- snapshot/resume law --------------------------------------------- *)
-
-let law_traces =
-  [ ("racy_counter 2x2", Micro.racy_counter ~threads:2 ~incs:2);
-    ("check_then_act 2", Micro.check_then_act ~threads:2);
-    ("single_transaction 2", Micro.single_transaction ~threads:2);
-    ("monitor_cell 2", Micro.monitor_cell ~items:2) ]
-  |> List.map (fun (name, src) ->
-         let _, tr =
-           Runner.record ~max_steps:200_000
-             ~sched:(Sched.random ~seed:11 ())
-             (Compile.source src)
-         in
-         (name, tr))
-
-let feed a tr lo hi =
-  for i = lo to hi - 1 do
-    Analysis.step a (Trace.get tr i)
-  done
-
-(* [check_law name make show tr]: for several split points, a fresh
-   instance resumed from a snapshot of the prefix and streamed the tail
-   must finalize exactly like the full-stream run. The same snapshot is
-   loaded into two instances streamed one after the other — if [load]
-   shared mutable state between them (or with the packet), the second
-   would see the first's tail and diverge. The donor instance must also
-   be undisturbed by [save]. *)
-let check_law name make show tr =
-  let n = Trace.length tr in
-  let full =
-    let a = make () in
-    feed a tr 0 n;
-    show (Analysis.finalize a)
-  in
-  List.iter
-    (fun frac ->
-      let k = n * frac / 4 in
-      let ctx = Printf.sprintf "%s @%d/%d" name k n in
-      let donor = make () in
-      feed donor tr 0 k;
-      match Analysis.snapshot donor with
-      | None -> Alcotest.fail (ctx ^ ": analysis not snapshottable")
-      | Some snap ->
-          let a1 = make () in
-          let a2 = make () in
-          Analysis.resume a1 snap;
-          Analysis.resume a2 snap;
-          feed a1 tr k n;
-          Alcotest.(check string)
-            (ctx ^ ": resumed = full stream")
-            full
-            (show (Analysis.finalize a1));
-          feed a2 tr k n;
-          Alcotest.(check string)
-            (ctx ^ ": second resume from the same snapshot = full stream")
-            full
-            (show (Analysis.finalize a2));
-          feed donor tr k n;
-          Alcotest.(check string)
-            (ctx ^ ": donor undisturbed by save")
-            full
-            (show (Analysis.finalize donor)))
-    [ 0; 1; 2; 3; 4 ]
-
-let show_reports rs =
-  String.concat "\n" (List.map (Format.asprintf "%a" Report.pp) rs)
-
-let show_coop (r : Cooperability.result) =
-  Format.asprintf "%s|%s|%s|%d"
-    (String.concat ";"
-       (List.map
-          (Format.asprintf "%a" Automaton.pp_violation)
-          r.Cooperability.violations))
-    (show_reports r.Cooperability.races)
-    (String.concat ","
-       (List.map
-          (Format.asprintf "%a" Event.pp_var)
-          (Event.Var_set.elements r.Cooperability.racy)))
-    r.Cooperability.events
-
-let test_snapshot_resume_law () =
-  List.iter
-    (fun (name, tr) ->
-      check_law
-        (name ^ "/fasttrack+witness")
-        (fun () -> Fasttrack.analysis ~witness:true ())
-        show_reports tr;
-      check_law
-        (name ^ "/online chain+witness")
-        (fun () -> Cooperability.online_analysis ~witness:true ())
-        show_coop tr)
-    law_traces
-
-(* The law on late-knowledge streams, at a random cut: facts arrive
-   late, so parked transactions with pending facts and non-empty thread
-   logs straddle the snapshot. *)
-let online_law_on_late_streams =
-  let gen =
-    Gen.pair (Gen.oneof [ gen_late_trace; gen_lock_heavy_trace ])
-      (Gen.float_bound_inclusive 1.)
-  in
-  to_alcotest
-    (Test.make
-       ~name:"qcheck: online chain snapshot/resume law at a random cut of \
-              late-knowledge streams"
-       ~count:150
-       ~print:(fun (tr, cut) ->
-         Printf.sprintf "cut %.3f of\n%s" cut (print_trace tr))
-       gen
-       (fun (tr, cut) ->
-         let n = Trace.length tr in
-         let k = int_of_float (cut *. float_of_int n) in
-         let make () = Cooperability.online_analysis () in
-         let finish a lo = feed a tr lo n; show_coop (Analysis.finalize a) in
-         let full = finish (make ()) 0 in
-         let donor = make () in
-         feed donor tr 0 k;
-         match Analysis.snapshot donor with
-         | None -> false
-         | Some snap ->
-             let a1 = make () and a2 = make () in
-             Analysis.resume a1 snap;
-             Analysis.resume a2 snap;
-             let r1 = finish a1 k in
-             let r2 = finish a2 k in
-             r1 = full && r2 = full && finish donor k = full))
 
 (* --- VM copy law --------------------------------------------------------- *)
 
@@ -594,6 +470,7 @@ let infer_cache_oblivious =
             Loc.Set.equal r.Infer.yields s.Infer.yields
             && r.Infer.rounds = s.Infer.rounds
             && r.Infer.initial_violations = s.Infer.initial_violations
+            && r.Infer.final_check_violations = s.Infer.final_check_violations
             && r.Infer.events_analyzed = s.Infer.events_analyzed
             && List.map witness_key r.Infer.witnesses
                = List.map witness_key s.Infer.witnesses
@@ -606,6 +483,123 @@ let infer_cache_oblivious =
           && f.Infer.cache_hits = 0
           && settled roomy && settled full)
         pools)
+
+(* Main writes [x] and [y] in one yield-free segment before its first
+   spawn, so those writes sit in the shared prefix, inside main's open
+   transaction; the worker races on both only in the divergent tail.
+   Each schedule's checker is fed the recorded prefix, then learns the
+   races from tail events and must repair the transaction the prefix
+   opened. *)
+let late_fact_program =
+  Compile.source
+    "var x = 0; var y = 0;\n\
+     fn w(n) { x = x + n; y = y + 1; }\n\
+     fn main() { x = 1; y = 2; var t = spawn w(1); x = 3; y = y + 1; join t; }"
+
+let test_infer_late_prefix_facts () =
+  let yields (r : Infer.result) =
+    List.map (Format.asprintf "%a" Loc.pp) (Loc.Set.elements r.Infer.yields)
+  in
+  let witness_chain (r : Infer.result) =
+    List.map
+      (fun (w : Infer.yield_witness) ->
+        Format.asprintf "%a|%d|%s|%a" Loc.pp w.Infer.yw_loc w.Infer.yw_round
+          w.Infer.yw_sched Automaton.pp_violation w.Infer.yw_viol)
+      r.Infer.witnesses
+  in
+  let round1 =
+    Infer.infer ~pool:pool2 ~max_rounds:1 ~max_steps:300_000 late_fact_program
+  in
+  Alcotest.(check bool) "round 1 has a prefix" true
+    (round1.Infer.prefix_events > 0);
+  (* A round-1 violation committed inside the prefix: its cause is a
+     prefix event, reclassified by a fact from the tail. *)
+  Alcotest.(check bool) "a witness blames a prefix event" true
+    (List.exists
+       (fun (w : Infer.yield_witness) ->
+         match w.Infer.yw_viol.Automaton.cause with
+         | Some c -> c.Online.cseq <= round1.Infer.prefix_events
+         | None -> false)
+       round1.Infer.witnesses);
+  List.iter
+    (fun (jobs, pool) ->
+      let ctx what = Printf.sprintf "-j %d %s" jobs what in
+      let run ?ckpt no_cache =
+        Infer.infer ~pool ?ckpt ~no_cache ~max_steps:300_000 late_fact_program
+      in
+      let roomy = Infer.prefix_cache () in
+      let full = Ckpt_cache.create ~cap_bytes:8 ~weight:Infer.prefix_weight () in
+      let s = run true in
+      let c = run ~ckpt:roomy false in
+      let f = run ~ckpt:full false in
+      Alcotest.(check bool) (ctx "cached prefix events > 0") true
+        (c.Infer.prefix_events > 0);
+      Alcotest.(check bool) (ctx "cached run hits") true (c.Infer.cache_hits > 0);
+      List.iter
+        (fun (name, (r : Infer.result)) ->
+          let ctx what = ctx (name ^ ": " ^ what) in
+          Alcotest.(check (list string)) (ctx "yields") (yields s) (yields r);
+          Alcotest.(check int) (ctx "rounds") s.Infer.rounds r.Infer.rounds;
+          Alcotest.(check int) (ctx "initial violations")
+            s.Infer.initial_violations r.Infer.initial_violations;
+          Alcotest.(check int) (ctx "final violations")
+            s.Infer.final_check_violations r.Infer.final_check_violations;
+          Alcotest.(check int) (ctx "events analyzed")
+            s.Infer.events_analyzed r.Infer.events_analyzed;
+          Alcotest.(check (list string)) (ctx "witness chain")
+            (witness_chain s) (witness_chain r))
+        [ ("roomy", c); ("full", f) ])
+    pools
+
+(* What inference does per schedule, on late-knowledge streams cut at a
+   random point: the prefix's events go through a recording sink, each
+   fresh chain is fed the recording and then the tail, and two such
+   chains are stepped in alternation over the tail. Both must finalize
+   exactly like a chain fed the whole stream. *)
+let show_coop (r : Cooperability.result) =
+  Format.asprintf "%s|%s|%d"
+    (String.concat ";"
+       (List.map
+          (Format.asprintf "%a" Automaton.pp_violation)
+          r.Cooperability.violations))
+    (String.concat ";"
+       (List.map (Format.asprintf "%a" Coop_race.Report.pp)
+          r.Cooperability.races))
+    r.Cooperability.events
+
+let online_prefix_replay_law =
+  let gen =
+    Gen.pair (Gen.oneof [ gen_late_trace; gen_lock_heavy_trace ])
+      (Gen.float_bound_inclusive 1.)
+  in
+  to_alcotest
+    (Test.make
+       ~name:"qcheck: online chain fed a recorded prefix then the tail = \
+              full stream, instances interleaved"
+       ~count:150
+       ~print:(fun (tr, cut) ->
+         Printf.sprintf "cut %.3f of\n%s" cut (print_trace tr))
+       gen
+       (fun (tr, cut) ->
+         let n = Trace.length tr in
+         let k = int_of_float (cut *. float_of_int n) in
+         let make () = Cooperability.online_analysis ~witness:true () in
+         let full = show_coop (Analysis.run (make ()) tr) in
+         let recorded = Trace.create () in
+         let sink = Trace.Sink.recording recorded in
+         for i = 0 to k - 1 do
+           sink (Trace.get tr i)
+         done;
+         let a1 = make () and a2 = make () in
+         Trace.iter (Analysis.step a1) recorded;
+         Trace.iter (Analysis.step a2) recorded;
+         for i = k to n - 1 do
+           Analysis.step a1 (Trace.get tr i);
+           Analysis.step a2 (Trace.get tr i)
+         done;
+         Trace.length recorded = k
+         && show_coop (Analysis.finalize a1) = full
+         && show_coop (Analysis.finalize a2) = full))
 
 (* Heap words reachable from an inference prefix but not from the program
    (and its tables) its VM state shares with every copy. The state is
@@ -656,9 +650,6 @@ let suite =
   [
     Alcotest.test_case "dpor counter split (novel/replayed/steps)" `Quick
       test_dpor_counter_split;
-    Alcotest.test_case "snapshot/resume law per analysis" `Quick
-      test_snapshot_resume_law;
-    online_law_on_late_streams;
     Alcotest.test_case "infer elision accounting" `Quick
       test_infer_elision_accounting;
     Alcotest.test_case "dpor leaves its checkpoint store empty" `Quick
@@ -681,6 +672,9 @@ let suite =
     dpor_shared_store_law;
     dpor_budget_law;
     infer_cache_oblivious;
+    Alcotest.test_case "infer: prefix facts arriving in the tail" `Quick
+      test_infer_late_prefix_facts;
+    online_prefix_replay_law;
     Alcotest.test_case "prefix weight bounds its own words" `Quick
       test_prefix_weight_micro;
     prefix_weight_law;
